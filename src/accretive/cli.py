@@ -103,11 +103,18 @@ def _emit(command, body, claims, out_dir):
     report.update(body)
     path = os.path.join(out_dir, f"{command}-report.json")
     write_json(path, report)
+    return _conclude(claims, path)
+
+
+def _conclude(claims, path, note=None):
+    """Print one line per claim, the note if any and the report path; return the exit code."""
     for c in claims:
         print(
             f"{c['status'].upper():4s} {c['claim']}"
             f"  measured={c['measured']:.6e}  tolerance={c['tolerance']:.6e}"
         )
+    if note:
+        print(note)
     print(f"report: {path}")
     failing = [c["claim"] for c in claims if c["status"] == "fail"]
     if failing:
@@ -173,7 +180,7 @@ def _cmd_perturb(args, tols, out_dir):
         print("hypotheses unmet; certificate dump:", file=sys.stderr)
         print(json.dumps(cert.as_dict(), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    res = pseudoinverse(T)
+    res = cert.pinv_result
     updated = perturbed_pinv(T, S, cert)
     direct = pseudoinverse(T + S)
     pn = operator_norm(res.pinv)
@@ -317,19 +324,10 @@ def _cmd_selftest(args, tols, out_dir):
     report = run_selftest(seed=args.seed, overrides=overrides)
     path = os.path.join(out_dir, "selftest-report.json")
     write_json(path, report)
-    for c in report["body"]["claims"]:
-        print(
-            f"{c['status'].upper():4s} {c['claim']}"
-            f"  measured={c['measured']:.6e}  tolerance={c['tolerance']:.6e}"
-        )
     summary = report["body"]["summary"]
-    print(f"{summary['passed']}/{summary['total']} claims passed")
-    print(f"report: {path}")
-    failing = [c["claim"] for c in report["body"]["claims"] if c["status"] == "fail"]
-    if failing:
-        print(f"failed claim: {failing[0]}", file=sys.stderr)
-        return EXIT_CLAIM_FAIL
-    return EXIT_PASS
+    return _conclude(
+        report["body"]["claims"], path, f"{summary['passed']}/{summary['total']} claims passed"
+    )
 
 
 def _parse_overrides(pairs):

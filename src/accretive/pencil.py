@@ -15,11 +15,11 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
-    accretivity_report,
     as_operator,
     cartesian_parts,
     operator_norm,
     sector_angle_estimate,
+    sectorial_angle,
 )
 from .tolerances import DEFAULTS
 
@@ -53,24 +53,10 @@ def _delta(A):
     return float(np.linalg.eigvalsh(cartesian_parts(A).re_part)[0])
 
 
-def build_upsilon(T, S):
-    """Upsilon = T^2 + S.
-
-    When T^2 and S are individually accretive the sum must be as well
-    (numerical ranges add); that consequence is checked here and a violation
-    is an internal error, not a data condition.
-    """
-    A = as_operator(T)
-    B = as_operator(S)
-    if A.shape != B.shape:
-        raise ParameterError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    U = A @ A + B
-    tol = DEFAULTS["accretivity"] * max(1.0, operator_norm(A) ** 2, operator_norm(B))
-    if _delta(A @ A) >= -tol and _delta(B) >= -tol and _delta(U) < -2 * tol:
-        raise RuntimeError(
-            f"accretive parts produced non-accretive sum (delta = {_delta(U):.3e})"
-        )
-    return U
+def _sector_angle(A):
+    """Sectorial semiangle, or the sampled W(A) estimate when A is not accretive."""
+    omega = sectorial_angle(A)[0]
+    return sector_angle_estimate(A) if omega is None else omega
 
 
 def _range_block(U, cutoff_scale=None):
@@ -266,16 +252,8 @@ def factorize(p, tol=None):
     z1 = T + R
     z2 = T - R
     sqrt_residual = operator_norm(R @ R - U)
-    rep_R = accretivity_report(R)
-    if rep_R.is_accretive and rep_R.omega is not None:
-        sqrt_angle = rep_R.omega
-    else:
-        sqrt_angle = sector_angle_estimate(R)
-    rep_z1 = accretivity_report(z1)
-    if rep_z1.is_accretive and rep_z1.omega is not None:
-        z1_angle = rep_z1.omega
-    else:
-        z1_angle = sector_angle_estimate(z1)
+    sqrt_angle = _sector_angle(R)
+    z1_angle = _sector_angle(z1)
     comm = operator_norm(T @ S - S @ T)
     commuting = bool(comm <= DEFAULTS["commutation"] * max(1.0, operator_norm(T) * operator_norm(S)))
     s1 = np.linalg.eigvals(z1)

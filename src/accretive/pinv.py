@@ -7,13 +7,13 @@ the pseudoinverse of T + S is a Neumann-type update of T_pinv and keeps T's
 rank, range, and kernel.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
 
 from .errors import HypothesisError, ParameterError, PreconditionError
-from .linops import accretivity_report, as_operator, cartesian_parts, numerical_radius, operator_norm
+from .linops import as_operator, numerical_radius, operator_norm, sectorial_angle
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -101,24 +101,6 @@ def is_EP(T, tol=None):
     return bool(operator_norm(A @ P - P @ A) <= tol)
 
 
-def accretive_pinv_check(T, tol=None):
-    """For accretive T, certify that the pseudoinverse is accretive as well.
-
-    Returns the boolean lambda_min(Re(T_pinv)) >= -tol.  Non-accretive input
-    is a precondition error, not a False.
-    """
-    A = as_operator(T)
-    if tol is None:
-        tol = DEFAULTS["pinv-accretive"]
-    rep = accretivity_report(A)
-    if not rep.is_accretive:
-        raise PreconditionError(f"input not accretive: delta = {rep.delta:.3e}")
-    P = pseudoinverse(A).pinv
-    lam = np.linalg.eigvalsh(cartesian_parts(P).re_part)
-    dmin = float(lam[0]) if lam.size else 0.0
-    return bool(dmin >= -tol * max(1.0, operator_norm(P)))
-
-
 def unitary_on_range_check(T, tol=None):
     """Accretive T with w(T) <= 1 and w(T_pinv) <= 1 acts unitarily on its range.
 
@@ -129,11 +111,12 @@ def unitary_on_range_check(T, tol=None):
     A = as_operator(T)
     if tol is None:
         tol = DEFAULTS["unitary-range"]
-    rep = accretivity_report(A)
-    if not rep.is_accretive:
-        raise HypothesisError(f"hypotheses unmet: not accretive (delta = {rep.delta:.3e})")
-    if rep.numerical_radius > 1 + tol:
-        raise HypothesisError(f"hypotheses unmet: w(T) = {rep.numerical_radius:.6f} > 1")
+    omega, delta, _, _ = sectorial_angle(A)
+    if omega is None:
+        raise HypothesisError(f"hypotheses unmet: not accretive (delta = {delta:.3e})")
+    w = numerical_radius(A)
+    if w > 1 + tol:
+        raise HypothesisError(f"hypotheses unmet: w(T) = {w:.6f} > 1")
     res = pseudoinverse(A)
     w_pinv = numerical_radius(res.pinv)
     if w_pinv > 1 + tol:
@@ -156,6 +139,8 @@ class PerturbationCertificate:
     ||T_pinv S|| < 1, "kernel-side" for the dual pair, "both" when the two
     hypothesis sets hold together, "fail" otherwise.  norm_over_gamma records
     the informational ratio ||S|| / gamma(T); it is not a hypothesis.
+    pinv_result keeps the pseudoinverse of T the certificate was computed
+    from, so perturbed_pinv does not factor T again; as_dict leaves it out.
     """
 
     range_inclusion_residual: float
@@ -166,6 +151,7 @@ class PerturbationCertificate:
     s_accretive: bool
     theta: float | None
     norm_over_gamma: float
+    pinv_result: PinvResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -209,19 +195,20 @@ def perturbation_certificate(T, S, tol=None):
         mode = "kernel-side"
     else:
         mode = "fail"
-    s_rep = accretivity_report(B)
-    theta = s_rep.omega if s_rep.is_accretive else None
+    theta = sectorial_angle(B)[0]
     ratio = operator_norm(B) / res.gamma if math.isfinite(res.gamma) else 0.0
-    return PerturbationCertificate(
+    cert = PerturbationCertificate(
         range_inclusion_residual=float(r_range),
         kernel_inclusion_residual=float(r_kernel),
         contraction_TdS=float(c_tds),
         contraction_STd=float(c_std),
         mode=mode,
-        s_accretive=bool(s_rep.is_accretive),
+        s_accretive=theta is not None,
         theta=theta,
         norm_over_gamma=float(ratio),
     )
+    object.__setattr__(cert, "pinv_result", res)
+    return cert
 
 
 def perturbed_pinv(T, S, cert=None, tol=None):
@@ -230,7 +217,8 @@ def perturbed_pinv(T, S, cert=None, tol=None):
     Returns (I + T_pinv S)^{-1} T_pinv.  The dual form
     T_pinv (I + S T_pinv)^{-1} is computed as well and the two are required to
     agree; under a valid certificate both resolvents exist because the two
-    products share their nonzero spectrum.
+    products share their nonzero spectrum.  A given cert must be the
+    certificate of (T, S): its pseudoinverse of T is reused.
     """
     A = as_operator(T)
     B = as_operator(S)
@@ -243,7 +231,7 @@ def perturbed_pinv(T, S, cert=None, tol=None):
             f"kernel residual {cert.kernel_inclusion_residual:.3e}, "
             f"contractions {cert.contraction_TdS:.3f} / {cert.contraction_STd:.3f}"
         )
-    P = pseudoinverse(A).pinv
+    P = (cert.pinv_result or pseudoinverse(A)).pinv
     eye = np.eye(A.shape[0])
     try:
         F_range = np.linalg.solve(eye + P @ B, P)

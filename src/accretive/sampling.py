@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 
 from .linops import cartesian_parts, hermitian_sqrt
+from .pinv import pseudoinverse
 
 
 def rng_for(seed, label):
@@ -61,17 +62,6 @@ def accretive_operator(rng, dim, max_tan=3.0, floor=0.1):
     nrm = np.linalg.norm(K, 2)
     if nrm > 0:
         K *= max_tan * rng.random() / nrm
-    R = hermitian_sqrt(H)
-    return R @ (np.eye(dim) + 1j * K) @ R
-
-
-def sectorial_operator(rng, dim, tan_omega, floor=0.1):
-    """Strongly accretive operator with sectorial tangent exactly tan_omega."""
-    H = positive_definite(rng, dim, floor=floor)
-    K = hermitian(rng, dim)
-    nrm = np.linalg.norm(K, 2)
-    if nrm > 0:
-        K *= tan_omega / nrm
     R = hermitian_sqrt(H)
     return R @ (np.eye(dim) + 1j * K) @ R
 
@@ -164,24 +154,17 @@ def pencil_pair(rng, dim, s_scale=0.8):
     return T, S
 
 
-def perturbation_for(rng, T, pinv_norm, kind, scale=0.5):
-    """Small perturbation S compatible with a given pseudoinverse geometry.
+def certified_pair(rng, dim, rank, contraction=0.6):
+    """(T, S) meeting both inclusion hypotheses, with ||T_pinv S|| < contraction.
 
-    kind "subspace": S maps within range(T) and along T's row space, sized so
-    ||T_pinv|| ||S|| < scale (both contraction certificates hold).
-    kind "scalar": S = eps * T.
+    T = Q M Q* and S = Q B Q* share the range of an isometry Q with rank
+    columns, M and B strongly accretive, so S maps into range(T) and vanishes
+    on kernel(T).  S is scaled so that ||T_pinv S|| is a uniform random
+    fraction of contraction.
     """
-    dim = T.shape[0]
-    if kind == "scalar":
-        eps = (0.8 * rng.random() - 0.4) or 0.1
-        return eps * T
-    if kind != "subspace":
-        raise ValueError(f"unknown perturbation kind: {kind}")
-    G = complex_gaussian(rng, (dim, dim))
-    P_range = T @ np.linalg.pinv(T)
-    P_row = np.linalg.pinv(T) @ T
-    S = P_range @ G @ P_row
-    nrm = np.linalg.norm(S, 2)
-    if nrm > 0:
-        S *= scale * rng.random() / (nrm * max(pinv_norm, 1e-300))
-    return S
+    Q = random_unitary(rng, dim)[:, :rank]
+    T = Q @ accretive_operator(rng, rank) @ Q.conj().T
+    S = Q @ accretive_operator(rng, rank, max_tan=1.5) @ Q.conj().T
+    P = pseudoinverse(T).pinv
+    S *= contraction * rng.random() / np.linalg.norm(P @ S, 2)
+    return T, S

@@ -3,7 +3,7 @@
 Each suite draws from its own named stream (rng_for(seed, label)), so the
 claim list and every measured value are a deterministic function of the
 seed and the tolerance table, independent of suite execution order.  The
-volatile parts of a report (wall-clock header, per-claim runtimes) live
+volatile parts of a report (wall-clock header, per-suite runtimes) live
 outside the body; the body is the unit that determinism claims compare.
 """
 
@@ -50,12 +50,11 @@ from .pinv import (
 )
 from .sampling import (
     accretive_operator,
+    certified_pair,
     commuting_pencil_pair,
     complex_gaussian,
     pencil_pair,
-    perturbation_for,
     random_operator,
-    random_unitary,
     rank_deficient_operator,
     rng_for,
     singular_accretive_operator,
@@ -64,19 +63,6 @@ from .spectral import LaplacianModel, demo
 from .tolerances import resolve
 
 FORMAT_VERSION = 1
-
-
-def _certified_pair(rng, dim, rank, contraction=0.6):
-    # S = Q B Q* inside T's common range/row block with accretive B, scaled
-    # to the requested contraction level; both inclusion hypotheses hold.
-    Q = random_unitary(rng, dim)[:, :rank]
-    M = accretive_operator(rng, rank)
-    B = accretive_operator(rng, rank, max_tan=1.5)
-    T = Q @ M @ Q.conj().T
-    P = pseudoinverse(T).pinv
-    S = Q @ B @ Q.conj().T
-    S *= contraction * rng.random() / np.linalg.norm(P @ S, 2)
-    return T, S
 
 
 def _suite_pinv_basics(rng, tols):
@@ -171,9 +157,9 @@ def _suite_perturbation(rng, tols):
     for _ in range(30):
         dim = int(rng.integers(2, 11))
         rank = int(rng.integers(1, dim + 1))
-        T, S = _certified_pair(rng, dim, rank)
+        T, S = certified_pair(rng, dim, rank)
         cert = perturbation_certificate(T, S)
-        res = pseudoinverse(T)
+        res = cert.pinv_result
         pn = operator_norm(res.pinv)
         updated = perturbed_pinv(T, S, cert)
         direct = pseudoinverse(T + S)
@@ -216,7 +202,7 @@ def _suite_perturbation(rng, tols):
 
 
 def _suite_neumann(rng, tols):
-    T, S = _certified_pair(rng, 6, 4, contraction=0.4)
+    T, S = certified_pair(rng, 6, 4, contraction=0.4)
     deviation = neumann_identity_check(T, S, 20)
     return [("neumann-tail", deviation, tols["neumann-tail"])]
 
@@ -396,7 +382,7 @@ def run_selftest(seed=42, overrides=None):
             results = fn(rng, tols)
         except Exception as exc:  # a crashed suite is a failed claim, not a crash
             results = [(f"{label}-completed", 1.0, tols["bound-slack"], False, str(exc))]
-        elapsed = time.perf_counter() - start
+        runtimes[label] = round(time.perf_counter() - start, 6)
         for item in results:
             name, measured, tolerance = item[0], float(item[1]), float(item[2])
             ok = item[3] if len(item) > 3 else (measured <= tolerance)
@@ -409,7 +395,6 @@ def run_selftest(seed=42, overrides=None):
             if len(item) > 4:
                 entry["error"] = item[4]
             claims.append(entry)
-            runtimes[name] = round(elapsed, 6)
     names = [c["claim"] for c in claims]
     if len(names) != len(set(names)):
         raise RuntimeError(f"duplicate claim ids in registry: {sorted(names)}")

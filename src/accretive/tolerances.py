@@ -21,7 +21,6 @@ DEFAULTS = {
     "penrose": 1e-10,              # scaled by max(1, ||T||, ||pinv||)
     "ep": 1e-10,
     "pinv-accretive": 1e-10,       # lambda_min(Re pinv) >= -tol
-    "gamma-rel": 1e-12,
     "involution": 1e-10,
     "unitary-range": 1e-8,
     "inclusion-residual": 1e-10,   # certificate residuals, scaled by max(1, ||S||)
@@ -35,12 +34,9 @@ DEFAULTS = {
     "vector-inequality": 1e-10,
     # pencil
     "sqrt-residual": 1e-10,        # scaled by max(1, ||U||)
-    "sqrt-kernel-angle": 1e-8,
-    "sqrt-sector": 1e-8,           # slack over pi/4
     "commutation": 1e-10,          # scaled by max(1, ||T||*||S||)
     "factorization-identity": 1e-10,
     "spectrum-match": 1e-6,
-    "pencil-root-residual": 1e-6,
     "separation-strong": 1e-6,     # lambda_min(Re Upsilon) above which separation is asserted
     "balakrishnan-rel": 1e-6,
     "power-angle": 1e-6,           # slack over alpha*pi/2
@@ -56,8 +52,6 @@ DEFAULTS = {
     "superposition": 1e-10,
     "exp-consistency": 1e-9,
     "fd-gap": 1e-4,
-    "fd-ratio-low": 3.5,
-    "fd-ratio-high": 4.5,
     # spectral
     "mode-oracle": 1e-8,
     "truncation": 1e-12,

@@ -34,11 +34,11 @@ from accretive.pinv import (
 )
 from accretive.sampling import (
     accretive_operator,
+    certified_pair,
     commuting_pencil_pair,
     complex_gaussian,
     pencil_pair,
     random_operator,
-    random_unitary,
     rank_deficient_operator,
     rng_for,
     singular_accretive_operator,
@@ -47,15 +47,6 @@ from accretive.selftest import canonical_body, run_selftest
 from accretive.spectral import LaplacianModel, build_operators, condition_check, demo
 
 SEED = 42
-
-
-def certified_pair(rng, dim, rank, contraction):
-    Q = random_unitary(rng, dim)[:, :rank]
-    T = Q @ accretive_operator(rng, rank) @ Q.conj().T
-    S = Q @ accretive_operator(rng, rank, max_tan=1.5) @ Q.conj().T
-    P = pseudoinverse(T).pinv
-    S *= contraction * rng.random() / np.linalg.norm(P @ S, 2)
-    return T, S
 
 
 def test_criterion_1_penrose_and_ep():

@@ -10,6 +10,7 @@ import pytest
 
 from accretive.cli import run
 from accretive.matio import read_matrix, write_matrix, write_vector
+from accretive.selftest import _REGISTRY
 
 
 @pytest.fixture
@@ -67,6 +68,9 @@ def test_tol_override_validation(files):
                 "--tol-override", "penrose"]) == 2
     assert run(["analyze", "--input", files["witness"], "--out", files["out"],
                 "--tol-override", "penrose=-1"]) == 2
+    # A key that no check reads is unknown, not silently accepted.
+    assert run(["analyze", "--input", files["witness"], "--out", files["out"],
+                "--tol-override", "sqrt-sector=1"]) == 2
 
 
 def test_pinv_artifact(files):
@@ -146,6 +150,13 @@ def test_selftest_deterministic(files, tmp_path):
     assert run(["selftest", "--seed", "7", "--out", out_c]) == 0
     rep_c = json.loads(open(out_c + "/selftest-report.json").read())
     assert rep_c["body"] != rep_a["body"]
+
+
+def test_selftest_runtimes_keyed_by_suite(tmp_path):
+    assert run(["selftest", "--out", str(tmp_path)]) == 0
+    report = json.loads(open(tmp_path / "selftest-report.json").read())
+    assert sorted(report["runtime_seconds"]) == sorted(label for label, _ in _REGISTRY)
+    assert all(t >= 0 for t in report["runtime_seconds"].values())
 
 
 def test_module_entry_point(files):

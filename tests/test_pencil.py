@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from accretive.errors import AccuracyError, ParameterError, PreconditionError
-from accretive.linops import accretivity_report, cartesian_parts, hermitian_sqrt
+from accretive.linops import accretivity_report, hermitian_sqrt
 from accretive.pencil import (
     QuadraticPencil,
     accretive_sqrt,
     balakrishnan_power,
-    build_upsilon,
     eval_pencil,
     factorization_residuals,
     factorize,
@@ -61,21 +60,6 @@ NC_S = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
 DIAG_T = np.diag([1.0, 2.0]).astype(complex)
 DIAG_S = np.diag([3.0, 5.0]).astype(complex)
 DIAG_PENCIL_EIGS = [3.0, -1.0, 5.0, -1.0]
-
-
-def test_build_upsilon_trivial():
-    assert np.allclose(build_upsilon(DIAG_T, DIAG_S), np.diag([4.0, 9.0]))
-    assert np.allclose(build_upsilon(np.zeros((3, 3)), np.eye(3)), np.eye(3))
-
-
-def test_build_upsilon_accretivity_flag():
-    rng = rng_for(SEED, "upsilon")
-    for _ in range(N_TRIALS):
-        dim = int(rng.integers(2, 9))
-        T, S = pencil_pair(rng, dim)
-        U = build_upsilon(T, S)
-        dmin = np.linalg.eigvalsh(cartesian_parts(U).re_part)[0]
-        assert dmin >= -1e-10 * max(1.0, np.linalg.norm(U, 2))
 
 
 def test_sqrt_diagonal_and_kernel():
@@ -160,7 +144,7 @@ def test_balakrishnan_agrees_with_sqrt():
     rng = rng_for(SEED, "balakrishnan-sqrt")
     for _ in range(6):
         T, S = pencil_pair(rng, int(rng.integers(2, 7)))
-        U = build_upsilon(T, S)
+        U = T @ T + S
         via_quad = balakrishnan_power(U, 0.5)
         via_schur = accretive_sqrt(U)
         rel = np.linalg.norm(via_quad - via_schur, 2) / np.linalg.norm(via_schur, 2)

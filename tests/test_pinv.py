@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from accretive.errors import HypothesisError, ParameterError, PreconditionError
+from accretive.errors import HypothesisError, ParameterError
 from accretive.pinv import (
-    accretive_pinv_check,
     is_EP,
     penrose_residuals,
     pseudoinverse,
@@ -131,18 +130,6 @@ def test_accretive_implies_ep_and_shared_kernels():
         assert is_EP(T)
         # N(T) = N(T*) read through projectors onto their orthocomplements.
         assert subspace_distance(range_projector(T), row_projector(T)) <= 1e-10
-
-
-def test_accretive_pinv_check():
-    assert accretive_pinv_check(np.eye(3))
-    assert accretive_pinv_check(np.diag([1.0, 1j, 0.0]))
-    rng = rng_for(SEED, "pinv-accretive")
-    for _ in range(N_TRIALS):
-        dim = int(rng.integers(1, 12))
-        rank = int(rng.integers(1, dim + 1))
-        assert accretive_pinv_check(singular_accretive_operator(rng, dim, rank))
-    with pytest.raises(PreconditionError):
-        accretive_pinv_check(np.diag([-1.0, 1.0]))
 
 
 def test_unitary_on_range():
