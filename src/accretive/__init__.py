@@ -13,14 +13,14 @@ from .errors import (
 from .linops import (
     AccretivityReport,
     CartesianParts,
+    NumericalRange,
     accretivity_report,
     cartesian_parts,
     kato_representation,
     numerical_radius,
+    numerical_range,
     numerical_range_boundary,
     sectorial_angle,
-    spectral_inclusion_check,
-    support_function,
 )
 from .pinv import (
     PerturbationCertificate,

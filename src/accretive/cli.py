@@ -31,12 +31,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .linops import (
-    accretivity_report,
-    numerical_range_boundary,
-    operator_norm,
-    support_excess,
-)
+from .linops import accretivity_report, operator_norm
 from .matio import (
     matrix_payload,
     read_matrix,
@@ -132,10 +127,10 @@ def _cmd_analyze(args, tols, out_dir):
         rep.numerical_radius - rep.operator_norm,
         rep.operator_norm - 2 * rep.numerical_radius,
     ) / scale
-    pts = numerical_range_boundary(T)
-    hull = float(np.max(support_excess(T, pts))) / scale if pts.size else 0.0
+    wr = rep.numerical_range
+    hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
     eigs = np.linalg.eigvals(T)
-    spec = float(np.max(support_excess(T, eigs))) / scale if eigs.size else 0.0
+    spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
     claims = [
         _claim("norm-chain", chain, tols["norm-chain"]),
         _claim("hull-consistency", hull, tols["hull-distance"]),

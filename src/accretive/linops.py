@@ -7,7 +7,8 @@ real part Re(T) = (T + T*)/2 is positive semidefinite, and omega-accretive
 closed sector |arg z| <= omega about the positive real axis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -62,98 +63,91 @@ def cartesian_parts(T):
     return CartesianParts(re_part=re, im_part=im)
 
 
-def _support_data(T, angles):
-    """Support values and maximizing unit vectors of W(T) per direction.
+@dataclass(frozen=True)
+class NumericalRange:
+    """One rotation-method sweep of W(T), shared by every W(T) quantity.
 
-    For each angle the Hermitian rotation Re(e^{-i*theta} T) is diagonalized;
-    its top eigenvalue is the support function h(theta) = max Re(e^{-i*theta} z)
-    over z in W(T), and the top eigenvector gives the attaining Rayleigh point.
+    At each grid angle theta_k the top eigenpair of Re(e^{-i*theta_k} T) gives
+    the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T) and the
+    boundary Rayleigh point attaining it.  A 0x0 operator has empty W(T): no
+    points, support values -inf, w(T) = 0.
     """
-    A = np.asarray(T, dtype=np.complex128)
-    rot = np.exp(-1j * angles)[:, None, None] * A[None, :, :]
-    herm = (rot + rot.conj().swapaxes(-1, -2)) / 2
-    vals, vecs = np.linalg.eigh(herm)
-    h = vals[:, -1]
-    tops = vecs[:, :, -1]
-    points = np.einsum("ki,ij,kj->k", tops.conj(), A, tops)
-    return h, points
+
+    operator: np.ndarray = field(repr=False)
+    angles: np.ndarray
+    support: np.ndarray
+    points: np.ndarray
+
+    def excess(self, points):
+        """Signed distance of each point to the sampled support planes of W(T).
+
+        <= 0 up to rounding for p in the closure of W(T); a positive value
+        lower-bounds the distance from W(T), so containment claims need no
+        discretization allowance.
+        """
+        pts = np.asarray(points, dtype=np.complex128).ravel()
+        proj = np.real(np.exp(-1j * self.angles)[None, :] * pts[:, None])
+        return np.max(proj - self.support[None, :], axis=1)
+
+    @cached_property
+    def radius(self):
+        """Numerical radius w(T) = max over theta of h(theta), computed on first read.
+
+        The grid maximizer is refined by a bounded Brent pass (~1e-10 relative).
+        """
+        A = self.operator
+        if A.shape[0] == 0:
+            return 0.0
+        k = int(np.argmax(self.support))
+        best = float(self.support[k])
+        step = 2 * np.pi / len(self.angles)
+
+        def negated(theta):
+            rot = np.exp(-1j * theta) * A
+            return -float(np.linalg.eigvalsh((rot + rot.conj().T) / 2)[-1])
+
+        res = minimize_scalar(
+            negated,
+            bounds=(self.angles[k] - step, self.angles[k] + step),
+            method="bounded",
+            options={"xatol": 1e-9},
+        )
+        return max(best, float(-res.fun), 0.0)
 
 
-def support_function(T, angles):
-    """h(theta) = lambda_max(Re(e^{-i*theta} T)) for each theta in angles."""
-    A = as_operator(T)
-    h, _ = _support_data(A, np.asarray(angles, dtype=float))
-    return h
-
-
-def numerical_range_boundary(T, n_angles=720):
-    """Boundary samples of the numerical range W(T).
-
-    Returns the Rayleigh points attaining the support function on a uniform
-    angle grid.  The points lie in W(T); their convex hull approximates W(T)
-    from inside and grows monotonically as n_angles doubles (the angle grids
-    nest).
-    """
+def numerical_range(T, n_angles=720):
+    """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange."""
     A = as_operator(T)
     if n_angles < 3:
         raise DimensionError("n_angles must be >= 3")
-    angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    _, points = _support_data(A, angles)
-    return points
+    angles = np.linspace(0.0, 2 * np.pi, int(n_angles), endpoint=False)
+    if A.shape[0] == 0:
+        return NumericalRange(A, angles, np.full(len(angles), -np.inf), np.zeros(0, complex))
+    rot = np.exp(-1j * angles)[:, None, None] * A[None, :, :]
+    herm = (rot + rot.conj().swapaxes(-1, -2)) / 2
+    vals, vecs = np.linalg.eigh(herm)
+    tops = vecs[:, :, -1]
+    points = np.einsum("ki,ij,kj->k", tops.conj(), A, tops)
+    return NumericalRange(A, angles, vals[:, -1], points)
+
+
+def numerical_range_boundary(T, n_angles=720):
+    """Rayleigh points attaining the support function on a uniform angle grid.
+
+    They lie in W(T); their hull approximates W(T) from inside and grows
+    monotonically as n_angles doubles (the angle grids nest).
+    """
+    return numerical_range(T, n_angles).points
 
 
 def numerical_radius(T, n_angles=720):
-    """Numerical radius w(T) = max |z| over W(T), by the rotation method.
-
-    w(T) = max over theta of lambda_max(Re(e^{-i*theta} T)); a coarse angular
-    grid locates the maximizer and a bounded Brent pass refines it (default
-    accuracy ~1e-10 relative).
-    """
-    A = as_operator(T)
-    if A.shape[0] == 0:
-        return 0.0
-    angles = np.linspace(0.0, 2 * np.pi, max(int(n_angles), 8), endpoint=False)
-    h, _ = _support_data(A, angles)
-    k = int(np.argmax(h))
-    best = float(h[k])
-    step = 2 * np.pi / len(angles)
-
-    def negated(theta):
-        rot = np.exp(-1j * theta) * A
-        return -float(np.linalg.eigvalsh((rot + rot.conj().T) / 2)[-1])
-
-    res = minimize_scalar(
-        negated,
-        bounds=(angles[k] - step, angles[k] + step),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return max(best, float(-res.fun), 0.0)
+    """Numerical radius w(T) = max |z| over W(T), by the rotation method."""
+    return numerical_range(T, n_angles).radius
 
 
 def support_excess(T, points, n_angles=720):
-    """Signed distance of each point to the sampled support planes of W(T).
-
-    For p in the closure of W(T) the value is <= 0 up to rounding; positive
-    values lower-bound the distance from W(T).  This is the outer form of the
-    hull test: exact for containment claims, no discretization allowance
-    needed.
-    """
-    A = as_operator(T)
-    angles = np.linspace(0.0, 2 * np.pi, max(int(n_angles), 8), endpoint=False)
-    h, _ = _support_data(A, angles)
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    proj = np.real(np.exp(-1j * angles)[None, :] * pts[:, None])
-    return np.max(proj - h[None, :], axis=1)
-
-
-def spectral_inclusion_check(T, n_angles=720, tol=None):
-    """Check sigma(T) inside the closure of W(T) via sampled support planes."""
-    A = as_operator(T)
-    if tol is None:
-        tol = DEFAULTS["spectral-inclusion"] * max(1.0, operator_norm(A))
-    eigs = np.linalg.eigvals(A)
-    return bool(np.all(support_excess(A, eigs, n_angles) <= tol))
+    """Signed distance of each point to the sampled support planes of W(T)."""
+    return numerical_range(T, n_angles).excess(points)
 
 
 @dataclass(frozen=True)
@@ -164,7 +158,8 @@ class AccretivityReport:
     inputs, pi/2 when the operator is accretive but the range condition of the
     singular-real-part criterion fails, None when not accretive.  bound_rhs
     carries sqrt(||T||^2/delta^2 - 1) and is only defined on the strongly
-    accretive path.
+    accretive path.  numerical_range is the W(T) sweep behind numerical_radius,
+    kept so callers need no second sweep; as_dict leaves it out.
     """
 
     dim: int
@@ -179,6 +174,7 @@ class AccretivityReport:
     operator_norm: float
     spectral_radius: float
     status: str
+    numerical_range: NumericalRange = field(repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -261,7 +257,7 @@ def accretivity_report(T, tol=None, n_angles=720):
     if tol is None:
         tol = DEFAULTS["accretivity"] * max(1.0, nrm)
     omega, delta, sectorial, tan_omega = sectorial_angle(A, tol)
-    radius = numerical_radius(A, n_angles)
+    wr = numerical_range(A, n_angles)
     spec_r = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
     is_acc = delta >= -tol
     if not is_acc:
@@ -285,10 +281,11 @@ def accretivity_report(T, tol=None, n_angles=720):
         omega=omega,
         lambda0_modulus=tan_omega,
         bound_rhs=bound,
-        numerical_radius=radius,
+        numerical_radius=wr.radius,
         operator_norm=nrm,
         spectral_radius=spec_r,
         status=status,
+        numerical_range=wr,
     )
 
 

@@ -59,7 +59,7 @@ def _sector_angle(A):
     return sector_angle_estimate(A) if omega is None else omega
 
 
-def _range_block(U, cutoff_scale=None):
+def _range_block(U):
     """Orthonormal range basis Q and the compression Q* U Q for EP input.
 
     Returns (Q, block); for full-rank input Q is None and block is U itself.
@@ -94,11 +94,15 @@ def accretive_sqrt(U, tol=None):
     root exists.
     """
     A = as_operator(U)
-    n = A.shape[0]
-    if n == 0:
-        return A.copy()
+    return _sqrt_and_residual(A, operator_norm(A), tol)[0]
+
+
+def _sqrt_and_residual(A, nrm, tol=None):
+    """accretive_sqrt of A, given ||A|| = nrm, with its residual ||W^2 - A||."""
+    if A.shape[0] == 0:
+        return A.copy(), 0.0
     if tol is None:
-        tol = DEFAULTS["accretivity"] * max(1.0, operator_norm(A))
+        tol = DEFAULTS["accretivity"] * max(1.0, nrm)
     Q, block = _range_block(A)
     eigs = np.linalg.eigvals(block)
     bad = (eigs.real < 0) & (np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs.real)))
@@ -111,9 +115,9 @@ def accretive_sqrt(U, tol=None):
     if Q is not None:
         W = Q @ W @ Q.conj().T
     residual = operator_norm(W @ W - A)
-    if residual > DEFAULTS["sqrt-residual"] * max(1.0, operator_norm(A)):
+    if residual > DEFAULTS["sqrt-residual"] * max(1.0, nrm):
         raise AccuracyError(f"square-root residual {residual:.3e} above tolerance")
-    return W
+    return W, residual
 
 
 def _quad_defaults(quad):
@@ -239,7 +243,8 @@ def factorize(p, tol=None):
     propagate.
     """
     T, S = p.T, p.S
-    scale = max(1.0, operator_norm(T) ** 2, operator_norm(S))
+    t_norm, s_norm = operator_norm(T), operator_norm(S)
+    scale = max(1.0, t_norm ** 2, s_norm)
     if tol is None:
         tol = DEFAULTS["accretivity"] * scale
     warnings = []
@@ -247,15 +252,14 @@ def factorize(p, tol=None):
         d = _delta(M)
         if d < -tol:
             warnings.append(f"{name} not accretive (delta = {d:.3e})")
-    U = T @ T + S
-    R = accretive_sqrt(U)
+    U = as_operator(T @ T + S)
+    R, sqrt_residual = _sqrt_and_residual(U, operator_norm(U))
     z1 = T + R
     z2 = T - R
-    sqrt_residual = operator_norm(R @ R - U)
     sqrt_angle = _sector_angle(R)
     z1_angle = _sector_angle(z1)
     comm = operator_norm(T @ S - S @ T)
-    commuting = bool(comm <= DEFAULTS["commutation"] * max(1.0, operator_norm(T) * operator_norm(S)))
+    commuting = bool(comm <= DEFAULTS["commutation"] * max(1.0, t_norm * s_norm))
     s1 = np.linalg.eigvals(z1)
     s2 = np.linalg.eigvals(z2)
     separation = float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
@@ -351,7 +355,7 @@ def vandermonde_check(f):
     V[n:, n:] = f.z2
     sv_V = np.linalg.svd(V, compute_uv=False)
     sv_R = np.linalg.svd(f.sqrt_upsilon, compute_uv=False)
-    v_invertible = bool(sv_V[-1] > 2 * n * _EPS * sv_V[0] * 100)
+    v_invertible = bool(n == 0 or sv_V[-1] > 2 * n * _EPS * sv_V[0] * 100)
     r_invertible = bool(n == 0 or sv_R[-1] > n * _EPS * max(sv_R[0], 1.0) * 100)
     return v_invertible == r_invertible
 

@@ -22,11 +22,10 @@ from .linops import (
     cartesian_parts,
     hermitian_sqrt,
     kato_representation,
-    numerical_radius,
+    numerical_range,
     numerical_range_boundary,
     operator_norm,
     sectorial_angle,
-    support_excess,
 )
 from .pencil import (
     QuadraticPencil,
@@ -111,13 +110,14 @@ def _suite_numerical_range(rng, tols):
         T = random_operator(rng, dim)
         nrm = operator_norm(T)
         scale = max(1.0, nrm)
-        w = numerical_radius(T)
-        r = float(np.max(np.abs(np.linalg.eigvals(T))))
+        wr = numerical_range(T)
+        w = wr.radius
+        eigs = np.linalg.eigvals(T)
+        r = float(np.max(np.abs(eigs)))
         worst_chain = max(worst_chain, (r - w) / scale, (w - nrm) / scale, (nrm - 2 * w) / scale)
         pts = numerical_range_boundary(T, n_angles=180)
-        worst_hull = max(worst_hull, float(np.max(support_excess(T, pts))) / scale)
-        eigs = np.linalg.eigvals(T)
-        worst_spec = max(worst_spec, float(np.max(support_excess(T, eigs))) / scale)
+        worst_hull = max(worst_hull, float(np.max(wr.excess(pts))) / scale)
+        worst_spec = max(worst_spec, float(np.max(wr.excess(eigs))) / scale)
     return [
         ("norm-chain", worst_chain, tols["norm-chain"]),
         ("hull-consistency", worst_hull, tols["hull-distance"]),

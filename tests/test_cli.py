@@ -31,6 +31,7 @@ def files(tmp_path):
     add("resonant-t", write_matrix, np.diag([1.0, 0.0]).astype(complex))
     add("nc-t", write_matrix, np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
     add("nc-s", write_matrix, np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex))
+    add("empty", write_matrix, np.zeros((0, 0), dtype=complex))
     add("u0", write_vector, np.array([1.0, 1.0], dtype=complex))
     add("u1", write_vector, np.array([0.0, 0.0], dtype=complex))
     paths["out"] = str(tmp_path / "out")
@@ -43,6 +44,26 @@ def test_analyze_witness(files):
     report = json.loads(open(files["out"] + "/analyze-report.json").read())
     assert abs(report["analysis"]["omega"] - math.pi / 4) <= 1e-10
     assert all(c["status"] == "pass" for c in report["claims"])
+
+
+def test_analyze_sweeps_the_numerical_range_once(files, monkeypatch):
+    stacked = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            stacked.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
+    assert stacked == [720]
+
+
+def test_dim_zero_input(files):
+    assert run(["analyze", "--input", files["empty"], "--out", files["out"]]) == 0
+    assert run(["factorize", "--input", files["empty"], "--input2", files["empty"],
+                "--out", files["out"]]) == 0
 
 
 def test_analyze_missing_and_broken_input(files, tmp_path):

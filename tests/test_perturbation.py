@@ -18,9 +18,8 @@ from accretive.pinv import (
 )
 from accretive.sampling import (
     accretive_operator,
+    certified_pair,
     commuting_accretive_pair,
-    complex_gaussian,
-    random_unitary,
     rng_for,
 )
 
@@ -30,27 +29,6 @@ N_TRIALS = 40
 # Scalar Neumann witness: T = 1, S = 0.5, k = 3.  Exact value 1/(1+0.5) = 2/3,
 # partial sum 1 - 0.5 + 0.25 - 0.125 = 0.625, deviation 2/3 - 5/8 = 1/24.
 NEUMANN_SCALAR_DEV = 1.0 / 24.0
-
-
-def certified_pair(rng, dim, rank, contraction=0.6, accretive_s=True):
-    """(T, S) with S acting inside T's common range/row block.
-
-    T = Q M Q* is accretive EP of the given rank; S = Q B Q* stays in the same
-    block so both inclusion residuals vanish, and B is scaled to put the
-    contraction norm ||T_pinv S|| near the requested level.
-    """
-    Q = random_unitary(rng, dim)[:, :rank]
-    M = accretive_operator(rng, rank)
-    if accretive_s:
-        B = accretive_operator(rng, rank, max_tan=1.5)
-    else:
-        B = complex_gaussian(rng, (rank, rank))
-    T = Q @ M @ Q.conj().T
-    P = pseudoinverse(T).pinv
-    S = Q @ B @ Q.conj().T
-    c = np.linalg.norm(P @ S, 2)
-    S *= contraction * rng.random() / c
-    return T, S
 
 
 def test_certificate_trivial_cases():
