@@ -9,6 +9,14 @@ values u(0) = u0, u(1) = u1 is
 where x0 and x1 solve the boundary system.  Both exponents have the stable
 orientation (decaying for accretive Z1 and the suite's Z2), so the formula is
 evaluable without rescaling.
+
+u(t) is evaluated through the actions x(t) = exp(-(1-t) Z1) x0 and
+y(t) = exp(t Z2) x1 on all requested times at once: a truncated Taylor
+recurrence on an n x K block (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+2011), never forming an n x n exponential per time.  Stiff factors, whose
+Taylor work would reach that of a dense scaling-and-squaring exponential,
+take the dense expm(t Z) @ v per time instead.  The boundary system still
+needs three dense exponentials: exp(-2R), exp(Z2) and exp(-Z1).
 """
 
 from dataclasses import dataclass
@@ -40,6 +48,69 @@ def expm(A):
             f"matrix exponential overflowed (input norm {operator_norm(M):.3e})"
         )
     return np.asarray(E, dtype=complex)
+
+
+# theta_m for m = 5, 10, ..., 55: the largest ||t A||_1 for which m Taylor
+# terms of exp(t A) meet double-precision unit roundoff (Al-Mohy & Higham,
+# SIAM J. Sci. Comput. 33, 2011, Table 3.1).
+_TAYLOR_THETA = {
+    5: 2.4e-3, 10: 1.4e-1, 15: 6.4e-1, 20: 1.4, 25: 2.4, 30: 3.5,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _expm_actions(A, v, ts):
+    """exp(t_k A) v for every t_k in ts, as the columns of an n x len(ts) array.
+
+    Truncated Taylor recurrence on the shifted B = A - mu I, mu = trace(A)/n,
+    run on all times at once: column k takes q steps of length t_k/q, and the
+    degree m and step count q minimise m*q subject to
+    ||B||_1 max|t_k| / q <= theta_m.  When that Taylor work, m*q*n^2 per time,
+    reaches the ~(8 + s)*n^3 of a dense scaling-and-squaring exponential,
+    s = ceil(log2(||t A||_1 / 5.4)), each column is expm(t_k A) @ v instead.
+    t_k = 0 gives v exactly.  Non-finite results raise AccuracyError.
+    """
+    ts = np.asarray(ts, dtype=float)
+    n = A.shape[0]
+    if n == 0 or ts.size == 0:
+        return np.zeros((n, ts.size), dtype=complex)
+    t_max = float(np.max(np.abs(ts)))
+    mu = np.trace(A) / n
+    B = A - mu * np.eye(n)
+    reach = float(np.linalg.norm(B, 1)) * t_max
+    m, q = 0, 1
+    if reach > 0:
+        m, q = min(
+            ((deg, math.ceil(reach / theta)) for deg, theta in _TAYLOR_THETA.items()),
+            key=lambda mq: mq[0] * mq[1],
+        )
+    dense_reach = float(np.linalg.norm(A, 1)) * t_max
+    squarings = max(0, math.ceil(math.log2(dense_reach / 5.4))) if dense_reach > 0 else 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        if m * q >= (8 + squarings) * n:
+            F = np.stack([expm(t * A) @ v for t in ts], axis=1)
+        else:
+            steps = ts / q
+            growth = np.exp(mu * steps)
+            F = np.repeat(np.asarray(v, dtype=complex)[:, None], ts.size, axis=1)
+            for _ in range(q):
+                term = F
+                prev = np.linalg.norm(term, np.inf, axis=0)
+                for k in range(1, m + 1):
+                    term = B @ term
+                    term *= steps / k
+                    size = np.linalg.norm(term, np.inf, axis=0)
+                    F += term
+                    if np.all(prev + size <= _UNIT_ROUNDOFF * np.linalg.norm(F, np.inf, axis=0)):
+                        break
+                    prev = size
+                F *= growth
+    if not np.all(np.isfinite(F)):
+        raise AccuracyError(
+            f"matrix exponential action overflowed (input norm {t_max * operator_norm(A):.3e})"
+        )
+    return F
 
 
 def chebyshev_grid(n=65):
@@ -105,12 +176,10 @@ class BvpSolution:
     z2: np.ndarray | None = None
 
 
-def _evaluate(z1, z2, x0, x1, ts):
-    """u(t) = exp(-(1-t) Z1) x0 + exp(t Z2) x1 for each t."""
-    out = np.empty((len(ts), len(x0)), dtype=complex)
-    for i, t in enumerate(np.asarray(ts, dtype=float)):
-        out[i] = expm(-(1 - t) * z1) @ x0 + expm(t * z2) @ x1
-    return out
+def _factor_actions(z1, z2, x0, x1, ts):
+    """Columns x(t) = exp(-(1-t) Z1) x0 and y(t) = exp(t Z2) x1; u(t) = x(t) + y(t)."""
+    ts = np.asarray(ts, dtype=float)
+    return _expm_actions(-z1, x0, 1 - ts), _expm_actions(z2, x1, ts)
 
 
 def _residual_scale(T, S, x0, x1):
@@ -168,37 +237,35 @@ def solve_bvp(p, grid=None, tol=None):
     ts = chebyshev_grid() if grid is None else np.asarray(grid, dtype=float)
     if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0) or ts[0] < 0 or ts[-1] > 1:
         raise ParameterError("grid must be strictly increasing within [0, 1]")
-    values = _evaluate(z1, z2, x0, x1, ts)
+    X, Y = _factor_actions(z1, z2, x0, x1, ts)
     b0 = e_mz1 @ x0 + x1 - p.u0
     b1 = x0 + e_z2 @ x1 - p.u1
     boundary_residual = max(float(np.linalg.norm(b0)), float(np.linalg.norm(b1)))
-    check = ts[(ts > 0) & (ts < 1)][:16] if len(ts) > 2 else ts
-    resid = _ode_residual_analytic(z1, z2, x0, x1, p, check)
+    # The ODE check points are grid points, so their x(t), y(t) are already here.
+    check = np.flatnonzero((ts > 0) & (ts < 1))[:16] if len(ts) > 2 else slice(None)
+    scale = _residual_scale(p.T, p.S, x0, x1)
+    resid = _ode_residual_analytic(z1, z2, X[:, check], Y[:, check], p, scale)
     return BvpSolution(
-        grid=ts, values=values, x0=x0, x1=x1,
+        grid=ts, values=(X + Y).T, x0=x0, x1=x1,
         boundary_residual=boundary_residual, ode_residual=resid,
         z1=z1, z2=z2,
     )
 
 
-def _ode_residual_analytic(z1, z2, x0, x1, p, check_points):
-    """Max normalized ||u'' - 2Tu' - Su|| using analytic derivatives.
+def _ode_residual_analytic(z1, z2, X, Y, p, scale):
+    """Max ||u'' - 2Tu' - Su|| / scale over the check points, analytic derivatives.
 
-    With x(t) = e^{-(1-t)Z1} x0 and y(t) = e^{tZ2} x1 the derivatives are
-    u' = Z1 x + Z2 y and u'' = Z1^2 x + Z2^2 y, so the defect reduces to the
-    commutator [T, R] applied to x - y and vanishes in the commuting case.
+    X and Y hold x(t) = e^{-(1-t)Z1} x0 and y(t) = e^{tZ2} x1 as columns, one
+    per check point.  The derivatives are u' = Z1 x + Z2 y and
+    u'' = Z1^2 x + Z2^2 y, so the defect reduces to the commutator [T, R]
+    applied to x - y and vanishes in the commuting case.
     """
-    scale = _residual_scale(p.T, p.S, x0, x1)
-    worst = 0.0
-    for t in np.asarray(check_points, dtype=float):
-        x = expm(-(1 - t) * z1) @ x0
-        y = expm(t * z2) @ x1
-        u = x + y
-        du = z1 @ x + z2 @ y
-        ddu = z1 @ (z1 @ x) + z2 @ (z2 @ y)
-        defect = ddu - 2 * (p.T @ du) - p.S @ u
-        worst = max(worst, float(np.linalg.norm(defect)) / scale)
-    return worst
+    if X.shape[1] == 0:
+        return 0.0
+    du = z1 @ X + z2 @ Y
+    ddu = z1 @ (z1 @ X) + z2 @ (z2 @ Y)
+    defect = ddu - 2 * (p.T @ du) - p.S @ (X + Y)
+    return float(np.max(np.linalg.norm(defect, axis=0))) / scale
 
 
 def ode_residual(sol, p, check_points=None):
@@ -216,19 +283,23 @@ def ode_residual(sol, p, check_points=None):
     check_points = np.asarray(check_points, dtype=float)
     h = 1e-4
     scale = _residual_scale(p.T, p.S, sol.x0, sol.x1)
-    for t in check_points[(check_points > h) & (check_points < 1 - h)][:5]:
-        x = expm(-(1 - t) * sol.z1) @ sol.x0
-        y = expm(t * sol.z2) @ sol.x1
-        du = sol.z1 @ x + sol.z2 @ y
-        u_plus = _evaluate(sol.z1, sol.z2, sol.x0, sol.x1, [t + h])[0]
-        u_minus = _evaluate(sol.z1, sol.z2, sol.x0, sol.x1, [t - h])[0]
-        fd = (u_plus - u_minus) / (2 * h)
-        if np.linalg.norm(du - fd) > DEFAULTS["derivative-check"] * scale:
+    probes = check_points[(check_points > h) & (check_points < 1 - h)][:5]
+    k = len(probes)
+    X, Y = _factor_actions(
+        sol.z1, sol.z2, sol.x0, sol.x1,
+        np.concatenate([probes, probes + h, probes - h, check_points]),
+    )
+    du = sol.z1 @ X[:, :k] + sol.z2 @ Y[:, :k]
+    U = X + Y
+    fd = (U[:, k:2 * k] - U[:, 2 * k:3 * k]) / (2 * h)
+    gaps = np.linalg.norm(du - fd, axis=0)
+    for t, gap in zip(probes, gaps):
+        if gap > DEFAULTS["derivative-check"] * scale:
             raise AccuracyError(
                 f"analytic derivative disagrees with finite differences at t={t:.3f} "
-                f"by {np.linalg.norm(du - fd):.3e}"
+                f"by {gap:.3e}"
             )
-    return _ode_residual_analytic(sol.z1, sol.z2, sol.x0, sol.x1, p, check_points)
+    return _ode_residual_analytic(sol.z1, sol.z2, X[:, 3 * k:], Y[:, 3 * k:], p, scale)
 
 
 def fd_oracle(p, n_points, solution=None):
@@ -273,7 +344,8 @@ def fd_oracle(p, n_points, solution=None):
         solution = solve_bvp(p, grid=grid)
         exact = solution.values
     else:
-        exact = _evaluate(solution.z1, solution.z2, solution.x0, solution.x1, grid)
+        X, Y = _factor_actions(solution.z1, solution.z2, solution.x0, solution.x1, grid)
+        exact = (X + Y).T
     gap = float(np.max(np.linalg.norm(values - exact, axis=1)))
     return BvpSolution(
         grid=grid, values=values,

@@ -129,7 +129,7 @@ def _cmd_analyze(args, tols, out_dir):
     ) / scale
     wr = rep.numerical_range
     hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
-    eigs = np.linalg.eigvals(T)
+    eigs = rep.eigenvalues
     spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
     claims = [
         _claim("norm-chain", chain, tols["norm-chain"]),
@@ -227,7 +227,7 @@ def _cmd_factorize(args, tols, out_dir):
         "input": args.input,
         "input2": args.input2,
         "commuting": f.commuting,
-        "separation": f.separation,
+        "separation": f.separation if math.isfinite(f.separation) else None,
         "separation_regime": f.separation_regime,
         "sqrt_residual": f.sqrt_residual,
         "z1_sector_angle": f.z1_sector_angle,

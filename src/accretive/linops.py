@@ -12,7 +12,6 @@ from functools import cached_property
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DimensionError, PreconditionError
 from .tolerances import DEFAULTS
@@ -95,6 +94,8 @@ class NumericalRange:
 
         The grid maximizer is refined by a bounded Brent pass (~1e-10 relative).
         """
+        from scipy.optimize import minimize_scalar  # deferred: costs ~0.2 s at import
+
         A = self.operator
         if A.shape[0] == 0:
             return 0.0
@@ -158,8 +159,9 @@ class AccretivityReport:
     inputs, pi/2 when the operator is accretive but the range condition of the
     singular-real-part criterion fails, None when not accretive.  bound_rhs
     carries sqrt(||T||^2/delta^2 - 1) and is only defined on the strongly
-    accretive path.  numerical_range is the W(T) sweep behind numerical_radius,
-    kept so callers need no second sweep; as_dict leaves it out.
+    accretive path.  numerical_range is the W(T) sweep behind numerical_radius
+    and eigenvalues the spectrum behind spectral_radius, kept so callers need
+    no second sweep or eigensolve; as_dict leaves both out.
     """
 
     dim: int
@@ -175,6 +177,7 @@ class AccretivityReport:
     spectral_radius: float
     status: str
     numerical_range: NumericalRange = field(repr=False, compare=False)
+    eigenvalues: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -258,7 +261,8 @@ def accretivity_report(T, tol=None, n_angles=720):
         tol = DEFAULTS["accretivity"] * max(1.0, nrm)
     omega, delta, sectorial, tan_omega = sectorial_angle(A, tol)
     wr = numerical_range(A, n_angles)
-    spec_r = float(np.max(np.abs(np.linalg.eigvals(A)))) if n else 0.0
+    eigs = np.linalg.eigvals(A) if n else np.zeros(0, dtype=complex)
+    spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     is_acc = delta >= -tol
     if not is_acc:
         status = "not accretive"
@@ -286,6 +290,7 @@ def accretivity_report(T, tol=None, n_angles=720):
         spectral_radius=spec_r,
         status=status,
         numerical_range=wr,
+        eigenvalues=eigs,
     )
 
 

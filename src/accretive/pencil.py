@@ -11,7 +11,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linear_sum_assignment
 
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
@@ -336,6 +335,8 @@ def multiset_match_distance(a, b):
         raise ParameterError(f"multiset sizes differ: {x.size} vs {y.size}")
     if x.size == 0:
         return 0.0
+    from scipy.optimize import linear_sum_assignment  # deferred: costs ~0.2 s at import
+
     cost = np.abs(x[:, None] - y[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import BvpProblem, BvpSolution, chebyshev_grid, solve_bvp
-from .errors import ModelError, ParameterError, PreconditionError, ResonanceError
+from .errors import (
+    AccuracyError,
+    DimensionError,
+    HypothesisError,
+    ModelError,
+    ParameterError,
+    ParseError,
+    PreconditionError,
+    ResonanceError,
+)
 from .pencil import QuadraticPencil, factorize
 from .pinv import perturbation_certificate
 from .tolerances import DEFAULTS
@@ -193,12 +202,24 @@ def per_mode_oracle(m, u0, u1, grid=None):
     )
 
 
+_LIBRARY_ERRORS = (
+    AccuracyError,
+    DimensionError,
+    HypothesisError,
+    ModelError,
+    ParameterError,
+    ParseError,
+    PreconditionError,
+)
+
+
 def _stage(name, fn, *args, **kwargs):
-    # Prepend the failing pipeline stage; the exception type is preserved so
-    # callers can still dispatch on it.
+    # The library's own errors (one-message constructors) are re-raised with
+    # the failing pipeline stage prefixed and their type kept, so callers can
+    # still dispatch on it; any other exception propagates as it was raised.
     try:
         return fn(*args, **kwargs)
-    except Exception as exc:
+    except _LIBRARY_ERRORS as exc:
         raise type(exc)(f"[stage: {name}] {exc}") from exc
 
 

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from accretive.bvp import (
     BvpProblem,
+    _expm_actions,
     chebyshev_grid,
     expm,
     fd_oracle,
     ode_residual,
     solve_bvp,
 )
-from accretive.errors import HypothesisError, ParameterError, ResonanceError
+from accretive.errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
 from accretive.sampling import commuting_pencil_pair, rng_for
 
 SEED = 78112
@@ -46,6 +48,65 @@ def test_expm_trivial():
     assert np.allclose(got, np.diag([math.e, np.exp(-2.0 + 1j)]), atol=1e-14)
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
     assert np.allclose(expm(nilpotent), np.array([[1, 1], [0, 1]]), atol=1e-15)
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Count calls of scipy.linalg.expm, the dense exponential."""
+    calls = []
+    dense = scipy.linalg.expm
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return dense(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    return calls
+
+
+def jordan_block(n, lam):
+    return lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
+
+
+@pytest.mark.parametrize("scale, route", [(1.0, "taylor"), (3.0, "taylor"), (60.0, "dense")])
+def test_expm_actions_match_dense_per_time(expm_calls, scale, route):
+    A = scale * jordan_block(6, -0.5 + 0.3j)
+    v = np.arange(1, 7) + 1j * np.arange(6)[::-1]
+    ts = np.array([0.0, 0.1, 0.37, 0.5, 0.9, 1.0])
+    reference = np.stack([scipy.linalg.expm(t * A) @ v for t in ts], axis=1)
+    expm_calls.clear()
+    got = _expm_actions(A, v, ts)
+    # exp(0) v is v exactly; the dense route skips the zero time.
+    assert np.array_equal(got[:, 0], v)
+    assert len(expm_calls) == (0 if route == "taylor" else len(ts) - 1)
+    rel = np.linalg.norm(got - reference, axis=0) / np.linalg.norm(reference, axis=0)
+    assert np.max(rel) <= 1e-13
+
+
+@pytest.mark.parametrize("A, route", [
+    (800.0 * np.eye(2), "taylor"),  # zero norm once shifted by trace/n
+    (np.diag([800.0, -800.0]), "dense"),
+])
+def test_expm_actions_overflow_raises(expm_calls, A, route):
+    with pytest.raises(AccuracyError):
+        _expm_actions(A, np.ones(2), np.array([0.0, 0.5, 1.0]))
+    assert (len(expm_calls) > 0) == (route == "dense")
+
+
+def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
+    # Only the boundary system's I - e^{-2R}, e^{Z2} and e^{-Z1} are dense;
+    # u(t) on the grid and the ODE check points come from exponential actions.
+    rng = rng_for(SEED, "three-expm")
+    T, S = commuting_pencil_pair(rng, 32)
+    u0 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    u1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    sol = solve_bvp(BvpProblem(T, S, u0, u1))
+    assert len(expm_calls) == 3
+    dense = np.stack([
+        expm(-(1 - t) * sol.z1) @ sol.x0 + expm(t * sol.z2) @ sol.x1 for t in sol.grid
+    ])
+    assert np.max(np.abs(sol.values - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
+    assert sol.ode_residual <= 1e-8
 
 
 def test_chebyshev_grid_default():

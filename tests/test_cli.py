@@ -60,10 +60,33 @@ def test_analyze_sweeps_the_numerical_range_once(files, monkeypatch):
     assert stacked == [720]
 
 
+def test_analyze_computes_the_spectrum_once(files, monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvals(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
+    assert calls == [(2, 2)]
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name} in {path}")
+
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
 def test_dim_zero_input(files):
     assert run(["analyze", "--input", files["empty"], "--out", files["out"]]) == 0
     assert run(["factorize", "--input", files["empty"], "--input2", files["empty"],
                 "--out", files["out"]]) == 0
+    report = _strict_json(files["out"] + "/factorize-report.json")
+    assert report["separation"] is None
 
 
 def test_analyze_missing_and_broken_input(files, tmp_path):
@@ -188,6 +211,14 @@ def test_module_entry_point(files):
     )
     assert proc.returncode == 0
     assert "strongly accretive" in proc.stdout
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is imported by the two functions that need it, not by the package.
+    code = "import sys, accretive, accretive.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_missing_subcommand_exits_2():

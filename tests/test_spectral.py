@@ -15,6 +15,7 @@ from accretive.errors import (
 from accretive.sampling import rng_for
 from accretive.spectral import (
     LaplacianModel,
+    _stage,
     build_operators,
     condition_check,
     demo,
@@ -192,3 +193,22 @@ def test_demo_refusals_with_stage():
         demo(LaplacianModel(0.0, 0.0, 0.1, 4), np.zeros(4), np.zeros(4))
     with pytest.raises(ParameterError):
         demo(LaplacianModel(1.0, 0.0, 0.1, 4), np.zeros(4), np.zeros(4), x_samples=1)
+
+
+class _CodedError(Exception):
+    """An exception whose constructor needs two arguments."""
+
+    def __init__(self, code, detail):
+        super().__init__(code, detail)
+        self.code = code
+
+
+def test_stage_passes_foreign_exceptions_through():
+    raised = _CodedError(7, "detail")
+
+    def fail():
+        raise raised
+
+    with pytest.raises(_CodedError) as info:
+        _stage("solve", fail)
+    assert info.value is raised and info.value.code == 7
