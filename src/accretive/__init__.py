@@ -25,12 +25,10 @@ from .linops import (
 from .pinv import (
     PerturbationCertificate,
     PinvResult,
-    is_EP,
     perturbation_certificate,
     perturbed_pinv,
     pseudoinverse,
     second_power_inequalities,
-    square_pinv_identities,
 )
 from .pencil import (
     PencilFactorization,

@@ -219,12 +219,17 @@ def sectorial_angle(T, tol=None):
     but not sectorial and omega = pi/2 is returned flagged.
     """
     A = as_operator(T)
-    parts = cartesian_parts(A)
-    H, K = parts.re_part, parts.im_part
-    n = A.shape[0]
     nrm = operator_norm(A)
     if tol is None:
         tol = DEFAULTS["accretivity"] * max(1.0, nrm)
+    return _sectorial_angle(A, nrm, tol)
+
+
+def _sectorial_angle(A, nrm, tol):
+    """sectorial_angle of a validated A, given ||A|| = nrm and the tolerance."""
+    parts = cartesian_parts(A)
+    H, K = parts.re_part, parts.im_part
+    n = A.shape[0]
     re_vals, re_vecs = (np.linalg.eigh(H) if n else (np.zeros(0), np.zeros((0, 0))))
     delta = float(re_vals[0]) if n else 0.0
 
@@ -247,7 +252,7 @@ def sectorial_angle(T, tol=None):
     return math.atan(tan_omega), delta, True, tan_omega
 
 
-def accretivity_report(T, tol=None, n_angles=720):
+def accretivity_report(T, tol=None):
     """Full accretivity certificate: delta, omega, w(T), r(T), ||T||.
 
     tol defaults to 1e-10 * max(1, ||T||), absolute on lambda_min(Re T).
@@ -259,8 +264,8 @@ def accretivity_report(T, tol=None, n_angles=720):
     nrm = operator_norm(A)
     if tol is None:
         tol = DEFAULTS["accretivity"] * max(1.0, nrm)
-    omega, delta, sectorial, tan_omega = sectorial_angle(A, tol)
-    wr = numerical_range(A, n_angles)
+    omega, delta, sectorial, tan_omega = _sectorial_angle(A, nrm, tol)
+    wr = numerical_range(A)
     eigs = np.linalg.eigvals(A) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     is_acc = delta >= -tol
@@ -294,7 +299,7 @@ def accretivity_report(T, tol=None, n_angles=720):
     )
 
 
-def kato_representation(T, tol=None):
+def kato_representation(T):
     """Tangent operator T_tilde of the representation T = H^{1/2}(I + i*T_tilde)H^{1/2}.
 
     H = Re(T) must be positive definite; T_tilde = H^{-1/2} Im(T) H^{-1/2} is
@@ -302,9 +307,7 @@ def kato_representation(T, tol=None):
     """
     A = as_operator(T)
     parts = cartesian_parts(A)
-    nrm = operator_norm(A)
-    if tol is None:
-        tol = DEFAULTS["accretivity"] * max(1.0, nrm)
+    tol = DEFAULTS["accretivity"] * max(1.0, operator_norm(A))
     re_vals, re_vecs = np.linalg.eigh(parts.re_part)
     delta = float(re_vals[0]) if A.shape[0] else 0.0
     if delta <= tol:
@@ -322,19 +325,19 @@ def hermitian_sqrt(H):
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def sector_angle_estimate(T, n_angles=720, rel_floor=1e-9):
+def sector_angle_estimate(T):
     """Largest |arg z| over sampled boundary points of W(T), away from zero.
 
     A sampling-based fallback for operators that need not be accretive; points
-    with |z| below rel_floor * ||T|| are skipped since their argument is
-    rounding noise.  Underestimates only, so it is safe in one-sided bounds.
+    with |z| below 1e-9 * ||T|| are skipped since their argument is rounding
+    noise.  Underestimates only, so it is safe in one-sided bounds.
     """
     A = as_operator(T)
     nrm = operator_norm(A)
     if nrm == 0.0:
         return 0.0
-    pts = numerical_range_boundary(A, n_angles)
-    keep = np.abs(pts) > rel_floor * nrm
+    pts = numerical_range_boundary(A)
+    keep = np.abs(pts) > 1e-9 * nrm
     if not np.any(keep):
         return 0.0
     return float(np.max(np.abs(np.angle(pts[keep]))))

@@ -83,7 +83,7 @@ def _range_block(U):
     return Q, block
 
 
-def accretive_sqrt(U, tol=None):
+def accretive_sqrt(U):
     """Principal square root with the kernel annihilated explicitly.
 
     Full-rank input goes straight to the Schur method.  Singular EP input is
@@ -93,15 +93,14 @@ def accretive_sqrt(U, tol=None):
     root exists.
     """
     A = as_operator(U)
-    return _sqrt_and_residual(A, operator_norm(A), tol)[0]
+    return _sqrt_and_residual(A, operator_norm(A))[0]
 
 
-def _sqrt_and_residual(A, nrm, tol=None):
+def _sqrt_and_residual(A, nrm):
     """accretive_sqrt of A, given ||A|| = nrm, with its residual ||W^2 - A||."""
     if A.shape[0] == 0:
         return A.copy(), 0.0
-    if tol is None:
-        tol = DEFAULTS["accretivity"] * max(1.0, nrm)
+    tol = DEFAULTS["accretivity"] * max(1.0, nrm)
     Q, block = _range_block(A)
     eigs = np.linalg.eigvals(block)
     bad = (eigs.real < 0) & (np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs.real)))
@@ -119,23 +118,16 @@ def _sqrt_and_residual(A, nrm, tol=None):
     return W, residual
 
 
-def _quad_defaults(quad):
-    spec = {
-        "target": DEFAULTS["quadrature-rel"],
-        "tail": 1e-12,
-        "nodes_per_panel": 12,
-        "panel_width": 2.0,
-        "max_doublings": 8,
-    }
-    if quad:
-        unknown = set(quad) - set(spec)
-        if unknown:
-            raise ParameterError(f"unknown quadrature keys: {sorted(unknown)}")
-        spec.update(quad)
-    return spec
+_QUAD = {
+    "target": DEFAULTS["quadrature-rel"],
+    "tail": 1e-12,
+    "nodes_per_panel": 12,
+    "panel_width": 2.0,
+    "max_doublings": 8,
+}
 
 
-def _balakrishnan_dense(A, alpha, spec):
+def _balakrishnan_dense(A, nrm, alpha):
     """Exponential-substitution Gauss-Legendre quadrature on invertible input.
 
     After lambda = e^u the representation reads
@@ -143,17 +135,16 @@ def _balakrishnan_dense(A, alpha, spec):
     over the whole line.  Accretivity gives ||(e^u + T)^{-1}|| <= e^{-u}, so
     the integrand norm decays like e^{alpha u} to the left and like
     ||T|| e^{(alpha-1)u} to the right; the truncation points push both tails
-    below spec["tail"] * max(1, ||T||^alpha).
+    below _QUAD["tail"] * max(1, ||T||^alpha).  nrm is ||A||.
     """
     n = A.shape[0]
-    nrm = operator_norm(A)
     sin_pa = math.sin(math.pi * alpha)
-    tail_target = spec["tail"] * max(1.0, nrm ** alpha)
+    tail_target = _QUAD["tail"] * max(1.0, nrm ** alpha)
     u_lo = math.log(math.pi * alpha * tail_target / (2 * sin_pa)) / alpha
     u_hi = math.log(math.pi * (1 - alpha) * tail_target / (sin_pa * max(nrm, 1e-300))) / (alpha - 1)
     if u_hi <= u_lo:
         u_hi = u_lo + 1.0
-    nodes, weights = np.polynomial.legendre.leggauss(int(spec["nodes_per_panel"]))
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD["nodes_per_panel"])
 
     def integrate(panels):
         edges = np.linspace(u_lo, u_hi, panels + 1)
@@ -168,23 +159,23 @@ def _balakrishnan_dense(A, alpha, spec):
         coeff = (sin_pa / math.pi) * w * np.exp(alpha * u)
         return np.tensordot(coeff, X, axes=(0, 0))
 
-    panels = max(4, int(math.ceil((u_hi - u_lo) / spec["panel_width"])))
+    panels = max(4, int(math.ceil((u_hi - u_lo) / _QUAD["panel_width"])))
     prev = integrate(panels)
     diff = math.inf
-    for _ in range(int(spec["max_doublings"])):
+    for _ in range(_QUAD["max_doublings"]):
         panels *= 2
         curr = integrate(panels)
         diff = operator_norm(curr - prev) / max(operator_norm(curr), 1e-300)
-        if diff < spec["target"]:
+        if diff < _QUAD["target"]:
             return curr
         prev = curr
     raise AccuracyError(
         f"quadrature did not converge: achieved relative difference {diff:.3e}, "
-        f"target {spec['target']:.1e}"
+        f"target {_QUAD['target']:.1e}"
     )
 
 
-def balakrishnan_power(T, alpha, quad=None):
+def balakrishnan_power(T, alpha):
     """Fractional power T^alpha, 0 < alpha < 1, by Balakrishnan quadrature.
 
     Accretive input required.  Singular accretive (EP) input is compressed to
@@ -193,17 +184,19 @@ def balakrishnan_power(T, alpha, quad=None):
     A = as_operator(T)
     if not (0 < alpha < 1):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    spec = _quad_defaults(quad)
     n = A.shape[0]
     if n == 0:
         return A.copy()
-    tol = DEFAULTS["accretivity"] * max(1.0, operator_norm(A))
-    if _delta(A) < -tol:
-        raise PreconditionError(f"input not accretive: delta = {_delta(A):.3e}")
-    if operator_norm(A) <= tol:
+    nrm = operator_norm(A)
+    tol = DEFAULTS["accretivity"] * max(1.0, nrm)
+    delta = _delta(A)
+    if delta < -tol:
+        raise PreconditionError(f"input not accretive: delta = {delta:.3e}")
+    if nrm <= tol:
         return np.zeros_like(A)
     Q, block = _range_block(A)
-    result = _balakrishnan_dense(block, float(alpha), spec)
+    block_norm = nrm if Q is None else operator_norm(block)
+    result = _balakrishnan_dense(block, block_norm, float(alpha))
     if Q is not None:
         result = Q @ result @ Q.conj().T
     return result
@@ -234,7 +227,7 @@ class PencilFactorization:
     warnings: list = field(default_factory=list)
 
 
-def factorize(p, tol=None):
+def factorize(p):
     """Factor operators Z1 = T + Upsilon^{1/2}, Z2 = T - Upsilon^{1/2}.
 
     Hypothesis shortfalls (T, T^2, or S not accretive) are recorded as
@@ -243,9 +236,7 @@ def factorize(p, tol=None):
     """
     T, S = p.T, p.S
     t_norm, s_norm = operator_norm(T), operator_norm(S)
-    scale = max(1.0, t_norm ** 2, s_norm)
-    if tol is None:
-        tol = DEFAULTS["accretivity"] * scale
+    tol = DEFAULTS["accretivity"] * max(1.0, t_norm ** 2, s_norm)
     warnings = []
     for name, M in (("T", T), ("T^2", T @ T), ("S", S)):
         d = _delta(M)
@@ -360,48 +351,3 @@ def vandermonde_check(f):
     r_invertible = bool(n == 0 or sv_R[-1] > n * _EPS * max(sv_R[0], 1.0) * 100)
     return v_invertible == r_invertible
 
-
-def relative_bound_check(p, samples=64, seed=0):
-    """Concrete T^2-relative bound constants for the factor operators.
-
-    Searches a log grid of split parameters (rho1, rho2) for
-    nu2 = 2 (1/rho1 + 1/rho2) < 1 with nu1 = 2 (rho1 + rho2 + 2 ||S||)
-    minimized, then verifies ||Z_i x||^2 <= nu1 ||x||^2 + nu2 ||T^2 x||^2 on
-    sampled unit vectors.  Violations are counted, not raised.
-    """
-    f = factorize(p)
-    s_norm = operator_norm(p.S)
-    best = None
-    for rho1 in np.logspace(0.5, 3, 24):
-        for rho2 in np.logspace(0.5, 3, 24):
-            nu2 = 2 * (1 / rho1 + 1 / rho2)
-            if nu2 >= 0.95:
-                continue
-            nu1 = 2 * (rho1 + rho2 + 2 * s_norm)
-            if best is None or nu1 < best[0]:
-                best = (nu1, nu2, float(rho1), float(rho2))
-    nu1, nu2, rho1, rho2 = best
-    rng = np.random.default_rng(seed)
-    n = p.dim
-    sq = p.T @ p.T
-    X = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    X /= np.linalg.norm(X, axis=1, keepdims=True)
-    worst = math.inf
-    violations = 0
-    tol = DEFAULTS["vector-inequality"] * max(1.0, nu1 + nu2 * operator_norm(sq) ** 2)
-    for x in X:
-        t2 = float(np.linalg.norm(sq @ x) ** 2)
-        for Z in (f.z1, f.z2):
-            slack = nu1 + nu2 * t2 - float(np.linalg.norm(Z @ x) ** 2)
-            worst = min(worst, slack)
-            if slack < -tol:
-                violations += 1
-    return {
-        "nu1": float(nu1),
-        "nu2": float(nu2),
-        "rho1": rho1,
-        "rho2": rho2,
-        "samples": int(samples),
-        "worst_slack": float(worst),
-        "violations": int(violations),
-    }

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import HypothesisError, ParameterError, PreconditionError
-from .linops import as_operator, numerical_radius, operator_norm, sectorial_angle
+from .linops import _sectorial_angle, as_operator, operator_norm
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -30,23 +30,20 @@ class PinvResult:
     rank_tol: float
 
 
-def pseudoinverse(T, rank_tol=None):
+def pseudoinverse(T):
     """Moore-Penrose inverse by SVD truncation.
 
-    rank_tol defaults to dim * eps * sigma_max; singular values at or below it
-    are treated as zero.  gamma is the smallest retained singular value, the
+    rank_tol is dim * eps * sigma_max; singular values at or below it are
+    treated as zero.  gamma is the smallest retained singular value, the
     reduced minimum modulus 1/||pinv|| (infinite for the zero matrix).
     """
     A = as_operator(T)
     n = A.shape[0]
-    if rank_tol is not None and rank_tol <= 0:
-        raise ParameterError(f"rank_tol must be positive, got {rank_tol}")
     if n == 0:
         return PinvResult(pinv=A.copy(), rank=0, singular_values=[], gamma=math.inf,
-                          rank_tol=float(rank_tol or 0.0))
+                          rank_tol=0.0)
     U, s, Vh = np.linalg.svd(A)
-    if rank_tol is None:
-        rank_tol = n * _EPS * float(s[0])
+    rank_tol = n * _EPS * float(s[0])
     keep = s > rank_tol
     rank = int(np.count_nonzero(keep))
     gamma = float(s[keep][-1]) if rank else math.inf
@@ -86,49 +83,6 @@ def subspace_distance(P, Q):
     """Spectral norm of a projector difference: sine of the largest principal
     angle between the two subspaces."""
     return operator_norm(np.asarray(P) - np.asarray(Q))
-
-
-def is_EP(T, tol=None):
-    """True iff the range and row-space projectors coincide to tol.
-
-    EP operators are exactly those commuting with their pseudoinverse; every
-    accretive matrix is EP because its kernel and cokernel agree.
-    """
-    A = as_operator(T)
-    if tol is None:
-        tol = DEFAULTS["ep"]
-    P = pseudoinverse(A).pinv
-    return bool(operator_norm(A @ P - P @ A) <= tol)
-
-
-def unitary_on_range_check(T, tol=None):
-    """Accretive T with w(T) <= 1 and w(T_pinv) <= 1 acts unitarily on its range.
-
-    Builds an orthonormal basis Q of range(T) and checks that A = Q* T Q
-    satisfies A*A = AA* = I to tol.  Hypothesis failures raise HypothesisError
-    with a "hypotheses unmet" message rather than returning False.
-    """
-    A = as_operator(T)
-    if tol is None:
-        tol = DEFAULTS["unitary-range"]
-    omega, delta, _, _ = sectorial_angle(A)
-    if omega is None:
-        raise HypothesisError(f"hypotheses unmet: not accretive (delta = {delta:.3e})")
-    w = numerical_radius(A)
-    if w > 1 + tol:
-        raise HypothesisError(f"hypotheses unmet: w(T) = {w:.6f} > 1")
-    res = pseudoinverse(A)
-    w_pinv = numerical_radius(res.pinv)
-    if w_pinv > 1 + tol:
-        raise HypothesisError(f"hypotheses unmet: w(T_pinv) = {w_pinv:.6f} > 1")
-    if res.rank == 0:
-        return True
-    U, s, _ = np.linalg.svd(A)
-    Q = U[:, :res.rank]
-    C = Q.conj().T @ A @ Q
-    eye = np.eye(res.rank)
-    return bool(operator_norm(C.conj().T @ C - eye) <= tol
-                and operator_norm(C @ C.conj().T - eye) <= tol)
 
 
 @dataclass(frozen=True)
@@ -176,8 +130,9 @@ def perturbation_certificate(T, S, tol=None):
     B = as_operator(S)
     if A.shape != B.shape:
         raise ParameterError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    s_norm = operator_norm(B)
     if tol is None:
-        tol = DEFAULTS["inclusion-residual"] * max(1.0, operator_norm(B))
+        tol = DEFAULTS["inclusion-residual"] * max(1.0, s_norm)
     res = pseudoinverse(A)
     P = res.pinv
     eye = np.eye(A.shape[0])
@@ -195,8 +150,8 @@ def perturbation_certificate(T, S, tol=None):
         mode = "kernel-side"
     else:
         mode = "fail"
-    theta = sectorial_angle(B)[0]
-    ratio = operator_norm(B) / res.gamma if math.isfinite(res.gamma) else 0.0
+    theta = _sectorial_angle(B, s_norm, DEFAULTS["accretivity"] * max(1.0, s_norm))[0]
+    ratio = s_norm / res.gamma if math.isfinite(res.gamma) else 0.0
     cert = PerturbationCertificate(
         range_inclusion_residual=float(r_range),
         kernel_inclusion_residual=float(r_kernel),
@@ -211,7 +166,7 @@ def perturbation_certificate(T, S, tol=None):
     return cert
 
 
-def perturbed_pinv(T, S, cert=None, tol=None):
+def perturbed_pinv(T, S, cert=None):
     """Pseudoinverse of T + S by the certified update formula.
 
     Returns (I + T_pinv S)^{-1} T_pinv.  The dual form
@@ -223,7 +178,7 @@ def perturbed_pinv(T, S, cert=None, tol=None):
     A = as_operator(T)
     B = as_operator(S)
     if cert is None:
-        cert = perturbation_certificate(A, B, tol)
+        cert = perturbation_certificate(A, B)
     if cert.mode == "fail":
         raise HypothesisError(
             "perturbation hypotheses unmet: "
@@ -269,29 +224,6 @@ def neumann_identity_check(T, S, k):
     for _ in range(int(k)):
         partial = P - C @ partial
     return float(operator_norm(exact - partial))
-
-
-def square_pinv_identities(T, S, tol=None):
-    """Update formula for T^2 + S through the square of T's pseudoinverse.
-
-    For accretive T the identity (T^2)_pinv = (T_pinv)^2 holds exactly (both
-    sides compress to the inverse square on the common range block), so the
-    perturbation update for T^2 + S can be driven entirely by T_pinv.
-    Returns (I + (T_pinv)^2 S)^{-1} (T_pinv)^2.
-    """
-    A = as_operator(T)
-    B = as_operator(S)
-    sq = A @ A
-    P = pseudoinverse(A).pinv
-    P2 = pseudoinverse(sq).pinv
-    gap = operator_norm(P2 - P @ P)
-    if gap > DEFAULTS["square-pinv"] * max(1.0, operator_norm(P) ** 2):
-        raise RuntimeError(
-            f"(T^2)_pinv differs from (T_pinv)^2 by {gap:.3e}; "
-            "input is outside the accretive EP regime"
-        )
-    cert = perturbation_certificate(sq, B, tol)
-    return perturbed_pinv(sq, B, cert)
 
 
 def second_power_inequalities(T, samples=64, seed=0):

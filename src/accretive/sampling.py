@@ -27,9 +27,9 @@ def complex_gaussian(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def random_operator(rng, dim, scale=1.0):
+def random_operator(rng, dim):
     """Unstructured dense complex matrix."""
-    return complex_gaussian(rng, (dim, dim), scale)
+    return complex_gaussian(rng, (dim, dim))
 
 
 def random_unitary(rng, dim):
@@ -39,25 +39,25 @@ def random_unitary(rng, dim):
     return Q * (d / np.abs(d))
 
 
-def hermitian(rng, dim, scale=1.0):
-    A = complex_gaussian(rng, (dim, dim), scale)
+def hermitian(rng, dim):
+    A = complex_gaussian(rng, (dim, dim))
     return (A + A.conj().T) / 2
 
 
-def positive_definite(rng, dim, spread=2.0, floor=0.1):
-    """Hermitian positive definite with eigenvalues in [floor, floor + spread]."""
+def positive_definite(rng, dim, floor=0.1):
+    """Hermitian positive definite with eigenvalues in [floor, floor + 2]."""
     U = random_unitary(rng, dim)
-    vals = floor + spread * rng.random(dim)
+    vals = floor + 2.0 * rng.random(dim)
     return (U * vals) @ U.conj().T
 
 
-def accretive_operator(rng, dim, max_tan=3.0, floor=0.1):
+def accretive_operator(rng, dim, max_tan=3.0):
     """Strongly accretive T = H^{1/2} (I + i K) H^{1/2}.
 
     H is positive definite; K Hermitian with ||K|| <= max_tan, so the
     sectorial semiangle is at most arctan(max_tan).
     """
-    H = positive_definite(rng, dim, floor=floor)
+    H = positive_definite(rng, dim)
     K = hermitian(rng, dim)
     nrm = np.linalg.norm(K, 2)
     if nrm > 0:
@@ -79,22 +79,22 @@ def singular_accretive_operator(rng, dim, rank, max_tan=3.0):
     return Q @ M @ Q.conj().T
 
 
-def rank_deficient_operator(rng, dim, rank, scale=1.0):
+def rank_deficient_operator(rng, dim, rank):
     """Generic (non-accretive) matrix of prescribed rank."""
-    X = complex_gaussian(rng, (dim, rank), scale)
-    Y = complex_gaussian(rng, (dim, rank), scale)
+    X = complex_gaussian(rng, (dim, rank))
+    Y = complex_gaussian(rng, (dim, rank))
     return X @ Y.conj().T
 
 
-def square_accretive_operator(rng, dim, margin=1e-3, floor=0.3):
+def square_accretive_operator(rng, dim):
     """Accretive T whose square is accretive too.
 
     Accretivity of T does not imply accretivity of T^2 (a 2x2 Jordan-like
     block already fails), so the imaginary part is shrunk until
-    lambda_min(Re T^2) clears the margin.  Terminates because the Hermitian
+    lambda_min(Re T^2) clears 1e-3.  Terminates because the Hermitian
     limit has Re(T^2) = H^2 > 0.
     """
-    H = positive_definite(rng, dim, floor=floor)
+    H = positive_definite(rng, dim, floor=0.3)
     K = hermitian(rng, dim)
     nrm = np.linalg.norm(K, 2)
     if nrm > 0:
@@ -103,29 +103,13 @@ def square_accretive_operator(rng, dim, margin=1e-3, floor=0.3):
     for _ in range(60):
         T = R @ (np.eye(dim) + 1j * K) @ R
         sq = cartesian_parts(T @ T)
-        if np.linalg.eigvalsh(sq.re_part)[0] >= margin:
+        if np.linalg.eigvalsh(sq.re_part)[0] >= 1e-3:
             return T
         K *= 0.5
     return R @ R
 
 
-def commuting_accretive_pair(rng, dim, max_tan=1.0, floor=0.2):
-    """(T, S) diagonalized in a common unitary basis, T strongly accretive.
-
-    Commuting data keeps closed-form two-point solves exact; S is an analytic
-    function surrogate (diagonal in the same basis, arbitrary complex values).
-    """
-    U = random_unitary(rng, dim)
-    re = floor + 2.0 * rng.random(dim)
-    im = re * max_tan * (2 * rng.random(dim) - 1)
-    t_vals = re + 1j * im
-    s_vals = complex_gaussian(rng, dim)
-    T = (U * t_vals) @ U.conj().T
-    S = (U * s_vals) @ U.conj().T
-    return T, S
-
-
-def commuting_pencil_pair(rng, dim, floor=0.3):
+def commuting_pencil_pair(rng, dim):
     """(T, S) commuting with T, T^2, S, and T^2 + S all accretive.
 
     Joint diagonalization with T-values confined to |arg| <= pi/8 (so the
@@ -133,10 +117,10 @@ def commuting_pencil_pair(rng, dim, floor=0.3):
     |arg| <= pi/3 with real part bounded below.
     """
     U = random_unitary(rng, dim)
-    t_mod = floor + 1.5 * rng.random(dim)
+    t_mod = 0.3 + 1.5 * rng.random(dim)
     t_arg = (math.pi / 8) * (2 * rng.random(dim) - 1)
     t_vals = t_mod * np.exp(1j * t_arg)
-    s_mod = floor + 1.5 * rng.random(dim)
+    s_mod = 0.3 + 1.5 * rng.random(dim)
     s_arg = (math.pi / 3) * (2 * rng.random(dim) - 1)
     s_vals = s_mod * np.exp(1j * s_arg)
     T = (U * t_vals) @ U.conj().T
@@ -144,13 +128,13 @@ def commuting_pencil_pair(rng, dim, floor=0.3):
     return T, S
 
 
-def pencil_pair(rng, dim, s_scale=0.8):
+def pencil_pair(rng, dim):
     """Generic (non-commuting) pair with T, T^2, and S accretive."""
     T = square_accretive_operator(rng, dim)
     S = accretive_operator(rng, dim, max_tan=1.0)
     nrm = np.linalg.norm(S, 2)
     if nrm > 0:
-        S *= s_scale * max(np.linalg.norm(T, 2), 1.0) / nrm
+        S *= 0.8 * max(np.linalg.norm(T, 2), 1.0) / nrm
     return T, S
 
 

@@ -9,7 +9,6 @@ outside the body; the body is the unit that determinism claims compare.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 
@@ -414,7 +413,3 @@ def run_selftest(seed=42, overrides=None):
         "body": body,
     }
 
-
-def canonical_body(report):
-    """Serialized determinism unit: the body without volatile header fields."""
-    return json.dumps(report["body"], sort_keys=True)

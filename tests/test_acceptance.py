@@ -5,6 +5,7 @@ the per-module files cover edge cases and failure modes.  Each criterion
 prints as its own pytest -v line.
 """
 
+import json
 import math
 
 import numpy as np
@@ -43,7 +44,7 @@ from accretive.sampling import (
     rng_for,
     singular_accretive_operator,
 )
-from accretive.selftest import canonical_body, run_selftest
+from accretive.selftest import run_selftest
 from accretive.spectral import LaplacianModel, build_operators, condition_check, demo
 
 SEED = 42
@@ -222,5 +223,5 @@ def test_criterion_8_laplacian_demo():
 def test_criterion_9_selftest_determinism():
     first = run_selftest(seed=SEED)
     second = run_selftest(seed=SEED)
-    assert canonical_body(first) == canonical_body(second)
+    assert json.dumps(first["body"], sort_keys=True) == json.dumps(second["body"], sort_keys=True)
     assert first["body"]["summary"]["failed"] == 0

@@ -64,6 +64,19 @@ def expm_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count numpy SVDs, including the one behind numpy.linalg.norm(A, 2)."""
+    calls = []
+    for mod in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        def counting(a, *args, _svd=mod.svd, **kwargs):
+            calls.append(np.shape(a))
+            return _svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(mod, "svd", counting)
+    return calls
+
+
 def jordan_block(n, lam):
     return lam * np.eye(n) + np.diag(np.ones(n - 1), 1)
 
@@ -107,6 +120,17 @@ def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
     ])
     assert np.max(np.abs(sol.values - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
     assert sol.ode_residual <= 1e-8
+
+
+def test_solve_bvp_takes_each_norm_once(svd_calls):
+    # ||T|| and ||S|| feed both the commutation tolerance and the residual
+    # scale; the third SVD is sigma_min of I - e^{-2R}.
+    rng = rng_for(SEED, "three-svd")
+    T, S = commuting_pencil_pair(rng, 8)
+    p = BvpProblem(T, S, np.ones(8), np.zeros(8))
+    svd_calls.clear()
+    solve_bvp(p)
+    assert len(svd_calls) == 3
 
 
 def test_chebyshev_grid_default():

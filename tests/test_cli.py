@@ -113,8 +113,9 @@ def test_tol_override_validation(files):
     assert run(["analyze", "--input", files["witness"], "--out", files["out"],
                 "--tol-override", "penrose=-1"]) == 2
     # A key that no check reads is unknown, not silently accepted.
-    assert run(["analyze", "--input", files["witness"], "--out", files["out"],
-                "--tol-override", "sqrt-sector=1"]) == 2
+    for key in ("sqrt-sector", "truncation"):
+        assert run(["analyze", "--input", files["witness"], "--out", files["out"],
+                    "--tol-override", f"{key}=1"]) == 2
 
 
 def test_pinv_artifact(files):

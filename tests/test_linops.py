@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from accretive import linops, pencil, pinv
 from accretive.errors import DimensionError, PreconditionError
 from accretive.linops import (
     accretivity_report,
@@ -280,3 +281,27 @@ def test_input_validation():
         support_excess(JORDAN2, [0.0], n_angles=2)
     with pytest.raises(DimensionError):
         numerical_range_boundary(JORDAN2, n_angles=2)
+
+
+def test_operator_norm_once_per_input(monkeypatch):
+    rng = rng_for(SEED, "norm-once")
+    T = accretive_operator(rng, 5)
+    S = accretive_operator(rng, 5)
+    seen = []
+    norm = linops.operator_norm
+
+    def counting(M):
+        seen.append(M)
+        return norm(M)
+
+    for mod in (linops, pinv, pencil):
+        monkeypatch.setattr(mod, "operator_norm", counting)
+
+    def norms_of(M, fn, *args):
+        seen.clear()
+        fn(*args)
+        return sum(m is M for m in seen)
+
+    assert norms_of(T, accretivity_report, T) == 1
+    assert norms_of(S, pinv.perturbation_certificate, T, S) == 1
+    assert norms_of(T, pencil.balakrishnan_power, T, 0.5) == 1

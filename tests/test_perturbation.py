@@ -13,13 +13,11 @@ from accretive.pinv import (
     pseudoinverse,
     range_projector,
     row_projector,
-    square_pinv_identities,
     subspace_distance,
 )
 from accretive.sampling import (
     accretive_operator,
     certified_pair,
-    commuting_accretive_pair,
     rng_for,
 )
 
@@ -136,29 +134,3 @@ def test_neumann_tail_bound():
 def test_neumann_contraction_precondition():
     with pytest.raises(PreconditionError):
         neumann_identity_check(np.eye(2), 2 * np.eye(2), 3)
-
-
-def test_square_identities_trivial():
-    got = square_pinv_identities(np.diag([1.0, 2.0]), np.zeros((2, 2)))
-    assert np.allclose(got, np.diag([1.0, 0.25]), atol=1e-14)
-    got2 = square_pinv_identities(np.diag([1.0, 0.0]), np.diag([0.3, 0.0]))
-    assert np.allclose(got2, np.diag([1 / 1.3, 0.0]), atol=1e-14)
-
-
-def test_square_identities_match_direct():
-    rng = rng_for(SEED, "square")
-    for k in range(N_TRIALS // 2):
-        dim = int(rng.integers(2, 9))
-        T, S = commuting_accretive_pair(rng, dim)
-        # Scale S to a safe contraction level against (T^2)_pinv.
-        P2 = pseudoinverse(T @ T).pinv
-        S = S * (0.5 / max(np.linalg.norm(P2 @ S, 2), 1e-12))
-        got = square_pinv_identities(T, S)
-        direct = pseudoinverse(T @ T + S).pinv
-        scale = max(1.0, np.linalg.norm(P2, 2))
-        assert np.linalg.norm(got - direct, 2) <= 1e-8 * scale, f"trial {k}"
-
-
-def test_square_identities_hypothesis_failure():
-    with pytest.raises(HypothesisError):
-        square_pinv_identities(np.diag([1.0, 0.0]), np.diag([0.0, 0.5]))
