@@ -14,7 +14,9 @@ from .linops import (
     AccretivityReport,
     CartesianParts,
     NumericalRange,
+    Operator,
     accretivity_report,
+    as_operator,
     cartesian_parts,
     kato_representation,
     numerical_radius,

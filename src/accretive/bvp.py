@@ -19,7 +19,7 @@ take the dense expm(t Z) @ v per time instead.  The boundary system still
 needs three dense exponentials: exp(-2R), exp(Z2) and exp(-Z1).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -28,8 +28,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
-from .linops import as_operator, operator_norm
-from .pencil import accretive_sqrt
+from .linops import Operator, as_operator, operator_norm
+from .pencil import QuadraticPencil, accretive_sqrt
 from .tolerances import DEFAULTS
 
 
@@ -39,7 +39,7 @@ def expm(A):
     Non-finite entries in the result (overflow from extreme norms) raise
     AccuracyError with the offending norm in the message.
     """
-    M = as_operator(A)
+    M = as_operator(A).matrix
     if M.shape[0] == 0 or not M.any():
         return np.eye(M.shape[0], dtype=complex)
     E = scipy.linalg.expm(M)
@@ -125,30 +125,37 @@ def chebyshev_grid(n=65):
 class BvpProblem:
     """Problem data with the commutation hypothesis measured up front.
 
-    commutation_residual = ||T R - R T|| with R = (T^2 + S)^{1/2}; solving
-    requires it to be small since the closed formulas rely on Z1 Z2 = Z2 Z1.
+    T and S are kept as Operators, so solve_bvp and ode_residual reuse their
+    norms.  sqrt_upsilon is R = (T^2 + S)^{1/2}, computed here unless the
+    certified root (factorize's) is given.  commutation_residual = ||T R - R T||
+    must be small to solve, since the closed formulas rely on Z1 Z2 = Z2 Z1.
     """
 
-    T: np.ndarray
-    S: np.ndarray
+    T: Operator
+    S: Operator
     u0: np.ndarray
     u1: np.ndarray
-    commutation_residual: float = None
+    sqrt_upsilon: np.ndarray | None = None
+    commutation_residual: float = field(init=False)
 
     def __post_init__(self):
-        T = as_operator(self.T)
-        S = as_operator(self.S)
-        if T.shape != S.shape:
-            raise ParameterError(f"dimension mismatch: {T.shape} vs {S.shape}")
+        pencil = QuadraticPencil(self.T, self.S)
+        T, S, n = pencil.T, pencil.S, pencil.dim
         u0 = np.asarray(self.u0, dtype=complex).ravel()
         u1 = np.asarray(self.u1, dtype=complex).ravel()
-        if u0.shape != (T.shape[0],) or u1.shape != (T.shape[0],):
+        if u0.shape != (n,) or u1.shape != (n,):
             raise ParameterError(
-                f"boundary vectors must have length {T.shape[0]}, "
+                f"boundary vectors must have length {n}, "
                 f"got {u0.shape[0]} and {u1.shape[0]}"
             )
-        R = accretive_sqrt(T @ T + S)
-        resid = operator_norm(T @ R - R @ T)
+        A = T.matrix
+        if self.sqrt_upsilon is None:
+            R = accretive_sqrt(A @ A + S.matrix)
+        else:
+            R = as_operator(self.sqrt_upsilon).matrix
+            if R.shape != A.shape:
+                raise ParameterError(f"sqrt_upsilon has shape {R.shape}, expected {A.shape}")
+        resid = operator_norm(A @ R - R @ A)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "u0", u0)
@@ -158,7 +165,7 @@ class BvpProblem:
 
     @property
     def dim(self):
-        return self.T.shape[0]
+        return self.T.dim
 
 
 @dataclass(frozen=True)
@@ -182,8 +189,8 @@ def _factor_actions(z1, z2, x0, x1, ts):
     return _expm_actions(-z1, x0, 1 - ts), _expm_actions(z2, x1, ts)
 
 
-def _residual_scale(t_norm, s_norm, x0, x1):
-    return (1 + 2 * t_norm + s_norm) * (
+def _residual_scale(p, x0, x1):
+    return (1 + 2 * p.T.norm + p.S.norm) * (
         1 + float(np.linalg.norm(x0)) + float(np.linalg.norm(x1))
     )
 
@@ -197,16 +204,20 @@ def solve_bvp(p, grid=None):
     derivation.  Near-singular I - e^{-2R} is a resonance (non-uniqueness of
     the two-point problem) and raises ResonanceError.
     """
-    t_norm, s_norm = operator_norm(p.T), operator_norm(p.S)
-    tol = DEFAULTS["bvp-commutation"] * max(1.0, t_norm ** 2, s_norm)
+    # Written as positive tests so that NaN, which fails every comparison, is refused.
+    ts = chebyshev_grid() if grid is None else np.asarray(grid, dtype=float)
+    if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
+            and ts[0] >= 0 and ts[-1] <= 1):
+        raise ParameterError("grid must be strictly increasing within [0, 1]")
+    tol = DEFAULTS["bvp-commutation"] * max(1.0, p.T.norm ** 2, p.S.norm)
     if p.commutation_residual > tol:
         raise HypothesisError(
             f"T does not commute with the pencil root: residual "
             f"{p.commutation_residual:.3e} > tol {tol:.3e}"
         )
     R = p.sqrt_upsilon
-    z1 = p.T + R
-    z2 = p.T - R
+    z1 = p.T.matrix + R
+    z2 = p.T.matrix - R
     n = p.dim
     eye = np.eye(n)
     M = eye - expm(-2 * R)
@@ -233,16 +244,13 @@ def solve_bvp(p, grid=None):
             f"boundary-coefficient routes disagree by {route_gap:.3e}; "
             "sign conventions violated"
         )
-    ts = chebyshev_grid() if grid is None else np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or len(ts) < 2 or np.any(np.diff(ts) <= 0) or ts[0] < 0 or ts[-1] > 1:
-        raise ParameterError("grid must be strictly increasing within [0, 1]")
     X, Y = _factor_actions(z1, z2, x0, x1, ts)
     b0 = e_mz1 @ x0 + x1 - p.u0
     b1 = x0 + e_z2 @ x1 - p.u1
     boundary_residual = max(float(np.linalg.norm(b0)), float(np.linalg.norm(b1)))
     # The ODE check points are grid points, so their x(t), y(t) are already here.
     check = np.flatnonzero((ts > 0) & (ts < 1))[:16] if len(ts) > 2 else slice(None)
-    scale = _residual_scale(t_norm, s_norm, x0, x1)
+    scale = _residual_scale(p, x0, x1)
     resid = _ode_residual_analytic(z1, z2, X[:, check], Y[:, check], p, scale)
     return BvpSolution(
         grid=ts, values=(X + Y).T, x0=x0, x1=x1,
@@ -263,7 +271,7 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
         return 0.0
     du = z1 @ X + z2 @ Y
     ddu = z1 @ (z1 @ X) + z2 @ (z2 @ Y)
-    defect = ddu - 2 * (p.T @ du) - p.S @ (X + Y)
+    defect = ddu - 2 * (p.T.matrix @ du) - p.S.matrix @ (X + Y)
     return float(np.max(np.linalg.norm(defect, axis=0))) / scale
 
 
@@ -279,7 +287,7 @@ def ode_residual(sol, p):
         raise ParameterError("solution carries no factor data; cannot evaluate")
     check_points = np.linspace(0.05, 0.95, 7)
     h = 1e-4
-    scale = _residual_scale(operator_norm(p.T), operator_norm(p.S), sol.x0, sol.x1)
+    scale = _residual_scale(p, sol.x0, sol.x1)
     probes = check_points[:5]
     k = len(probes)
     X, Y = _factor_actions(
@@ -313,8 +321,8 @@ def fd_oracle(p, n_points, solution=None):
     m = n_points - 1
     h = 1.0 / n_points
     eye = scipy.sparse.identity(n, dtype=complex, format="csr")
-    T = scipy.sparse.csr_matrix(p.T)
-    S = scipy.sparse.csr_matrix(p.S)
+    T = scipy.sparse.csr_matrix(p.T.matrix)
+    S = scipy.sparse.csr_matrix(p.S.matrix)
     lower = eye / h**2 + T / h
     diag = -2 * eye / h**2 - S
     upper = eye / h**2 - T / h

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .linops import accretivity_report, operator_norm
+from .linops import accretivity_report, as_operator, operator_norm
 from .matio import (
     matrix_payload,
     read_matrix,
@@ -119,8 +119,8 @@ def _conclude(claims, path, note=None):
 
 
 def _cmd_analyze(args, tols, out_dir):
-    T = read_matrix(args.input)
-    scale = max(1.0, operator_norm(T))
+    T = as_operator(read_matrix(args.input))
+    scale = max(1.0, T.norm)
     rep = accretivity_report(T, tol=tols["accretivity"] * scale)
     chain = max(
         rep.spectral_radius - rep.numerical_radius,
@@ -143,13 +143,12 @@ def _cmd_analyze(args, tols, out_dir):
 
 
 def _cmd_pinv(args, tols, out_dir):
-    T = read_matrix(args.input)
+    T = as_operator(read_matrix(args.input))
     res = pseudoinverse(T)
-    scale = max(1.0, operator_norm(T), operator_norm(res.pinv))
+    scale = max(1.0, T.norm, operator_norm(res.pinv))
     worst = max(penrose_residuals(T, res.pinv).values()) / scale
     claims = [_claim("penrose-identities", worst, tols["penrose"])]
-    re_vals = np.linalg.eigvalsh(0.5 * (T + T.conj().T)) if T.size else np.zeros(0)
-    if re_vals.size and re_vals[0] >= -tols["accretivity"] * max(1.0, operator_norm(T)):
+    if T.dim and T.delta >= -tols["accretivity"] * max(1.0, T.norm):
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
         claims.append(_claim("pinv-accretive", max(0.0, -lam), tols["pinv-accretive"]))
     out_path = os.path.join(out_dir, "pinv.json")
@@ -166,9 +165,9 @@ def _cmd_pinv(args, tols, out_dir):
 
 
 def _cmd_perturb(args, tols, out_dir):
-    T = read_matrix(args.input)
-    S = read_matrix(args.input2)
-    cert = perturbation_certificate(T, S, tols["inclusion-residual"] * max(1.0, operator_norm(S)))
+    T = as_operator(read_matrix(args.input))
+    S = as_operator(read_matrix(args.input2))
+    cert = perturbation_certificate(T, S, tols["inclusion-residual"] * max(1.0, S.norm))
     if cert.mode == "fail":
         path = os.path.join(out_dir, "perturb-certificate.json")
         write_json(path, cert.as_dict())
@@ -177,11 +176,11 @@ def _cmd_perturb(args, tols, out_dir):
         return EXIT_HYPOTHESIS
     res = cert.pinv_result
     updated = perturbed_pinv(T, S, cert)
-    direct = pseudoinverse(T + S)
+    direct = pseudoinverse(T.matrix + S.matrix)
     pn = operator_norm(res.pinv)
     formula = operator_norm(updated - direct.pinv) / max(pn, 1e-300)
     diff = operator_norm(direct.pinv - res.pinv)
-    bound = operator_norm(S) * pn**2 / (1 - cert.contraction_TdS)
+    bound = S.norm * pn**2 / (1 - cert.contraction_TdS)
     claims = [
         _claim("update-formula", formula, tols["perturb-formula-rel"]),
         _claim("error-bound", max(0.0, (diff - bound) / max(1.0, bound)), tols["bound-slack"]),
@@ -200,11 +199,9 @@ def _cmd_perturb(args, tols, out_dir):
 
 
 def _cmd_factorize(args, tols, out_dir):
-    T = read_matrix(args.input)
-    S = read_matrix(args.input2)
-    p = QuadraticPencil(T, S)
+    p = QuadraticPencil(read_matrix(args.input), read_matrix(args.input2))
     f = factorize(p)
-    scale = max(1.0, operator_norm(T) ** 2, operator_norm(S))
+    scale = max(1.0, p.T.norm ** 2, p.S.norm)
     rng = rng_for(args.seed, "factorize-lambdas")
     lams = np.concatenate([complex_gaussian(rng, 12, 2.0), rng.standard_normal(4) * 3.0])
     sym, one = factorization_residuals(f, p, lams)

@@ -7,7 +7,7 @@ real part Re(T) = (T + T*)/2 is positive semidefinite, and omega-accretive
 closed sector |arg z| <= omega about the positive real axis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 import math
 
@@ -19,30 +19,71 @@ from .tolerances import DEFAULTS
 _EPS = float(np.finfo(np.float64).eps)
 
 
+@dataclass(frozen=True, eq=False)
+class Operator:
+    """A validated square complex128 matrix that computes each factorization once.
+
+    Every step given the same Operator shares what the first one computed:
+    the singular values (norm is the first), the Cartesian parts, eigh(Re T),
+    and the full SVD that callers needing singular vectors read, which then
+    also supplies the singular values.  Build one with as_operator, and leave
+    the matrix unmodified afterwards: nothing cached is recomputed.
+    """
+
+    matrix: np.ndarray = field(repr=False)
+
+    @property
+    def dim(self):
+        return self.matrix.shape[0]
+
+    @cached_property
+    def svd(self):
+        return np.linalg.svd(self.matrix)
+
+    @cached_property
+    def singular_values(self):
+        full = self.__dict__.get("svd")
+        return np.linalg.svd(self.matrix, compute_uv=False) if full is None else full[1]
+
+    @cached_property
+    def norm(self):
+        """Spectral norm; bit-for-bit operator_norm(matrix) unless the full SVD came first."""
+        return float(self.singular_values[0]) if self.dim else 0.0
+
+    @cached_property
+    def parts(self):
+        A, Ah = self.matrix, self.matrix.conj().T
+        return CartesianParts(re_part=(A + Ah) / 2, im_part=(A - Ah) / 2j)
+
+    @cached_property
+    def re_eigh(self):
+        """Ascending eigenvalues and the eigenvectors of Re(T)."""
+        return np.linalg.eigh(self.parts.re_part) if self.dim else (np.zeros(0), np.zeros((0, 0)))
+
+    @property
+    def delta(self):
+        """lambda_min(Re T), 0 for a 0x0 operator; T is accretive when it is >= 0."""
+        return float(self.re_eigh[0][0]) if self.dim else 0.0
+
+
 def as_operator(T):
-    """Validate and return T as a square complex128 array.
+    """Validate T and return it as an Operator; an Operator is returned unchanged.
 
     Raises DimensionError for non-square shapes or non-finite entries.
     """
+    if isinstance(T, Operator):
+        return T
     A = np.asarray(T, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise DimensionError("matrix entries must be finite")
-    return A
+    return Operator(A)
 
 
 def operator_norm(T):
-    """Spectral norm (largest singular value)."""
+    """Spectral norm (largest singular value) of an array."""
     return float(np.linalg.norm(T, 2)) if T.size else 0.0
-
-
-def hermitian_norm(H):
-    """Spectral norm of a Hermitian matrix via the symmetric eigensolver."""
-    if H.size == 0:
-        return 0.0
-    vals = np.linalg.eigvalsh(H)
-    return float(max(-vals[0], vals[-1], 0.0))
 
 
 @dataclass(frozen=True)
@@ -55,11 +96,7 @@ class CartesianParts:
 
 def cartesian_parts(T):
     """Cartesian decomposition T = Re(T) + i*Im(T), both parts Hermitian."""
-    A = as_operator(T)
-    Ah = A.conj().T
-    re = (A + Ah) / 2
-    im = (A - Ah) / 2j
-    return CartesianParts(re_part=re, im_part=im)
+    return as_operator(T).parts
 
 
 @dataclass(frozen=True)
@@ -118,7 +155,7 @@ class NumericalRange:
 
 def numerical_range(T, n_angles=720):
     """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange."""
-    A = as_operator(T)
+    A = as_operator(T).matrix
     if n_angles < 3:
         raise DimensionError("n_angles must be >= 3")
     angles = np.linspace(0.0, 2 * np.pi, int(n_angles), endpoint=False)
@@ -180,28 +217,15 @@ class AccretivityReport:
     eigenvalues: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self):
-        return {
-            "dim": self.dim,
-            "tolerance": self.tolerance,
-            "delta": self.delta,
-            "is_accretive": self.is_accretive,
-            "sectorial": self.sectorial,
-            "omega": self.omega,
-            "lambda0_modulus": self.lambda0_modulus,
-            "bound_rhs": self.bound_rhs,
-            "numerical_radius": self.numerical_radius,
-            "operator_norm": self.operator_norm,
-            "spectral_radius": self.spectral_radius,
-            "status": self.status,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
-def _tangent_matrix(re_vals, re_vecs, K, keep):
-    """Compressed Re^{-1/2} Im Re^{-1/2} on the span of the kept eigenvectors."""
+def _tangent_matrix(op, keep):
+    """Compressed Re^{-1/2} Im Re^{-1/2} on the span of the kept eigenvectors of Re(T)."""
+    re_vals, re_vecs = op.re_eigh
     Q = re_vecs[:, keep]
-    lam = re_vals[keep]
-    B = Q.conj().T @ K @ Q
-    scale = 1.0 / np.sqrt(lam)
+    B = Q.conj().T @ op.parts.im_part @ Q
+    scale = 1.0 / np.sqrt(re_vals[keep])
     return scale[:, None] * B * scale[None, :]
 
 
@@ -218,37 +242,26 @@ def sectorial_angle(T, tol=None):
     rank([Re T | T]) = rank(Re T); when that fails the operator is accretive
     but not sectorial and omega = pi/2 is returned flagged.
     """
-    A = as_operator(T)
-    nrm = operator_norm(A)
+    op = as_operator(T)
+    n, delta = op.dim, op.delta
     if tol is None:
-        tol = DEFAULTS["accretivity"] * max(1.0, nrm)
-    return _sectorial_angle(A, nrm, tol)
-
-
-def _sectorial_angle(A, nrm, tol):
-    """sectorial_angle of a validated A, given ||A|| = nrm and the tolerance."""
-    parts = cartesian_parts(A)
-    H, K = parts.re_part, parts.im_part
-    n = A.shape[0]
-    re_vals, re_vecs = (np.linalg.eigh(H) if n else (np.zeros(0), np.zeros((0, 0))))
-    delta = float(re_vals[0]) if n else 0.0
-
+        tol = DEFAULTS["accretivity"] * max(1.0, op.norm)
     if delta < -tol:
         return None, delta, False, None
-
-    if delta > tol:
-        tan_omega = hermitian_norm(_tangent_matrix(re_vals, re_vecs, K, slice(None)))
-        return math.atan(tan_omega), delta, True, tan_omega
-
-    # Singular (or nearly singular) real part: pseudoinverse path.
-    cutoff = max(tol, 2 * n * _EPS * max(nrm, 1e-300))
-    aug = np.hstack([H, A]) if n else np.zeros((0, 0))
-    rank_h = int(np.count_nonzero(re_vals > cutoff))
-    rank_aug = int(np.count_nonzero(np.linalg.svd(aug, compute_uv=False) > cutoff)) if n else 0
-    if rank_aug > rank_h:
-        return math.pi / 2, delta, False, math.inf
-    keep = re_vals > cutoff
-    tan_omega = hermitian_norm(_tangent_matrix(re_vals, re_vecs, K, keep))
+    keep = slice(None)
+    if delta <= tol:
+        # Singular (or nearly singular) real part: pseudoinverse path.
+        re_vals = op.re_eigh[0]
+        cutoff = max(tol, 2 * n * _EPS * max(op.norm, 1e-300))
+        aug = np.hstack([op.parts.re_part, op.matrix]) if n else np.zeros((0, 0))
+        rank_h = int(np.count_nonzero(re_vals > cutoff))
+        rank_aug = int(np.count_nonzero(np.linalg.svd(aug, compute_uv=False) > cutoff)) if n else 0
+        if rank_aug > rank_h:
+            return math.pi / 2, delta, False, math.inf
+        keep = re_vals > cutoff
+    # tan(omega) is the spectral norm of the Hermitian tangent matrix.
+    vals = np.linalg.eigvalsh(_tangent_matrix(op, keep))
+    tan_omega = float(max(-vals[0], vals[-1], 0.0)) if vals.size else 0.0
     return math.atan(tan_omega), delta, True, tan_omega
 
 
@@ -259,28 +272,25 @@ def accretivity_report(T, tol=None):
     Non-accretive input yields is_accretive=False with omega=None (a status,
     not an exception).
     """
-    A = as_operator(T)
-    n = A.shape[0]
-    nrm = operator_norm(A)
+    op = as_operator(T)
+    n, nrm = op.dim, op.norm
     if tol is None:
         tol = DEFAULTS["accretivity"] * max(1.0, nrm)
-    omega, delta, sectorial, tan_omega = _sectorial_angle(A, nrm, tol)
-    wr = numerical_range(A)
-    eigs = np.linalg.eigvals(A) if n else np.zeros(0, dtype=complex)
+    omega, delta, sectorial, tan_omega = sectorial_angle(op, tol)
+    wr = numerical_range(op)
+    eigs = np.linalg.eigvals(op.matrix) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     is_acc = delta >= -tol
+    bound = None
     if not is_acc:
         status = "not accretive"
-        bound = None
     elif delta > tol:
         status = "strongly accretive"
         bound = math.sqrt(max((nrm / delta) ** 2 - 1.0, 0.0))
     elif sectorial:
         status = "accretive, singular real part"
-        bound = None
     else:
         status = "accretive, not sectorial (range condition fails)"
-        bound = None
     return AccretivityReport(
         dim=n,
         tolerance=float(tol),
@@ -305,17 +315,14 @@ def kato_representation(T):
     H = Re(T) must be positive definite; T_tilde = H^{-1/2} Im(T) H^{-1/2} is
     Hermitian with ||T_tilde|| = tan(omega).
     """
-    A = as_operator(T)
-    parts = cartesian_parts(A)
-    tol = DEFAULTS["accretivity"] * max(1.0, operator_norm(A))
-    re_vals, re_vecs = np.linalg.eigh(parts.re_part)
-    delta = float(re_vals[0]) if A.shape[0] else 0.0
-    if delta <= tol:
+    op = as_operator(T)
+    tol = DEFAULTS["accretivity"] * max(1.0, op.norm)
+    if op.delta <= tol:
         raise PreconditionError(
-            f"real part not positive definite: lambda_min = {delta:.3e} <= tol = {tol:.3e}"
+            f"real part not positive definite: lambda_min = {op.delta:.3e} <= tol = {tol:.3e}"
         )
-    M = _tangent_matrix(re_vals, re_vecs, parts.im_part, slice(None))
-    return re_vecs @ M @ re_vecs.conj().T
+    vecs = op.re_eigh[1]
+    return vecs @ _tangent_matrix(op, slice(None)) @ vecs.conj().T
 
 
 def hermitian_sqrt(H):
@@ -332,11 +339,11 @@ def sector_angle_estimate(T):
     with |z| below 1e-9 * ||T|| are skipped since their argument is rounding
     noise.  Underestimates only, so it is safe in one-sided bounds.
     """
-    A = as_operator(T)
-    nrm = operator_norm(A)
+    op = as_operator(T)
+    nrm = op.norm
     if nrm == 0.0:
         return 0.0
-    pts = numerical_range_boundary(A)
+    pts = numerical_range_boundary(op)
     keep = np.abs(pts) > 1e-9 * nrm
     if not np.any(keep):
         return 0.0

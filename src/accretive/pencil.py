@@ -14,8 +14,8 @@ import scipy.linalg
 
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
+    Operator,
     as_operator,
-    cartesian_parts,
     operator_norm,
     sector_angle_estimate,
     sectorial_angle,
@@ -27,60 +27,56 @@ _EPS = float(np.finfo(np.float64).eps)
 
 @dataclass(frozen=True)
 class QuadraticPencil:
-    """Monic quadratic pencil data; hypotheses are certified later, not here."""
+    """Monic quadratic pencil data; hypotheses are certified later, not here.
 
-    T: np.ndarray
-    S: np.ndarray
+    T and S are kept as Operators, so the norms factorize takes are cached on
+    the operators the caller passed.
+    """
+
+    T: Operator
+    S: Operator
 
     def __post_init__(self):
         T = as_operator(self.T)
         S = as_operator(self.S)
-        if T.shape != S.shape:
-            raise ParameterError(f"dimension mismatch: {T.shape} vs {S.shape}")
+        if T.dim != S.dim:
+            raise ParameterError(f"dimension mismatch: {T.matrix.shape} vs {S.matrix.shape}")
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "S", S)
 
     @property
     def dim(self):
-        return self.T.shape[0]
+        return self.T.dim
 
 
-def _delta(A):
-    """lambda_min of the Hermitian real part."""
-    if A.shape[0] == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(cartesian_parts(A).re_part)[0])
+def _sector_angle(op):
+    """Sectorial semiangle, or the sampled W(T) estimate when the Operator is not accretive."""
+    omega = sectorial_angle(op)[0]
+    return sector_angle_estimate(op) if omega is None else omega
 
 
-def _sector_angle(A):
-    """Sectorial semiangle, or the sampled W(A) estimate when A is not accretive."""
-    omega = sectorial_angle(A)[0]
-    return sector_angle_estimate(A) if omega is None else omega
+def _range_block(op):
+    """Orthonormal range basis Q and the Operator Q* U Q for EP input U = op.
 
-
-def _range_block(U):
-    """Orthonormal range basis Q and the compression Q* U Q for EP input.
-
-    Returns (Q, block); for full-rank input Q is None and block is U itself.
-    Raises PreconditionError when the range fails to reduce U (non-EP), since
-    kernel-preserving roots and powers are undefined then.
+    For full-rank input Q is None and the block is op itself; only singular
+    input takes op's full SVD.  Raises PreconditionError when the range fails
+    to reduce U (non-EP), since kernel-preserving roots and powers are
+    undefined then.
     """
-    n = U.shape[0]
-    svals = np.linalg.svd(U, compute_uv=False)
-    cutoff = n * _EPS * (float(svals[0]) if n else 0.0) * 100
-    rank = int(np.count_nonzero(svals > cutoff))
+    U, n = op.matrix, op.dim
+    cutoff = n * _EPS * op.norm * 100
+    rank = int(np.count_nonzero(op.singular_values > cutoff))
     if rank == n:
-        return None, U
-    Uv, _, _ = np.linalg.svd(U)
-    Q = Uv[:, :rank]
+        return None, op
+    Q = op.svd[0][:, :rank]
     block = Q.conj().T @ U @ Q
     recon = Q @ block @ Q.conj().T
-    if operator_norm(recon - U) > max(cutoff, 1e-12 * max(1.0, float(svals[0]) if n else 0.0)):
+    if operator_norm(recon - U) > max(cutoff, 1e-12 * max(1.0, op.norm)):
         raise PreconditionError(
             "singular input is not reduced by its range (not EP); "
             "kernel-preserving functional calculus undefined"
         )
-    return Q, block
+    return Q, Operator(block)
 
 
 def accretive_sqrt(U):
@@ -92,24 +88,23 @@ def accretive_sqrt(U):
     real axis (impossible for accretive U outside zero) means no principal
     root exists.
     """
-    A = as_operator(U)
-    return _sqrt_and_residual(A, operator_norm(A))[0]
+    return _sqrt_and_residual(as_operator(U))[0]
 
 
-def _sqrt_and_residual(A, nrm):
-    """accretive_sqrt of A, given ||A|| = nrm, with its residual ||W^2 - A||."""
-    if A.shape[0] == 0:
+def _sqrt_and_residual(op):
+    """accretive_sqrt of the Operator op, with its residual ||W^2 - U||."""
+    A, nrm = op.matrix, op.norm
+    if op.dim == 0:
         return A.copy(), 0.0
     tol = DEFAULTS["accretivity"] * max(1.0, nrm)
-    Q, block = _range_block(A)
-    eigs = np.linalg.eigvals(block)
+    Q, block = _range_block(op)
+    eigs = np.linalg.eigvals(block.matrix)
     bad = (eigs.real < 0) & (np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs.real)))
     if np.any(bad):
         raise PreconditionError(
             f"no principal square root: eigenvalue {eigs[bad][0]:.6g} on the negative real axis"
         )
-    W = scipy.linalg.sqrtm(block)
-    W = np.asarray(W, dtype=np.complex128)
+    W = np.asarray(scipy.linalg.sqrtm(block.matrix), dtype=np.complex128)
     if Q is not None:
         W = Q @ W @ Q.conj().T
     residual = operator_norm(W @ W - A)
@@ -127,7 +122,7 @@ _QUAD = {
 }
 
 
-def _balakrishnan_dense(A, nrm, alpha):
+def _balakrishnan_dense(op, alpha):
     """Exponential-substitution Gauss-Legendre quadrature on invertible input.
 
     After lambda = e^u the representation reads
@@ -135,9 +130,9 @@ def _balakrishnan_dense(A, nrm, alpha):
     over the whole line.  Accretivity gives ||(e^u + T)^{-1}|| <= e^{-u}, so
     the integrand norm decays like e^{alpha u} to the left and like
     ||T|| e^{(alpha-1)u} to the right; the truncation points push both tails
-    below _QUAD["tail"] * max(1, ||T||^alpha).  nrm is ||A||.
+    below _QUAD["tail"] * max(1, ||T||^alpha).  T is the Operator op.
     """
-    n = A.shape[0]
+    A, n, nrm = op.matrix, op.dim, op.norm
     sin_pa = math.sin(math.pi * alpha)
     tail_target = _QUAD["tail"] * max(1.0, nrm ** alpha)
     u_lo = math.log(math.pi * alpha * tail_target / (2 * sin_pa)) / alpha
@@ -181,22 +176,18 @@ def balakrishnan_power(T, alpha):
     Accretive input required.  Singular accretive (EP) input is compressed to
     its range block first so the kernel passes through unchanged.
     """
-    A = as_operator(T)
+    op = as_operator(T)
     if not (0 < alpha < 1):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    n = A.shape[0]
-    if n == 0:
-        return A.copy()
-    nrm = operator_norm(A)
-    tol = DEFAULTS["accretivity"] * max(1.0, nrm)
-    delta = _delta(A)
-    if delta < -tol:
-        raise PreconditionError(f"input not accretive: delta = {delta:.3e}")
-    if nrm <= tol:
-        return np.zeros_like(A)
-    Q, block = _range_block(A)
-    block_norm = nrm if Q is None else operator_norm(block)
-    result = _balakrishnan_dense(block, block_norm, float(alpha))
+    if op.dim == 0:
+        return op.matrix.copy()
+    tol = DEFAULTS["accretivity"] * max(1.0, op.norm)
+    if op.delta < -tol:
+        raise PreconditionError(f"input not accretive: delta = {op.delta:.3e}")
+    if op.norm <= tol:
+        return np.zeros_like(op.matrix)
+    Q, block = _range_block(op)
+    result = _balakrishnan_dense(block, float(alpha))
     if Q is not None:
         result = Q @ result @ Q.conj().T
     return result
@@ -209,7 +200,8 @@ class PencilFactorization:
     separation_regime is "strong" when Re(Upsilon) is strictly positive (the
     disjoint-spectra claim applies) and "degenerate" otherwise (Z1 and Z2
     share kernel eigenvalues).  z1_sector_angle is measured and reported, not
-    asserted against any fixed sector.
+    asserted against any fixed sector.  root is sqrt_upsilon as an Operator,
+    kept so vandermonde_check reuses the singular values factorize took.
     """
 
     upsilon: np.ndarray
@@ -224,6 +216,7 @@ class PencilFactorization:
     separation: float
     z1_sector_angle: float
     separation_regime: str
+    root: Operator = field(repr=False, compare=False)
     warnings: list = field(default_factory=list)
 
 
@@ -234,31 +227,32 @@ def factorize(p):
     warnings on the result rather than raised; square-root failures
     propagate.
     """
-    T, S = p.T, p.S
-    t_norm, s_norm = operator_norm(T), operator_norm(S)
+    T, S = p.T.matrix, p.S.matrix
+    t_norm, s_norm = p.T.norm, p.S.norm
     tol = DEFAULTS["accretivity"] * max(1.0, t_norm ** 2, s_norm)
     warnings = []
-    for name, M in (("T", T), ("T^2", T @ T), ("S", S)):
-        d = _delta(M)
-        if d < -tol:
-            warnings.append(f"{name} not accretive (delta = {d:.3e})")
-    U = as_operator(T @ T + S)
-    R, sqrt_residual = _sqrt_and_residual(U, operator_norm(U))
-    z1 = T + R
-    z2 = T - R
+    T2 = T @ T
+    for name, M in (("T", p.T), ("T^2", Operator(T2)), ("S", p.S)):
+        if M.delta < -tol:
+            warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
+    U = as_operator(T2 + S)
+    W, sqrt_residual = _sqrt_and_residual(U)
+    R = as_operator(W)
+    z1 = T + W
+    z2 = T - W
     sqrt_angle = _sector_angle(R)
-    z1_angle = _sector_angle(z1)
+    z1_angle = _sector_angle(as_operator(z1))
     comm = operator_norm(T @ S - S @ T)
     commuting = bool(comm <= DEFAULTS["commutation"] * max(1.0, t_norm * s_norm))
     s1 = np.linalg.eigvals(z1)
     s2 = np.linalg.eigvals(z2)
     separation = float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
-    regime = "strong" if _delta(U) > DEFAULTS["separation-strong"] else "degenerate"
+    regime = "strong" if U.delta > DEFAULTS["separation-strong"] else "degenerate"
     if regime == "degenerate":
         warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
     return PencilFactorization(
-        upsilon=U,
-        sqrt_upsilon=R,
+        upsilon=U.matrix,
+        sqrt_upsilon=W,
         z1=z1,
         z2=z2,
         sqrt_residual=float(sqrt_residual),
@@ -269,6 +263,7 @@ def factorize(p):
         separation=separation,
         z1_sector_angle=float(z1_angle),
         separation_regime=regime,
+        root=R,
         warnings=warnings,
     )
 
@@ -276,7 +271,7 @@ def factorize(p):
 def eval_pencil(p, lam):
     """Q(lambda) = lambda^2 I - 2 lambda T - S."""
     lam = complex(lam)
-    return lam * lam * np.eye(p.dim) - 2 * lam * p.T - p.S
+    return lam * lam * np.eye(p.dim) - 2 * lam * p.T.matrix - p.S.matrix
 
 
 def factorization_residuals(f, p, lambdas):
@@ -313,8 +308,8 @@ def pencil_spectrum(p):
     n = p.dim
     C = np.zeros((2 * n, 2 * n), dtype=complex)
     C[:n, n:] = np.eye(n)
-    C[n:, :n] = p.S
-    C[n:, n:] = 2 * p.T
+    C[n:, :n] = p.S.matrix
+    C[n:, n:] = 2 * p.T.matrix
     return [complex(v) for v in np.linalg.eigvals(C)]
 
 
@@ -346,7 +341,7 @@ def vandermonde_check(f):
     V[n:, :n] = f.z1
     V[n:, n:] = f.z2
     sv_V = np.linalg.svd(V, compute_uv=False)
-    sv_R = np.linalg.svd(f.sqrt_upsilon, compute_uv=False)
+    sv_R = f.root.singular_values
     v_invertible = bool(n == 0 or sv_V[-1] > 2 * n * _EPS * sv_V[0] * 100)
     r_invertible = bool(n == 0 or sv_R[-1] > n * _EPS * max(sv_R[0], 1.0) * 100)
     return v_invertible == r_invertible

@@ -7,13 +7,13 @@ the pseudoinverse of T + S is a Neumann-type update of T_pinv and keeps T's
 rank, range, and kernel.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 import math
 
 import numpy as np
 
 from .errors import HypothesisError, ParameterError, PreconditionError
-from .linops import _sectorial_angle, as_operator, operator_norm
+from .linops import as_operator, operator_norm, sectorial_angle
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -37,12 +37,12 @@ def pseudoinverse(T):
     treated as zero.  gamma is the smallest retained singular value, the
     reduced minimum modulus 1/||pinv|| (infinite for the zero matrix).
     """
-    A = as_operator(T)
-    n = A.shape[0]
+    op = as_operator(T)
+    n = op.dim
     if n == 0:
-        return PinvResult(pinv=A.copy(), rank=0, singular_values=[], gamma=math.inf,
+        return PinvResult(pinv=op.matrix.copy(), rank=0, singular_values=[], gamma=math.inf,
                           rank_tol=0.0)
-    U, s, Vh = np.linalg.svd(A)
+    U, s, Vh = op.svd
     rank_tol = n * _EPS * float(s[0])
     keep = s > rank_tol
     rank = int(np.count_nonzero(keep))
@@ -54,8 +54,8 @@ def pseudoinverse(T):
 
 def penrose_residuals(T, P):
     """The four Penrose identity residuals for a claimed pseudoinverse P."""
-    A = as_operator(T)
-    B = as_operator(P)
+    A = as_operator(T).matrix
+    B = as_operator(P).matrix
     TP, PT = A @ B, B @ A
     return {
         "TPT": operator_norm(TP @ A - A),
@@ -67,16 +67,14 @@ def penrose_residuals(T, P):
 
 def range_projector(T, result=None):
     """Orthogonal projector onto range(T)."""
-    A = as_operator(T)
-    P = (result or pseudoinverse(A)).pinv
-    return A @ P
+    op = as_operator(T)
+    return op.matrix @ (result or pseudoinverse(op)).pinv
 
 
 def row_projector(T, result=None):
     """Orthogonal projector onto range(T*) = kernel(T) orthocomplement."""
-    A = as_operator(T)
-    P = (result or pseudoinverse(A)).pinv
-    return P @ A
+    op = as_operator(T)
+    return (result or pseudoinverse(op)).pinv @ op.matrix
 
 
 def subspace_distance(P, Q):
@@ -108,16 +106,7 @@ class PerturbationCertificate:
     pinv_result: PinvResult | None = field(default=None, init=False, repr=False, compare=False)
 
     def as_dict(self):
-        return {
-            "range_inclusion_residual": self.range_inclusion_residual,
-            "kernel_inclusion_residual": self.kernel_inclusion_residual,
-            "contraction_TdS": self.contraction_TdS,
-            "contraction_STd": self.contraction_STd,
-            "mode": self.mode,
-            "s_accretive": self.s_accretive,
-            "theta": self.theta,
-            "norm_over_gamma": self.norm_over_gamma,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
 
 
 def perturbation_certificate(T, S, tol=None):
@@ -126,14 +115,14 @@ def perturbation_certificate(T, S, tol=None):
     A failed mode is recorded, never raised.  theta is the sectorial angle of
     S when S is accretive (pi/2 when accretive but not sectorial).
     """
-    A = as_operator(T)
-    B = as_operator(S)
+    T, S = as_operator(T), as_operator(S)
+    A, B = T.matrix, S.matrix
     if A.shape != B.shape:
         raise ParameterError(f"dimension mismatch: {A.shape} vs {B.shape}")
-    s_norm = operator_norm(B)
+    s_norm = S.norm
     if tol is None:
         tol = DEFAULTS["inclusion-residual"] * max(1.0, s_norm)
-    res = pseudoinverse(A)
+    res = pseudoinverse(T)
     P = res.pinv
     eye = np.eye(A.shape[0])
     r_range = operator_norm((eye - A @ P) @ B)
@@ -150,7 +139,7 @@ def perturbation_certificate(T, S, tol=None):
         mode = "kernel-side"
     else:
         mode = "fail"
-    theta = _sectorial_angle(B, s_norm, DEFAULTS["accretivity"] * max(1.0, s_norm))[0]
+    theta = sectorial_angle(S)[0]
     ratio = s_norm / res.gamma if math.isfinite(res.gamma) else 0.0
     cert = PerturbationCertificate(
         range_inclusion_residual=float(r_range),
@@ -175,10 +164,9 @@ def perturbed_pinv(T, S, cert=None):
     products share their nonzero spectrum.  A given cert must be the
     certificate of (T, S): its pseudoinverse of T is reused.
     """
-    A = as_operator(T)
-    B = as_operator(S)
+    T, S = as_operator(T), as_operator(S)
     if cert is None:
-        cert = perturbation_certificate(A, B)
+        cert = perturbation_certificate(T, S)
     if cert.mode == "fail":
         raise HypothesisError(
             "perturbation hypotheses unmet: "
@@ -186,7 +174,8 @@ def perturbed_pinv(T, S, cert=None):
             f"kernel residual {cert.kernel_inclusion_residual:.3e}, "
             f"contractions {cert.contraction_TdS:.3f} / {cert.contraction_STd:.3f}"
         )
-    P = (cert.pinv_result or pseudoinverse(A)).pinv
+    res = cert.pinv_result or pseudoinverse(T)
+    A, B, P = T.matrix, S.matrix, res.pinv
     eye = np.eye(A.shape[0])
     try:
         F_range = np.linalg.solve(eye + P @ B, P)
@@ -197,7 +186,7 @@ def perturbed_pinv(T, S, cert=None):
             "this contradicts the spectral-radius argument"
         ) from exc
     gap = operator_norm(F_range - F_kernel)
-    if gap > 1e-10 * max(1.0, operator_norm(P)):
+    if gap > 1e-10 * max(1.0, 1.0 / res.gamma):  # ||T_pinv|| = 1 / gamma
         raise RuntimeError(f"update formula routes disagree: gap = {gap:.3e}")
     return F_range
 
@@ -209,8 +198,8 @@ def neumann_identity_check(T, S, k):
     which the geometric tail bounds by c^{k+1} ||T_pinv|| / (1 - c) with
     c = ||T_pinv S||.
     """
-    A = as_operator(T)
-    B = as_operator(S)
+    A = as_operator(T).matrix
+    B = as_operator(S).matrix
     if k < 0:
         raise ParameterError(f"k must be >= 0, got {k}")
     P = pseudoinverse(A).pinv
@@ -235,10 +224,10 @@ def second_power_inequalities(T, samples=64, seed=0):
     kernel(T^2), and the modulus bound gamma(T^2) >= gamma(T)^2 / 2.  Reports
     worst slacks; a negative slack is a violation.
     """
-    A = as_operator(T)
-    n = A.shape[0]
+    op = as_operator(T)
+    A, n = op.matrix, op.dim
     rng = np.random.default_rng(seed)
-    res = pseudoinverse(A)
+    res = pseudoinverse(op)
     sq = A @ A
     res_sq = pseudoinverse(sq)
     proj = res_sq.pinv @ sq
@@ -264,7 +253,7 @@ def second_power_inequalities(T, samples=64, seed=0):
         res_sq.gamma - res.gamma ** 2 / 2
         if math.isfinite(res.gamma) else math.inf
     )
-    scale = max(1.0, operator_norm(A) ** 2)
+    scale = max(1.0, op.norm ** 2)
     violations = sum(1 for v in worst_split.values() if v < -DEFAULTS["vector-inequality"] * scale)
     if worst_product < -DEFAULTS["vector-inequality"] * scale:
         violations += 1

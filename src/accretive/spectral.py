@@ -248,13 +248,14 @@ def demo(m, u0, u1, grid=None, x_samples=33):
 
     _stage("screen", screens)
     total = _stage("condition", condition)
-    T, S = _stage("build", build_operators, m)
-    fac = _stage("factorize", factorize, QuadraticPencil(T, S))
-    problem = _stage("solve", BvpProblem, T, S, u0, u1)
+    # One pencil's Operators serve every stage; the solve reuses factorize's root.
+    p = QuadraticPencil(*_stage("build", build_operators, m))
+    fac = _stage("factorize", factorize, p)
+    problem = _stage("solve", BvpProblem, p.T, p.S, u0, u1, fac.sqrt_upsilon)
     sol = _stage("solve", solve_bvp, problem, grid)
     oracle = _stage("oracle", per_mode_oracle, m, u0, u1, sol.grid)
     oracle_gap = float(np.max(np.abs(sol.values - oracle.values)))
-    cert = _stage("certificate", perturbation_certificate, T @ T, S)
+    cert = _stage("certificate", perturbation_certificate, p.T.matrix @ p.T.matrix, p.S)
     xs = np.linspace(0.0, 1.0, x_samples)
     basis = math.sqrt(2.0) * np.sin(math.pi * np.outer(np.arange(1, m.n_modes + 1), xs))
     field = sol.values @ basis

@@ -44,7 +44,7 @@ DEFAULTS = {
     "quadrature-rel": 1e-8,
     # bvp
     "bvp-witness": 1e-10,          # scalar sinh witness at the default grid
-    "bvp-commutation": 1e-8,       # scaled by max(1, ||T||*||R||)
+    "bvp-commutation": 1e-8,       # scaled by max(1, ||T||^2, ||S||)
     "resonance": 1e-12,            # scaled by dim
     "boundary-residual": 1e-9,     # scaled by 1 + ||u0|| + ||u1||
     "ode-residual": 1e-8,

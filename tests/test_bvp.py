@@ -248,6 +248,30 @@ def test_grid_validation():
         solve_bvp(p, grid=[0.0, 0.5, 0.5, 1.0])
     with pytest.raises(ParameterError):
         solve_bvp(p, grid=[-0.1, 0.5, 1.0])
+    # NaN fails every comparison, so the grid is checked before any solve.
+    for grid in ([0.0, math.nan, 1.0], [0.0, 0.5, math.inf]):
+        with pytest.raises(ParameterError):
+            solve_bvp(p, grid=grid)
+
+
+def test_problem_reuses_a_given_root(monkeypatch):
+    rng = rng_for(SEED, "given-root")
+    T, S = commuting_pencil_pair(rng, 4)
+    u0, u1 = np.ones(4), np.zeros(4)
+    rooted = BvpProblem(T, S, u0, u1)
+    sqrtm_calls = []
+    sqrtm = scipy.linalg.sqrtm
+    monkeypatch.setattr(
+        scipy.linalg, "sqrtm", lambda a, *r, **k: sqrtm_calls.append(a) or sqrtm(a, *r, **k)
+    )
+    given = BvpProblem(T, S, u0, u1, rooted.sqrt_upsilon)
+    assert not sqrtm_calls
+    assert given.commutation_residual == rooted.commutation_residual
+    assert np.array_equal(solve_bvp(given).values, solve_bvp(rooted).values)
+    with pytest.raises(ParameterError):
+        BvpProblem(T, S, u0, u1, np.eye(3))
+    with pytest.raises(TypeError):
+        BvpProblem(T, S, u0, u1, commutation_residual=0.0)
 
 
 def test_fd_oracle_sinh():

@@ -7,10 +7,22 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from accretive.cli import run
 from accretive.matio import read_matrix, write_matrix, write_vector
+from accretive.pencil import accretive_sqrt
+from accretive.pinv import pseudoinverse
+from accretive.sampling import (
+    accretive_operator,
+    certified_pair,
+    commuting_pencil_pair,
+    complex_gaussian,
+    pencil_pair,
+    rng_for,
+)
 from accretive.selftest import _REGISTRY
+from accretive.spectral import LaplacianModel, build_operators
 
 
 @pytest.fixture
@@ -226,3 +238,80 @@ def test_missing_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         run([])
     assert info.value.code == 2
+
+
+# Kernel families counted per operator, on numpy.linalg and its private module
+# (numpy.linalg.norm(A, 2) reaches svd through the latter), as the benchmark's
+# tracer counts them, plus scipy's square root.
+_KERNEL_FAMILIES = {"svd": "svd", "eigh": "eigh", "eigvalsh": "eigh", "eigvals": "eigvals"}
+
+
+@pytest.fixture
+def kernel_args(monkeypatch):
+    """(family, argument) for every 2-D argument of a counted kernel."""
+    calls = []
+
+    def counting(fn, family):
+        def wrapped(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append((family, np.array(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for mod in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        for name, family in _KERNEL_FAMILIES.items():
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name), family))
+    monkeypatch.setattr(scipy.linalg, "sqrtm", counting(scipy.linalg.sqrtm, "sqrtm"))
+    return calls
+
+
+def _kernel_counts(calls, M):
+    """Calls per family whose argument is M (the Hermitian solvers': Re M)."""
+    targets = {"eigh": (M + M.conj().T) / 2}
+    counts = {}
+    for family, a in calls:
+        target = targets.get(family, M)
+        close = 1e-10 * max(1.0, float(np.max(np.abs(target))))
+        if a.shape == target.shape and np.max(np.abs(a - target)) <= close:
+            counts[family] = counts.get(family, 0) + 1
+    return counts
+
+
+def test_each_operator_factored_once_per_command(tmp_path, kernel_args):
+    # T, S, T+, Upsilon = T^2 + S and its root R reach each kernel family at
+    # most once per command; the reference matrices are built before counting.
+    rng = rng_for(20260814, "kernel-counts")
+    n = 16
+    A = accretive_operator(rng, n)
+    P, Q = certified_pair(rng, n, n // 2)
+    C, D = commuting_pencil_pair(rng, n)
+    E, F = pencil_pair(rng, n)
+    f = {name: str(tmp_path / f"{name}.json") for name in ("A", "P", "Q", "C", "D", "E", "F")}
+    for name, M in zip(f, (A, P, Q, C, D, E, F)):
+        write_matrix(f[name], M)
+    for name in ("u0", "u1"):
+        f[name] = str(tmp_path / f"{name}.json")
+        write_vector(f[name], complex_gaussian(rng, n))
+
+    def pencil_ops(T, S):
+        U = T @ T + S
+        return {"T": T, "S": S, "Upsilon": U, "R": accretive_sqrt(U)}
+
+    cases = [
+        (["analyze", "--input", f["A"]], {"T": A}),
+        (["pinv", "--input", f["A"]], {"T": A, "T+": pseudoinverse(A).pinv}),
+        (["perturb", "--input", f["P"], "--input2", f["Q"]],
+         {"T": P, "S": Q, "T+": pseudoinverse(P).pinv}),
+        (["factorize", "--input", f["C"], "--input2", f["D"]], pencil_ops(C, D)),
+        (["factorize", "--input", f["E"], "--input2", f["F"]], pencil_ops(E, F)),
+        (["solve-bvp", "--input", f["C"], "--input2", f["D"], "--u0", f["u0"], "--u1", f["u1"]],
+         pencil_ops(C, D)),
+        (["demo-laplacian"], pencil_ops(*build_operators(LaplacianModel(1.0, 0.0, 0.1, 16)))),
+    ]
+    for argv, operators in cases:
+        kernel_args.clear()
+        assert run(argv + ["--out", str(tmp_path / "out")]) == 0, argv
+        counts = {name: _kernel_counts(kernel_args, M) for name, M in operators.items()}
+        assert counts["T"], (argv[0], "no kernel call matched T")
+        repeated = {k: c for k, c in counts.items() if any(v > 1 for v in c.values())}
+        assert not repeated, (argv[0], counts)
