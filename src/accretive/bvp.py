@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
 from .linops import Operator, as_operator, operator_norm
@@ -42,6 +39,8 @@ def expm(A):
     M = as_operator(A).matrix
     if M.shape[0] == 0 or not M.any():
         return np.eye(M.shape[0], dtype=complex)
+    import scipy.linalg  # deferred: costs ~0.2 s at import
+
     E = scipy.linalg.expm(M)
     if not np.all(np.isfinite(E)):
         raise AccuracyError(
@@ -317,6 +316,9 @@ def fd_oracle(p, n_points, solution=None):
     """
     if n_points < 16:
         raise ParameterError(f"n_points must be >= 16, got {n_points}")
+    import scipy.sparse  # deferred: costs ~0.2 s at import
+    import scipy.sparse.linalg
+
     n = p.dim
     m = n_points - 1
     h = 1.0 / n_points

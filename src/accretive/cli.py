@@ -121,14 +121,15 @@ def _conclude(claims, path, note=None):
 def _cmd_analyze(args, tols, out_dir):
     T = as_operator(read_matrix(args.input))
     scale = max(1.0, T.norm)
+    # Points first: their eigh sweep also fills the support values the report reads.
+    wr = T.numerical_range
+    hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
     rep = accretivity_report(T, tol=tols["accretivity"] * scale)
     chain = max(
         rep.spectral_radius - rep.numerical_radius,
         rep.numerical_radius - rep.operator_norm,
         rep.operator_norm - 2 * rep.numerical_radius,
     ) / scale
-    wr = rep.numerical_range
-    hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
     eigs = rep.eigenvalues
     spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
     claims = [

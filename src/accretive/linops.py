@@ -17,6 +17,10 @@ from .errors import DimensionError, PreconditionError
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
+_DEFAULT_ANGLES = 720
+# Complex entries per stacked chunk of rotated matrices in a W(T) sweep (8 MiB):
+# 32 angles at n = 128, a whole half-turn at n = 32.
+_SWEEP_CHUNK = 2**19
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,9 +29,10 @@ class Operator:
 
     Every step given the same Operator shares what the first one computed:
     the singular values (norm is the first), the Cartesian parts, eigh(Re T),
-    and the full SVD that callers needing singular vectors read, which then
-    also supplies the singular values.  Build one with as_operator, and leave
-    the matrix unmodified afterwards: nothing cached is recomputed.
+    the default W(T) sweep, and the full SVD that callers needing singular
+    vectors read, which then also supplies the singular values.  Build one
+    with as_operator, and leave the matrix unmodified afterwards: nothing
+    cached is recomputed.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -65,6 +70,11 @@ class Operator:
         """lambda_min(Re T), 0 for a 0x0 operator; T is accretive when it is >= 0."""
         return float(self.re_eigh[0][0]) if self.dim else 0.0
 
+    @cached_property
+    def numerical_range(self):
+        """The default 720-angle sweep of W(T); see NumericalRange."""
+        return NumericalRange(self, _angle_grid(_DEFAULT_ANGLES))
+
 
 def as_operator(T):
     """Validate T and return it as an Operator; an Operator is returned unchanged.
@@ -99,20 +109,71 @@ def cartesian_parts(T):
     return as_operator(T).parts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NumericalRange:
-    """One rotation-method sweep of W(T), shared by every W(T) quantity.
+    """One rotation-method sweep of W(T) over a uniform angle grid.
 
-    At each grid angle theta_k the top eigenpair of Re(e^{-i*theta_k} T) gives
-    the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T) and the
-    boundary Rayleigh point attaining it.  A 0x0 operator has empty W(T): no
+    At each grid angle theta_k the top eigenpair of
+    H(theta_k) = Re(e^{-i*theta_k} T) = cos(theta_k) Re T + sin(theta_k) Im T
+    gives the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T)
+    and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
+    Anal. 15, 1978).  Since H(theta + pi) = -H(theta), on an even grid one
+    solve at theta_k also gives h(theta_k + pi) and its point from the bottom
+    eigenpair, so only the first half-turn is solved.  The rotated matrices
+    are built from the operator's cached Cartesian parts and solved in stacked
+    chunks of at most _SWEEP_CHUNK complex entries, so memory is O(n^2) and
+    not O(n_angles * n^2).
+
+    Each field costs only what it needs, computed on first read:
+    support (read by radius and excess) runs eigvalsh alone; points runs eigh
+    with eigenvectors and fills support from the same solves; radius adds a
+    Brent pass of single eigvalsh calls.  A 0x0 operator has empty W(T): no
     points, support values -inf, w(T) = 0.
     """
 
-    operator: np.ndarray = field(repr=False)
+    operator: Operator = field(repr=False)
     angles: np.ndarray
-    support: np.ndarray
-    points: np.ndarray
+
+    @cached_property
+    def support(self):
+        """h(theta_k) for every grid angle."""
+        return self._sweep(vectors=False)[0]
+
+    @cached_property
+    def points(self):
+        """Boundary Rayleigh points attaining h(theta_k), in grid order."""
+        support, points = self._sweep(vectors=True)
+        self.__dict__.setdefault("support", support)
+        return points
+
+    def _sweep(self, vectors):
+        """(support, points or None) from half-turn chunks of stacked solves."""
+        op, m = self.operator, len(self.angles)
+        n = op.dim
+        if n == 0:
+            return np.full(m, -np.inf), np.zeros(0, complex)
+        # On an even grid angles[k + half] = angles[k] + pi; odd grids solve every angle.
+        half = m // 2 if m % 2 == 0 else m
+        support = np.empty(m)
+        points = np.empty(m, complex) if vectors else None
+        re, im = op.parts.re_part, op.parts.im_part
+        step = max(1, _SWEEP_CHUNK // (n * n))
+        for lo in range(0, half, step):
+            hi = min(lo + step, half)
+            theta = self.angles[lo:hi]
+            H = np.cos(theta)[:, None, None] * re
+            H += np.sin(theta)[:, None, None] * im
+            if vectors:
+                vals, vecs = np.linalg.eigh(H)
+                points[lo:hi] = _rayleigh(op.matrix, vecs[:, :, -1])
+            else:
+                vals = np.linalg.eigvalsh(H)
+            support[lo:hi] = vals[:, -1]
+            if half < m:
+                support[lo + half:hi + half] = -vals[:, 0]
+                if vectors:
+                    points[lo + half:hi + half] = _rayleigh(op.matrix, vecs[:, :, 0])
+        return support, points
 
     def excess(self, points):
         """Signed distance of each point to the sampled support planes of W(T).
@@ -133,7 +194,7 @@ class NumericalRange:
         """
         from scipy.optimize import minimize_scalar  # deferred: costs ~0.2 s at import
 
-        A = self.operator
+        A = self.operator.matrix
         if A.shape[0] == 0:
             return 0.0
         k = int(np.argmax(self.support))
@@ -153,23 +214,30 @@ class NumericalRange:
         return max(best, float(-res.fun), 0.0)
 
 
-def numerical_range(T, n_angles=720):
-    """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange."""
-    A = as_operator(T).matrix
+def _rayleigh(A, X):
+    """x^H A x for each row x of X."""
+    return np.einsum("ki,ij,kj->k", X.conj(), A, X)
+
+
+def _angle_grid(n_angles):
+    return np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+
+
+def numerical_range(T, n_angles=_DEFAULT_ANGLES):
+    """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange.
+
+    The default grid is the operator's cached sweep (Operator.numerical_range),
+    so every caller handed the same Operator shares its solves.
+    """
+    op = as_operator(T)
     if n_angles < 3:
         raise DimensionError("n_angles must be >= 3")
-    angles = np.linspace(0.0, 2 * np.pi, int(n_angles), endpoint=False)
-    if A.shape[0] == 0:
-        return NumericalRange(A, angles, np.full(len(angles), -np.inf), np.zeros(0, complex))
-    rot = np.exp(-1j * angles)[:, None, None] * A[None, :, :]
-    herm = (rot + rot.conj().swapaxes(-1, -2)) / 2
-    vals, vecs = np.linalg.eigh(herm)
-    tops = vecs[:, :, -1]
-    points = np.einsum("ki,ij,kj->k", tops.conj(), A, tops)
-    return NumericalRange(A, angles, vals[:, -1], points)
+    if n_angles == _DEFAULT_ANGLES:
+        return op.numerical_range
+    return NumericalRange(op, _angle_grid(int(n_angles)))
 
 
-def numerical_range_boundary(T, n_angles=720):
+def numerical_range_boundary(T, n_angles=_DEFAULT_ANGLES):
     """Rayleigh points attaining the support function on a uniform angle grid.
 
     They lie in W(T); their hull approximates W(T) from inside and grows
@@ -178,12 +246,12 @@ def numerical_range_boundary(T, n_angles=720):
     return numerical_range(T, n_angles).points
 
 
-def numerical_radius(T, n_angles=720):
+def numerical_radius(T, n_angles=_DEFAULT_ANGLES):
     """Numerical radius w(T) = max |z| over W(T), by the rotation method."""
     return numerical_range(T, n_angles).radius
 
 
-def support_excess(T, points, n_angles=720):
+def support_excess(T, points, n_angles=_DEFAULT_ANGLES):
     """Signed distance of each point to the sampled support planes of W(T)."""
     return numerical_range(T, n_angles).excess(points)
 
@@ -196,9 +264,9 @@ class AccretivityReport:
     inputs, pi/2 when the operator is accretive but the range condition of the
     singular-real-part criterion fails, None when not accretive.  bound_rhs
     carries sqrt(||T||^2/delta^2 - 1) and is only defined on the strongly
-    accretive path.  numerical_range is the W(T) sweep behind numerical_radius
-    and eigenvalues the spectrum behind spectral_radius, kept so callers need
-    no second sweep or eigensolve; as_dict leaves both out.
+    accretive path.  eigenvalues is the spectrum behind spectral_radius, kept
+    so callers need no second eigensolve; as_dict leaves it out.  The W(T)
+    sweep behind numerical_radius is the operator's Operator.numerical_range.
     """
 
     dim: int
@@ -213,7 +281,6 @@ class AccretivityReport:
     operator_norm: float
     spectral_radius: float
     status: str
-    numerical_range: NumericalRange = field(repr=False, compare=False)
     eigenvalues: np.ndarray = field(repr=False, compare=False)
 
     def as_dict(self):
@@ -261,7 +328,7 @@ def sectorial_angle(T, tol=None):
         keep = re_vals > cutoff
     # tan(omega) is the spectral norm of the Hermitian tangent matrix.
     vals = np.linalg.eigvalsh(_tangent_matrix(op, keep))
-    tan_omega = float(max(-vals[0], vals[-1], 0.0)) if vals.size else 0.0
+    tan_omega = float(max(0.0, -vals[0], vals[-1])) if vals.size else 0.0
     return math.atan(tan_omega), delta, True, tan_omega
 
 
@@ -277,7 +344,6 @@ def accretivity_report(T, tol=None):
     if tol is None:
         tol = DEFAULTS["accretivity"] * max(1.0, nrm)
     omega, delta, sectorial, tan_omega = sectorial_angle(op, tol)
-    wr = numerical_range(op)
     eigs = np.linalg.eigvals(op.matrix) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     is_acc = delta >= -tol
@@ -300,11 +366,10 @@ def accretivity_report(T, tol=None):
         omega=omega,
         lambda0_modulus=tan_omega,
         bound_rhs=bound,
-        numerical_radius=wr.radius,
+        numerical_radius=op.numerical_range.radius,
         operator_norm=nrm,
         spectral_radius=spec_r,
         status=status,
-        numerical_range=wr,
         eigenvalues=eigs,
     )
 
@@ -343,7 +408,7 @@ def sector_angle_estimate(T):
     nrm = op.norm
     if nrm == 0.0:
         return 0.0
-    pts = numerical_range_boundary(op)
+    pts = op.numerical_range.points
     keep = np.abs(pts) > 1e-9 * nrm
     if not np.any(keep):
         return 0.0

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
@@ -104,6 +103,8 @@ def _sqrt_and_residual(op):
         raise PreconditionError(
             f"no principal square root: eigenvalue {eigs[bad][0]:.6g} on the negative real axis"
         )
+    import scipy.linalg  # deferred: costs ~0.2 s at import
+
     W = np.asarray(scipy.linalg.sqrtm(block.matrix), dtype=np.complex128)
     if Q is not None:
         W = Q @ W @ Q.conj().T

@@ -1,0 +1,18 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def stacked_solves(monkeypatch):
+    """Matrices passed in stacks (ndim > 2) to numpy's eigh and eigvalsh, per function."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for name in counts:
+        def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            if np.ndim(a) > 2:
+                counts[_name] += np.shape(a)[0]
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return counts

@@ -1,11 +1,12 @@
 """Numerical range, accretivity, and sectorial-angle certification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from accretive import pencil, pinv
+from accretive import linops, pencil, pinv
 from accretive.bvp import BvpProblem, solve_bvp
 from accretive.errors import DimensionError, PreconditionError
 from accretive.linops import (
@@ -14,6 +15,7 @@ from accretive.linops import (
     hermitian_sqrt,
     kato_representation,
     numerical_radius,
+    numerical_range,
     numerical_range_boundary,
     sector_angle_estimate,
     support_excess,
@@ -127,11 +129,13 @@ def test_not_accretive_status():
 
 def test_positive_hermitian_has_zero_angle():
     rng = rng_for(SEED, "psd-angle")
-    for dim in DIMS:
-        H = positive_definite(rng, dim)
+    inputs = [positive_definite(rng, dim) for dim in DIMS] + [np.diag([1.0, 2.0])]
+    for H in inputs:
         rep = accretivity_report(H)
         assert rep.sectorial
         assert rep.omega <= 1e-8
+        # A zero tangent matrix gives +0.0, never -0.0, in reports.
+        assert math.copysign(1.0, rep.omega) == 1.0
 
 
 def test_numerical_radius_matches_rayleigh_oracle():
@@ -189,6 +193,67 @@ def test_rayleigh_points_respect_support_planes():
         assert np.max(excess) <= 1e-10 * scale
         coarse = numerical_range_boundary(T, n_angles=90)
         assert np.max(support_excess(T, coarse)) <= 1e-10 * scale
+
+
+def _sweep_oracle(T, n_angles):
+    """Per-angle, full-turn eigh of Re(e^{-i theta} T): support values and the grid."""
+    angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+    support = np.full(n_angles, -np.inf)
+    for k, theta in enumerate(angles):
+        rot = np.exp(-1j * theta) * T
+        if T.shape[0]:
+            support[k] = np.linalg.eigh((rot + rot.conj().T) / 2)[0][-1]
+    return angles, support
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
+    # Half-turn, chunked sweep against an independent per-angle full-turn
+    # eigh; chunked forces ragged chunks of 7 angles.
+    rng = rng_for(SEED, "sweep-oracle")
+    inputs = [random_operator(rng, dim) for dim in (0, 1, 2, 5, 13)] + [JORDAN2]
+    for T in inputs:
+        if chunked:
+            monkeypatch.setattr(linops, "_SWEEP_CHUNK", 7 * T.shape[0] ** 2)
+        tol = 1e-13 * max(1.0, np.linalg.norm(T, 2) if T.size else 0.0)
+        for n_angles in (3, 45, 90, 720):
+            angles, support = _sweep_oracle(T, n_angles)
+            wr = numerical_range(T, n_angles)
+            assert np.array_equal(wr.angles, angles)
+            if T.shape[0] == 0:
+                assert np.all(wr.support == -np.inf) and wr.points.size == 0
+                continue
+            assert np.max(np.abs(wr.support - support)) <= tol
+            attained = np.real(np.exp(-1j * angles) * wr.points)
+            assert np.max(np.abs(attained - support)) <= tol
+
+
+def test_sweep_solves_eigenvalues_only_for_its_readers(stacked_solves):
+    # w(T), support excess and the accretivity report read support values
+    # only: one eigvalsh half-turn sweep each, never eigenvectors.
+    T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
+    for call, n_angles in (
+        (lambda: numerical_radius(T), 720),
+        (lambda: numerical_radius(T, n_angles=90), 90),
+        (lambda: support_excess(T, np.linalg.eigvals(T)), 720),
+        (lambda: support_excess(T, [0.0], n_angles=90), 90),
+        (lambda: accretivity_report(T), 720),
+    ):
+        stacked_solves.update(eigh=0, eigvalsh=0)
+        call()
+        assert stacked_solves == {"eigh": 0, "eigvalsh": n_angles // 2}
+
+
+def test_sweep_memory_is_bounded():
+    # Solving all 720 angles at once with eigenvectors peaks at 136 MiB here.
+    T = random_operator(rng_for(SEED, "sweep-memory"), 64)
+    tracemalloc.start()
+    try:
+        numerical_range(T).points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20, f"sweep peak {peak / 2**20:.1f} MiB"
 
 
 def test_boundary_hull_grows_with_refinement():
