@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
-from .linops import Operator, as_operator, operator_norm
+from .linops import Operator, checked_matrix, operator_norm
 from .pencil import QuadraticPencil, accretive_sqrt
 from .tolerances import DEFAULTS
 
@@ -36,7 +36,7 @@ def expm(A):
     Non-finite entries in the result (overflow from extreme norms) raise
     AccuracyError with the offending norm in the message.
     """
-    M = as_operator(A).matrix
+    M = checked_matrix(A)
     if M.shape[0] == 0 or not M.any():
         return np.eye(M.shape[0], dtype=complex)
     import scipy.linalg  # deferred: costs ~0.2 s at import
@@ -151,7 +151,8 @@ class BvpProblem:
         if self.sqrt_upsilon is None:
             R = accretive_sqrt(A @ A + S.matrix)
         else:
-            R = as_operator(self.sqrt_upsilon).matrix
+            # A copy, writable like the computed root even when given an Operator.
+            R = checked_matrix(self.sqrt_upsilon).copy()
             if R.shape != A.shape:
                 raise ParameterError(f"sqrt_upsilon has shape {R.shape}, expected {A.shape}")
         resid = operator_norm(A @ R - R @ A)

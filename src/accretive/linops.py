@@ -8,7 +8,7 @@ closed sector |arg z| <= omega about the positive real axis.
 """
 
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -21,6 +21,9 @@ _DEFAULT_ANGLES = 720
 # Complex entries per stacked chunk of rotated matrices in a W(T) sweep (8 MiB):
 # 32 angles at n = 128, a whole half-turn at n = 32.
 _SWEEP_CHUNK = 2**19
+# Distinct matrix contents whose Operators as_operator keeps: enough for the
+# operators one command works on, few enough that retained memory is O(n^2).
+_SHARED_OPERATORS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,9 +33,16 @@ class Operator:
     Every step given the same Operator shares what the first one computed:
     the singular values (norm is the first), the Cartesian parts, eigh(Re T),
     the default W(T) sweep, and the full SVD that callers needing singular
-    vectors read, which then also supplies the singular values.  Build one
-    with as_operator, and leave the matrix unmodified afterwards: nothing
-    cached is recomputed.
+    vectors read, which then also supplies the singular values.
+
+    Build one with as_operator.  Equal matrix content then gives the same
+    Operator across calls, for the _SHARED_OPERATORS most recently used
+    contents, and its matrix is a read-only copy of the input, so nothing
+    cached can go stale.  The cached fields are shared by every caller: read
+    them, never write them (the public functions that return arrays return
+    copies).  Each field is computed on first read; two threads reading it
+    first may both compute it, which is harmless, since both get the same
+    values.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -73,22 +83,49 @@ class Operator:
     @cached_property
     def numerical_range(self):
         """The default 720-angle sweep of W(T); see NumericalRange."""
-        return NumericalRange(self, _angle_grid(_DEFAULT_ANGLES))
+        return NumericalRange(self.matrix, self.parts, _angle_grid(_DEFAULT_ANGLES))
 
 
 def as_operator(T):
     """Validate T and return it as an Operator; an Operator is returned unchanged.
 
+    Equal matrix content (shape and complex128 bytes) gives the same
+    Operator, so calls handed separate arrays with one content share its
+    factorizations and W(T) sweep.  Only the _SHARED_OPERATORS most recently
+    used contents are kept, so retained memory stays O(n^2).  The Operator's
+    matrix is a read-only copy, not the caller's array: changing that array
+    afterwards gives a new content and a new Operator.  Two threads that miss
+    at once may each get their own Operator for one content, which is
+    harmless.
+
     Raises DimensionError for non-square shapes or non-finite entries.
     """
     if isinstance(T, Operator):
         return T
+    A = checked_matrix(T)
+    return _shared_operator(A.shape, A.tobytes())
+
+
+def checked_matrix(T):
+    """T as a square complex128 ndarray with finite entries, not kept or copied.
+
+    For callers that need the validated array but no factorization of it; an
+    Operator gives its matrix.  Raises DimensionError like as_operator.
+    """
+    if isinstance(T, Operator):
+        return T.matrix
     A = np.asarray(T, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
         raise DimensionError("matrix entries must be finite")
-    return Operator(A)
+    return A
+
+
+@lru_cache(maxsize=_SHARED_OPERATORS)
+def _shared_operator(shape, content):
+    """The Operator for one matrix content, viewing the immutable bytes of its key."""
+    return Operator(np.frombuffer(content, dtype=np.complex128).reshape(shape))
 
 
 def operator_norm(T):
@@ -105,8 +142,12 @@ class CartesianParts:
 
 
 def cartesian_parts(T):
-    """Cartesian decomposition T = Re(T) + i*Im(T), both parts Hermitian."""
-    return as_operator(T).parts
+    """Cartesian decomposition T = Re(T) + i*Im(T), both parts Hermitian.
+
+    The parts are copies, so writing to them leaves the operator's cache intact.
+    """
+    parts = as_operator(T).parts
+    return CartesianParts(re_part=parts.re_part.copy(), im_part=parts.im_part.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +165,10 @@ class NumericalRange:
     chunks of at most _SWEEP_CHUNK complex entries, so memory is O(n^2) and
     not O(n_angles * n^2).
 
+    It holds the matrix and its parts, not the Operator: the Operator caches
+    its default sweep, and a reference back would make a cycle that keeps an
+    Operator alive after its last use until the cyclic garbage collector runs.
+
     Each field costs only what it needs, computed on first read:
     support (read by radius and excess) runs eigvalsh alone; points runs eigh
     with eigenvectors and fills support from the same solves; radius adds a
@@ -131,7 +176,8 @@ class NumericalRange:
     points, support values -inf, w(T) = 0.
     """
 
-    operator: Operator = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
+    parts: CartesianParts = field(repr=False)
     angles: np.ndarray
 
     @cached_property
@@ -148,15 +194,15 @@ class NumericalRange:
 
     def _sweep(self, vectors):
         """(support, points or None) from half-turn chunks of stacked solves."""
-        op, m = self.operator, len(self.angles)
-        n = op.dim
+        A, m = self.matrix, len(self.angles)
+        n = A.shape[0]
         if n == 0:
             return np.full(m, -np.inf), np.zeros(0, complex)
         # On an even grid angles[k + half] = angles[k] + pi; odd grids solve every angle.
         half = m // 2 if m % 2 == 0 else m
         support = np.empty(m)
         points = np.empty(m, complex) if vectors else None
-        re, im = op.parts.re_part, op.parts.im_part
+        re, im = self.parts.re_part, self.parts.im_part
         step = max(1, _SWEEP_CHUNK // (n * n))
         for lo in range(0, half, step):
             hi = min(lo + step, half)
@@ -165,14 +211,14 @@ class NumericalRange:
             H += np.sin(theta)[:, None, None] * im
             if vectors:
                 vals, vecs = np.linalg.eigh(H)
-                points[lo:hi] = _rayleigh(op.matrix, vecs[:, :, -1])
+                points[lo:hi] = _rayleigh(A, vecs[:, :, -1])
             else:
                 vals = np.linalg.eigvalsh(H)
             support[lo:hi] = vals[:, -1]
             if half < m:
                 support[lo + half:hi + half] = -vals[:, 0]
                 if vectors:
-                    points[lo + half:hi + half] = _rayleigh(op.matrix, vecs[:, :, 0])
+                    points[lo + half:hi + half] = _rayleigh(A, vecs[:, :, 0])
         return support, points
 
     def excess(self, points):
@@ -194,7 +240,7 @@ class NumericalRange:
         """
         from scipy.optimize import minimize_scalar  # deferred: costs ~0.2 s at import
 
-        A = self.operator.matrix
+        A = self.matrix
         if A.shape[0] == 0:
             return 0.0
         k = int(np.argmax(self.support))
@@ -227,23 +273,25 @@ def numerical_range(T, n_angles=_DEFAULT_ANGLES):
     """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange.
 
     The default grid is the operator's cached sweep (Operator.numerical_range),
-    so every caller handed the same Operator shares its solves.
+    so every caller handed the same Operator, or an array of the same content,
+    shares its solves; its arrays are that cache, so read them, never write them.
     """
     op = as_operator(T)
     if n_angles < 3:
         raise DimensionError("n_angles must be >= 3")
     if n_angles == _DEFAULT_ANGLES:
         return op.numerical_range
-    return NumericalRange(op, _angle_grid(int(n_angles)))
+    return NumericalRange(op.matrix, op.parts, _angle_grid(int(n_angles)))
 
 
 def numerical_range_boundary(T, n_angles=_DEFAULT_ANGLES):
     """Rayleigh points attaining the support function on a uniform angle grid.
 
     They lie in W(T); their hull approximates W(T) from inside and grows
-    monotonically as n_angles doubles (the angle grids nest).
+    monotonically as n_angles doubles (the angle grids nest).  The points are
+    a copy, so writing to them leaves the cached sweep intact.
     """
-    return numerical_range(T, n_angles).points
+    return numerical_range(T, n_angles).points.copy()
 
 
 def numerical_radius(T, n_angles=_DEFAULT_ANGLES):

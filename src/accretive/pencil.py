@@ -236,7 +236,8 @@ def factorize(p):
     for name, M in (("T", p.T), ("T^2", Operator(T2)), ("S", p.S)):
         if M.delta < -tol:
             warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
-    U = as_operator(T2 + S)
+    upsilon = T2 + S
+    U = as_operator(upsilon)
     W, sqrt_residual = _sqrt_and_residual(U)
     R = as_operator(W)
     z1 = T + W
@@ -252,7 +253,7 @@ def factorize(p):
     if regime == "degenerate":
         warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
     return PencilFactorization(
-        upsilon=U.matrix,
+        upsilon=upsilon,
         sqrt_upsilon=W,
         z1=z1,
         z2=z2,

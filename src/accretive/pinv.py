@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import HypothesisError, ParameterError, PreconditionError
-from .linops import as_operator, operator_norm, sectorial_angle
+from .linops import as_operator, checked_matrix, operator_norm, sectorial_angle
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -54,8 +54,8 @@ def pseudoinverse(T):
 
 def penrose_residuals(T, P):
     """The four Penrose identity residuals for a claimed pseudoinverse P."""
-    A = as_operator(T).matrix
-    B = as_operator(P).matrix
+    A = checked_matrix(T)
+    B = checked_matrix(P)
     TP, PT = A @ B, B @ A
     return {
         "TPT": operator_norm(TP @ A - A),

@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from accretive import linops
+
+
+@pytest.fixture(autouse=True)
+def fresh_operators():
+    """Start each test with no shared Operator, so no test reads another's factorizations."""
+    linops._shared_operator.cache_clear()
+
 
 @pytest.fixture
 def stacked_solves(monkeypatch):

@@ -1,7 +1,9 @@
 """Numerical range, accretivity, and sectorial-angle certification."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from accretive.bvp import BvpProblem, solve_bvp
 from accretive.errors import DimensionError, PreconditionError
 from accretive.linops import (
     accretivity_report,
+    as_operator,
     cartesian_parts,
     hermitian_sqrt,
     kato_representation,
@@ -230,18 +233,123 @@ def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
 
 def test_sweep_solves_eigenvalues_only_for_its_readers(stacked_solves):
     # w(T), support excess and the accretivity report read support values
-    # only: one eigvalsh half-turn sweep each, never eigenvectors.
+    # only: one eigvalsh half-turn sweep each, never eigenvectors.  Alone,
+    # each call sweeps its grid once; in sequence on one matrix content the
+    # three default-grid readers share one sweep, and each 90-angle call
+    # sweeps its own grid.
     T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
-    for call, n_angles in (
+    calls = (
         (lambda: numerical_radius(T), 720),
         (lambda: numerical_radius(T, n_angles=90), 90),
-        (lambda: support_excess(T, np.linalg.eigvals(T)), 720),
+        (lambda: support_excess(T.copy(), np.linalg.eigvals(T)), 720),
         (lambda: support_excess(T, [0.0], n_angles=90), 90),
-        (lambda: accretivity_report(T), 720),
-    ):
+        (lambda: accretivity_report(T.copy()), 720),
+    )
+    for call, n_angles in calls:
+        linops._shared_operator.cache_clear()
         stacked_solves.update(eigh=0, eigvalsh=0)
         call()
         assert stacked_solves == {"eigh": 0, "eigvalsh": n_angles // 2}
+    linops._shared_operator.cache_clear()
+    stacked_solves.update(eigh=0, eigvalsh=0)
+    for call, _ in calls:
+        call()
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 720 // 2 + 2 * (90 // 2)}
+
+
+def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
+    # The report, the boundary and two support-excess checks, each handed the
+    # same raw array: one eigvalsh sweep (the report's support values) and one
+    # eigh sweep (the boundary points), where separate Operators made three
+    # eigvalsh sweeps and one eigh sweep.
+    T = random_operator(rng_for(SEED, "analyze-sequence"), 6)
+    accretivity_report(T)
+    pts = numerical_range_boundary(T)
+    support_excess(T, pts)
+    support_excess(T, np.linalg.eigvals(T))
+    assert stacked_solves == {"eigh": 360, "eigvalsh": 360}
+
+
+def test_operator_matrix_is_a_read_only_copy():
+    A = random_operator(rng_for(SEED, "read-only"), 4)
+    op = as_operator(A)
+    assert not op.matrix.flags.writeable
+    assert not np.shares_memory(op.matrix, A)
+    with pytest.raises(ValueError):
+        op.matrix[0, 0] = 1.0
+    assert as_operator(A.copy()) is op
+    assert as_operator(op) is op
+    assert as_operator(A.real) is not op
+
+
+def test_mutated_input_gets_the_new_contents_report():
+    T = accretive_operator(rng_for(SEED, "mutated"), 5)
+    first = accretivity_report(T)
+    T[:] = -T
+    second = accretivity_report(T)
+    linops._shared_operator.cache_clear()
+    assert second.as_dict() == accretivity_report(T.copy()).as_dict()
+    assert first.is_accretive and not second.is_accretive
+
+
+def test_shared_operators_are_bounded(stacked_solves):
+    rng = rng_for(SEED, "bounded-sharing")
+    first = random_operator(rng, 4)
+    others = [random_operator(rng, 4) for _ in range(linops._SHARED_OPERATORS)]
+    numerical_radius(first)
+    for M in others[:-1]:
+        numerical_radius(M)
+    numerical_radius(first)
+    assert stacked_solves["eigvalsh"] == linops._SHARED_OPERATORS * 360
+    # first is now the most recent of the kept contents; after as many
+    # distinct contents as are kept, its sweep runs again.
+    for M in others:
+        numerical_radius(M)
+    stacked_solves["eigvalsh"] = 0
+    numerical_radius(first)
+    assert stacked_solves["eigvalsh"] == 360
+
+
+def test_dropped_operator_is_freed_without_the_cycle_collector():
+    # The Operator caches its sweep, and the sweep does not point back, so a
+    # dropped Operator's factorizations are freed at once, not kept until the
+    # cyclic garbage collector happens to run.
+    op = as_operator(random_operator(rng_for(SEED, "no-cycle"), 4))
+    op.numerical_range.points
+    op.svd
+    ref = weakref.ref(op)
+    gc.disable()
+    try:
+        del op
+        linops._shared_operator.cache_clear()
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_returned_arrays_are_writable():
+    rng = rng_for(SEED, "writable")
+    T, S = accretive_operator(rng, 4), accretive_operator(rng, 4)
+    C, D = commuting_pencil_pair(rng, 4)
+    f = pencil.factorize(pencil.QuadraticPencil(T, S))
+    parts = cartesian_parts(T)
+    arrays = [
+        f.upsilon, f.sqrt_upsilon, f.z1, f.z2, parts.re_part, parts.im_part,
+        numerical_range_boundary(T), kato_representation(T),
+        pinv.pseudoinverse(T).pinv, pinv.pseudoinverse(np.zeros((0, 0))).pinv,
+        pencil.accretive_sqrt(T), pencil.balakrishnan_power(T, 0.5),
+        solve_bvp(BvpProblem(C, D, np.ones(4), np.zeros(4))).values,
+        BvpProblem(C, D, np.ones(4), np.zeros(4), as_operator(f.sqrt_upsilon)).sqrt_upsilon,
+    ]
+    assert all(a.flags.writeable for a in arrays)
+    # Writing to the arrays drawn from T's cached fields changes nothing that
+    # later calls on T read.
+    pts, parts = numerical_range_boundary(T), cartesian_parts(T)
+    before = pts.copy()
+    pts[...] = 0
+    parts.re_part[...] = 0
+    assert np.array_equal(numerical_range_boundary(T), before)
+    assert np.array_equal(cartesian_parts(T).re_part, (T + T.conj().T) / 2)
 
 
 def test_sweep_memory_is_bounded():
@@ -364,16 +472,28 @@ def test_operator_norm_once_per_input(monkeypatch):
 
         monkeypatch.setattr(mod, "svd", counting)
 
-    def norms_of(M, fn, *args):
-        seen.clear()
-        fn(*args)
+    def svds_of(M):
         return sum(m.shape == M.shape and np.array_equal(m, M) for m in seen)
 
-    assert norms_of(T, accretivity_report, T) == 1
-    assert norms_of(S, pinv.perturbation_certificate, T, S) == 1
-    assert norms_of(T, pencil.balakrishnan_power, T, 0.5) == 1
-    for M in (T, S):
-        assert norms_of(M, pencil.factorize, pencil.QuadraticPencil(T, S)) == 1
     C, D = commuting_pencil_pair(rng, 5)
-    for M in (C, D):
-        assert norms_of(M, solve_bvp, BvpProblem(C, D, np.ones(5), np.zeros(5))) == 1
+    # perturbation_certificate comes first: its full SVD of T (for the
+    # pseudoinverse) then supplies T's singular values to the later calls.
+    calls = (
+        ((S,), lambda: pinv.perturbation_certificate(T, S)),
+        ((T,), lambda: accretivity_report(T)),
+        ((T,), lambda: pencil.balakrishnan_power(T, 0.5)),
+        ((T, S), lambda: pencil.factorize(pencil.QuadraticPencil(T.copy(), S.copy()))),
+        ((C, D), lambda: solve_bvp(BvpProblem(C, D, np.ones(5), np.zeros(5)))),
+    )
+    # Alone, each call takes each input's norm once.
+    for inputs, call in calls:
+        linops._shared_operator.cache_clear()
+        seen.clear()
+        call()
+        assert [svds_of(M) for M in inputs] == [1] * len(inputs)
+    # In sequence, separate arrays of one content share that one SVD.
+    linops._shared_operator.cache_clear()
+    seen.clear()
+    for _, call in calls:
+        call()
+    assert [svds_of(M) for M in (T, S, C, D)] == [1, 1, 1, 1]
