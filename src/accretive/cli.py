@@ -121,7 +121,6 @@ def _conclude(claims, path, note=None):
 def _cmd_analyze(args, tols, out_dir):
     T = as_operator(read_matrix(args.input))
     scale = max(1.0, T.norm)
-    # Points first: their eigh sweep also fills the support values the report reads.
     wr = T.numerical_range
     hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
     rep = accretivity_report(T, tol=tols["accretivity"] * scale)
@@ -146,10 +145,12 @@ def _cmd_analyze(args, tols, out_dir):
 def _cmd_pinv(args, tols, out_dir):
     T = as_operator(read_matrix(args.input))
     res = pseudoinverse(T)
-    scale = max(1.0, T.norm, operator_norm(res.pinv))
+    # ||T|| from the pseudoinverse's SVD, which the report prints: one SVD of T.
+    nrm = res.singular_values[0] if T.dim else 0.0
+    scale = max(1.0, nrm, operator_norm(res.pinv))
     worst = max(penrose_residuals(T, res.pinv).values()) / scale
     claims = [_claim("penrose-identities", worst, tols["penrose"])]
-    if T.dim and T.delta >= -tols["accretivity"] * max(1.0, T.norm):
+    if T.dim and T.delta >= -tols["accretivity"] * max(1.0, nrm):
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
         claims.append(_claim("pinv-accretive", max(0.0, -lam), tols["pinv-accretive"]))
     out_path = os.path.join(out_dir, "pinv.json")

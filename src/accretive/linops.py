@@ -33,7 +33,7 @@ class Operator:
     Every step given the same Operator shares what the first one computed:
     the singular values (norm is the first), the Cartesian parts, eigh(Re T),
     the default W(T) sweep, and the full SVD that callers needing singular
-    vectors read, which then also supplies the singular values.
+    vectors read.  Each field has one kernel, whichever call reads it first.
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -57,12 +57,11 @@ class Operator:
 
     @cached_property
     def singular_values(self):
-        full = self.__dict__.get("svd")
-        return np.linalg.svd(self.matrix, compute_uv=False) if full is None else full[1]
+        return np.linalg.svd(self.matrix, compute_uv=False)
 
     @cached_property
     def norm(self):
-        """Spectral norm; bit-for-bit operator_norm(matrix) unless the full SVD came first."""
+        """Spectral norm, bit-for-bit operator_norm(matrix)."""
         return float(self.singular_values[0]) if self.dim else 0.0
 
     @cached_property
@@ -91,12 +90,12 @@ def as_operator(T):
 
     Equal matrix content (shape and complex128 bytes) gives the same
     Operator, so calls handed separate arrays with one content share its
-    factorizations and W(T) sweep.  Only the _SHARED_OPERATORS most recently
+    factorizations and W(T) sweep; each field has one kernel, so sharing
+    never changes a result's bits.  Only the _SHARED_OPERATORS most recently
     used contents are kept, so retained memory stays O(n^2).  The Operator's
     matrix is a read-only copy, not the caller's array: changing that array
     afterwards gives a new content and a new Operator.  Two threads that miss
-    at once may each get their own Operator for one content, which is
-    harmless.
+    at once may each get their own Operator for one content, harmlessly.
 
     Raises DimensionError for non-square shapes or non-finite entries.
     """
@@ -169,31 +168,28 @@ class NumericalRange:
     its default sweep, and a reference back would make a cycle that keeps an
     Operator alive after its last use until the cyclic garbage collector runs.
 
-    Each field costs only what it needs, computed on first read:
-    support (read by radius and excess) runs eigvalsh alone; points runs eigh
-    with eigenvectors and fills support from the same solves; radius adds a
-    Brent pass of single eigvalsh calls.  A 0x0 operator has empty W(T): no
-    points, support values -inf, w(T) = 0.
+    The sweep has one solve path: the first read of support or points runs
+    eigh and fills both; radius adds a Brent pass of single eigvalsh calls.
+    A 0x0 operator has empty W(T): no points, support values -inf, w(T) = 0.
     """
 
     matrix: np.ndarray = field(repr=False)
     parts: CartesianParts = field(repr=False)
     angles: np.ndarray
 
-    @cached_property
+    @property
     def support(self):
         """h(theta_k) for every grid angle."""
-        return self._sweep(vectors=False)[0]
+        return self._sweep[0]
 
-    @cached_property
+    @property
     def points(self):
         """Boundary Rayleigh points attaining h(theta_k), in grid order."""
-        support, points = self._sweep(vectors=True)
-        self.__dict__.setdefault("support", support)
-        return points
+        return self._sweep[1]
 
-    def _sweep(self, vectors):
-        """(support, points or None) from half-turn chunks of stacked solves."""
+    @cached_property
+    def _sweep(self):
+        """(support, points) from half-turn chunks of stacked eigh solves."""
         A, m = self.matrix, len(self.angles)
         n = A.shape[0]
         if n == 0:
@@ -201,7 +197,7 @@ class NumericalRange:
         # On an even grid angles[k + half] = angles[k] + pi; odd grids solve every angle.
         half = m // 2 if m % 2 == 0 else m
         support = np.empty(m)
-        points = np.empty(m, complex) if vectors else None
+        points = np.empty(m, complex)
         re, im = self.parts.re_part, self.parts.im_part
         step = max(1, _SWEEP_CHUNK // (n * n))
         for lo in range(0, half, step):
@@ -209,16 +205,12 @@ class NumericalRange:
             theta = self.angles[lo:hi]
             H = np.cos(theta)[:, None, None] * re
             H += np.sin(theta)[:, None, None] * im
-            if vectors:
-                vals, vecs = np.linalg.eigh(H)
-                points[lo:hi] = _rayleigh(A, vecs[:, :, -1])
-            else:
-                vals = np.linalg.eigvalsh(H)
+            vals, vecs = np.linalg.eigh(H)
             support[lo:hi] = vals[:, -1]
+            points[lo:hi] = _rayleigh(A, vecs[:, :, -1])
             if half < m:
                 support[lo + half:hi + half] = -vals[:, 0]
-                if vectors:
-                    points[lo + half:hi + half] = _rayleigh(A, vecs[:, :, 0])
+                points[lo + half:hi + half] = _rayleigh(A, vecs[:, :, 0])
         return support, points
 
     def excess(self, points):
@@ -272,9 +264,9 @@ def _angle_grid(n_angles):
 def numerical_range(T, n_angles=_DEFAULT_ANGLES):
     """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange.
 
-    The default grid is the operator's cached sweep (Operator.numerical_range),
-    so every caller handed the same Operator, or an array of the same content,
-    shares its solves; its arrays are that cache, so read them, never write them.
+    The default grid is the operator's cached sweep (Operator.numerical_range):
+    every caller handed that Operator, or an array of its content, shares its
+    one eigh sweep of support and points; read its arrays, never write them.
     """
     op = as_operator(T)
     if n_angles < 3:

@@ -15,6 +15,7 @@ from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
     Operator,
     as_operator,
+    checked_matrix,
     operator_norm,
     sector_angle_estimate,
     sectorial_angle,
@@ -236,14 +237,16 @@ def factorize(p):
     for name, M in (("T", p.T), ("T^2", Operator(T2)), ("S", p.S)):
         if M.delta < -tol:
             warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
+    # Upsilon, R and Z1 are this call's own: unshared Operators, so they
+    # evict no caller's operator from as_operator's cache.
     upsilon = T2 + S
-    U = as_operator(upsilon)
+    U = Operator(checked_matrix(upsilon))
     W, sqrt_residual = _sqrt_and_residual(U)
-    R = as_operator(W)
+    R = Operator(checked_matrix(W).copy())
     z1 = T + W
     z2 = T - W
     sqrt_angle = _sector_angle(R)
-    z1_angle = _sector_angle(as_operator(z1))
+    z1_angle = _sector_angle(Operator(checked_matrix(z1)))
     comm = operator_norm(T @ S - S @ T)
     commuting = bool(comm <= DEFAULTS["commutation"] * max(1.0, t_norm * s_norm))
     s1 = np.linalg.eigvals(z1)

@@ -9,7 +9,7 @@ import zlib
 
 import numpy as np
 
-from .linops import cartesian_parts, hermitian_sqrt
+from .linops import hermitian_sqrt
 from .pinv import pseudoinverse
 
 
@@ -102,8 +102,8 @@ def square_accretive_operator(rng, dim):
     R = hermitian_sqrt(H)
     for _ in range(60):
         T = R @ (np.eye(dim) + 1j * K) @ R
-        sq = cartesian_parts(T @ T)
-        if np.linalg.eigvalsh(sq.re_part)[0] >= 1e-3:
+        sq = T @ T
+        if np.linalg.eigvalsh((sq + sq.conj().T) / 2)[0] >= 1e-3:
             return T
         K *= 0.5
     return R @ R

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from accretive import linops
 from accretive.cli import run
 from accretive.matio import read_matrix, write_matrix, write_vector
 from accretive.pencil import accretive_sqrt
@@ -23,6 +24,11 @@ from accretive.sampling import (
 )
 from accretive.selftest import _REGISTRY
 from accretive.spectral import LaplacianModel, build_operators
+
+
+def _text(path):
+    with open(path) as fh:
+        return fh.read()
 
 
 @pytest.fixture
@@ -53,7 +59,7 @@ def files(tmp_path):
 def test_analyze_witness(files):
     rc = run(["analyze", "--input", files["witness"], "--out", files["out"]])
     assert rc == 0
-    report = json.loads(open(files["out"] + "/analyze-report.json").read())
+    report = json.loads(_text(files["out"] + "/analyze-report.json"))
     assert abs(report["analysis"]["omega"] - math.pi / 4) <= 1e-10
     assert all(c["status"] == "pass" for c in report["claims"])
 
@@ -142,7 +148,7 @@ def test_perturb_pass_and_fail(files, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "certificate" in err
-    dump = json.loads(open(files["out"] + "/perturb-certificate.json").read())
+    dump = json.loads(_text(files["out"] + "/perturb-certificate.json"))
     assert dump["mode"] == "fail"
 
 
@@ -150,7 +156,7 @@ def test_factorize_report(files):
     rc = run(["factorize", "--input", files["diag-t"], "--input2", files["diag-s"],
               "--out", files["out"]])
     assert rc == 0
-    report = json.loads(open(files["out"] + "/factorize-report.json").read())
+    report = json.loads(_text(files["out"] + "/factorize-report.json"))
     assert report["separation"] == pytest.approx(4.0, abs=1e-9)
     assert report["commuting"] is True
     z1 = read_matrix(files["out"] + "/z1.json")
@@ -162,7 +168,7 @@ def test_solve_bvp_csv(files):
               "--u0", files["u0"], "--u1", files["u1"], "--grid", "33",
               "--out", files["out"]])
     assert rc == 0
-    lines = open(files["out"] + "/solve-bvp-solution.csv").read().splitlines()
+    lines = _text(files["out"] + "/solve-bvp-solution.csv").splitlines()
     assert lines[0] == "t,component,re,im"
     assert len(lines) == 1 + 33 * 2
     t0, comp, re, im = lines[1].split(",")
@@ -182,10 +188,10 @@ def test_demo_laplacian(files):
     rc = run(["demo-laplacian", "--modes", "8", "--x-samples", "9", "--grid", "17",
               "--out", files["out"]])
     assert rc == 0
-    lines = open(files["out"] + "/demo-laplacian-field.csv").read().splitlines()
+    lines = _text(files["out"] + "/demo-laplacian-field.csv").splitlines()
     assert lines[0] == "t,x,re,im"
     assert len(lines) == 1 + 17 * 9
-    report = json.loads(open(files["out"] + "/demo-laplacian-report.json").read())
+    report = json.loads(_text(files["out"] + "/demo-laplacian-report.json"))
     assert report["certificate_mode"] == "both"
     assert run(["demo-laplacian", "--eta1", "0.01", "--out", files["out"]]) == 3
 
@@ -195,20 +201,20 @@ def test_selftest_deterministic(files, tmp_path):
     out_b = str(tmp_path / "b")
     assert run(["selftest", "--out", out_a]) == 0
     assert run(["selftest", "--out", out_b]) == 0
-    rep_a = json.loads(open(out_a + "/selftest-report.json").read())
-    rep_b = json.loads(open(out_b + "/selftest-report.json").read())
+    rep_a = json.loads(_text(out_a + "/selftest-report.json"))
+    rep_b = json.loads(_text(out_b + "/selftest-report.json"))
     assert rep_a["body"] == rep_b["body"]
     assert rep_a["body"]["summary"]["failed"] == 0
     # A different seed must change measured values somewhere.
     out_c = str(tmp_path / "c")
     assert run(["selftest", "--seed", "7", "--out", out_c]) == 0
-    rep_c = json.loads(open(out_c + "/selftest-report.json").read())
+    rep_c = json.loads(_text(out_c + "/selftest-report.json"))
     assert rep_c["body"] != rep_a["body"]
 
 
 def test_selftest_runtimes_keyed_by_suite(tmp_path):
     assert run(["selftest", "--out", str(tmp_path)]) == 0
-    report = json.loads(open(tmp_path / "selftest-report.json").read())
+    report = json.loads(_text(tmp_path / "selftest-report.json"))
     assert sorted(report["runtime_seconds"]) == sorted(label for label, _ in _REGISTRY)
     assert all(t >= 0 for t in report["runtime_seconds"].values())
 
@@ -310,6 +316,8 @@ def test_each_operator_factored_once_per_command(tmp_path, kernel_args):
         (["demo-laplacian"], pencil_ops(*build_operators(LaplacianModel(1.0, 0.0, 0.1, 16)))),
     ]
     for argv, operators in cases:
+        # Each command runs in its own process in real use: nothing shared.
+        linops._shared_operator.cache_clear()
         kernel_args.clear()
         assert run(argv + ["--out", str(tmp_path / "out")]) == 0, argv
         counts = {name: _kernel_counts(kernel_args, M) for name, M in operators.items()}

@@ -27,6 +27,7 @@ from accretive.sampling import (
     accretive_operator,
     commuting_pencil_pair,
     hermitian,
+    pencil_pair,
     positive_definite,
     random_operator,
     rng_for,
@@ -231,12 +232,13 @@ def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
             assert np.max(np.abs(attained - support)) <= tol
 
 
-def test_sweep_solves_eigenvalues_only_for_its_readers(stacked_solves):
+def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     # w(T), support excess and the accretivity report read support values
-    # only: one eigvalsh half-turn sweep each, never eigenvectors.  Alone,
-    # each call sweeps its grid once; in sequence on one matrix content the
-    # three default-grid readers share one sweep, and each 90-angle call
-    # sweeps its own grid.
+    # only, yet run the one eigh half-turn sweep that also gives the points,
+    # so a cached field never depends on which read came first.  Alone, each
+    # call sweeps its grid once; in sequence on one matrix content the three
+    # default-grid readers share one sweep, and each 90-angle call sweeps its
+    # own grid.
     T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
     calls = (
         (lambda: numerical_radius(T), 720),
@@ -249,25 +251,80 @@ def test_sweep_solves_eigenvalues_only_for_its_readers(stacked_solves):
         linops._shared_operator.cache_clear()
         stacked_solves.update(eigh=0, eigvalsh=0)
         call()
-        assert stacked_solves == {"eigh": 0, "eigvalsh": n_angles // 2}
+        assert stacked_solves == {"eigh": n_angles // 2, "eigvalsh": 0}
     linops._shared_operator.cache_clear()
     stacked_solves.update(eigh=0, eigvalsh=0)
     for call, _ in calls:
         call()
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 720 // 2 + 2 * (90 // 2)}
+    assert stacked_solves == {"eigh": 720 // 2 + 2 * (90 // 2), "eigvalsh": 0}
 
 
 def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
     # The report, the boundary and two support-excess checks, each handed the
-    # same raw array: one eigvalsh sweep (the report's support values) and one
-    # eigh sweep (the boundary points), where separate Operators made three
-    # eigvalsh sweeps and one eigh sweep.
+    # same raw array, share one eigh sweep that gives the support values and
+    # the boundary points.
     T = random_operator(rng_for(SEED, "analyze-sequence"), 6)
     accretivity_report(T)
     pts = numerical_range_boundary(T)
     support_excess(T, pts)
     support_excess(T, np.linalg.eigvals(T))
-    assert stacked_solves == {"eigh": 360, "eigvalsh": 360}
+    assert stacked_solves == {"eigh": 360, "eigvalsh": 0}
+
+
+def _bits(x):
+    """A value's exact bits: array bytes, and repr (exact for floats) otherwise."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, (tuple, list)):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    return repr(x)
+
+
+def test_results_do_not_depend_on_call_order():
+    # Each cached field has one kernel, so the public readers give the same
+    # bits whichever runs first on a matrix content.  Forward, the full SVD
+    # and the boundary points are read first; in reverse, the norm and the
+    # support values are.
+    rng = rng_for(SEED, "call-order")
+    inputs = [JORDAN2]
+    for dim in (0, 1, 5, 32):
+        # The singular accretive 1x1 operator is zero.
+        singular = singular_accretive_operator(rng, dim, dim // 2) if dim != 1 else np.zeros((1, 1))
+        inputs += [random_operator(rng, dim), accretive_operator(rng, dim), singular]
+    readers = (
+        lambda A: pinv.pseudoinverse(A).pinv,
+        lambda A: pinv.pseudoinverse(A).singular_values,
+        numerical_range_boundary,
+        lambda A: accretivity_report(A).as_dict(),
+        numerical_radius,
+        lambda A: support_excess(A, np.linalg.eigvals(A)),
+        linops.sectorial_angle,
+    )
+    for k, A in enumerate(inputs):
+        linops._shared_operator.cache_clear()
+        forward = [_bits(read(A)) for read in readers]
+        assert as_operator(A).norm == linops.operator_norm(A), f"input {k}"
+        linops._shared_operator.cache_clear()
+        backward = [_bits(read(A)) for read in reversed(readers)][::-1]
+        for j, (a, b) in enumerate(zip(forward, backward)):
+            assert a == b, f"input {k}, reader {j}"
+
+
+def test_factorize_keeps_the_callers_operators_shared():
+    # Upsilon, its root and Z1 are factorize's own temporaries: they take no
+    # shared slot, so the caller's T and S stay cached, and the root Operator
+    # does not alias the writable sqrt_upsilon the caller receives.  The
+    # sampler puts nothing in the cache either.
+    T, S = pencil_pair(rng_for(SEED, "factorize-sharing"), 5)
+    assert linops._shared_operator.cache_info().currsize == 0
+    p = pencil.QuadraticPencil(T, S)
+    f = pencil.factorize(p)
+    assert as_operator(T) is p.T
+    assert as_operator(S) is p.S
+    assert linops._shared_operator.cache_info().currsize == 2
+    assert not np.shares_memory(f.root.matrix, f.sqrt_upsilon)
 
 
 def test_operator_matrix_is_a_read_only_copy():
@@ -300,14 +357,14 @@ def test_shared_operators_are_bounded(stacked_solves):
     for M in others[:-1]:
         numerical_radius(M)
     numerical_radius(first)
-    assert stacked_solves["eigvalsh"] == linops._SHARED_OPERATORS * 360
+    assert stacked_solves["eigh"] == linops._SHARED_OPERATORS * 360
     # first is now the most recent of the kept contents; after as many
     # distinct contents as are kept, its sweep runs again.
     for M in others:
         numerical_radius(M)
-    stacked_solves["eigvalsh"] = 0
+    stacked_solves["eigh"] = 0
     numerical_radius(first)
-    assert stacked_solves["eigvalsh"] == 360
+    assert stacked_solves["eigh"] == 360
 
 
 def test_dropped_operator_is_freed_without_the_cycle_collector():
@@ -460,40 +517,45 @@ def test_input_validation():
 
 def test_operator_norm_once_per_input(monkeypatch):
     # A norm is the first singular value, so each input reaches numpy's SVD
-    # once (numpy.linalg.norm(A, 2) reaches it through the private module).
+    # once per call (numpy.linalg.norm(A, 2) reaches it through the private
+    # module).  The full SVD never stands in for the values-only one.
     rng = rng_for(SEED, "norm-once")
     T = accretive_operator(rng, 5)
     S = accretive_operator(rng, 5)
     seen = []
     for mod in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
         def counting(a, *args, _svd=mod.svd, **kwargs):
-            seen.append(np.asarray(a))
+            seen.append((np.asarray(a), kwargs.get("compute_uv", True)))
             return _svd(a, *args, **kwargs)
 
         monkeypatch.setattr(mod, "svd", counting)
 
-    def svds_of(M):
-        return sum(m.shape == M.shape and np.array_equal(m, M) for m in seen)
+    def svds_of(M, full=None):
+        return sum(
+            m.shape == M.shape and np.array_equal(m, M) and full in (None, uv)
+            for m, uv in seen
+        )
 
     C, D = commuting_pencil_pair(rng, 5)
-    # perturbation_certificate comes first: its full SVD of T (for the
-    # pseudoinverse) then supplies T's singular values to the later calls.
     calls = (
-        ((S,), lambda: pinv.perturbation_certificate(T, S)),
+        ((T, S), lambda: pinv.perturbation_certificate(T, S)),
         ((T,), lambda: accretivity_report(T)),
         ((T,), lambda: pencil.balakrishnan_power(T, 0.5)),
         ((T, S), lambda: pencil.factorize(pencil.QuadraticPencil(T.copy(), S.copy()))),
         ((C, D), lambda: solve_bvp(BvpProblem(C, D, np.ones(5), np.zeros(5)))),
     )
-    # Alone, each call takes each input's norm once.
+    # Alone, each call takes each input's norm, or its full SVD, once.
     for inputs, call in calls:
         linops._shared_operator.cache_clear()
         seen.clear()
         call()
         assert [svds_of(M) for M in inputs] == [1] * len(inputs)
-    # In sequence, separate arrays of one content share that one SVD.
+    # In sequence, separate arrays of one content share each kernel: T
+    # reaches the full SVD once (the pseudoinverse) and the values-only SVD
+    # once (its norm, read by every call); S, C and D reach the latter once.
     linops._shared_operator.cache_clear()
     seen.clear()
     for _, call in calls:
         call()
-    assert [svds_of(M) for M in (T, S, C, D)] == [1, 1, 1, 1]
+    assert [svds_of(M) for M in (T, S, C, D)] == [2, 1, 1, 1]
+    assert [svds_of(T, full=True), svds_of(T, full=False)] == [1, 1]
