@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
 from .linops import Operator, checked_matrix, operator_norm
-from .pencil import QuadraticPencil, accretive_sqrt
+from .pencil import QuadraticPencil, _sqrt_and_residual
 from .tolerances import DEFAULTS
 
 
@@ -149,7 +149,9 @@ class BvpProblem:
             )
         A = T.matrix
         if self.sqrt_upsilon is None:
-            R = accretive_sqrt(A @ A + S.matrix)
+            # Upsilon is this call's own: an unshared Operator evicts no
+            # caller's operator from as_operator's cache.
+            R = _sqrt_and_residual(Operator(checked_matrix(A @ A + S.matrix)))[0]
         else:
             # A copy, writable like the computed root even when given an Operator.
             R = checked_matrix(self.sqrt_upsilon).copy()

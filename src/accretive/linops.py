@@ -13,13 +13,15 @@ import math
 
 import numpy as np
 
-from .errors import DimensionError, PreconditionError
+from .errors import AccuracyError, DimensionError, PreconditionError
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
 _DEFAULT_ANGLES = 720
 # Complex entries per stacked chunk of rotated matrices in a W(T) sweep (8 MiB):
-# 32 angles at n = 128, a whole half-turn at n = 32.
+# 32 angles at n = 128, a whole half-turn at n = 32.  The chunk is overwritten
+# by its Householder reflectors; besides it a chunk holds only two eigenvectors
+# per angle, never a (k, n, n) eigenvector array.
 _SWEEP_CHUNK = 2**19
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
@@ -32,8 +34,9 @@ class Operator:
 
     Every step given the same Operator shares what the first one computed:
     the singular values (norm is the first), the Cartesian parts, eigh(Re T),
-    the default W(T) sweep, and the full SVD that callers needing singular
-    vectors read.  Each field has one kernel, whichever call reads it first.
+    the default W(T) sweep of end eigenpairs, and the full SVD that callers
+    needing singular vectors read.  Each field has one kernel, whichever
+    call reads it first.
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -168,8 +171,9 @@ class NumericalRange:
     its default sweep, and a reference back would make a cycle that keeps an
     Operator alive after its last use until the cyclic garbage collector runs.
 
-    The sweep has one solve path: the first read of support or points runs
-    eigh and fills both; radius adds a Brent pass of single eigvalsh calls.
+    The sweep has one solve path: the first read of support or points solves
+    only the bottom and top eigenpairs of each H(theta_k) (_end_eigenpairs)
+    and fills both; radius adds a Brent pass of single eigvalsh calls.
     A 0x0 operator has empty W(T): no points, support values -inf, w(T) = 0.
     """
 
@@ -189,7 +193,7 @@ class NumericalRange:
 
     @cached_property
     def _sweep(self):
-        """(support, points) from half-turn chunks of stacked eigh solves."""
+        """(support, points) from the end eigenpairs of half-turn chunks."""
         A, m = self.matrix, len(self.angles)
         n = A.shape[0]
         if n == 0:
@@ -205,12 +209,12 @@ class NumericalRange:
             theta = self.angles[lo:hi]
             H = np.cos(theta)[:, None, None] * re
             H += np.sin(theta)[:, None, None] * im
-            vals, vecs = np.linalg.eigh(H)
-            support[lo:hi] = vals[:, -1]
-            points[lo:hi] = _rayleigh(A, vecs[:, :, -1])
+            vals, vecs = _end_eigenpairs(H, theta)
+            support[lo:hi] = vals[:, 1]
+            points[lo:hi] = _rayleigh(A, vecs[:, 1])
             if half < m:
                 support[lo + half:hi + half] = -vals[:, 0]
-                points[lo + half:hi + half] = _rayleigh(A, vecs[:, :, 0])
+                points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
         return support, points
 
     def excess(self, points):
@@ -252,6 +256,57 @@ class NumericalRange:
         return max(best, float(-res.fun), 0.0)
 
 
+def _end_eigenpairs(H, theta):
+    """Bottom and top eigenpairs of each Hermitian H[j] of a chunk; H is overwritten.
+
+    Returns the two eigenvalues of each matrix in ascending order, shape
+    (k, 2), and their unit eigenvectors as rows, shape (k, 2, n).  Each H[j]
+    is reduced to a real tridiagonal by one Householder tridiagonalization
+    (zhetrd), whose end eigenpairs come from two index-range dstemr calls;
+    then the two vectors of every matrix are carried back through the
+    reflectors of the whole chunk at once, one numpy step per reflector.
+    zhetrd runs in place on H[j].T, the Fortran-ordered view of
+    conj(H[j]), so the vectors are conjugated on return.  A nonzero LAPACK
+    info raises AccuracyError naming the routine and the angle theta[j].
+    """
+    from scipy.linalg import lapack  # deferred: costs ~0.2 s at import
+
+    k, n = H.shape[:2]
+    vals = np.empty((k, 2))
+    vecs = np.empty((k, 2, n))
+    taus = np.empty((k, n - 1), complex)
+    # dstemr takes the off-diagonal padded to length n and overwrites it:
+    # each call gets its own row.
+    offdiag = np.zeros((k, 2, n))
+    for j in range(k):
+        _, d, e, taus[j], info = lapack.zhetrd(H[j].T, overwrite_a=1)
+        if info:
+            raise _lapack_error("zhetrd", info, theta[j])
+        offdiag[j, :, :-1] = e
+        for col, index in enumerate((1, n)):
+            # range 2: eigenpairs il..iu = index..index, counted from the bottom.
+            _, w, z, info = lapack.dstemr(d, offdiag[j, col], 2, 0.0, 1.0, index, index)
+            if info:
+                raise _lapack_error("dstemr", info, theta[j])
+            vals[j, col] = w[0]
+            vecs[j, col] = z[:, 0]
+    vecs = vecs.astype(complex)
+    # Upper storage: Q = P_{n-2} ... P_0 with P_i = I - tau_i v v^H, where
+    # v = (H[i+1, :i], 1, 0, ...); H[i+1, i] holds the superdiagonal, already in e.
+    for i in range(n - 1):
+        H[:, i + 1, i] = 1.0
+        v = H[:, i + 1, :i + 1]
+        head = vecs[:, :, :i + 1]
+        head -= taus[:, i, None, None] * (head @ v.conj()[:, :, None]) * v[:, None, :]
+    return vals, vecs.conj()
+
+
+def _lapack_error(routine, info, theta):
+    return AccuracyError(
+        f"LAPACK {routine} failed (info = {info}) in the W(T) sweep at theta = {float(theta)!r}"
+    )
+
+
 def _rayleigh(A, X):
     """x^H A x for each row x of X."""
     return np.einsum("ki,ij,kj->k", X.conj(), A, X)
@@ -266,7 +321,8 @@ def numerical_range(T, n_angles=_DEFAULT_ANGLES):
 
     The default grid is the operator's cached sweep (Operator.numerical_range):
     every caller handed that Operator, or an array of its content, shares its
-    one eigh sweep of support and points; read its arrays, never write them.
+    one end-eigenpair sweep of support and points; read its arrays, never
+    write them.
     """
     op = as_operator(T)
     if n_angles < 3:

@@ -65,14 +65,14 @@ def test_analyze_witness(files):
 
 
 def test_analyze_sweeps_the_numerical_range_once(files, stacked_solves):
-    # One half-turn eigh sweep of the 720-angle grid gives the points and the
-    # support values: 360 stacked matrices, and no separate eigvalsh sweep.
-    # A second run on the same file reads the same matrix content, so it
-    # shares that sweep and solves nothing more.
+    # One half-turn sweep of the 720-angle grid gives the points and the
+    # support values: 360 tridiagonalizations, and no stacked eigh or
+    # eigvalsh.  A second run on the same file reads the same matrix content,
+    # so it shares that sweep and solves nothing more.
     assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
-    assert stacked_solves == {"eigh": 360, "eigvalsh": 0}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
     assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
-    assert stacked_solves == {"eigh": 360, "eigvalsh": 0}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
 
 
 def test_analyze_computes_the_spectrum_once(files, monkeypatch):

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -10,7 +11,7 @@ import pytest
 
 from accretive import linops, pencil, pinv
 from accretive.bvp import BvpProblem, solve_bvp
-from accretive.errors import DimensionError, PreconditionError
+from accretive.errors import AccuracyError, DimensionError, PreconditionError
 from accretive.linops import (
     accretivity_report,
     as_operator,
@@ -213,9 +214,10 @@ def _sweep_oracle(T, n_angles):
 @pytest.mark.parametrize("chunked", [False, True])
 def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
     # Half-turn, chunked sweep against an independent per-angle full-turn
-    # eigh; chunked forces ragged chunks of 7 angles.
+    # eigh; chunked forces ragged chunks of 7 angles.  The odd grids (3, 45)
+    # solve every angle.
     rng = rng_for(SEED, "sweep-oracle")
-    inputs = [random_operator(rng, dim) for dim in (0, 1, 2, 5, 13)] + [JORDAN2]
+    inputs = [random_operator(rng, dim) for dim in (0, 1, 2, 5, 13, 32)] + [JORDAN2]
     for T in inputs:
         if chunked:
             monkeypatch.setattr(linops, "_SWEEP_CHUNK", 7 * T.shape[0] ** 2)
@@ -232,13 +234,66 @@ def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
             assert np.max(np.abs(attained - support)) <= tol
 
 
+def _end_pair_inputs(n, rng):
+    """Stacks of Hermitian matrices: random, diagonal, a multiple of I, and
+    at n = 2 the Cartesian parts of the Jordan block."""
+    stacks = {
+        "random": np.stack([hermitian(rng, n) for _ in range(5)]),
+        # A tridiagonal that is split already.
+        "diagonal": np.stack([np.diag(rng.standard_normal(n)).astype(complex) for _ in range(3)]),
+        # Both end eigenvalues repeated n times.
+        "scalar": np.stack([c * np.eye(n, dtype=complex) for c in (-2.5, 0.0, 3.0)]),
+    }
+    if n == 2:
+        parts = cartesian_parts(JORDAN2)
+        stacks["jordan"] = np.stack([parts.re_part, parts.im_part])
+    return stacks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32])
+def test_end_eigenpairs_match_eigh(n):
+    # The sweep's kernel against numpy's full eigh: the same end
+    # eigenvalues, residuals and unit norms at rounding level.
+    eps = np.finfo(float).eps
+    for name, H in _end_pair_inputs(n, rng_for(SEED, f"end-pairs-{n}")).items():
+        vals, vecs = linops._end_eigenpairs(H.copy(), np.arange(len(H), dtype=float))
+        ref = np.linalg.eigvalsh(H)
+        for j, M in enumerate(H):
+            scale = 8 * n * eps * max(np.linalg.norm(M, 2), np.finfo(float).tiny)
+            assert np.abs(vals[j] - ref[j, [0, -1]]).max() <= scale, (name, j)
+            for lam, x in zip(vals[j], vecs[j]):
+                assert np.linalg.norm(M @ x - lam * x) <= scale, (name, j)
+                assert abs(np.linalg.norm(x) - 1) <= 8 * n * eps, (name, j)
+
+
+@pytest.mark.parametrize("routine", ["zhetrd", "dstemr"])
+def test_sweep_raises_on_lapack_failure(routine, monkeypatch):
+    # A nonzero LAPACK status names the routine and the angle it was solving:
+    # here the third angle of the grid, whose zhetrd call is the third and
+    # whose first dstemr call is the fifth.
+    from scipy.linalg import lapack
+
+    fail_at = {"zhetrd": 3, "dstemr": 5}[routine]
+    calls = []
+
+    def failing(*args, _fn=getattr(lapack, routine), **kwargs):
+        out = _fn(*args, **kwargs)
+        calls.append(None)
+        return out[:-1] + (1,) if len(calls) == fail_at else out
+
+    monkeypatch.setattr(lapack, routine, failing)
+    wr = numerical_range(random_operator(rng_for(SEED, "lapack-info"), 4), 12)
+    with pytest.raises(AccuracyError, match=rf"{routine} .*theta = {re.escape(repr(float(wr.angles[2])))}$"):
+        wr.points
+
+
 def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     # w(T), support excess and the accretivity report read support values
-    # only, yet run the one eigh half-turn sweep that also gives the points,
-    # so a cached field never depends on which read came first.  Alone, each
-    # call sweeps its grid once; in sequence on one matrix content the three
-    # default-grid readers share one sweep, and each 90-angle call sweeps its
-    # own grid.
+    # only, yet run the one half-turn sweep that also gives the points, so a
+    # cached field never depends on which read came first.  Alone, each call
+    # sweeps its grid once, one tridiagonalization per solved angle; in
+    # sequence on one matrix content the three default-grid readers share one
+    # sweep, and each 90-angle call sweeps its own grid.
     T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
     calls = (
         (lambda: numerical_radius(T), 720),
@@ -249,26 +304,26 @@ def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     )
     for call, n_angles in calls:
         linops._shared_operator.cache_clear()
-        stacked_solves.update(eigh=0, eigvalsh=0)
+        stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0)
         call()
-        assert stacked_solves == {"eigh": n_angles // 2, "eigvalsh": 0}
+        assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": n_angles // 2}
     linops._shared_operator.cache_clear()
-    stacked_solves.update(eigh=0, eigvalsh=0)
+    stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0)
     for call, _ in calls:
         call()
-    assert stacked_solves == {"eigh": 720 // 2 + 2 * (90 // 2), "eigvalsh": 0}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 720 // 2 + 2 * (90 // 2)}
 
 
 def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
     # The report, the boundary and two support-excess checks, each handed the
-    # same raw array, share one eigh sweep that gives the support values and
-    # the boundary points.
+    # same raw array, share one sweep that gives the support values and the
+    # boundary points.
     T = random_operator(rng_for(SEED, "analyze-sequence"), 6)
     accretivity_report(T)
     pts = numerical_range_boundary(T)
     support_excess(T, pts)
     support_excess(T, np.linalg.eigvals(T))
-    assert stacked_solves == {"eigh": 360, "eigvalsh": 0}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
 
 
 def _bits(x):
@@ -327,6 +382,16 @@ def test_factorize_keeps_the_callers_operators_shared():
     assert not np.shares_memory(f.root.matrix, f.sqrt_upsilon)
 
 
+def test_bvp_problem_keeps_the_callers_operators_shared():
+    # Upsilon is BvpProblem's own temporary: it takes no shared slot.
+    C, D = commuting_pencil_pair(rng_for(SEED, "bvp-sharing"), 5)
+    assert linops._shared_operator.cache_info().currsize == 0
+    problem = BvpProblem(C, D, np.ones(5), np.zeros(5))
+    assert linops._shared_operator.cache_info().currsize == 2
+    assert as_operator(C) is problem.T
+    assert as_operator(D) is problem.S
+
+
 def test_operator_matrix_is_a_read_only_copy():
     A = random_operator(rng_for(SEED, "read-only"), 4)
     op = as_operator(A)
@@ -357,14 +422,14 @@ def test_shared_operators_are_bounded(stacked_solves):
     for M in others[:-1]:
         numerical_radius(M)
     numerical_radius(first)
-    assert stacked_solves["eigh"] == linops._SHARED_OPERATORS * 360
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": linops._SHARED_OPERATORS * 360}
     # first is now the most recent of the kept contents; after as many
     # distinct contents as are kept, its sweep runs again.
     for M in others:
         numerical_radius(M)
-    stacked_solves["eigh"] = 0
+    stacked_solves["zhetrd"] = 0
     numerical_radius(first)
-    assert stacked_solves["eigh"] == 360
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
 
 
 def test_dropped_operator_is_freed_without_the_cycle_collector():
