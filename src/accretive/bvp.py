@@ -202,9 +202,10 @@ def solve_bvp(p, grid=None):
 
     x0 and x1 are taken from the closed formulas through (I - e^{-2R})^{-1}
     and re-derived from the 2x2 block boundary system; the two routes must
-    agree, which pins the sign conventions independently of either
-    derivation.  Near-singular I - e^{-2R} is a resonance (non-uniqueness of
-    the two-point problem) and raises ResonanceError.
+    agree (AccuracyError otherwise), which pins the sign conventions
+    independently of either derivation.  Near-singular I - e^{-2R} is a
+    resonance (non-uniqueness of the two-point problem) and raises
+    ResonanceError.
     """
     # Written as positive tests so that NaN, which fails every comparison, is refused.
     ts = chebyshev_grid() if grid is None else np.asarray(grid, dtype=float)
@@ -242,7 +243,7 @@ def solve_bvp(p, grid=None):
     stacked = np.linalg.solve(block, np.concatenate([p.u0, p.u1]))
     route_gap = float(np.linalg.norm(np.concatenate([x0, x1]) - stacked))
     if route_gap > DEFAULTS["dual-route"] * (1 + np.linalg.norm(stacked)):
-        raise RuntimeError(
+        raise AccuracyError(
             f"boundary-coefficient routes disagree by {route_gap:.3e}; "
             "sign conventions violated"
         )

@@ -2,7 +2,7 @@
 
 The CLI maps these onto exit codes: ParseError -> 2, the hypothesis-class
 errors (HypothesisError and subclasses, PreconditionError, ModelError) -> 3,
-and failed numerical claims -> 1.
+and failed numerical claims and AccuracyError -> 1.
 """
 
 
@@ -35,4 +35,8 @@ class ModelError(ValueError):
 
 
 class AccuracyError(RuntimeError):
-    """An iterative scheme failed to reach its target tolerance."""
+    """A computation failed its own accuracy check.
+
+    An iterative scheme missed its target tolerance, or two routes to one
+    result disagree.
+    """

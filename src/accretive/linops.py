@@ -34,9 +34,10 @@ class Operator:
 
     Every step given the same Operator shares what the first one computed:
     the singular values (norm is the first), the Cartesian parts, eigh(Re T),
-    the default W(T) sweep of end eigenpairs, and the full SVD that callers
-    needing singular vectors read.  Each field has one kernel, whichever
-    call reads it first.
+    the default W(T) sweep of end eigenpairs, the full SVD that callers
+    needing singular vectors read, and the complex Schur form that the
+    principal square root reads.  Each field has one kernel, whichever call
+    reads it first.
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -81,6 +82,13 @@ class Operator:
     def delta(self):
         """lambda_min(Re T), 0 for a 0x0 operator; T is accretive when it is >= 0."""
         return float(self.re_eigh[0][0]) if self.dim else 0.0
+
+    @cached_property
+    def schur(self):
+        """Complex Schur form (Theta, Q): matrix = Q Theta Q*, Theta upper triangular."""
+        import scipy.linalg  # deferred: costs ~0.2 s at import
+
+        return scipy.linalg.schur(self.matrix, output="complex")
 
     @cached_property
     def numerical_range(self):

@@ -23,6 +23,9 @@ from .linops import (
 from .tolerances import DEFAULTS
 
 _EPS = float(np.finfo(np.float64).eps)
+# Complex entries per stacked chunk of pencil residuals (8 MiB): all 16 lambdas
+# of the CLI's check up to n = 128, so memory stays O(n^2) for any lambda count.
+_RESIDUAL_CHUNK = 2**19
 
 
 @dataclass(frozen=True)
@@ -82,23 +85,31 @@ def _range_block(op):
 def accretive_sqrt(U):
     """Principal square root with the kernel annihilated explicitly.
 
-    Full-rank input goes straight to the Schur method.  Singular EP input is
-    compressed to its range block, rooted there, and reassembled, so
-    kernel(result) = kernel(U) exactly.  An eigenvalue on the closed negative
-    real axis (impossible for accretive U outside zero) means no principal
-    root exists.
+    Full-rank input goes straight to the Schur method (Bjorck & Hammarling,
+    Linear Algebra Appl. 52/53, 1983): one complex Schur form U = V Theta V*,
+    whose diagonal gives the eigenvalues, and the root V Theta^{1/2} V* from
+    the triangular recurrence.  Singular EP input is compressed to its range
+    block, rooted there, and reassembled, so kernel(result) = kernel(U)
+    exactly.  An eigenvalue on the closed negative real axis (impossible for
+    accretive U outside zero) means no principal root exists.
     """
     return _sqrt_and_residual(as_operator(U))[0]
 
 
 def _sqrt_and_residual(op):
-    """accretive_sqrt of the Operator op, with its residual ||W^2 - U||."""
+    """accretive_sqrt of the Operator op, with its residual ||W^2 - U||.
+
+    The block's one complex Schur form (Operator.schur) serves both the
+    negative-axis test, on its diagonal, and the root, taken of its
+    triangular factor, so the block is factored once.
+    """
     A, nrm = op.matrix, op.norm
     if op.dim == 0:
         return A.copy(), 0.0
     tol = DEFAULTS["accretivity"] * max(1.0, nrm)
     Q, block = _range_block(op)
-    eigs = np.linalg.eigvals(block.matrix)
+    theta, V = block.schur
+    eigs = np.diag(theta)
     bad = (eigs.real < 0) & (np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs.real)))
     if np.any(bad):
         raise PreconditionError(
@@ -106,7 +117,7 @@ def _sqrt_and_residual(op):
         )
     import scipy.linalg  # deferred: costs ~0.2 s at import
 
-    W = np.asarray(scipy.linalg.sqrtm(block.matrix), dtype=np.complex128)
+    W = V @ np.asarray(scipy.linalg.sqrtm(theta), dtype=np.complex128) @ V.conj().T
     if Q is not None:
         W = Q @ W @ Q.conj().T
     residual = operator_norm(W @ W - A)
@@ -288,20 +299,28 @@ def factorization_residuals(f, p, lambdas):
     against the single ordering and is only meaningful when f.commuting.
     Each residual is normalized by (1 + |lambda|^2) so a tolerance can be
     stated uniformly over sweeps.
+
+    Q(lambda) - (lambda - Z1)(lambda - Z2) = lambda E1 - E0 with
+    E1 = Z1 + Z2 - 2T and E0 = S + Z1 Z2 (S + the half-sum of both products
+    for the symmetric form), so the coefficients are formed once and the
+    norms of all residuals are the first values of one stacked SVD per
+    chunk of at most _RESIDUAL_CHUNK complex entries.
     """
-    worst_sym = 0.0
-    worst_one = 0.0
-    eye = np.eye(p.dim)
-    for lam in np.asarray(lambdas, dtype=complex).ravel():
-        Qlam = eval_pencil(p, lam)
-        A1 = lam * eye - f.z1
-        A2 = lam * eye - f.z2
-        sym = operator_norm(Qlam - 0.5 * (A1 @ A2 + A2 @ A1))
-        one = operator_norm(Qlam - A1 @ A2)
-        norm = 1.0 + abs(lam) ** 2
-        worst_sym = max(worst_sym, sym / norm)
-        worst_one = max(worst_one, one / norm)
-    return worst_sym, worst_one
+    lams = np.asarray(lambdas, dtype=complex).ravel()
+    n = p.dim
+    if n == 0 or lams.size == 0:
+        return 0.0, 0.0
+    T, S = p.T.matrix, p.S.matrix
+    e1 = f.z1 + f.z2 - 2 * T
+    z12 = f.z1 @ f.z2
+    e0 = np.stack([S + 0.5 * (z12 + f.z2 @ f.z1), S + z12])
+    norms = np.empty((lams.size, 2))
+    step = max(1, _RESIDUAL_CHUNK // (2 * n * n))
+    for lo in range(0, lams.size, step):
+        lam = lams[lo:lo + step, None, None, None]
+        norms[lo:lo + step] = np.linalg.svd(lam * e1 - e0, compute_uv=False)[..., 0]
+    worst = np.max(norms / (1.0 + np.abs(lams[:, None]) ** 2), axis=0)
+    return float(worst[0]), float(worst[1])
 
 
 def pencil_spectrum(p):

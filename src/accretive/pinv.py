@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import HypothesisError, ParameterError, PreconditionError
+from .errors import AccuracyError, HypothesisError, ParameterError, PreconditionError
 from .linops import as_operator, checked_matrix, operator_norm, sectorial_angle
 from .tolerances import DEFAULTS
 
@@ -161,7 +161,8 @@ def perturbed_pinv(T, S, cert=None):
     Returns (I + T_pinv S)^{-1} T_pinv.  The dual form
     T_pinv (I + S T_pinv)^{-1} is computed as well and the two are required to
     agree; under a valid certificate both resolvents exist because the two
-    products share their nonzero spectrum.  A given cert must be the
+    products share their nonzero spectrum.  A singular resolvent or a gap
+    between the routes raises AccuracyError.  A given cert must be the
     certificate of (T, S): its pseudoinverse of T is reused.
     """
     T, S = as_operator(T), as_operator(S)
@@ -181,13 +182,13 @@ def perturbed_pinv(T, S, cert=None):
         F_range = np.linalg.solve(eye + P @ B, P)
         F_kernel = np.linalg.solve((eye + B @ P).conj().T, P.conj().T).conj().T
     except np.linalg.LinAlgError as exc:
-        raise RuntimeError(
+        raise AccuracyError(
             "resolvent singular despite contraction certificate; "
             "this contradicts the spectral-radius argument"
         ) from exc
     gap = operator_norm(F_range - F_kernel)
     if gap > 1e-10 * max(1.0, 1.0 / res.gamma):  # ||T_pinv|| = 1 / gamma
-        raise RuntimeError(f"update formula routes disagree: gap = {gap:.3e}")
+        raise AccuracyError(f"update formula routes disagree: gap = {gap:.3e}")
     return F_range
 
 

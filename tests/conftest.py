@@ -33,3 +33,24 @@ def stacked_solves(monkeypatch):
 
     monkeypatch.setattr(lapack, "zhetrd", zhetrd)
     return counts
+
+
+@pytest.fixture
+def root_kernels(monkeypatch):
+    """Calls to scipy's schur and sqrtm and to numpy's eigvals; every sqrtm
+    argument must be upper triangular, the factor of a Schur form."""
+    import scipy.linalg
+
+    counts = {"schur": 0, "sqrtm": 0, "eigvals": 0}
+
+    def counting(name, fn):
+        def wrapped(a, *args, **kwargs):
+            counts[name] += 1
+            if name == "sqrtm":
+                assert np.array_equal(np.triu(a), a), "sqrtm of a non-triangular matrix"
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for mod, name in ((scipy.linalg, "schur"), (scipy.linalg, "sqrtm"), (np.linalg, "eigvals")):
+        monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    return counts

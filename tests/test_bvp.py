@@ -254,6 +254,14 @@ def test_grid_validation():
             solve_bvp(p, grid=grid)
 
 
+def test_problem_roots_upsilon_from_one_schur_form(root_kernels):
+    # The negative-axis test reads the Schur diagonal, so Upsilon is factored
+    # once; sqrtm sees only the triangular factor (the fixture checks that).
+    T, S = commuting_pencil_pair(rng_for(SEED, "one-schur"), 6)
+    BvpProblem(T, S, np.ones(6), np.zeros(6))
+    assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 0}
+
+
 def test_problem_reuses_a_given_root(monkeypatch):
     rng = rng_for(SEED, "given-root")
     T, S = commuting_pencil_pair(rng, 4)

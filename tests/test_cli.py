@@ -152,6 +152,45 @@ def test_perturb_pass_and_fail(files, capsys):
     assert dump["mode"] == "fail"
 
 
+def _singular_resolvent(a, x, calls):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# solve_bvp checks its closed formulas against the 2n x 2n block system (n = 2
+# here); perturbed_pinv checks its range route against its kernel route, the
+# second solve, and fails when a resolvent is singular.
+_ROUTE_FAULTS = {
+    "bvp-route-gap": (
+        ["solve-bvp", "--input", "diag-t", "--input2", "diag-s", "--u0", "u0", "--u1", "u1"],
+        lambda a, x, calls: x + 1.0 if np.shape(a) == (4, 4) else x,
+    ),
+    "pinv-singular-resolvent": (
+        ["perturb", "--input", "diag-t", "--input2", "zero"], _singular_resolvent,
+    ),
+    "pinv-route-gap": (
+        ["perturb", "--input", "diag-t", "--input2", "zero"],
+        lambda a, x, calls: x + 1.0 if calls == 2 else x,
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_ROUTE_FAULTS))
+def test_route_disagreement_is_an_accuracy_failure(files, capsys, monkeypatch, fault):
+    argv, perturb = _ROUTE_FAULTS[fault]
+    solve = np.linalg.solve
+    calls = []
+
+    def faulty(a, b):
+        calls.append(None)
+        return perturb(a, solve(a, b), len(calls))
+
+    monkeypatch.setattr(np.linalg, "solve", faulty)
+    rc = run([files.get(arg, arg) for arg in argv] + ["--out", files["out"]])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("accuracy failure: "), err
+
+
 def test_factorize_report(files):
     rc = run(["factorize", "--input", files["diag-t"], "--input2", files["diag-s"],
               "--out", files["out"]])
@@ -249,7 +288,7 @@ def test_missing_subcommand_exits_2():
 
 # Kernel families counted per operator, on numpy.linalg and its private module
 # (numpy.linalg.norm(A, 2) reaches svd through the latter), as the benchmark's
-# tracer counts them, plus scipy's square root.
+# tracer counts them, plus scipy's Schur form and square root.
 _KERNEL_FAMILIES = {"svd": "svd", "eigh": "eigh", "eigvalsh": "eigh", "eigvals": "eigvals"}
 
 
@@ -268,7 +307,8 @@ def kernel_args(monkeypatch):
     for mod in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
         for name, family in _KERNEL_FAMILIES.items():
             monkeypatch.setattr(mod, name, counting(getattr(mod, name), family))
-    monkeypatch.setattr(scipy.linalg, "sqrtm", counting(scipy.linalg.sqrtm, "sqrtm"))
+    for name in ("schur", "sqrtm"):
+        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name), name))
     return calls
 
 
@@ -324,3 +364,7 @@ def test_each_operator_factored_once_per_command(tmp_path, kernel_args):
         assert counts["T"], (argv[0], "no kernel call matched T")
         repeated = {k: c for k, c in counts.items() if any(v > 1 for v in c.values())}
         assert not repeated, (argv[0], counts)
+        if "Upsilon" in counts:
+            # One Schur form roots Upsilon; no eigvals call factors it again.
+            assert counts["Upsilon"].get("schur") == 1, (argv[0], counts["Upsilon"])
+            assert "eigvals" not in counts["Upsilon"], (argv[0], counts["Upsilon"])

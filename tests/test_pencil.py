@@ -1,6 +1,7 @@
 """Quadratic pencil factorization, square roots, fractional powers, spectra."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,9 +82,25 @@ def test_sqrt_matches_hermitian_route():
         assert np.linalg.norm(accretive_sqrt(H) - hermitian_sqrt(H), 2) <= 1e-10
 
 
+def test_sqrt_reuses_the_operators_schur_form(root_kernels):
+    # The Schur form is a cached Operator field: a second root of the same
+    # content takes its triangular root again but factors nothing.
+    U = accretive_operator(rng_for(SEED, "schur-cache"), 5)
+    first = accretive_sqrt(U)
+    assert np.array_equal(accretive_sqrt(U.copy()), first)
+    assert root_kernels == {"schur": 1, "sqrtm": 2, "eigvals": 0}
+
+
 def test_sqrt_rejects_negative_axis():
     with pytest.raises(PreconditionError, match="principal"):
         accretive_sqrt(np.diag([-1.0, 1.0]))
+    # Nonnormal, with the negative eigenvalue off the diagonal of the input:
+    # the test reads it from the Schur form.
+    rng = rng_for(SEED, "negative-axis")
+    V = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    U = V @ np.array([[2, 1, 0, 3], [0, -0.5, 1, 0], [0, 0, 1j + 1, 2], [0, 0, 0, 4]]) @ V.conj().T
+    with pytest.raises(PreconditionError, match="principal"):
+        accretive_sqrt(U)
 
 
 def test_sqrt_kernel_structure_singular_ep():
@@ -96,6 +113,8 @@ def test_sqrt_kernel_structure_singular_ep():
         assert np.linalg.norm(W @ W - U, 2) <= 1e-10 * max(1.0, np.linalg.norm(U, 2))
         assert pseudoinverse(W).rank == rank
         assert subspace_distance(range_projector(W), range_projector(U)) <= 1e-8
+        kernel = np.linalg.svd(U)[2][rank:].conj().T
+        assert np.linalg.norm(W @ kernel, 2) <= 1e-12 * max(1.0, np.linalg.norm(U, 2))
 
 
 def test_sqrt_sector_angle():
@@ -233,6 +252,22 @@ def test_separation_positive_under_strong_hypotheses():
             assert f.separation > 0
 
 
+def test_factorize_takes_one_schur_form_per_root(root_kernels):
+    # Upsilon (or, for singular EP input, its range block) is factored once,
+    # by the Schur form that both the negative-axis test and sqrtm read; the
+    # two eigvals calls are the spectra of Z1 and Z2.
+    rng = rng_for(SEED, "one-schur")
+    pairs = [
+        commuting_pencil_pair(rng, 6),
+        pencil_pair(rng, 6),
+        (np.zeros((4, 4)), singular_accretive_operator(rng, 4, 2)),
+    ]
+    for T, S in pairs:
+        root_kernels.update(schur=0, sqrtm=0, eigvals=0)
+        factorize(QuadraticPencil(T, S))
+        assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 2}
+
+
 def test_eval_pencil():
     p = QuadraticPencil(DIAG_T, DIAG_S)
     assert np.allclose(eval_pencil(p, 0.0), -DIAG_S)
@@ -269,6 +304,41 @@ def test_symmetric_residual_uniform_over_sweep():
         f = factorize(p)
         sym, _ = factorization_residuals(f, p, lambdas)
         assert sym <= 1e-10 * max(1.0, np.linalg.norm(f.upsilon, 2))
+
+
+def _residuals_per_lambda(f, p, lambdas):
+    """Reference: each residual formed from Q(lambda) and the two factors, one norm at a time."""
+    worst_sym = worst_one = 0.0
+    eye = np.eye(p.dim)
+    for lam in np.asarray(lambdas, dtype=complex).ravel():
+        Qlam = eval_pencil(p, lam)
+        A1 = lam * eye - f.z1
+        A2 = lam * eye - f.z2
+        norm = 1.0 + abs(lam) ** 2
+        worst_sym = max(worst_sym, np.linalg.norm(Qlam - 0.5 * (A1 @ A2 + A2 @ A1), 2) / norm)
+        worst_one = max(worst_one, np.linalg.norm(Qlam - A1 @ A2, 2) / norm)
+    return worst_sym, worst_one
+
+
+@pytest.mark.parametrize("chunk", [pencil._RESIDUAL_CHUNK, 1])
+def test_factorization_residuals_match_per_lambda_reference(chunk, monkeypatch):
+    # Factors that do not split the pencil give residuals of order one, so the
+    # E1/E0 coefficient form is compared at full relative precision; a chunk of
+    # one entry solves one lambda per stacked SVD.
+    monkeypatch.setattr(pencil, "_RESIDUAL_CHUNK", chunk)
+    rng = rng_for(SEED, "residual-reference")
+    lambdas = np.concatenate([2.0 * np.exp(2j * math.pi * np.arange(13) / 13), [0.0, -3.0]])
+    for dim in (1, 2, 7):
+        T, S = pencil_pair(rng, dim)
+        p = QuadraticPencil(T, S)
+        f = factorize(p)
+        wrong = SimpleNamespace(z1=f.z1 + random_unitary(rng, dim), z2=f.z2)
+        for factors in (f, wrong):
+            got = factorization_residuals(factors, p, lambdas)
+            ref = _residuals_per_lambda(factors, p, lambdas)
+            scale = 1.0 + np.linalg.norm(factors.z1, 2) * np.linalg.norm(factors.z2, 2)
+            assert np.allclose(got, ref, rtol=1e-12, atol=64 * dim * pencil._EPS * scale)
+    assert factorization_residuals(f, p, []) == (0.0, 0.0)
 
 
 def test_pencil_spectrum_frozen():
