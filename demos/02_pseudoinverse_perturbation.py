@@ -2,7 +2,12 @@
 
 import numpy as np
 
-from accretive import perturbation_certificate, perturbed_pinv, pseudoinverse
+from accretive import (
+    perturbation_bound,
+    perturbation_certificate,
+    perturbed_pinv,
+    pseudoinverse,
+)
 
 # Rank-2 accretive matrix acting on a 2d block of C^4.
 rng = np.random.default_rng(7)
@@ -30,8 +35,8 @@ print(f"contraction |T+ S|    {cert.contraction_TdS:.6f}")
 
 upd = perturbed_pinv(T, S, cert)
 direct = np.linalg.pinv(T + S)
-pn = np.linalg.norm(res.pinv, 2)
-bound = np.linalg.norm(S, 2) * pn**2 / (1 - cert.contraction_TdS)
+# The paper's bound ||S|| ||T+||^2 / (1 - ||T+ S||).
+bound = perturbation_bound(S, cert)
 print(f"update vs direct      {np.linalg.norm(upd - direct, 2):.2e}")
 print(f"|(T+S)+ - T+|         = {np.linalg.norm(direct - res.pinv, 2):.2e}  bound {bound:.2e}")
 

@@ -27,6 +27,7 @@ from .linops import (
 from .pinv import (
     PerturbationCertificate,
     PinvResult,
+    perturbation_bound,
     perturbation_certificate,
     perturbed_pinv,
     pseudoinverse,

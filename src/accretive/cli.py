@@ -2,7 +2,8 @@
 
 Subcommands: analyze, pinv, perturb, factorize, solve-bvp, demo-laplacian,
 selftest.  Every command writes a JSON report (and CSV where noted) into
---out and prints one line per asserted claim.
+--out and prints one line per asserted claim; the claims of each subcommand
+come from its claim function in selftest, which the property suites share.
 
 Exit codes: 0 all asserted claims pass; 1 a numerical claim failed (the
 failing claim id is printed); 2 the input or configuration did not parse;
@@ -21,6 +22,7 @@ import time
 
 import numpy as np
 
+from . import selftest
 from .bvp import BvpProblem, chebyshev_grid, solve_bvp
 from .errors import (
     AccuracyError,
@@ -31,7 +33,7 @@ from .errors import (
     ParseError,
     PreconditionError,
 )
-from .linops import accretivity_report, as_operator, operator_norm
+from .linops import accretivity_report, as_operator
 from .matio import (
     matrix_payload,
     read_matrix,
@@ -40,22 +42,9 @@ from .matio import (
     write_csv,
     write_json,
 )
-from .pencil import (
-    QuadraticPencil,
-    factorization_residuals,
-    factorize,
-    multiset_match_distance,
-    pencil_spectrum,
-    vandermonde_check,
-)
-from .pinv import (
-    penrose_residuals,
-    perturbation_certificate,
-    perturbed_pinv,
-    pseudoinverse,
-)
+from .pencil import QuadraticPencil, factorize
+from .pinv import perturbation_bound, perturbation_certificate, perturbed_pinv, pseudoinverse
 from .sampling import complex_gaussian, rng_for
-from .selftest import run_selftest
 from .spectral import LaplacianModel, demo
 from .tolerances import resolve
 
@@ -75,16 +64,6 @@ exit codes:
   2  parse or configuration error (location printed)
   3  a mathematical hypothesis fails on this data (diagnostic printed)
 """
-
-
-def _claim(name, measured, tolerance, ok=None):
-    ok = (measured <= tolerance) if ok is None else bool(ok)
-    return {
-        "claim": name,
-        "status": "pass" if ok else "fail",
-        "measured": float(measured),
-        "tolerance": float(tolerance),
-    }
 
 
 def _emit(command, body, claims, out_dir):
@@ -120,22 +99,8 @@ def _conclude(claims, path, note=None):
 
 def _cmd_analyze(args, tols, out_dir):
     T = as_operator(read_matrix(args.input))
-    scale = max(1.0, T.norm)
-    wr = T.numerical_range
-    hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
-    rep = accretivity_report(T, tol=tols["accretivity"] * scale)
-    chain = max(
-        rep.spectral_radius - rep.numerical_radius,
-        rep.numerical_radius - rep.operator_norm,
-        rep.operator_norm - 2 * rep.numerical_radius,
-    ) / scale
-    eigs = rep.eigenvalues
-    spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
-    claims = [
-        _claim("norm-chain", chain, tols["norm-chain"]),
-        _claim("hull-consistency", hull, tols["hull-distance"]),
-        _claim("spectral-inclusion", spec, tols["spectral-inclusion"]),
-    ]
+    rep = accretivity_report(T, tol=tols["accretivity"] * max(1.0, T.norm))
+    claims = selftest.analyze_claims(T, rep, tols)
     print(f"status: {rep.status}")
     if rep.omega is not None:
         print(f"omega = {rep.omega:.12f} rad  (tan = {rep.lambda0_modulus})")
@@ -145,14 +110,7 @@ def _cmd_analyze(args, tols, out_dir):
 def _cmd_pinv(args, tols, out_dir):
     T = as_operator(read_matrix(args.input))
     res = pseudoinverse(T)
-    # ||T|| from the pseudoinverse's SVD, which the report prints: one SVD of T.
-    nrm = res.singular_values[0] if T.dim else 0.0
-    scale = max(1.0, nrm, operator_norm(res.pinv))
-    worst = max(penrose_residuals(T, res.pinv).values()) / scale
-    claims = [_claim("penrose-identities", worst, tols["penrose"])]
-    if T.dim and T.delta >= -tols["accretivity"] * max(1.0, nrm):
-        lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
-        claims.append(_claim("pinv-accretive", max(0.0, -lam), tols["pinv-accretive"]))
+    claims = selftest.pinv_claims(T, res, tols)
     out_path = os.path.join(out_dir, "pinv.json")
     write_json(out_path, matrix_payload(res.pinv))
     print(f"rank = {res.rank}, gamma = {res.gamma}")
@@ -176,17 +134,8 @@ def _cmd_perturb(args, tols, out_dir):
         print("hypotheses unmet; certificate dump:", file=sys.stderr)
         print(json.dumps(cert.as_dict(), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_HYPOTHESIS
-    res = cert.pinv_result
     updated = perturbed_pinv(T, S, cert)
-    direct = pseudoinverse(T.matrix + S.matrix)
-    pn = operator_norm(res.pinv)
-    formula = operator_norm(updated - direct.pinv) / max(pn, 1e-300)
-    diff = operator_norm(direct.pinv - res.pinv)
-    bound = S.norm * pn**2 / (1 - cert.contraction_TdS)
-    claims = [
-        _claim("update-formula", formula, tols["perturb-formula-rel"]),
-        _claim("error-bound", max(0.0, (diff - bound) / max(1.0, bound)), tols["bound-slack"]),
-    ]
+    claims = selftest.perturb_claims(S, cert, updated, pseudoinverse(T.matrix + S.matrix), tols)
     out_path = os.path.join(out_dir, "perturbed-pinv.json")
     write_json(out_path, matrix_payload(updated))
     print(f"certificate mode: {cert.mode}")
@@ -195,7 +144,7 @@ def _cmd_perturb(args, tols, out_dir):
         "input": args.input,
         "input2": args.input2,
         "certificate": cert.as_dict(),
-        "error_bound": bound,
+        "error_bound": perturbation_bound(S, cert),
     }
     return _emit("perturb", body, claims, out_dir)
 
@@ -203,20 +152,9 @@ def _cmd_perturb(args, tols, out_dir):
 def _cmd_factorize(args, tols, out_dir):
     p = QuadraticPencil(read_matrix(args.input), read_matrix(args.input2))
     f = factorize(p)
-    scale = max(1.0, p.T.norm ** 2, p.S.norm)
     rng = rng_for(args.seed, "factorize-lambdas")
     lams = np.concatenate([complex_gaussian(rng, 12, 2.0), rng.standard_normal(4) * 3.0])
-    sym, one = factorization_residuals(f, p, lams)
-    claims = [_claim("factorization-symmetric", sym / scale, tols["factorization-identity"])]
-    if f.commuting:
-        claims.append(
-            _claim("factorization-one-sided", one / scale, tols["factorization-identity"])
-        )
-        dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, pencil_spectrum(p))
-        claims.append(_claim("spectrum-multiset", dist, tols["spectrum-match"]))
-    claims.append(
-        _claim("vandermonde-agreement", 0.0 if vandermonde_check(f) else 1.0, tols["bound-slack"])
-    )
+    claims = selftest.factorize_claims(p, f, lams, tols)
     for name, M in (("z1", f.z1), ("z2", f.z2), ("sqrt-upsilon", f.sqrt_upsilon)):
         write_json(os.path.join(out_dir, f"{name}.json"), matrix_payload(M))
     for w in f.warnings:
@@ -244,11 +182,7 @@ def _cmd_solve_bvp(args, tols, out_dir):
     u1 = read_vector(args.u1)
     problem = BvpProblem(T, S, u0, u1)
     sol = solve_bvp(problem, chebyshev_grid(args.grid))
-    scale = 1 + float(np.linalg.norm(u0)) + float(np.linalg.norm(u1))
-    claims = [
-        _claim("boundary-residual", sol.boundary_residual / scale, tols["boundary-residual"]),
-        _claim("ode-residual", sol.ode_residual, tols["ode-residual"]),
-    ]
+    claims = selftest.bvp_claims(sol, u0, u1, tols)
     rows = []
     for i, t in enumerate(sol.grid):
         for j in range(problem.dim):
@@ -279,17 +213,7 @@ def _cmd_demo_laplacian(args, tols, out_dir):
     else:
         u1 = complex_gaussian(rng_for(args.seed, "laplacian-u1"), model.n_modes)
     out = demo(model, u0, u1, grid=chebyshev_grid(args.grid), x_samples=args.x_samples)
-    scale = 1 + float(np.linalg.norm(u0)) + float(np.linalg.norm(u1))
-    claims = [
-        _claim("oracle-gap", out["oracle_gap"], tols["mode-oracle"]),
-        _claim("boundary-residual", out["boundary_residual"] / scale, tols["boundary-residual"]),
-        _claim(
-            "condition-sum",
-            out["condition_sum"],
-            out["condition_bound"],
-            ok=out["condition_sum"] < out["condition_bound"],
-        ),
-    ]
+    claims = selftest.laplacian_claims(out, u0, u1, tols)
     sol = out["solution"]
     rows = []
     for i, t in enumerate(sol.grid):
@@ -315,7 +239,7 @@ def _cmd_demo_laplacian(args, tols, out_dir):
 
 def _cmd_selftest(args, tols, out_dir):
     overrides = _parse_overrides(args.tol_override)
-    report = run_selftest(seed=args.seed, overrides=overrides)
+    report = selftest.run_selftest(seed=args.seed, overrides=overrides)
     path = os.path.join(out_dir, "selftest-report.json")
     write_json(path, report)
     summary = report["body"]["summary"]
@@ -337,6 +261,17 @@ def _parse_overrides(pairs):
     return out
 
 
+def _seed(text):
+    """A --seed value: numpy seeds only from non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="accretive",
@@ -347,7 +282,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def common(p):
-        p.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")
+        p.add_argument("--seed", type=_seed, default=42, help="rng seed, >= 0 (default 42)")
         p.add_argument(
             "--tol-override",
             action="append",

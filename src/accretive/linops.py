@@ -23,6 +23,9 @@ _DEFAULT_ANGLES = 720
 # by its Householder reflectors; besides it a chunk holds only two eigenvectors
 # per angle, never a (k, n, n) eigenvector array.
 _SWEEP_CHUNK = 2**19
+# Complex entries per chunk of the point-by-angle projection in excess (1 MiB),
+# so its memory is O(n_angles) whatever the number of points.
+_EXCESS_CHUNK = 2**16
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
 _SHARED_OPERATORS = 4
@@ -230,11 +233,17 @@ class NumericalRange:
 
         <= 0 up to rounding for p in the closure of W(T); a positive value
         lower-bounds the distance from W(T), so containment claims need no
-        discretization allowance.
+        discretization allowance.  The points are projected on the angles in
+        chunks of at most _EXCESS_CHUNK entries, so memory is O(n_angles).
         """
         pts = np.asarray(points, dtype=np.complex128).ravel()
-        proj = np.real(np.exp(-1j * self.angles)[None, :] * pts[:, None])
-        return np.max(proj - self.support[None, :], axis=1)
+        rot = np.exp(-1j * self.angles)
+        step = max(1, _EXCESS_CHUNK // len(rot))
+        out = np.empty(pts.size)
+        for lo in range(0, pts.size, step):
+            proj = np.real(rot[None, :] * pts[lo:lo + step, None])
+            out[lo:lo + step] = np.max(proj - self.support[None, :], axis=1)
+        return out
 
     @cached_property
     def radius(self):

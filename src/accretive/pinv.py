@@ -155,6 +155,16 @@ def perturbation_certificate(T, S, tol=None):
     return cert
 
 
+def perturbation_bound(S, cert):
+    """The bound ||(T + S)^+ - T^+|| <= ||S|| ||T^+||^2 / (1 - ||T^+ S||).
+
+    cert is the certificate of (T, S).  ||T^+|| is read through the shared
+    Operator of its pseudoinverse, so every reader shares one SVD of T^+.
+    """
+    pn = as_operator(cert.pinv_result.pinv).norm
+    return as_operator(S).norm * pn**2 / (1 - cert.contraction_TdS)
+
+
 def perturbed_pinv(T, S, cert=None):
     """Pseudoinverse of T + S by the certified update formula.
 

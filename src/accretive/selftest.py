@@ -1,4 +1,9 @@
-"""Seeded property suites behind the selftest command.
+"""The claims of each subcommand, and the seeded property suites behind selftest.
+
+Each <subcommand>_claims function turns results its caller holds into that
+subcommand's report rows, with no I/O and no random draw, so each claim is
+written once: the CLI reports the rows, and the suites call the same function
+on every generated input and keep each claim's worst value under their own id.
 
 Each suite draws from its own named stream (rng_for(seed, label)), so the
 claim list and every measured value are a deterministic function of the
@@ -18,11 +23,11 @@ from . import __version__
 from .bvp import BvpProblem, fd_oracle, solve_bvp
 from .errors import ModelError
 from .linops import (
+    accretivity_report,
+    as_operator,
     cartesian_parts,
     hermitian_sqrt,
     kato_representation,
-    numerical_range,
-    numerical_range_boundary,
     operator_norm,
     sectorial_angle,
 )
@@ -38,6 +43,7 @@ from .pencil import (
 from .pinv import (
     neumann_identity_check,
     penrose_residuals,
+    perturbation_bound,
     perturbation_certificate,
     perturbed_pinv,
     pseudoinverse,
@@ -63,8 +69,112 @@ from .tolerances import resolve
 FORMAT_VERSION = 1
 
 
+def claim(name, measured, tolerance, ok=None):
+    """One report row; it passes when measured <= tolerance unless ok says otherwise."""
+    ok = (measured <= tolerance) if ok is None else bool(ok)
+    return {
+        "claim": name,
+        "status": "pass" if ok else "fail",
+        "measured": float(measured),
+        "tolerance": float(tolerance),
+    }
+
+
+def analyze_claims(T, rep, tols):
+    """The norm chain r <= w <= ||T|| <= 2w, and the sweep's own boundary
+    points and the spectrum inside W(T); rep is T's accretivity_report."""
+    T = as_operator(T)
+    scale = max(1.0, T.norm)
+    wr = T.numerical_range
+    hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
+    chain = max(
+        rep.spectral_radius - rep.numerical_radius,
+        rep.numerical_radius - rep.operator_norm,
+        rep.operator_norm - 2 * rep.numerical_radius,
+    ) / scale
+    eigs = rep.eigenvalues
+    spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
+    return [
+        claim("norm-chain", chain, tols["norm-chain"]),
+        claim("hull-consistency", hull, tols["hull-distance"]),
+        claim("spectral-inclusion", spec, tols["spectral-inclusion"]),
+    ]
+
+
+def pinv_claims(T, res, tols):
+    """The Penrose identities of res = pseudoinverse(T) and, when T is
+    accretive, the accretivity of its pseudoinverse."""
+    T = as_operator(T)
+    # ||T|| from the pseudoinverse's SVD: one SVD of T.
+    nrm = res.singular_values[0] if T.dim else 0.0
+    scale = max(1.0, nrm, operator_norm(res.pinv))
+    worst = max(penrose_residuals(T, res.pinv).values()) / scale
+    rows = [claim("penrose-identities", worst, tols["penrose"])]
+    if T.dim and T.delta >= -tols["accretivity"] * max(1.0, nrm):
+        lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
+        rows.append(claim("pinv-accretive", max(0.0, -lam), tols["pinv-accretive"]))
+    return rows
+
+
+def perturb_claims(S, cert, updated, direct, tols):
+    """The update formula against direct = pseudoinverse(T + S), and the
+    paper's error bound; cert is the certificate of (T, S)."""
+    pinv = cert.pinv_result.pinv
+    bound = perturbation_bound(S, cert)
+    formula = operator_norm(updated - direct.pinv) / max(as_operator(pinv).norm, 1e-300)
+    excess = (operator_norm(direct.pinv - pinv) - bound) / max(1.0, bound)
+    return [
+        claim("update-formula", formula, tols["perturb-formula-rel"]),
+        claim("error-bound", max(0.0, excess), tols["bound-slack"]),
+    ]
+
+
+def factorize_claims(p, f, lams, tols):
+    """The factorization identities of f = factorize(p) at the lambdas and,
+    for a commuting pencil, the spectrum of the factors."""
+    scale = max(1.0, p.T.norm ** 2, p.S.norm)
+    sym, one = factorization_residuals(f, p, lams)
+    rows = [claim("factorization-symmetric", sym / scale, tols["factorization-identity"])]
+    if f.commuting:
+        rows.append(claim("factorization-one-sided", one / scale, tols["factorization-identity"]))
+        dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, pencil_spectrum(p))
+        rows.append(claim("spectrum-multiset", dist, tols["spectrum-match"]))
+    ok = vandermonde_check(f)
+    rows.append(claim("vandermonde-agreement", 0.0 if ok else 1.0, tols["bound-slack"]))
+    return rows
+
+
+def bvp_claims(sol, u0, u1, tols):
+    """Boundary residual, relative to the data u0 and u1, and ODE residual of sol."""
+    scale = 1 + float(np.linalg.norm(u0)) + float(np.linalg.norm(u1))
+    return [
+        claim("boundary-residual", sol.boundary_residual / scale, tols["boundary-residual"]),
+        claim("ode-residual", sol.ode_residual, tols["ode-residual"]),
+    ]
+
+
+def laplacian_claims(out, u0, u1, tols):
+    """The per-mode oracle gap and boundary residual of out = demo(model, u0,
+    u1), and its condition sum, which must stay below the model's bound."""
+    total, bound = out["condition_sum"], out["condition_bound"]
+    return [
+        claim("oracle-gap", out["oracle_gap"], tols["mode-oracle"]),
+        bvp_claims(out["solution"], u0, u1, tols)[0],
+        claim("condition-sum", total, bound, ok=total < bound),
+    ]
+
+
+def _worst(rows):
+    """{claim: (max(0, worst measured), tolerance)} over the rows of every input."""
+    out = {}
+    for row in rows:
+        worst = out.get(row["claim"], (0.0,))[0]
+        out[row["claim"]] = (max(worst, row["measured"]), row["tolerance"])
+    return out
+
+
 def _suite_pinv_basics(rng, tols):
-    worst_pen = 0.0
+    rows = []
     worst_inv = 0.0
     for k in range(40):
         dim = int(rng.integers(1, 13))
@@ -73,55 +183,38 @@ def _suite_pinv_basics(rng, tols):
         else:
             T = random_operator(rng, dim)
         res = pseudoinverse(T)
-        scale = max(1.0, operator_norm(T), operator_norm(res.pinv))
-        worst_pen = max(worst_pen, max(penrose_residuals(T, res.pinv).values()) / scale)
+        rows += pinv_claims(T, res, tols)
         back = pseudoinverse(res.pinv).pinv
         worst_inv = max(worst_inv, operator_norm(back - T) / max(1.0, operator_norm(T)))
     return [
-        ("pinv-penrose", worst_pen, tols["penrose"]),
+        ("pinv-penrose", *_worst(rows)["penrose-identities"]),
         ("pinv-involution", worst_inv, tols["involution"]),
     ]
 
 
 def _suite_pinv_accretive(rng, tols):
+    rows = []
     worst_ep = 0.0
-    worst_neg = 0.0
     for _ in range(30):
         dim = int(rng.integers(1, 13))
         rank = int(rng.integers(1, dim + 1))
         T = singular_accretive_operator(rng, dim, rank)
         res = pseudoinverse(T)
         worst_ep = max(worst_ep, operator_norm(T @ res.pinv - res.pinv @ T))
-        lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
-        worst_neg = max(worst_neg, max(0.0, -lam))
+        rows += pinv_claims(T, res, tols)
     return [
         ("pinv-ep-accretive", worst_ep, tols["ep"]),
-        ("pinv-accretive-real-part", worst_neg, tols["pinv-accretive"]),
+        ("pinv-accretive-real-part", *_worst(rows)["pinv-accretive"]),
     ]
 
 
 def _suite_numerical_range(rng, tols):
-    worst_chain = 0.0
-    worst_hull = 0.0
-    worst_spec = 0.0
+    rows = []
     for _ in range(20):
-        dim = int(rng.integers(2, 11))
-        T = random_operator(rng, dim)
-        nrm = operator_norm(T)
-        scale = max(1.0, nrm)
-        wr = numerical_range(T)
-        w = wr.radius
-        eigs = np.linalg.eigvals(T)
-        r = float(np.max(np.abs(eigs)))
-        worst_chain = max(worst_chain, (r - w) / scale, (w - nrm) / scale, (nrm - 2 * w) / scale)
-        pts = numerical_range_boundary(T, n_angles=180)
-        worst_hull = max(worst_hull, float(np.max(wr.excess(pts))) / scale)
-        worst_spec = max(worst_spec, float(np.max(wr.excess(eigs))) / scale)
-    return [
-        ("norm-chain", worst_chain, tols["norm-chain"]),
-        ("hull-consistency", worst_hull, tols["hull-distance"]),
-        ("spectral-inclusion", worst_spec, tols["spectral-inclusion"]),
-    ]
+        T = as_operator(random_operator(rng, int(rng.integers(2, 11))))
+        rows += analyze_claims(T, accretivity_report(T), tols)
+    worst = _worst(rows)
+    return [(c, *worst[c]) for c in ("norm-chain", "hull-consistency", "spectral-inclusion")]
 
 
 def _suite_sectorial(rng, tols):
@@ -149,9 +242,8 @@ def _suite_sectorial(rng, tols):
 
 
 def _suite_perturbation(rng, tols):
-    worst_formula = 0.0
+    rows = []
     worst_geom = 0.0
-    worst_err = 0.0
     worst_theta = 0.0
     for _ in range(30):
         dim = int(rng.integers(2, 11))
@@ -159,12 +251,8 @@ def _suite_perturbation(rng, tols):
         T, S = certified_pair(rng, dim, rank)
         cert = perturbation_certificate(T, S)
         res = cert.pinv_result
-        pn = operator_norm(res.pinv)
-        updated = perturbed_pinv(T, S, cert)
         direct = pseudoinverse(T + S)
-        worst_formula = max(
-            worst_formula, operator_norm(updated - direct.pinv) / max(pn, 1e-300)
-        )
+        rows += perturb_claims(S, cert, perturbed_pinv(T, S, cert), direct, tols)
         if direct.rank != res.rank:
             worst_geom = max(worst_geom, 1.0)
         worst_geom = max(
@@ -172,10 +260,8 @@ def _suite_perturbation(rng, tols):
             subspace_distance(range_projector(T, res), range_projector(T + S, direct)),
             subspace_distance(row_projector(T, res), row_projector(T + S, direct)),
         )
-        diff = operator_norm(direct.pinv - res.pinv)
-        bound = operator_norm(S) * pn**2 / (1 - cert.contraction_TdS)
-        worst_err = max(worst_err, (diff - bound) / max(1.0, bound))
         if cert.s_accretive and cert.theta is not None and cert.theta < math.pi / 2:
+            pn = as_operator(res.pinv).norm
             norm_bound = 2 * pn + (1 + math.tan(cert.theta)) ** 2 * pn**2
             worst_theta = max(
                 worst_theta, (operator_norm(direct.pinv) - norm_bound) / max(1.0, norm_bound)
@@ -191,10 +277,11 @@ def _suite_perturbation(rng, tols):
             worst_scaling,
             operator_norm(updated - res.pinv / 1.25) / max(1.0, operator_norm(res.pinv)),
         )
+    worst = _worst(rows)
     return [
-        ("perturb-formula", worst_formula, tols["perturb-formula-rel"]),
+        ("perturb-formula", *worst["update-formula"]),
         ("perturb-geometry", worst_geom, tols["subspace-angle"]),
-        ("perturb-error-bound", max(0.0, worst_err), tols["bound-slack"]),
+        ("perturb-error-bound", *worst["error-bound"]),
         ("perturb-theta-bound", max(0.0, worst_theta), tols["bound-slack"]),
         ("perturb-scaling", worst_scaling, tols["perturb-scaling"]),
     ]
@@ -258,40 +345,25 @@ def _suite_fractional(rng, tols):
 
 
 def _suite_factorization(rng, tols):
-    worst_sym = 0.0
-    worst_one = 0.0
-    worst_multiset = 0.0
-    vandermonde_fail = 0.0
+    rows = []
     separation_fail = 0.0
     for k in range(15):
         dim = int(rng.integers(2, 9))
         T, S = pencil_pair(rng, dim) if k % 2 else commuting_pencil_pair(rng, dim)
         p = QuadraticPencil(T, S)
         f = factorize(p)
-        scale = max(1.0, operator_norm(T) ** 2, operator_norm(S))
         lams = np.concatenate([
             complex_gaussian(rng, 8, 2.0),
             rng.standard_normal(4) * 3.0,
         ])
-        sym, one = factorization_residuals(f, p, lams)
-        worst_sym = max(worst_sym, sym / scale)
-        if f.commuting:
-            worst_one = max(worst_one, one / scale)
-            worst_multiset = max(
-                worst_multiset,
-                multiset_match_distance(f.spectra_z1 + f.spectra_z2, pencil_spectrum(p)),
-            )
-        if not vandermonde_check(f):
-            vandermonde_fail = 1.0
+        rows += factorize_claims(p, f, lams, tols)
         if f.separation_regime == "strong" and f.separation <= 0:
             separation_fail = 1.0
-    return [
-        ("factorization-symmetric", worst_sym, tols["factorization-identity"]),
-        ("factorization-one-sided", worst_one, tols["factorization-identity"]),
-        ("spectrum-multiset", worst_multiset, tols["spectrum-match"]),
-        ("vandermonde-agreement", vandermonde_fail, tols["bound-slack"]),
-        ("separation-positive", separation_fail, tols["bound-slack"]),
-    ]
+    worst = _worst(rows)
+    shared = ("factorization-symmetric", "factorization-one-sided", "spectrum-multiset",
+              "vandermonde-agreement")
+    return [*((c, *worst[c]) for c in shared),
+            ("separation-positive", separation_fail, tols["bound-slack"])]
 
 
 def _suite_bvp(rng, tols):
@@ -300,8 +372,6 @@ def _suite_bvp(rng, tols):
     witness_gap = float(
         np.max(np.abs(sol.values[:, 0] - np.sinh(1 - sol.grid) / math.sinh(1.0)))
     )
-    worst_boundary = 0.0
-    worst_ode = 0.0
     problems = []
     for _ in range(15):
         dim = int(rng.integers(2, 7))
@@ -309,11 +379,10 @@ def _suite_bvp(rng, tols):
         u0 = complex_gaussian(rng, dim)
         u1 = complex_gaussian(rng, dim)
         problems.append((BvpProblem(T, S, u0, u1), u0, u1))
+    rows = []
     for p, u0, u1 in problems:
-        s = solve_bvp(p)
-        scale = 1 + np.linalg.norm(u0) + np.linalg.norm(u1)
-        worst_boundary = max(worst_boundary, s.boundary_residual / scale)
-        worst_ode = max(worst_ode, s.ode_residual)
+        rows += bvp_claims(solve_bvp(p), u0, u1, tols)
+    worst = _worst(rows)
     # Superposition on one fixed problem: combine two data sets linearly.
     p, u0, u1 = problems[0]
     T, S = p.T, p.S
@@ -327,8 +396,8 @@ def _suite_bvp(rng, tols):
     fd = fd_oracle(scalar, 400, solution=sol)
     return [
         ("bvp-sinh-witness", witness_gap, tols["bvp-witness"]),
-        ("bvp-boundary-residual", worst_boundary, tols["boundary-residual"]),
-        ("bvp-ode-residual", worst_ode, tols["ode-residual"]),
+        ("bvp-boundary-residual", *worst["boundary-residual"]),
+        ("bvp-ode-residual", *worst["ode-residual"]),
         ("bvp-superposition", superpose, tols["superposition"]),
         ("bvp-fd-gap", fd.oracle_gap, tols["fd-gap"]),
     ]
@@ -338,18 +407,19 @@ def _suite_laplacian(rng, tols):
     m = LaplacianModel(1.0, 0.0, 0.1, 16)
     u0 = complex_gaussian(rng, 16)
     u1 = complex_gaussian(rng, 16)
-    out = demo(m, u0, u1, x_samples=9)
-    condition_fail = 0.0 if out["condition_sum"] < out["condition_bound"] else 1.0
-    scale = 1 + np.linalg.norm(u0) + np.linalg.norm(u1)
+    rows = laplacian_claims(demo(m, u0, u1, x_samples=9), u0, u1, tols)
+    condition = next(r for r in rows if r["claim"] == "condition-sum")
+    condition_fail = 0.0 if condition["status"] == "pass" else 1.0
     screen_fail = 1.0
     try:
         demo(LaplacianModel(1.0, 0.01, 0.1, 16), u0, u1, x_samples=5)
     except ModelError:
         screen_fail = 0.0
+    worst = _worst(rows)
     return [
         ("laplacian-condition", condition_fail, tols["bound-slack"]),
-        ("laplacian-oracle-gap", out["oracle_gap"], tols["mode-oracle"]),
-        ("laplacian-boundary", out["boundary_residual"] / scale, tols["boundary-residual"]),
+        ("laplacian-oracle-gap", *worst["oracle-gap"]),
+        ("laplacian-boundary", *worst["boundary-residual"]),
         ("laplacian-screen", screen_fail, tols["bound-slack"]),
     ]
 
@@ -378,22 +448,11 @@ def run_selftest(seed=42, overrides=None):
         rng = rng_for(seed, label)
         start = time.perf_counter()
         try:
-            results = fn(rng, tols)
+            claims += [claim(*item) for item in fn(rng, tols)]
         except Exception as exc:  # a crashed suite is a failed claim, not a crash
-            results = [(f"{label}-completed", 1.0, tols["bound-slack"], False, str(exc))]
+            failed = claim(f"{label}-completed", 1.0, tols["bound-slack"], ok=False)
+            claims.append({**failed, "error": str(exc)})
         runtimes[label] = round(time.perf_counter() - start, 6)
-        for item in results:
-            name, measured, tolerance = item[0], float(item[1]), float(item[2])
-            ok = item[3] if len(item) > 3 else (measured <= tolerance)
-            entry = {
-                "claim": name,
-                "status": "pass" if ok else "fail",
-                "measured": measured,
-                "tolerance": tolerance,
-            }
-            if len(item) > 4:
-                entry["error"] = item[4]
-            claims.append(entry)
     names = [c["claim"] for c in claims]
     if len(names) != len(set(names)):
         raise RuntimeError(f"duplicate claim ids in registry: {sorted(names)}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from accretive import linops
+from accretive import linops, selftest
 from accretive.cli import run
 from accretive.matio import read_matrix, write_matrix, write_vector
 from accretive.pencil import accretive_sqrt
@@ -22,7 +22,7 @@ from accretive.sampling import (
     pencil_pair,
     rng_for,
 )
-from accretive.selftest import _REGISTRY
+from accretive.selftest import _REGISTRY, pinv_claims
 from accretive.spectral import LaplacianModel, build_operators
 
 
@@ -118,6 +118,46 @@ def test_tol_override_can_fail_a_claim(files, capsys):
     ])
     assert rc == 1
     assert "failed claim: hull-consistency" in capsys.readouterr().err
+
+
+def test_tol_override_reaches_the_selftest_claims(files, tmp_path, capsys):
+    # The selftest and factorize read one claim function, so one override
+    # fails the same claim id in both.
+    override = ["--tol-override", "factorization-identity=1e-30"]
+    assert run(["selftest", *override, "--out", str(tmp_path)]) == 1
+    assert "failed claim: factorization-symmetric" in capsys.readouterr().err.splitlines()
+    body = json.loads(_text(tmp_path / "selftest-report.json"))["body"]
+    assert body["tolerance_overrides"] == {"factorization-identity": 1e-30}
+    row = next(c for c in body["claims"] if c["claim"] == "factorization-symmetric")
+    assert row["tolerance"] == 1e-30 and row["status"] == "fail"
+    C, D = commuting_pencil_pair(rng_for(20260814, "override-pencil"), 4)
+    write_matrix(tmp_path / "c.json", C)
+    write_matrix(tmp_path / "d.json", D)
+    assert run(["factorize", "--input", str(tmp_path / "c.json"),
+                "--input2", str(tmp_path / "d.json"), *override, "--out", files["out"]]) == 1
+    assert "failed claim: factorization-symmetric" in capsys.readouterr().err.splitlines()
+
+
+def test_suite_fails_when_no_input_produces_its_claim(monkeypatch):
+    # Without rows for a claim, its suite fails rather than passing at 0.0.
+    def penrose_only(T, res, tols):
+        return [r for r in pinv_claims(T, res, tols) if r["claim"] != "pinv-accretive"]
+
+    monkeypatch.setattr(selftest, "pinv_claims", penrose_only)
+    claims = {c["claim"]: c for c in selftest.run_selftest(seed=42)["body"]["claims"]}
+    assert claims["pinv-accretive-completed"]["status"] == "fail"
+    assert "pinv-accretive-real-part" not in claims
+    assert claims["pinv-penrose"]["status"] == "pass"
+
+
+@pytest.mark.parametrize("command", ["factorize", "demo-laplacian", "selftest"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_seed_must_be_a_non_negative_integer(files, capsys, command, seed):
+    inputs = {"factorize": ["--input", files["diag-t"], "--input2", files["diag-s"]]}
+    with pytest.raises(SystemExit) as info:
+        run([command, *inputs.get(command, []), "--seed", seed, "--out", files["out"]])
+    assert info.value.code == 2
+    assert "argument --seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 def test_tol_override_validation(files):

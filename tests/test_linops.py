@@ -490,6 +490,27 @@ def test_sweep_memory_is_bounded():
     assert peak < 48 * 2**20, f"sweep peak {peak / 2**20:.1f} MiB"
 
 
+def test_excess_memory_is_bounded_and_chunking_changes_no_bit():
+    # The one-shot 720 x 720 projection of a sweep's own points peaks at 11.9 MiB.
+    T = random_operator(rng_for(SEED, "excess-memory"), 32)
+    wr = numerical_range(T)
+    pts = wr.points  # the sweep itself is solved before tracing starts
+    tracemalloc.start()
+    try:
+        wr.excess(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"excess peak {peak / 2**20:.1f} MiB"
+    # A probe of several chunks (a chunk holds 2**16 // 720 = 91 points) against
+    # the one-shot formula.
+    probe = np.concatenate([pts, 1.5 * pts[:300], [0.0, 1e3j]])
+    one_shot = np.max(
+        np.real(np.exp(-1j * wr.angles)[None, :] * probe[:, None]) - wr.support[None, :], axis=1
+    )
+    assert np.array_equal(wr.excess(probe), one_shot)
+
+
 def test_boundary_hull_grows_with_refinement():
     rng = rng_for(SEED, "hull-growth")
     T = random_operator(rng, 6)

@@ -8,6 +8,7 @@ import pytest
 from accretive.errors import HypothesisError, PreconditionError
 from accretive.pinv import (
     neumann_identity_check,
+    perturbation_bound,
     perturbation_certificate,
     perturbed_pinv,
     pseudoinverse,
@@ -101,6 +102,7 @@ def test_error_and_norm_bounds():
         pn = np.linalg.norm(P, 2)
         diff = np.linalg.norm(pseudoinverse(T + S).pinv - P, 2)
         bound = np.linalg.norm(S, 2) * pn ** 2 / (1 - cert.contraction_TdS)
+        assert perturbation_bound(S, cert) == bound, f"trial {k}"
         assert diff <= bound + 1e-10, f"trial {k}"
         if cert.s_accretive and cert.theta is not None and cert.theta < math.pi / 2:
             norm_bound = 2 * pn + (1 + math.tan(cert.theta)) ** 2 * pn ** 2
