@@ -1,6 +1,7 @@
 """Accretive-operator toolkit: certification, pseudoinverses, pencils, BVPs."""
 
 from .errors import (
+    AccretiveError,
     AccuracyError,
     DimensionError,
     HypothesisError,

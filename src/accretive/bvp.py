@@ -27,7 +27,7 @@ import numpy as np
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
 from .linops import Operator, checked_matrix, operator_norm
 from .pencil import QuadraticPencil, _sqrt_and_residual
-from .tolerances import DEFAULTS
+from .tolerances import tolerance
 
 
 def expm(A):
@@ -212,7 +212,7 @@ def solve_bvp(p, grid=None):
     if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
             and ts[0] >= 0 and ts[-1] <= 1):
         raise ParameterError("grid must be strictly increasing within [0, 1]")
-    tol = DEFAULTS["bvp-commutation"] * max(1.0, p.T.norm ** 2, p.S.norm)
+    tol = tolerance("bvp-commutation") * max(1.0, p.T.norm ** 2, p.S.norm)
     if p.commutation_residual > tol:
         raise HypothesisError(
             f"T does not commute with the pencil root: residual "
@@ -225,7 +225,7 @@ def solve_bvp(p, grid=None):
     eye = np.eye(n)
     M = eye - expm(-2 * R)
     smin = np.linalg.svd(M, compute_uv=False)[-1] if n else 1.0
-    if smin <= DEFAULTS["resonance"] * max(1, n):
+    if smin <= tolerance("resonance") * max(1, n):
         raise ResonanceError(
             f"I - exp(-2 R) is singular to working precision "
             f"(sigma_min = {smin:.3e}); the two-point problem is resonant"
@@ -242,7 +242,7 @@ def solve_bvp(p, grid=None):
     block[n:, n:] = e_z2
     stacked = np.linalg.solve(block, np.concatenate([p.u0, p.u1]))
     route_gap = float(np.linalg.norm(np.concatenate([x0, x1]) - stacked))
-    if route_gap > DEFAULTS["dual-route"] * (1 + np.linalg.norm(stacked)):
+    if route_gap > tolerance("dual-route") * (1 + np.linalg.norm(stacked)):
         raise AccuracyError(
             f"boundary-coefficient routes disagree by {route_gap:.3e}; "
             "sign conventions violated"
@@ -302,7 +302,7 @@ def ode_residual(sol, p):
     fd = (U[:, k:2 * k] - U[:, 2 * k:3 * k]) / (2 * h)
     gaps = np.linalg.norm(du - fd, axis=0)
     for t, gap in zip(probes, gaps):
-        if gap > DEFAULTS["derivative-check"] * scale:
+        if gap > tolerance("derivative-check") * scale:
             raise AccuracyError(
                 f"analytic derivative disagrees with finite differences at t={t:.3f} "
                 f"by {gap:.3e}"

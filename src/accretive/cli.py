@@ -46,7 +46,7 @@ from .pencil import QuadraticPencil, factorize
 from .pinv import perturbation_bound, perturbation_certificate, perturbed_pinv, pseudoinverse
 from .sampling import complex_gaussian, rng_for
 from .spectral import LaplacianModel, demo
-from .tolerances import resolve
+from .tolerances import overridden
 
 EXIT_PASS = 0
 EXIT_CLAIM_FAIL = 1
@@ -97,20 +97,20 @@ def _conclude(claims, path, note=None):
     return EXIT_PASS
 
 
-def _cmd_analyze(args, tols, out_dir):
+def _cmd_analyze(args, out_dir):
     T = as_operator(read_matrix(args.input))
-    rep = accretivity_report(T, tol=tols["accretivity"] * max(1.0, T.norm))
-    claims = selftest.analyze_claims(T, rep, tols)
+    rep = accretivity_report(T)
+    claims = selftest.analyze_claims(T, rep)
     print(f"status: {rep.status}")
     if rep.omega is not None:
         print(f"omega = {rep.omega:.12f} rad  (tan = {rep.lambda0_modulus})")
     return _emit("analyze", {"input": args.input, "analysis": rep.as_dict()}, claims, out_dir)
 
 
-def _cmd_pinv(args, tols, out_dir):
+def _cmd_pinv(args, out_dir):
     T = as_operator(read_matrix(args.input))
     res = pseudoinverse(T)
-    claims = selftest.pinv_claims(T, res, tols)
+    claims = selftest.pinv_claims(T, res)
     out_path = os.path.join(out_dir, "pinv.json")
     write_json(out_path, matrix_payload(res.pinv))
     print(f"rank = {res.rank}, gamma = {res.gamma}")
@@ -124,10 +124,10 @@ def _cmd_pinv(args, tols, out_dir):
     return _emit("pinv", body, claims, out_dir)
 
 
-def _cmd_perturb(args, tols, out_dir):
+def _cmd_perturb(args, out_dir):
     T = as_operator(read_matrix(args.input))
     S = as_operator(read_matrix(args.input2))
-    cert = perturbation_certificate(T, S, tols["inclusion-residual"] * max(1.0, S.norm))
+    cert = perturbation_certificate(T, S)
     if cert.mode == "fail":
         path = os.path.join(out_dir, "perturb-certificate.json")
         write_json(path, cert.as_dict())
@@ -135,7 +135,7 @@ def _cmd_perturb(args, tols, out_dir):
         print(json.dumps(cert.as_dict(), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_HYPOTHESIS
     updated = perturbed_pinv(T, S, cert)
-    claims = selftest.perturb_claims(S, cert, updated, pseudoinverse(T.matrix + S.matrix), tols)
+    claims = selftest.perturb_claims(S, cert, updated, pseudoinverse(T.matrix + S.matrix))
     out_path = os.path.join(out_dir, "perturbed-pinv.json")
     write_json(out_path, matrix_payload(updated))
     print(f"certificate mode: {cert.mode}")
@@ -149,12 +149,12 @@ def _cmd_perturb(args, tols, out_dir):
     return _emit("perturb", body, claims, out_dir)
 
 
-def _cmd_factorize(args, tols, out_dir):
+def _cmd_factorize(args, out_dir):
     p = QuadraticPencil(read_matrix(args.input), read_matrix(args.input2))
     f = factorize(p)
     rng = rng_for(args.seed, "factorize-lambdas")
     lams = np.concatenate([complex_gaussian(rng, 12, 2.0), rng.standard_normal(4) * 3.0])
-    claims = selftest.factorize_claims(p, f, lams, tols)
+    claims = selftest.factorize_claims(p, f, lams)
     for name, M in (("z1", f.z1), ("z2", f.z2), ("sqrt-upsilon", f.sqrt_upsilon)):
         write_json(os.path.join(out_dir, f"{name}.json"), matrix_payload(M))
     for w in f.warnings:
@@ -175,14 +175,14 @@ def _cmd_factorize(args, tols, out_dir):
     return _emit("factorize", body, claims, out_dir)
 
 
-def _cmd_solve_bvp(args, tols, out_dir):
+def _cmd_solve_bvp(args, out_dir):
     T = read_matrix(args.input)
     S = read_matrix(args.input2)
     u0 = read_vector(args.u0)
     u1 = read_vector(args.u1)
     problem = BvpProblem(T, S, u0, u1)
     sol = solve_bvp(problem, chebyshev_grid(args.grid))
-    claims = selftest.bvp_claims(sol, u0, u1, tols)
+    claims = selftest.bvp_claims(sol, u0, u1)
     rows = []
     for i, t in enumerate(sol.grid):
         for j in range(problem.dim):
@@ -202,7 +202,7 @@ def _cmd_solve_bvp(args, tols, out_dir):
     return _emit("solve-bvp", body, claims, out_dir)
 
 
-def _cmd_demo_laplacian(args, tols, out_dir):
+def _cmd_demo_laplacian(args, out_dir):
     model = LaplacianModel(args.eta, args.eta1, complex(args.xi_re, args.xi_im), args.modes)
     if args.u0:
         u0 = read_vector(args.u0)
@@ -213,7 +213,7 @@ def _cmd_demo_laplacian(args, tols, out_dir):
     else:
         u1 = complex_gaussian(rng_for(args.seed, "laplacian-u1"), model.n_modes)
     out = demo(model, u0, u1, grid=chebyshev_grid(args.grid), x_samples=args.x_samples)
-    claims = selftest.laplacian_claims(out, u0, u1, tols)
+    claims = selftest.laplacian_claims(out, u0, u1)
     sol = out["solution"]
     rows = []
     for i, t in enumerate(sol.grid):
@@ -237,9 +237,8 @@ def _cmd_demo_laplacian(args, tols, out_dir):
     return _emit("demo-laplacian", body, claims, out_dir)
 
 
-def _cmd_selftest(args, tols, out_dir):
-    overrides = _parse_overrides(args.tol_override)
-    report = selftest.run_selftest(seed=args.seed, overrides=overrides)
+def _cmd_selftest(args, out_dir):
+    report = selftest.run_selftest(args.seed, _parse_overrides(args.tol_override))
     path = os.path.join(out_dir, "selftest-report.json")
     write_json(path, report)
     summary = report["body"]["summary"]
@@ -346,9 +345,9 @@ def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        tols = resolve(_parse_overrides(args.tol_override))
-        os.makedirs(args.out, exist_ok=True)
-        return args.func(args, tols, args.out)
+        with overridden(_parse_overrides(args.tol_override)):
+            os.makedirs(args.out, exist_ok=True)
+            return args.func(args, args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, DimensionError, PreconditionError
-from .tolerances import DEFAULTS
+from .tolerances import tolerance
 
 _EPS = float(np.finfo(np.float64).eps)
 _DEFAULT_ANGLES = 720
@@ -425,7 +425,7 @@ def sectorial_angle(T, tol=None):
     op = as_operator(T)
     n, delta = op.dim, op.delta
     if tol is None:
-        tol = DEFAULTS["accretivity"] * max(1.0, op.norm)
+        tol = tolerance("accretivity") * max(1.0, op.norm)
     if delta < -tol:
         return None, delta, False, None
     keep = slice(None)
@@ -448,14 +448,14 @@ def sectorial_angle(T, tol=None):
 def accretivity_report(T, tol=None):
     """Full accretivity certificate: delta, omega, w(T), r(T), ||T||.
 
-    tol defaults to 1e-10 * max(1, ||T||), absolute on lambda_min(Re T).
+    tol defaults to tolerance("accretivity") * max(1, ||T||), on lambda_min(Re T).
     Non-accretive input yields is_accretive=False with omega=None (a status,
     not an exception).
     """
     op = as_operator(T)
     n, nrm = op.dim, op.norm
     if tol is None:
-        tol = DEFAULTS["accretivity"] * max(1.0, nrm)
+        tol = tolerance("accretivity") * max(1.0, nrm)
     omega, delta, sectorial, tan_omega = sectorial_angle(op, tol)
     eigs = np.linalg.eigvals(op.matrix) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
@@ -494,7 +494,7 @@ def kato_representation(T):
     Hermitian with ||T_tilde|| = tan(omega).
     """
     op = as_operator(T)
-    tol = DEFAULTS["accretivity"] * max(1.0, op.norm)
+    tol = tolerance("accretivity") * max(1.0, op.norm)
     if op.delta <= tol:
         raise PreconditionError(
             f"real part not positive definite: lambda_min = {op.delta:.3e} <= tol = {tol:.3e}"

@@ -54,6 +54,8 @@ def _load_json(path):
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer past Python's digit limit
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _check_header(obj, path, kind):
@@ -86,9 +88,13 @@ def _parse_entries(entries, count, path):
         )
         if not ok:
             raise ParseError(f"{path}: entry {k} must be a [re, im] number pair, got {pair!r}")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError as exc:
+            raise ParseError(f"{path}: entry {k} is too large for a float: {pair!r}") from exc
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
             raise ParseError(f"{path}: entry {k} is not finite: {pair!r}")
-        out[k] = complex(pair[0], pair[1])
+        out[k] = z
     return out
 
 

@@ -20,7 +20,7 @@ from .linops import (
     sector_angle_estimate,
     sectorial_angle,
 )
-from .tolerances import DEFAULTS
+from .tolerances import tolerance
 
 _EPS = float(np.finfo(np.float64).eps)
 # Complex entries per stacked chunk of pencil residuals (8 MiB): all 16 lambdas
@@ -106,7 +106,7 @@ def _sqrt_and_residual(op):
     A, nrm = op.matrix, op.norm
     if op.dim == 0:
         return A.copy(), 0.0
-    tol = DEFAULTS["accretivity"] * max(1.0, nrm)
+    tol = tolerance("accretivity") * max(1.0, nrm)
     Q, block = _range_block(op)
     theta, V = block.schur
     eigs = np.diag(theta)
@@ -121,13 +121,12 @@ def _sqrt_and_residual(op):
     if Q is not None:
         W = Q @ W @ Q.conj().T
     residual = operator_norm(W @ W - A)
-    if residual > DEFAULTS["sqrt-residual"] * max(1.0, nrm):
+    if residual > tolerance("sqrt-residual") * max(1.0, nrm):
         raise AccuracyError(f"square-root residual {residual:.3e} above tolerance")
     return W, residual
 
 
 _QUAD = {
-    "target": DEFAULTS["quadrature-rel"],
     "tail": 1e-12,
     "nodes_per_panel": 12,
     "panel_width": 2.0,
@@ -146,6 +145,7 @@ def _balakrishnan_dense(op, alpha):
     below _QUAD["tail"] * max(1, ||T||^alpha).  T is the Operator op.
     """
     A, n, nrm = op.matrix, op.dim, op.norm
+    target = tolerance("quadrature-rel")
     sin_pa = math.sin(math.pi * alpha)
     tail_target = _QUAD["tail"] * max(1.0, nrm ** alpha)
     u_lo = math.log(math.pi * alpha * tail_target / (2 * sin_pa)) / alpha
@@ -174,12 +174,12 @@ def _balakrishnan_dense(op, alpha):
         panels *= 2
         curr = integrate(panels)
         diff = operator_norm(curr - prev) / max(operator_norm(curr), 1e-300)
-        if diff < _QUAD["target"]:
+        if diff < target:
             return curr
         prev = curr
     raise AccuracyError(
         f"quadrature did not converge: achieved relative difference {diff:.3e}, "
-        f"target {_QUAD['target']:.1e}"
+        f"target {target:.1e}"
     )
 
 
@@ -194,7 +194,7 @@ def balakrishnan_power(T, alpha):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if op.dim == 0:
         return op.matrix.copy()
-    tol = DEFAULTS["accretivity"] * max(1.0, op.norm)
+    tol = tolerance("accretivity") * max(1.0, op.norm)
     if op.delta < -tol:
         raise PreconditionError(f"input not accretive: delta = {op.delta:.3e}")
     if op.norm <= tol:
@@ -242,7 +242,7 @@ def factorize(p):
     """
     T, S = p.T.matrix, p.S.matrix
     t_norm, s_norm = p.T.norm, p.S.norm
-    tol = DEFAULTS["accretivity"] * max(1.0, t_norm ** 2, s_norm)
+    tol = tolerance("accretivity") * max(1.0, t_norm ** 2, s_norm)
     warnings = []
     T2 = T @ T
     for name, M in (("T", p.T), ("T^2", Operator(T2)), ("S", p.S)):
@@ -259,11 +259,11 @@ def factorize(p):
     sqrt_angle = _sector_angle(R)
     z1_angle = _sector_angle(Operator(checked_matrix(z1)))
     comm = operator_norm(T @ S - S @ T)
-    commuting = bool(comm <= DEFAULTS["commutation"] * max(1.0, t_norm * s_norm))
+    commuting = bool(comm <= tolerance("commutation") * max(1.0, t_norm * s_norm))
     s1 = np.linalg.eigvals(z1)
     s2 = np.linalg.eigvals(z2)
     separation = float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
-    regime = "strong" if U.delta > DEFAULTS["separation-strong"] else "degenerate"
+    regime = "strong" if U.delta > tolerance("separation-strong") else "degenerate"
     if regime == "degenerate":
         warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
     return PencilFactorization(

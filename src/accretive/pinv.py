@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, PreconditionError
 from .linops import as_operator, checked_matrix, operator_norm, sectorial_angle
-from .tolerances import DEFAULTS
+from .tolerances import tolerance
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -121,7 +121,7 @@ def perturbation_certificate(T, S, tol=None):
         raise ParameterError(f"dimension mismatch: {A.shape} vs {B.shape}")
     s_norm = S.norm
     if tol is None:
-        tol = DEFAULTS["inclusion-residual"] * max(1.0, s_norm)
+        tol = tolerance("inclusion-residual") * max(1.0, s_norm)
     res = pseudoinverse(T)
     P = res.pinv
     eye = np.eye(A.shape[0])
@@ -264,11 +264,9 @@ def second_power_inequalities(T, samples=64, seed=0):
         res_sq.gamma - res.gamma ** 2 / 2
         if math.isfinite(res.gamma) else math.inf
     )
-    scale = max(1.0, op.norm ** 2)
-    violations = sum(1 for v in worst_split.values() if v < -DEFAULTS["vector-inequality"] * scale)
-    if worst_product < -DEFAULTS["vector-inequality"] * scale:
-        violations += 1
-    if gamma_bound_slack < -DEFAULTS["second-power-gamma"]:
+    bar = -tolerance("vector-inequality") * max(1.0, op.norm ** 2)
+    violations = sum(1 for v in (*worst_split.values(), worst_product) if v < bar)
+    if gamma_bound_slack < -tolerance("second-power-gamma"):
         violations += 1
     return {
         "samples": int(samples),

@@ -64,23 +64,23 @@ from .sampling import (
     singular_accretive_operator,
 )
 from .spectral import LaplacianModel, demo
-from .tolerances import resolve
+from .tolerances import overridden, tolerance
 
 FORMAT_VERSION = 1
 
 
-def claim(name, measured, tolerance, ok=None):
-    """One report row; it passes when measured <= tolerance unless ok says otherwise."""
-    ok = (measured <= tolerance) if ok is None else bool(ok)
+def claim(name, measured, tol, ok=None):
+    """One report row; it passes when measured <= tol unless ok says otherwise."""
+    ok = (measured <= tol) if ok is None else bool(ok)
     return {
         "claim": name,
         "status": "pass" if ok else "fail",
         "measured": float(measured),
-        "tolerance": float(tolerance),
+        "tolerance": float(tol),
     }
 
 
-def analyze_claims(T, rep, tols):
+def analyze_claims(T, rep):
     """The norm chain r <= w <= ||T|| <= 2w, and the sweep's own boundary
     points and the spectrum inside W(T); rep is T's accretivity_report."""
     T = as_operator(T)
@@ -95,13 +95,13 @@ def analyze_claims(T, rep, tols):
     eigs = rep.eigenvalues
     spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
     return [
-        claim("norm-chain", chain, tols["norm-chain"]),
-        claim("hull-consistency", hull, tols["hull-distance"]),
-        claim("spectral-inclusion", spec, tols["spectral-inclusion"]),
+        claim("norm-chain", chain, tolerance("norm-chain")),
+        claim("hull-consistency", hull, tolerance("hull-distance")),
+        claim("spectral-inclusion", spec, tolerance("spectral-inclusion")),
     ]
 
 
-def pinv_claims(T, res, tols):
+def pinv_claims(T, res):
     """The Penrose identities of res = pseudoinverse(T) and, when T is
     accretive, the accretivity of its pseudoinverse."""
     T = as_operator(T)
@@ -109,14 +109,14 @@ def pinv_claims(T, res, tols):
     nrm = res.singular_values[0] if T.dim else 0.0
     scale = max(1.0, nrm, operator_norm(res.pinv))
     worst = max(penrose_residuals(T, res.pinv).values()) / scale
-    rows = [claim("penrose-identities", worst, tols["penrose"])]
-    if T.dim and T.delta >= -tols["accretivity"] * max(1.0, nrm):
+    rows = [claim("penrose-identities", worst, tolerance("penrose"))]
+    if T.dim and T.delta >= -tolerance("accretivity") * max(1.0, nrm):
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
-        rows.append(claim("pinv-accretive", max(0.0, -lam), tols["pinv-accretive"]))
+        rows.append(claim("pinv-accretive", max(0.0, -lam), tolerance("pinv-accretive")))
     return rows
 
 
-def perturb_claims(S, cert, updated, direct, tols):
+def perturb_claims(S, cert, updated, direct):
     """The update formula against direct = pseudoinverse(T + S), and the
     paper's error bound; cert is the certificate of (T, S)."""
     pinv = cert.pinv_result.pinv
@@ -124,42 +124,43 @@ def perturb_claims(S, cert, updated, direct, tols):
     formula = operator_norm(updated - direct.pinv) / max(as_operator(pinv).norm, 1e-300)
     excess = (operator_norm(direct.pinv - pinv) - bound) / max(1.0, bound)
     return [
-        claim("update-formula", formula, tols["perturb-formula-rel"]),
-        claim("error-bound", max(0.0, excess), tols["bound-slack"]),
+        claim("update-formula", formula, tolerance("perturb-formula-rel")),
+        claim("error-bound", max(0.0, excess), tolerance("bound-slack")),
     ]
 
 
-def factorize_claims(p, f, lams, tols):
+def factorize_claims(p, f, lams):
     """The factorization identities of f = factorize(p) at the lambdas and,
     for a commuting pencil, the spectrum of the factors."""
     scale = max(1.0, p.T.norm ** 2, p.S.norm)
     sym, one = factorization_residuals(f, p, lams)
-    rows = [claim("factorization-symmetric", sym / scale, tols["factorization-identity"])]
+    tol = tolerance("factorization-identity")
+    rows = [claim("factorization-symmetric", sym / scale, tol)]
     if f.commuting:
-        rows.append(claim("factorization-one-sided", one / scale, tols["factorization-identity"]))
+        rows.append(claim("factorization-one-sided", one / scale, tol))
         dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, pencil_spectrum(p))
-        rows.append(claim("spectrum-multiset", dist, tols["spectrum-match"]))
+        rows.append(claim("spectrum-multiset", dist, tolerance("spectrum-match")))
     ok = vandermonde_check(f)
-    rows.append(claim("vandermonde-agreement", 0.0 if ok else 1.0, tols["bound-slack"]))
+    rows.append(claim("vandermonde-agreement", 0.0 if ok else 1.0, tolerance("bound-slack")))
     return rows
 
 
-def bvp_claims(sol, u0, u1, tols):
+def bvp_claims(sol, u0, u1):
     """Boundary residual, relative to the data u0 and u1, and ODE residual of sol."""
     scale = 1 + float(np.linalg.norm(u0)) + float(np.linalg.norm(u1))
     return [
-        claim("boundary-residual", sol.boundary_residual / scale, tols["boundary-residual"]),
-        claim("ode-residual", sol.ode_residual, tols["ode-residual"]),
+        claim("boundary-residual", sol.boundary_residual / scale, tolerance("boundary-residual")),
+        claim("ode-residual", sol.ode_residual, tolerance("ode-residual")),
     ]
 
 
-def laplacian_claims(out, u0, u1, tols):
+def laplacian_claims(out, u0, u1):
     """The per-mode oracle gap and boundary residual of out = demo(model, u0,
     u1), and its condition sum, which must stay below the model's bound."""
     total, bound = out["condition_sum"], out["condition_bound"]
     return [
-        claim("oracle-gap", out["oracle_gap"], tols["mode-oracle"]),
-        bvp_claims(out["solution"], u0, u1, tols)[0],
+        claim("oracle-gap", out["oracle_gap"], tolerance("mode-oracle")),
+        bvp_claims(out["solution"], u0, u1)[0],
         claim("condition-sum", total, bound, ok=total < bound),
     ]
 
@@ -173,7 +174,7 @@ def _worst(rows):
     return out
 
 
-def _suite_pinv_basics(rng, tols):
+def _suite_pinv_basics(rng):
     rows = []
     worst_inv = 0.0
     for k in range(40):
@@ -183,16 +184,16 @@ def _suite_pinv_basics(rng, tols):
         else:
             T = random_operator(rng, dim)
         res = pseudoinverse(T)
-        rows += pinv_claims(T, res, tols)
+        rows += pinv_claims(T, res)
         back = pseudoinverse(res.pinv).pinv
         worst_inv = max(worst_inv, operator_norm(back - T) / max(1.0, operator_norm(T)))
     return [
         ("pinv-penrose", *_worst(rows)["penrose-identities"]),
-        ("pinv-involution", worst_inv, tols["involution"]),
+        ("pinv-involution", worst_inv, tolerance("involution")),
     ]
 
 
-def _suite_pinv_accretive(rng, tols):
+def _suite_pinv_accretive(rng):
     rows = []
     worst_ep = 0.0
     for _ in range(30):
@@ -201,23 +202,23 @@ def _suite_pinv_accretive(rng, tols):
         T = singular_accretive_operator(rng, dim, rank)
         res = pseudoinverse(T)
         worst_ep = max(worst_ep, operator_norm(T @ res.pinv - res.pinv @ T))
-        rows += pinv_claims(T, res, tols)
+        rows += pinv_claims(T, res)
     return [
-        ("pinv-ep-accretive", worst_ep, tols["ep"]),
+        ("pinv-ep-accretive", worst_ep, tolerance("ep")),
         ("pinv-accretive-real-part", *_worst(rows)["pinv-accretive"]),
     ]
 
 
-def _suite_numerical_range(rng, tols):
+def _suite_numerical_range(rng):
     rows = []
     for _ in range(20):
         T = as_operator(random_operator(rng, int(rng.integers(2, 11))))
-        rows += analyze_claims(T, accretivity_report(T), tols)
+        rows += analyze_claims(T, accretivity_report(T))
     worst = _worst(rows)
     return [(c, *worst[c]) for c in ("norm-chain", "hull-consistency", "spectral-inclusion")]
 
 
-def _suite_sectorial(rng, tols):
+def _suite_sectorial(rng):
     worst_bound = 0.0
     for _ in range(40):
         dim = int(rng.integers(1, 13))
@@ -235,13 +236,13 @@ def _suite_sectorial(rng, tols):
         rebuilt = R @ (np.eye(dim) + 1j * K) @ R
         worst_kato = max(worst_kato, operator_norm(rebuilt - T) / max(1.0, operator_norm(T)))
     return [
-        ("sectorial-angle-bound", worst_bound, tols["sectorial-bound"]),
-        ("sectorial-witness", abs(witness_omega - math.pi / 4), tols["sectorial-witness"]),
-        ("kato-round-trip", worst_kato, tols["kato-reconstruction"]),
+        ("sectorial-angle-bound", worst_bound, tolerance("sectorial-bound")),
+        ("sectorial-witness", abs(witness_omega - math.pi / 4), tolerance("sectorial-witness")),
+        ("kato-round-trip", worst_kato, tolerance("kato-reconstruction")),
     ]
 
 
-def _suite_perturbation(rng, tols):
+def _suite_perturbation(rng):
     rows = []
     worst_geom = 0.0
     worst_theta = 0.0
@@ -252,7 +253,7 @@ def _suite_perturbation(rng, tols):
         cert = perturbation_certificate(T, S)
         res = cert.pinv_result
         direct = pseudoinverse(T + S)
-        rows += perturb_claims(S, cert, perturbed_pinv(T, S, cert), direct, tols)
+        rows += perturb_claims(S, cert, perturbed_pinv(T, S, cert), direct)
         if direct.rank != res.rank:
             worst_geom = max(worst_geom, 1.0)
         worst_geom = max(
@@ -280,20 +281,20 @@ def _suite_perturbation(rng, tols):
     worst = _worst(rows)
     return [
         ("perturb-formula", *worst["update-formula"]),
-        ("perturb-geometry", worst_geom, tols["subspace-angle"]),
+        ("perturb-geometry", worst_geom, tolerance("subspace-angle")),
         ("perturb-error-bound", *worst["error-bound"]),
-        ("perturb-theta-bound", max(0.0, worst_theta), tols["bound-slack"]),
-        ("perturb-scaling", worst_scaling, tols["perturb-scaling"]),
+        ("perturb-theta-bound", max(0.0, worst_theta), tolerance("bound-slack")),
+        ("perturb-scaling", worst_scaling, tolerance("perturb-scaling")),
     ]
 
 
-def _suite_neumann(rng, tols):
+def _suite_neumann(rng):
     T, S = certified_pair(rng, 6, 4, contraction=0.4)
     deviation = neumann_identity_check(T, S, 20)
-    return [("neumann-tail", deviation, tols["neumann-tail"])]
+    return [("neumann-tail", deviation, tolerance("neumann-tail"))]
 
 
-def _suite_second_power(rng, tols):
+def _suite_second_power(rng):
     worst_sq = 0.0
     for _ in range(15):
         dim = int(rng.integers(1, 11))
@@ -317,13 +318,13 @@ def _suite_second_power(rng, tols):
         if math.isfinite(stats["gamma_bound_slack"]):
             worst_gamma = max(worst_gamma, max(0.0, -stats["gamma_bound_slack"]))
     return [
-        ("square-pinv", worst_sq, tols["square-pinv"]),
-        ("second-power-vectors", worst_vec, tols["vector-inequality"]),
-        ("gamma-square-bound", worst_gamma, tols["second-power-gamma"]),
+        ("square-pinv", worst_sq, tolerance("square-pinv")),
+        ("second-power-vectors", worst_vec, tolerance("vector-inequality")),
+        ("gamma-square-bound", worst_gamma, tolerance("second-power-gamma")),
     ]
 
 
-def _suite_fractional(rng, tols):
+def _suite_fractional(rng):
     worst_rel = 0.0
     worst_angle = 0.0
     for _ in range(8):
@@ -339,12 +340,12 @@ def _suite_fractional(rng, tols):
             omega = sectorial_angle(power)[0]
             worst_angle = max(worst_angle, omega - alpha * math.pi / 2)
     return [
-        ("fractional-power-accuracy", worst_rel, tols["balakrishnan-rel"]),
-        ("fractional-power-angle", max(0.0, worst_angle), tols["power-angle"]),
+        ("fractional-power-accuracy", worst_rel, tolerance("balakrishnan-rel")),
+        ("fractional-power-angle", max(0.0, worst_angle), tolerance("power-angle")),
     ]
 
 
-def _suite_factorization(rng, tols):
+def _suite_factorization(rng):
     rows = []
     separation_fail = 0.0
     for k in range(15):
@@ -356,17 +357,17 @@ def _suite_factorization(rng, tols):
             complex_gaussian(rng, 8, 2.0),
             rng.standard_normal(4) * 3.0,
         ])
-        rows += factorize_claims(p, f, lams, tols)
+        rows += factorize_claims(p, f, lams)
         if f.separation_regime == "strong" and f.separation <= 0:
             separation_fail = 1.0
     worst = _worst(rows)
     shared = ("factorization-symmetric", "factorization-one-sided", "spectrum-multiset",
               "vandermonde-agreement")
     return [*((c, *worst[c]) for c in shared),
-            ("separation-positive", separation_fail, tols["bound-slack"])]
+            ("separation-positive", separation_fail, tolerance("bound-slack"))]
 
 
-def _suite_bvp(rng, tols):
+def _suite_bvp(rng):
     scalar = BvpProblem(np.zeros((1, 1)), np.eye(1), np.array([1.0]), np.array([0.0]))
     sol = solve_bvp(scalar)
     witness_gap = float(
@@ -381,7 +382,7 @@ def _suite_bvp(rng, tols):
         problems.append((BvpProblem(T, S, u0, u1), u0, u1))
     rows = []
     for p, u0, u1 in problems:
-        rows += bvp_claims(solve_bvp(p), u0, u1, tols)
+        rows += bvp_claims(solve_bvp(p), u0, u1)
     worst = _worst(rows)
     # Superposition on one fixed problem: combine two data sets linearly.
     p, u0, u1 = problems[0]
@@ -395,19 +396,19 @@ def _suite_bvp(rng, tols):
     superpose = float(np.max(np.abs(s12.values - a * s1.values - b * s2.values)))
     fd = fd_oracle(scalar, 400, solution=sol)
     return [
-        ("bvp-sinh-witness", witness_gap, tols["bvp-witness"]),
+        ("bvp-sinh-witness", witness_gap, tolerance("bvp-witness")),
         ("bvp-boundary-residual", *worst["boundary-residual"]),
         ("bvp-ode-residual", *worst["ode-residual"]),
-        ("bvp-superposition", superpose, tols["superposition"]),
-        ("bvp-fd-gap", fd.oracle_gap, tols["fd-gap"]),
+        ("bvp-superposition", superpose, tolerance("superposition")),
+        ("bvp-fd-gap", fd.oracle_gap, tolerance("fd-gap")),
     ]
 
 
-def _suite_laplacian(rng, tols):
+def _suite_laplacian(rng):
     m = LaplacianModel(1.0, 0.0, 0.1, 16)
     u0 = complex_gaussian(rng, 16)
     u1 = complex_gaussian(rng, 16)
-    rows = laplacian_claims(demo(m, u0, u1, x_samples=9), u0, u1, tols)
+    rows = laplacian_claims(demo(m, u0, u1, x_samples=9), u0, u1)
     condition = next(r for r in rows if r["claim"] == "condition-sum")
     condition_fail = 0.0 if condition["status"] == "pass" else 1.0
     screen_fail = 1.0
@@ -417,10 +418,10 @@ def _suite_laplacian(rng, tols):
         screen_fail = 0.0
     worst = _worst(rows)
     return [
-        ("laplacian-condition", condition_fail, tols["bound-slack"]),
+        ("laplacian-condition", condition_fail, tolerance("bound-slack")),
         ("laplacian-oracle-gap", *worst["oracle-gap"]),
         ("laplacian-boundary", *worst["boundary-residual"]),
-        ("laplacian-screen", screen_fail, tols["bound-slack"]),
+        ("laplacian-screen", screen_fail, tolerance("bound-slack")),
     ]
 
 
@@ -441,18 +442,18 @@ _REGISTRY = [
 
 def run_selftest(seed=42, overrides=None):
     """Run every suite; return the full conformance report dict."""
-    tols = resolve(overrides)
     claims = []
     runtimes = {}
-    for label, fn in _REGISTRY:
-        rng = rng_for(seed, label)
-        start = time.perf_counter()
-        try:
-            claims += [claim(*item) for item in fn(rng, tols)]
-        except Exception as exc:  # a crashed suite is a failed claim, not a crash
-            failed = claim(f"{label}-completed", 1.0, tols["bound-slack"], ok=False)
-            claims.append({**failed, "error": str(exc)})
-        runtimes[label] = round(time.perf_counter() - start, 6)
+    with overridden(overrides):
+        for label, fn in _REGISTRY:
+            rng = rng_for(seed, label)
+            start = time.perf_counter()
+            try:
+                claims += [claim(*item) for item in fn(rng)]
+            except Exception as exc:  # a crashed suite is a failed claim, not a crash
+                failed = claim(f"{label}-completed", 1.0, tolerance("bound-slack"), ok=False)
+                claims.append({**failed, "error": str(exc)})
+            runtimes[label] = round(time.perf_counter() - start, 6)
     names = [c["claim"] for c in claims]
     if len(names) != len(set(names)):
         raise RuntimeError(f"duplicate claim ids in registry: {sorted(names)}")

@@ -15,19 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import BvpProblem, BvpSolution, chebyshev_grid, solve_bvp
-from .errors import (
-    AccuracyError,
-    DimensionError,
-    HypothesisError,
-    ModelError,
-    ParameterError,
-    ParseError,
-    PreconditionError,
-    ResonanceError,
-)
+from .errors import AccretiveError, ModelError, ParameterError, PreconditionError, ResonanceError
 from .pencil import QuadraticPencil, factorize
 from .pinv import perturbation_certificate
-from .tolerances import DEFAULTS
+from .tolerances import tolerance
 
 
 @dataclass(frozen=True)
@@ -165,7 +156,7 @@ def per_mode_oracle(m, u0, u1, grid=None):
     # det [[e^{-z1}, 1], [1, e^{z2}]] = e^{-2r} - 1, the same quantity whose
     # matrix version sigma_min(I - e^{-2R}) gates the assembled solver.
     dets = np.abs(np.expm1(-2 * r))
-    tol = DEFAULTS["resonance"] * max(1.0, m.n_modes)
+    tol = tolerance("resonance") * max(1.0, m.n_modes)
     if np.min(dets) <= tol:
         j = int(np.argmin(dets)) + 1
         raise ResonanceError(f"mode j={j} boundary system singular: |e^(-2r)-1| = {dets[j-1]:.3e}")
@@ -202,24 +193,13 @@ def per_mode_oracle(m, u0, u1, grid=None):
     )
 
 
-_LIBRARY_ERRORS = (
-    AccuracyError,
-    DimensionError,
-    HypothesisError,
-    ModelError,
-    ParameterError,
-    ParseError,
-    PreconditionError,
-)
-
-
 def _stage(name, fn, *args, **kwargs):
     # The library's own errors (one-message constructors) are re-raised with
     # the failing pipeline stage prefixed and their type kept, so callers can
     # still dispatch on it; any other exception propagates as it was raised.
     try:
         return fn(*args, **kwargs)
-    except _LIBRARY_ERRORS as exc:
+    except AccretiveError as exc:
         raise type(exc)(f"[stage: {name}] {exc}") from exc
 
 

@@ -1,12 +1,15 @@
 """Central tolerance table.
 
-Every asserted claim reads its default tolerance from here.  A
---tol-override key=value on the command line (or an ``overrides`` dict passed
-to resolve) retunes the thresholds of the claims that the CLI subcommands and
-the selftest suites assert; the library's own internal checks read DEFAULTS
-directly and do not see overrides.  Values are absolute unless the consuming
-check documents a scale factor.
+Every check reads tolerance(key) from the active table: DEFAULTS, or DEFAULTS
+with overrides inside ``with overridden(...)``, which cli.run and run_selftest
+enter once.  So a --tol-override reaches every check that reads its key, and a
+failed internal check can make a subcommand exit 3 or 1 (solve-bvp
+--tol-override resonance=1e3 exits 3).  An explicit tol= argument wins over
+the table.  Values are absolute unless the check documents a scale factor.
 """
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import ParameterError
 
@@ -57,17 +60,30 @@ DEFAULTS = {
 }
 
 
-def resolve(overrides=None):
-    """Return a tolerance table with ``overrides`` applied.
+_ACTIVE = ContextVar("tolerances", default=DEFAULTS)
 
-    Raises ParameterError for unknown keys or non-positive values.
+
+def tolerance(key):
+    """The active table's tolerance for key."""
+    return _ACTIVE.get()[key]
+
+
+@contextmanager
+def overridden(overrides=None):
+    """Make DEFAULTS with ``overrides`` applied the active table inside the block.
+
+    Raises ParameterError for unknown keys and for values outside (0, inf).
     """
     table = dict(DEFAULTS)
     for key, value in (overrides or {}).items():
         if key not in table:
             raise ParameterError(f"unknown tolerance key: {key!r}")
         value = float(value)
-        if value <= 0:
-            raise ParameterError(f"tolerance {key!r} must be positive, got {value}")
+        if not 0 < value < float("inf"):
+            raise ParameterError(f"tolerance {key!r} must be positive and finite, got {value}")
         table[key] = value
-    return table
+    token = _ACTIVE.set(table)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)

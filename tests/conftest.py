@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from accretive import linops
+from accretive import linops, tolerances
 
 
 @pytest.fixture(autouse=True)
 def fresh_operators():
     """Start each test with no shared Operator, so no test reads another's factorizations."""
     linops._shared_operator.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def default_tolerances():
+    """Fail a test that leaves an overridden tolerance table active, and restore the defaults."""
+    yield
+    leaked = tolerances._ACTIVE.get()
+    tolerances._ACTIVE.set(tolerances.DEFAULTS)
+    assert leaked is tolerances.DEFAULTS, "test left an overridden tolerance table active"
 
 
 @pytest.fixture

@@ -120,6 +120,16 @@ def test_tol_override_can_fail_a_claim(files, capsys):
     assert "failed claim: hull-consistency" in capsys.readouterr().err
 
 
+def test_tol_override_reaches_the_library_checks(files, capsys):
+    # The library's own checks read the overridden table too: an internal
+    # check that fails makes the subcommand exit 3 (here) or 1.
+    argv = ["solve-bvp", "--input", files["diag-t"], "--input2", files["diag-s"],
+            "--u0", files["u0"], "--u1", files["u1"], "--out", files["out"]]
+    assert run(argv) == 0
+    assert run([*argv, "--tol-override", "resonance=1e3"]) == 3
+    assert "resonant" in capsys.readouterr().err
+
+
 def test_tol_override_reaches_the_selftest_claims(files, tmp_path, capsys):
     # The selftest and factorize read one claim function, so one override
     # fails the same claim id in both.
@@ -140,8 +150,8 @@ def test_tol_override_reaches_the_selftest_claims(files, tmp_path, capsys):
 
 def test_suite_fails_when_no_input_produces_its_claim(monkeypatch):
     # Without rows for a claim, its suite fails rather than passing at 0.0.
-    def penrose_only(T, res, tols):
-        return [r for r in pinv_claims(T, res, tols) if r["claim"] != "pinv-accretive"]
+    def penrose_only(T, res):
+        return [r for r in pinv_claims(T, res) if r["claim"] != "pinv-accretive"]
 
     monkeypatch.setattr(selftest, "pinv_claims", penrose_only)
     claims = {c["claim"]: c for c in selftest.run_selftest(seed=42)["body"]["claims"]}
@@ -165,8 +175,10 @@ def test_tol_override_validation(files):
                 "--tol-override", "nope=1"]) == 2
     assert run(["analyze", "--input", files["witness"], "--out", files["out"],
                 "--tol-override", "penrose"]) == 2
-    assert run(["analyze", "--input", files["witness"], "--out", files["out"],
-                "--tol-override", "penrose=-1"]) == 2
+    # Non-positive and non-finite values exit 2 like any bad override.
+    for value in ("-1", "0", "nan", "inf", "-inf"):
+        assert run(["analyze", "--input", files["witness"], "--out", files["out"],
+                    "--tol-override", f"penrose={value}"]) == 2
     # A key that no check reads is unknown, not silently accepted.
     for key in ("sqrt-sector", "truncation"):
         assert run(["analyze", "--input", files["witness"], "--out", files["out"],

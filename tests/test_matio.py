@@ -80,6 +80,7 @@ def test_parse_error_location(tmp_path):
         ({"format": 1, "kind": "matrix", "dim": 1, "entries": [[1.0]]}, "entry 0"),
         ({"format": 1, "kind": "matrix", "dim": 1, "entries": [[1.0, True]]}, "entry 0"),
         ({"format": 1, "kind": "matrix", "dim": 1, "entries": ["x"]}, "entry 0"),
+        ({"format": 1, "kind": "matrix", "dim": 1, "entries": [[0, 10**400]]}, "entry 0"),
     ],
 )
 def test_header_and_entry_validation(tmp_path, payload, fragment):
@@ -93,6 +94,18 @@ def test_non_finite_entry_rejected(tmp_path):
     path = tmp_path / "inf.json"
     path.write_text('{"format": 1, "kind": "matrix", "dim": 1, "entries": [[Infinity, 0.0]]}')
     with pytest.raises(ParseError, match="entry 0"):
+        read_matrix(path)
+
+
+@pytest.mark.parametrize("content", [
+    # Past 4300 digits Python refuses to parse an integer (or it overflows a float).
+    b'{"format": 1, "kind": "matrix", "dim": 1, "entries": [[0, ' + b"9" * 5000 + b"]]}",
+    b'{"format": 1, "kind": "matrix", "dim": 0, "entries": [], "note": "\xe9"}',  # not UTF-8
+], ids=["huge-integer", "not-utf8"])
+def test_unloadable_file_rejected(tmp_path, content):
+    path = tmp_path / "unloadable.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="unloadable.json"):
         read_matrix(path)
 
 
