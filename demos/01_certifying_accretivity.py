@@ -34,7 +34,7 @@ print(f"  status {rep.status}")
 print(f"  omega  {rep.omega:.6f}  (pi/2: flagged, not sectorial)")
 
 # Boundary samples trace the numerical range; print its bounding box.
-pts = numerical_range_boundary(G, n_angles=360)
+pts = numerical_range_boundary(G)
 print("\nnumerical range bounding box of the random matrix")
 print(f"  Re in [{pts.real.min():+.4f}, {pts.real.max():+.4f}]")
 print(f"  Im in [{pts.imag.min():+.4f}, {pts.imag.max():+.4f}]")

@@ -20,7 +20,6 @@ from .linops import (
     as_operator,
     cartesian_parts,
     kato_representation,
-    numerical_radius,
     numerical_range,
     numerical_range_boundary,
     sectorial_angle,

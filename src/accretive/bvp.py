@@ -124,10 +124,10 @@ def chebyshev_grid(n=65):
 class BvpProblem:
     """Problem data with the commutation hypothesis measured up front.
 
-    T and S are kept as Operators, so solve_bvp and ode_residual reuse their
-    norms.  sqrt_upsilon is R = (T^2 + S)^{1/2}, computed here unless the
-    certified root (factorize's) is given.  commutation_residual = ||T R - R T||
-    must be small to solve, since the closed formulas rely on Z1 Z2 = Z2 Z1.
+    T and S are kept as Operators, so solve_bvp reuses their norms.
+    sqrt_upsilon is R = (T^2 + S)^{1/2}, computed here unless the certified
+    root (factorize's) is given.  commutation_residual = ||T R - R T|| must be
+    small to solve, since the closed formulas rely on Z1 Z2 = Z2 Z1.
     """
 
     T: Operator
@@ -276,38 +276,6 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
     ddu = z1 @ (z1 @ X) + z2 @ (z2 @ Y)
     defect = ddu - 2 * (p.T.matrix @ du) - p.S.matrix @ (X + Y)
     return float(np.max(np.linalg.norm(defect, axis=0))) / scale
-
-
-def ode_residual(sol, p):
-    """Normalized ODE defect at 7 check points in [0.05, 0.95], derivative cross-checked.
-
-    The analytic derivative u' = Z1 x + Z2 y is compared against central
-    finite differences with step 1e-4; disagreement beyond the derivative
-    tolerance means the stored solution data is inconsistent and raises
-    AccuracyError.
-    """
-    if sol.z1 is None or sol.z2 is None:
-        raise ParameterError("solution carries no factor data; cannot evaluate")
-    check_points = np.linspace(0.05, 0.95, 7)
-    h = 1e-4
-    scale = _residual_scale(p, sol.x0, sol.x1)
-    probes = check_points[:5]
-    k = len(probes)
-    X, Y = _factor_actions(
-        sol.z1, sol.z2, sol.x0, sol.x1,
-        np.concatenate([probes, probes + h, probes - h, check_points]),
-    )
-    du = sol.z1 @ X[:, :k] + sol.z2 @ Y[:, :k]
-    U = X + Y
-    fd = (U[:, k:2 * k] - U[:, 2 * k:3 * k]) / (2 * h)
-    gaps = np.linalg.norm(du - fd, axis=0)
-    for t, gap in zip(probes, gaps):
-        if gap > tolerance("derivative-check") * scale:
-            raise AccuracyError(
-                f"analytic derivative disagrees with finite differences at t={t:.3f} "
-                f"by {gap:.3e}"
-            )
-    return _ode_residual_analytic(sol.z1, sol.z2, X[:, 3 * k:], Y[:, 3 * k:], p, scale)
 
 
 def fd_oracle(p, n_points, solution=None):

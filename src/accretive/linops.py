@@ -17,14 +17,17 @@ from .errors import AccuracyError, DimensionError, PreconditionError
 from .tolerances import tolerance
 
 _EPS = float(np.finfo(np.float64).eps)
-_DEFAULT_ANGLES = 720
+# The one W(T) grid: 720 uniform angles on [0, 2 pi).  The count is even, so
+# _ANGLES[k + 360] = _ANGLES[k] + pi and a sweep solves the first half-turn only.
+_ANGLES = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+_ANGLES.flags.writeable = False
 # Complex entries per stacked chunk of rotated matrices in a W(T) sweep (8 MiB):
 # 32 angles at n = 128, a whole half-turn at n = 32.  The chunk is overwritten
 # by its Householder reflectors; besides it a chunk holds only two eigenvectors
 # per angle, never a (k, n, n) eigenvector array.
 _SWEEP_CHUNK = 2**19
 # Complex entries per chunk of the point-by-angle projection in excess (1 MiB),
-# so its memory is O(n_angles) whatever the number of points.
+# so its memory is O(len(_ANGLES)) whatever the number of points.
 _EXCESS_CHUNK = 2**16
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
@@ -37,7 +40,7 @@ class Operator:
 
     Every step given the same Operator shares what the first one computed:
     the singular values (norm is the first), the Cartesian parts, eigh(Re T),
-    the default W(T) sweep of end eigenpairs, the full SVD that callers
+    the W(T) sweep of end eigenpairs, the full SVD that callers
     needing singular vectors read, and the complex Schur form that the
     principal square root reads.  Each field has one kernel, whichever call
     reads it first.
@@ -95,8 +98,8 @@ class Operator:
 
     @cached_property
     def numerical_range(self):
-        """The default 720-angle sweep of W(T); see NumericalRange."""
-        return NumericalRange(self.matrix, self.parts, _angle_grid(_DEFAULT_ANGLES))
+        """The 720-angle sweep of W(T); see NumericalRange."""
+        return NumericalRange(self.matrix, self.parts)
 
 
 def as_operator(T):
@@ -165,21 +168,21 @@ def cartesian_parts(T):
 
 @dataclass(frozen=True, eq=False)
 class NumericalRange:
-    """One rotation-method sweep of W(T) over a uniform angle grid.
+    """One rotation-method sweep of W(T) over the 720-angle grid _ANGLES.
 
     At each grid angle theta_k the top eigenpair of
     H(theta_k) = Re(e^{-i*theta_k} T) = cos(theta_k) Re T + sin(theta_k) Im T
     gives the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T)
     and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
-    Anal. 15, 1978).  Since H(theta + pi) = -H(theta), on an even grid one
-    solve at theta_k also gives h(theta_k + pi) and its point from the bottom
-    eigenpair, so only the first half-turn is solved.  The rotated matrices
-    are built from the operator's cached Cartesian parts and solved in stacked
-    chunks of at most _SWEEP_CHUNK complex entries, so memory is O(n^2) and
-    not O(n_angles * n^2).
+    Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at theta_k
+    also gives h(theta_k + pi) and its point from the bottom eigenpair, so
+    only the first half-turn is solved.  The rotated matrices are built from
+    the operator's cached Cartesian parts and solved in stacked chunks of at
+    most _SWEEP_CHUNK complex entries, so memory is O(n^2) and not
+    O(len(_ANGLES) * n^2).
 
     It holds the matrix and its parts, not the Operator: the Operator caches
-    its default sweep, and a reference back would make a cycle that keeps an
+    its sweep, and a reference back would make a cycle that keeps an
     Operator alive after its last use until the cyclic garbage collector runs.
 
     The sweep has one solve path: the first read of support or points solves
@@ -190,7 +193,7 @@ class NumericalRange:
 
     matrix: np.ndarray = field(repr=False)
     parts: CartesianParts = field(repr=False)
-    angles: np.ndarray
+    angles = _ANGLES
 
     @property
     def support(self):
@@ -209,8 +212,7 @@ class NumericalRange:
         n = A.shape[0]
         if n == 0:
             return np.full(m, -np.inf), np.zeros(0, complex)
-        # On an even grid angles[k + half] = angles[k] + pi; odd grids solve every angle.
-        half = m // 2 if m % 2 == 0 else m
+        half = m // 2
         support = np.empty(m)
         points = np.empty(m, complex)
         re, im = self.parts.re_part, self.parts.im_part
@@ -223,9 +225,8 @@ class NumericalRange:
             vals, vecs = _end_eigenpairs(H, theta)
             support[lo:hi] = vals[:, 1]
             points[lo:hi] = _rayleigh(A, vecs[:, 1])
-            if half < m:
-                support[lo + half:hi + half] = -vals[:, 0]
-                points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
+            support[lo + half:hi + half] = -vals[:, 0]
+            points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
         return support, points
 
     def excess(self, points):
@@ -234,7 +235,7 @@ class NumericalRange:
         <= 0 up to rounding for p in the closure of W(T); a positive value
         lower-bounds the distance from W(T), so containment claims need no
         discretization allowance.  The points are projected on the angles in
-        chunks of at most _EXCESS_CHUNK entries, so memory is O(n_angles).
+        chunks of at most _EXCESS_CHUNK entries, so memory is O(len(_ANGLES)).
         """
         pts = np.asarray(points, dtype=np.complex128).ravel()
         rot = np.exp(-1j * self.angles)
@@ -329,44 +330,28 @@ def _rayleigh(A, X):
     return np.einsum("ki,ij,kj->k", X.conj(), A, X)
 
 
-def _angle_grid(n_angles):
-    return np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
+def numerical_range(T):
+    """The operator's W(T) sweep (Operator.numerical_range); see NumericalRange.
 
-
-def numerical_range(T, n_angles=_DEFAULT_ANGLES):
-    """Sweep W(T) over n_angles >= 3 uniform directions; see NumericalRange.
-
-    The default grid is the operator's cached sweep (Operator.numerical_range):
-    every caller handed that Operator, or an array of its content, shares its
+    Every caller handed that Operator, or an array of its content, shares its
     one end-eigenpair sweep of support and points; read its arrays, never
-    write them.
+    write them.  Its radius is the numerical radius w(T).
     """
-    op = as_operator(T)
-    if n_angles < 3:
-        raise DimensionError("n_angles must be >= 3")
-    if n_angles == _DEFAULT_ANGLES:
-        return op.numerical_range
-    return NumericalRange(op.matrix, op.parts, _angle_grid(int(n_angles)))
+    return as_operator(T).numerical_range
 
 
-def numerical_range_boundary(T, n_angles=_DEFAULT_ANGLES):
-    """Rayleigh points attaining the support function on a uniform angle grid.
+def numerical_range_boundary(T):
+    """Rayleigh points attaining the support function at each grid angle.
 
-    They lie in W(T); their hull approximates W(T) from inside and grows
-    monotonically as n_angles doubles (the angle grids nest).  The points are
-    a copy, so writing to them leaves the cached sweep intact.
+    They lie in W(T), so their hull approximates W(T) from inside.  The
+    points are a copy, so writing to them leaves the cached sweep intact.
     """
-    return numerical_range(T, n_angles).points.copy()
+    return numerical_range(T).points.copy()
 
 
-def numerical_radius(T, n_angles=_DEFAULT_ANGLES):
-    """Numerical radius w(T) = max |z| over W(T), by the rotation method."""
-    return numerical_range(T, n_angles).radius
-
-
-def support_excess(T, points, n_angles=_DEFAULT_ANGLES):
+def support_excess(T, points):
     """Signed distance of each point to the sampled support planes of W(T)."""
-    return numerical_range(T, n_angles).excess(points)
+    return numerical_range(T).excess(points)
 
 
 @dataclass(frozen=True)

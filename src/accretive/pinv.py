@@ -103,7 +103,7 @@ class PerturbationCertificate:
     s_accretive: bool
     theta: float | None
     norm_over_gamma: float
-    pinv_result: PinvResult | None = field(default=None, init=False, repr=False, compare=False)
+    pinv_result: PinvResult = field(repr=False, compare=False)
 
     def as_dict(self):
         return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
@@ -141,7 +141,7 @@ def perturbation_certificate(T, S, tol=None):
         mode = "fail"
     theta = sectorial_angle(S)[0]
     ratio = s_norm / res.gamma if math.isfinite(res.gamma) else 0.0
-    cert = PerturbationCertificate(
+    return PerturbationCertificate(
         range_inclusion_residual=float(r_range),
         kernel_inclusion_residual=float(r_kernel),
         contraction_TdS=float(c_tds),
@@ -150,9 +150,8 @@ def perturbation_certificate(T, S, tol=None):
         s_accretive=theta is not None,
         theta=theta,
         norm_over_gamma=float(ratio),
+        pinv_result=res,
     )
-    object.__setattr__(cert, "pinv_result", res)
-    return cert
 
 
 def perturbation_bound(S, cert):
@@ -185,7 +184,7 @@ def perturbed_pinv(T, S, cert=None):
             f"kernel residual {cert.kernel_inclusion_residual:.3e}, "
             f"contractions {cert.contraction_TdS:.3f} / {cert.contraction_STd:.3f}"
         )
-    res = cert.pinv_result or pseudoinverse(T)
+    res = cert.pinv_result
     A, B, P = T.matrix, S.matrix, res.pinv
     eye = np.eye(A.shape[0])
     try:

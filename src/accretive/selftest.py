@@ -165,13 +165,16 @@ def laplacian_claims(out, u0, u1):
     ]
 
 
-def _worst(rows):
-    """{claim: (max(0, worst measured), tolerance)} over the rows of every input."""
-    out = {}
-    for row in rows:
-        worst = out.get(row["claim"], (0.0,))[0]
-        out[row["claim"]] = (max(worst, row["measured"]), row["tolerance"])
-    return out
+def _worst(rows, name):
+    """(max(0, worst measured), tolerance) of one claim over the rows of every input.
+
+    Raises LookupError when no row has that claim, so its suite fails rather
+    than passing at 0.0.
+    """
+    found = [row for row in rows if row["claim"] == name]
+    if not found:
+        raise LookupError(f"no generated input produced the claim {name!r}")
+    return max(0.0, *(row["measured"] for row in found)), found[-1]["tolerance"]
 
 
 def _suite_pinv_basics(rng):
@@ -188,7 +191,7 @@ def _suite_pinv_basics(rng):
         back = pseudoinverse(res.pinv).pinv
         worst_inv = max(worst_inv, operator_norm(back - T) / max(1.0, operator_norm(T)))
     return [
-        ("pinv-penrose", *_worst(rows)["penrose-identities"]),
+        ("pinv-penrose", *_worst(rows, "penrose-identities")),
         ("pinv-involution", worst_inv, tolerance("involution")),
     ]
 
@@ -205,7 +208,7 @@ def _suite_pinv_accretive(rng):
         rows += pinv_claims(T, res)
     return [
         ("pinv-ep-accretive", worst_ep, tolerance("ep")),
-        ("pinv-accretive-real-part", *_worst(rows)["pinv-accretive"]),
+        ("pinv-accretive-real-part", *_worst(rows, "pinv-accretive")),
     ]
 
 
@@ -214,8 +217,7 @@ def _suite_numerical_range(rng):
     for _ in range(20):
         T = as_operator(random_operator(rng, int(rng.integers(2, 11))))
         rows += analyze_claims(T, accretivity_report(T))
-    worst = _worst(rows)
-    return [(c, *worst[c]) for c in ("norm-chain", "hull-consistency", "spectral-inclusion")]
+    return [(c, *_worst(rows, c)) for c in ("norm-chain", "hull-consistency", "spectral-inclusion")]
 
 
 def _suite_sectorial(rng):
@@ -278,11 +280,10 @@ def _suite_perturbation(rng):
             worst_scaling,
             operator_norm(updated - res.pinv / 1.25) / max(1.0, operator_norm(res.pinv)),
         )
-    worst = _worst(rows)
     return [
-        ("perturb-formula", *worst["update-formula"]),
+        ("perturb-formula", *_worst(rows, "update-formula")),
         ("perturb-geometry", worst_geom, tolerance("subspace-angle")),
-        ("perturb-error-bound", *worst["error-bound"]),
+        ("perturb-error-bound", *_worst(rows, "error-bound")),
         ("perturb-theta-bound", max(0.0, worst_theta), tolerance("bound-slack")),
         ("perturb-scaling", worst_scaling, tolerance("perturb-scaling")),
     ]
@@ -360,10 +361,9 @@ def _suite_factorization(rng):
         rows += factorize_claims(p, f, lams)
         if f.separation_regime == "strong" and f.separation <= 0:
             separation_fail = 1.0
-    worst = _worst(rows)
     shared = ("factorization-symmetric", "factorization-one-sided", "spectrum-multiset",
               "vandermonde-agreement")
-    return [*((c, *worst[c]) for c in shared),
+    return [*((c, *_worst(rows, c)) for c in shared),
             ("separation-positive", separation_fail, tolerance("bound-slack"))]
 
 
@@ -380,25 +380,25 @@ def _suite_bvp(rng):
         u0 = complex_gaussian(rng, dim)
         u1 = complex_gaussian(rng, dim)
         problems.append((BvpProblem(T, S, u0, u1), u0, u1))
+    solutions = [solve_bvp(p) for p, _, _ in problems]
     rows = []
-    for p, u0, u1 in problems:
-        rows += bvp_claims(solve_bvp(p), u0, u1)
-    worst = _worst(rows)
+    for (_, u0, u1), s in zip(problems, solutions):
+        rows += bvp_claims(s, u0, u1)
     # Superposition on one fixed problem: combine two data sets linearly.
     p, u0, u1 = problems[0]
     T, S = p.T, p.S
     v0 = complex_gaussian(rng, p.dim)
     v1 = complex_gaussian(rng, p.dim)
     a, b = 0.7 - 0.2j, -1.3 + 0.4j
-    s1 = solve_bvp(BvpProblem(T, S, u0, u1))
+    s1 = solutions[0]
     s2 = solve_bvp(BvpProblem(T, S, v0, v1))
     s12 = solve_bvp(BvpProblem(T, S, a * u0 + b * v0, a * u1 + b * v1))
     superpose = float(np.max(np.abs(s12.values - a * s1.values - b * s2.values)))
     fd = fd_oracle(scalar, 400, solution=sol)
     return [
         ("bvp-sinh-witness", witness_gap, tolerance("bvp-witness")),
-        ("bvp-boundary-residual", *worst["boundary-residual"]),
-        ("bvp-ode-residual", *worst["ode-residual"]),
+        ("bvp-boundary-residual", *_worst(rows, "boundary-residual")),
+        ("bvp-ode-residual", *_worst(rows, "ode-residual")),
         ("bvp-superposition", superpose, tolerance("superposition")),
         ("bvp-fd-gap", fd.oracle_gap, tolerance("fd-gap")),
     ]
@@ -416,11 +416,10 @@ def _suite_laplacian(rng):
         demo(LaplacianModel(1.0, 0.01, 0.1, 16), u0, u1, x_samples=5)
     except ModelError:
         screen_fail = 0.0
-    worst = _worst(rows)
     return [
         ("laplacian-condition", condition_fail, tolerance("bound-slack")),
-        ("laplacian-oracle-gap", *worst["oracle-gap"]),
-        ("laplacian-boundary", *worst["boundary-residual"]),
+        ("laplacian-oracle-gap", *_worst(rows, "oracle-gap")),
+        ("laplacian-boundary", *_worst(rows, "boundary-residual")),
         ("laplacian-screen", screen_fail, tolerance("bound-slack")),
     ]
 

@@ -52,7 +52,6 @@ DEFAULTS = {
     "boundary-residual": 1e-9,     # scaled by 1 + ||u0|| + ||u1||
     "ode-residual": 1e-8,
     "dual-route": 1e-8,
-    "derivative-check": 1e-6,
     "superposition": 1e-10,
     "fd-gap": 1e-4,
     # spectral

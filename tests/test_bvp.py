@@ -9,10 +9,10 @@ import scipy.linalg
 from accretive.bvp import (
     BvpProblem,
     _expm_actions,
+    _factor_actions,
     chebyshev_grid,
     expm,
     fd_oracle,
-    ode_residual,
     solve_bvp,
 )
 from accretive.errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
@@ -165,7 +165,7 @@ def test_scalar_sinh_witness():
     alt = (np.exp(-sol.grid) - np.exp(sol.grid - 2)) / (1 - math.exp(-2))
     assert np.max(np.abs(sol.values[:, 0] - alt)) <= 1e-12
     assert sol.boundary_residual <= 1e-9 * 2
-    assert ode_residual(sol, p) <= 1e-12
+    assert sol.ode_residual <= 1e-12
 
 
 def test_diagonal_example_matches_mode_oracle():
@@ -191,7 +191,30 @@ def test_random_commuting_suite():
         scale = 1 + np.linalg.norm(u0) + np.linalg.norm(u1)
         assert sol.boundary_residual <= 1e-9 * scale, f"trial {k}"
         assert sol.ode_residual <= 1e-8, f"trial {k}"
-        assert ode_residual(sol, p) <= 1e-8, f"trial {k}"
+
+
+def test_analytic_derivative_matches_finite_differences():
+    # The ODE residual that solve_bvp reports differentiates u = x + y as
+    # u' = Z1 x + Z2 y.  Central differences of the factor actions, step
+    # 1e-4, check that derivative without the solver's algebra; the wrong
+    # sign on Z1 fails the same check.
+    rng = rng_for(SEED, "derivative-check")
+    ts, h = np.linspace(0.05, 0.95, 7), 1e-4
+    for k in range(5):
+        dim = int(rng.integers(2, 7))
+        T, S = commuting_pencil_pair(rng, dim)
+        u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        u1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        sol = solve_bvp(BvpProblem(T, S, u0, u1))
+        X, Y = _factor_actions(sol.z1, sol.z2, sol.x0, sol.x1, np.concatenate([ts + h, ts - h, ts]))
+        U = X + Y
+        fd = (U[:, :7] - U[:, 7:14]) / (2 * h)
+        scale = (1 + 2 * np.linalg.norm(T, 2) + np.linalg.norm(S, 2)) * (
+            1 + np.linalg.norm(sol.x0) + np.linalg.norm(sol.x1))
+        du = sol.z1 @ X[:, 14:] + sol.z2 @ Y[:, 14:]
+        assert np.max(np.linalg.norm(du - fd, axis=0)) <= 1e-6 * scale, f"trial {k}"
+        flipped = -sol.z1 @ X[:, 14:] + sol.z2 @ Y[:, 14:]
+        assert np.max(np.linalg.norm(flipped - fd, axis=0)) > 1e-6 * scale, f"trial {k}"
 
 
 def test_superposition():

@@ -155,7 +155,9 @@ def test_suite_fails_when_no_input_produces_its_claim(monkeypatch):
 
     monkeypatch.setattr(selftest, "pinv_claims", penrose_only)
     claims = {c["claim"]: c for c in selftest.run_selftest(seed=42)["body"]["claims"]}
-    assert claims["pinv-accretive-completed"]["status"] == "fail"
+    failed = claims["pinv-accretive-completed"]
+    assert failed["status"] == "fail"
+    assert failed["error"] == "no generated input produced the claim 'pinv-accretive'"
     assert "pinv-accretive-real-part" not in claims
     assert claims["pinv-penrose"]["status"] == "pass"
 

@@ -18,7 +18,6 @@ from accretive.linops import (
     cartesian_parts,
     hermitian_sqrt,
     kato_representation,
-    numerical_radius,
     numerical_range,
     numerical_range_boundary,
     sector_angle_estimate,
@@ -83,7 +82,7 @@ NORM_ROT = math.sqrt(2.0)
 
 
 def test_numerical_radius_jordan_block_frozen():
-    w = numerical_radius(JORDAN2)
+    w = numerical_range(JORDAN2).radius
     assert abs(w - W_JORDAN2) < 1e-12, f"w(J2) = {w}, expected {W_JORDAN2}"
     oracle = rayleigh_radius_oracle(JORDAN2, rng_for(SEED, "jordan-oracle"))
     assert oracle <= w + 1e-12
@@ -148,7 +147,7 @@ def test_numerical_radius_matches_rayleigh_oracle():
     for k in range(N_TRIALS // 2):
         dim = int(rng.integers(2, 9))
         T = random_operator(rng, dim)
-        w = numerical_radius(T)
+        w = numerical_range(T).radius
         oracle = rayleigh_radius_oracle(T, rng)
         scale = max(1.0, w)
         assert oracle <= w + 1e-10 * scale, f"trial {k}: oracle exceeded rotation value"
@@ -186,8 +185,9 @@ def test_spectral_inclusion_random():
 
 
 def test_rayleigh_points_respect_support_planes():
-    # Inner points (random Rayleigh quotients and boundary samples at a
-    # coarser grid) must not cross any outer support plane.
+    # Inner points (random Rayleigh quotients, and boundary points at the
+    # angles midway between grid angles) must not cross any sampled support
+    # plane.
     rng = rng_for(SEED, "hull-consistency")
     for _ in range(10):
         dim = int(rng.integers(2, 9))
@@ -196,42 +196,44 @@ def test_rayleigh_points_respect_support_planes():
         inner = rayleigh_points_oracle(T, rng)
         excess = support_excess(T, inner)
         assert np.max(excess) <= 1e-10 * scale
-        coarse = numerical_range_boundary(T, n_angles=90)
-        assert np.max(support_excess(T, coarse)) <= 1e-10 * scale
+        off_grid = _sweep_oracle(T, linops._ANGLES + np.pi / 720)[1]
+        assert np.max(support_excess(T, off_grid)) <= 1e-10 * scale
 
 
-def _sweep_oracle(T, n_angles):
-    """Per-angle, full-turn eigh of Re(e^{-i theta} T): support values and the grid."""
-    angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    support = np.full(n_angles, -np.inf)
+def _sweep_oracle(T, angles):
+    """Per-angle eigh of Re(e^{-i theta} T): the support values and the
+    boundary Rayleigh points attaining them."""
+    support = np.full(len(angles), -np.inf)
+    points = np.zeros(len(angles), complex)
     for k, theta in enumerate(angles):
         rot = np.exp(-1j * theta) * T
         if T.shape[0]:
-            support[k] = np.linalg.eigh((rot + rot.conj().T) / 2)[0][-1]
-    return angles, support
+            vals, vecs = np.linalg.eigh((rot + rot.conj().T) / 2)
+            support[k], points[k] = vals[-1], vecs[:, -1].conj() @ T @ vecs[:, -1]
+    return support, points
 
 
 @pytest.mark.parametrize("chunked", [False, True])
 def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
     # Half-turn, chunked sweep against an independent per-angle full-turn
-    # eigh; chunked forces ragged chunks of 7 angles.  The odd grids (3, 45)
-    # solve every angle.
+    # eigh on the one grid, 720 uniform angles; chunked forces ragged chunks
+    # of 7 angles.
+    angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
     rng = rng_for(SEED, "sweep-oracle")
     inputs = [random_operator(rng, dim) for dim in (0, 1, 2, 5, 13, 32)] + [JORDAN2]
     for T in inputs:
         if chunked:
             monkeypatch.setattr(linops, "_SWEEP_CHUNK", 7 * T.shape[0] ** 2)
         tol = 1e-13 * max(1.0, np.linalg.norm(T, 2) if T.size else 0.0)
-        for n_angles in (3, 45, 90, 720):
-            angles, support = _sweep_oracle(T, n_angles)
-            wr = numerical_range(T, n_angles)
-            assert np.array_equal(wr.angles, angles)
-            if T.shape[0] == 0:
-                assert np.all(wr.support == -np.inf) and wr.points.size == 0
-                continue
-            assert np.max(np.abs(wr.support - support)) <= tol
-            attained = np.real(np.exp(-1j * angles) * wr.points)
-            assert np.max(np.abs(attained - support)) <= tol
+        wr = numerical_range(T)
+        assert np.array_equal(wr.angles, angles)
+        if T.shape[0] == 0:
+            assert np.all(wr.support == -np.inf) and wr.points.size == 0
+            continue
+        support = _sweep_oracle(T, angles)[0]
+        assert np.max(np.abs(wr.support - support)) <= tol
+        attained = np.real(np.exp(-1j * angles) * wr.points)
+        assert np.max(np.abs(attained - support)) <= tol
 
 
 def _end_pair_inputs(n, rng):
@@ -282,7 +284,7 @@ def test_sweep_raises_on_lapack_failure(routine, monkeypatch):
         return out[:-1] + (1,) if len(calls) == fail_at else out
 
     monkeypatch.setattr(lapack, routine, failing)
-    wr = numerical_range(random_operator(rng_for(SEED, "lapack-info"), 4), 12)
+    wr = numerical_range(random_operator(rng_for(SEED, "lapack-info"), 4))
     with pytest.raises(AccuracyError, match=rf"{routine} .*theta = {re.escape(repr(float(wr.angles[2])))}$"):
         wr.points
 
@@ -291,27 +293,24 @@ def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     # w(T), support excess and the accretivity report read support values
     # only, yet run the one half-turn sweep that also gives the points, so a
     # cached field never depends on which read came first.  Alone, each call
-    # sweeps its grid once, one tridiagonalization per solved angle; in
-    # sequence on one matrix content the three default-grid readers share one
-    # sweep, and each 90-angle call sweeps its own grid.
+    # sweeps the grid once, one tridiagonalization per solved angle of the
+    # half-turn; in sequence on one matrix content the three share one sweep.
     T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
     calls = (
-        (lambda: numerical_radius(T), 720),
-        (lambda: numerical_radius(T, n_angles=90), 90),
-        (lambda: support_excess(T.copy(), np.linalg.eigvals(T)), 720),
-        (lambda: support_excess(T, [0.0], n_angles=90), 90),
-        (lambda: accretivity_report(T.copy()), 720),
+        lambda: numerical_range(T).radius,
+        lambda: support_excess(T.copy(), np.linalg.eigvals(T)),
+        lambda: accretivity_report(T.copy()),
     )
-    for call, n_angles in calls:
+    for call in calls:
         linops._shared_operator.cache_clear()
         stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0)
         call()
-        assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": n_angles // 2}
+        assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
     linops._shared_operator.cache_clear()
     stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0)
-    for call, _ in calls:
+    for call in calls:
         call()
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 720 // 2 + 2 * (90 // 2)}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
 
 
 def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
@@ -353,7 +352,7 @@ def test_results_do_not_depend_on_call_order():
         lambda A: pinv.pseudoinverse(A).singular_values,
         numerical_range_boundary,
         lambda A: accretivity_report(A).as_dict(),
-        numerical_radius,
+        lambda A: numerical_range(A).radius,
         lambda A: support_excess(A, np.linalg.eigvals(A)),
         linops.sectorial_angle,
         lambda A: as_operator(A).schur,
@@ -419,17 +418,17 @@ def test_shared_operators_are_bounded(stacked_solves):
     rng = rng_for(SEED, "bounded-sharing")
     first = random_operator(rng, 4)
     others = [random_operator(rng, 4) for _ in range(linops._SHARED_OPERATORS)]
-    numerical_radius(first)
+    numerical_range(first).radius
     for M in others[:-1]:
-        numerical_radius(M)
-    numerical_radius(first)
+        numerical_range(M).radius
+    numerical_range(first).radius
     assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": linops._SHARED_OPERATORS * 360}
     # first is now the most recent of the kept contents; after as many
     # distinct contents as are kept, its sweep runs again.
     for M in others:
-        numerical_radius(M)
+        numerical_range(M).radius
     stacked_solves["zhetrd"] = 0
-    numerical_radius(first)
+    numerical_range(first).radius
     assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
 
 
@@ -511,16 +510,6 @@ def test_excess_memory_is_bounded_and_chunking_changes_no_bit():
     assert np.array_equal(wr.excess(probe), one_shot)
 
 
-def test_boundary_hull_grows_with_refinement():
-    rng = rng_for(SEED, "hull-growth")
-    T = random_operator(rng, 6)
-    for n in (45, 90, 180, 360):
-        pts = numerical_range_boundary(T, n_angles=n)
-        finer = numerical_range_boundary(T, n_angles=2 * n)
-        # Max modulus over samples is monotone under nested angle grids.
-        assert np.max(np.abs(pts)) <= np.max(np.abs(finer)) + 1e-12
-
-
 def test_cartesian_parts_reconstruct():
     rng = rng_for(SEED, "cartesian")
     for _ in range(N_TRIALS):
@@ -595,14 +584,7 @@ def test_input_validation():
     with pytest.raises(DimensionError):
         accretivity_report(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(DimensionError):
-        numerical_radius(np.zeros(4))
-    # Every W(T) view shares one grid rule: fewer than 3 angles is refused.
-    with pytest.raises(DimensionError):
-        numerical_radius(JORDAN2, n_angles=2)
-    with pytest.raises(DimensionError):
-        support_excess(JORDAN2, [0.0], n_angles=2)
-    with pytest.raises(DimensionError):
-        numerical_range_boundary(JORDAN2, n_angles=2)
+        numerical_range(np.zeros(4))
 
 
 def test_operator_norm_once_per_input(monkeypatch):

@@ -14,7 +14,6 @@ from accretive.pinv import (
     subspace_distance,
 )
 from accretive.sampling import (
-    accretive_operator,
     random_operator,
     random_unitary,
     rng_for,

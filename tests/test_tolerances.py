@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from accretive.bvp import BvpProblem, ode_residual, solve_bvp
+from accretive.bvp import BvpProblem, solve_bvp
 from accretive.errors import AccretiveError, AccuracyError, HypothesisError, ResonanceError
 from accretive.linops import accretivity_report
 from accretive.pencil import QuadraticPencil, accretive_sqrt, balakrishnan_power, factorize
@@ -28,11 +28,6 @@ def _problem():
     rng = rng_for(SEED, "bvp")
     T, S = commuting_pencil_pair(rng, 4)
     return BvpProblem(T, S, complex_gaussian(rng, 4), complex_gaussian(rng, 4))
-
-
-def _ode_check():
-    p = _problem()
-    return ode_residual(solve_bvp(p), p) < 1.0
 
 
 # key -> (override, check, the check's outcome under the override); a second
@@ -62,7 +57,6 @@ CASES = {
     "resonance/oracle": (1e3, lambda: per_mode_oracle(
         LaplacianModel(1.0, 0.0, 0.1, 4), np.ones(4), np.ones(4)).values.shape, ResonanceError),
     "dual-route": (1e-300, lambda: solve_bvp(_problem()).grid.size, AccuracyError),
-    "derivative-check": (1e-300, _ode_check, AccuracyError),
 }
 
 
