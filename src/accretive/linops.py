@@ -29,6 +29,13 @@ _SWEEP_CHUNK = 2**19
 # Complex entries per chunk of the point-by-angle projection in excess (1 MiB),
 # so its memory is O(len(_ANGLES)) whatever the number of points.
 _EXCESS_CHUNK = 2**16
+# The numerical-radius bracket stops at this relative width, or once this
+# many angles have been added to the grid.  Random inputs at n = 2-64 took a
+# median of 9 and at most 52; the cap binds only where the boundary of W(T)
+# runs close to the circle |z| = w(T) near its farthest point (a disk, or a
+# near-circular arc, where the bracket stays ~1e-8 to 1e-5 wide).
+_RADIUS_RTOL = 1e-10
+_RADIUS_ANGLES = 64
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
 _SHARED_OPERATORS = 4
@@ -92,7 +99,7 @@ class Operator:
     @cached_property
     def schur(self):
         """Complex Schur form (Theta, Q): matrix = Q Theta Q*, Theta upper triangular."""
-        import scipy.linalg  # deferred: costs ~0.2 s at import
+        import scipy.linalg  # deferred: a first import takes ~0.3 s and ~28 MiB
 
         return scipy.linalg.schur(self.matrix, output="complex")
 
@@ -187,7 +194,10 @@ class NumericalRange:
 
     The sweep has one solve path: the first read of support or points solves
     only the bottom and top eigenpairs of each H(theta_k) (_end_eigenpairs)
-    and fills both; radius adds a Brent pass of single eigvalsh calls.
+    and fills both.  radius_bracket brackets w(T) between the largest
+    boundary point and the largest vertex of the outer polygon that the
+    support lines cut out, bisecting arcs of the grid with one eigvalsh per
+    new angle; radius is its lower end.
     A 0x0 operator has empty W(T): no points, support values -inf, w(T) = 0.
     """
 
@@ -246,32 +256,50 @@ class NumericalRange:
             out[lo:lo + step] = np.max(proj - self.support[None, :], axis=1)
         return out
 
-    @cached_property
+    @property
     def radius(self):
-        """Numerical radius w(T) = max over theta of h(theta), computed on first read.
+        """Numerical radius w(T), the lower end w_lo of radius_bracket."""
+        return self.radius_bracket[0]
 
-        The grid maximizer is refined by a bounded Brent pass (~1e-10 relative).
+    @cached_property
+    def radius_bracket(self):
+        """(w_lo, w_hi) with w_lo <= w(T) <= w_hi up to rounding, computed on first read.
+
+        w(T) = max over theta of h(theta).  The support lines of adjacent
+        angles alpha < beta meet at the vertex
+        v = e^{i alpha} (h(alpha) + i (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha))
+        of an outer polygon of W(T), and h <= |v| on [alpha, beta], so
+        w_hi = max |v|.  w_lo = max(h, |boundary point|) is attained in W(T).
+        The arc with the largest vertex is bisected, one single-matrix
+        eigvalsh per new angle, until the relative width (w_hi - w_lo) / w_hi
+        is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
+        The cap binds when W(T) is a disk: every arc of the grid then has the
+        same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
         """
-        from scipy.optimize import minimize_scalar  # deferred: costs ~0.2 s at import
+        if self.matrix.shape[0] == 0:
+            return 0.0, 0.0
+        re, im = self.parts.re_part, self.parts.im_part
+        theta = np.append(self.angles, 2 * np.pi)
+        h = np.append(self.support, self.support[0])
+        lo = max(float(np.max(self.support)), float(np.max(np.abs(self.points))))
+        for spent in range(_RADIUS_ANGLES + 1):
+            vertex = _vertex_modulus(theta, h)
+            k = int(np.argmax(vertex))
+            hi = max(float(vertex[k]), lo)
+            if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
+                return lo, hi
+            t = (theta[k] + theta[k + 1]) / 2
+            h_t = float(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im)[-1])
+            lo = max(lo, h_t)
+            theta = np.insert(theta, k + 1, t)
+            h = np.insert(h, k + 1, h_t)
 
-        A = self.matrix
-        if A.shape[0] == 0:
-            return 0.0
-        k = int(np.argmax(self.support))
-        best = float(self.support[k])
-        step = 2 * np.pi / len(self.angles)
 
-        def negated(theta):
-            rot = np.exp(-1j * theta) * A
-            return -float(np.linalg.eigvalsh((rot + rot.conj().T) / 2)[-1])
-
-        res = minimize_scalar(
-            negated,
-            bounds=(self.angles[k] - step, self.angles[k] + step),
-            method="bounded",
-            options={"xatol": 1e-9},
-        )
-        return max(best, float(-res.fun), 0.0)
+def _vertex_modulus(theta, h):
+    """|v| for the vertex of the support lines at each pair of adjacent angles."""
+    step = np.diff(theta)
+    height = (h[1:] - h[:-1] * np.cos(step)) / np.sin(step)
+    return np.hypot(h[:-1], height)
 
 
 def _end_eigenpairs(H, theta):
@@ -287,7 +315,7 @@ def _end_eigenpairs(H, theta):
     conj(H[j]), so the vectors are conjugated on return.  A nonzero LAPACK
     info raises AccuracyError naming the routine and the angle theta[j].
     """
-    from scipy.linalg import lapack  # deferred: costs ~0.2 s at import
+    from scipy.linalg import lapack  # deferred: a first import takes ~0.3 s and ~28 MiB
 
     k, n = H.shape[:2]
     vals = np.empty((k, 2))
@@ -327,7 +355,7 @@ def _lapack_error(routine, info, theta):
 
 def _rayleigh(A, X):
     """x^H A x for each row x of X."""
-    return np.einsum("ki,ij,kj->k", X.conj(), A, X)
+    return ((X.conj() @ A) * X).sum(axis=1)
 
 
 def numerical_range(T):
@@ -335,7 +363,8 @@ def numerical_range(T):
 
     Every caller handed that Operator, or an array of its content, shares its
     one end-eigenpair sweep of support and points; read its arrays, never
-    write them.  Its radius is the numerical radius w(T).
+    write them.  Its radius_bracket holds the numerical radius w(T), and its
+    radius is the lower end of that bracket.
     """
     return as_operator(T).numerical_range
 
@@ -363,8 +392,9 @@ class AccretivityReport:
     singular-real-part criterion fails, None when not accretive.  bound_rhs
     carries sqrt(||T||^2/delta^2 - 1) and is only defined on the strongly
     accretive path.  eigenvalues is the spectrum behind spectral_radius, kept
-    so callers need no second eigensolve; as_dict leaves it out.  The W(T)
-    sweep behind numerical_radius is the operator's Operator.numerical_range.
+    so callers need no second eigensolve; as_dict leaves it out.
+    numerical_radius and numerical_radius_upper are the ends of the w(T)
+    bracket of the operator's Operator.numerical_range.
     """
 
     dim: int
@@ -376,6 +406,7 @@ class AccretivityReport:
     lambda0_modulus: float | None
     bound_rhs: float | None
     numerical_radius: float
+    numerical_radius_upper: float
     operator_norm: float
     spectral_radius: float
     status: str
@@ -431,7 +462,7 @@ def sectorial_angle(T, tol=None):
 
 
 def accretivity_report(T, tol=None):
-    """Full accretivity certificate: delta, omega, w(T), r(T), ||T||.
+    """Full accretivity certificate: delta, omega, the w(T) bracket, r(T), ||T||.
 
     tol defaults to tolerance("accretivity") * max(1, ||T||), on lambda_min(Re T).
     Non-accretive input yields is_accretive=False with omega=None (a status,
@@ -444,6 +475,7 @@ def accretivity_report(T, tol=None):
     omega, delta, sectorial, tan_omega = sectorial_angle(op, tol)
     eigs = np.linalg.eigvals(op.matrix) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+    w_lo, w_hi = op.numerical_range.radius_bracket
     is_acc = delta >= -tol
     bound = None
     if not is_acc:
@@ -464,7 +496,8 @@ def accretivity_report(T, tol=None):
         omega=omega,
         lambda0_modulus=tan_omega,
         bound_rhs=bound,
-        numerical_radius=op.numerical_range.radius,
+        numerical_radius=w_lo,
+        numerical_radius_upper=w_hi,
         operator_norm=nrm,
         spectral_radius=spec_r,
         status=status,

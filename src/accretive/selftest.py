@@ -81,16 +81,18 @@ def claim(name, measured, tol, ok=None):
 
 
 def analyze_claims(T, rep):
-    """The norm chain r <= w <= ||T|| <= 2w, and the sweep's own boundary
-    points and the spectrum inside W(T); rep is T's accretivity_report."""
+    """The norm chain r <= w <= ||T|| <= 2w on the matching ends of the w(T)
+    bracket [w_lo, w_hi] (r <= w_hi, w_lo <= ||T||, ||T|| <= 2 w_hi), and the
+    sweep's own boundary points and the spectrum inside W(T); rep is T's
+    accretivity_report."""
     T = as_operator(T)
     scale = max(1.0, T.norm)
     wr = T.numerical_range
     hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
     chain = max(
-        rep.spectral_radius - rep.numerical_radius,
+        rep.spectral_radius - rep.numerical_radius_upper,
         rep.numerical_radius - rep.operator_norm,
-        rep.operator_norm - 2 * rep.numerical_radius,
+        rep.operator_norm - 2 * rep.numerical_radius_upper,
     ) / scale
     eigs = rep.eigenvalues
     spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
@@ -131,15 +133,18 @@ def perturb_claims(S, cert, updated, direct):
 
 def factorize_claims(p, f, lams):
     """The factorization identities of f = factorize(p) at the lambdas and,
-    for a commuting pencil, the spectrum of the factors."""
+    for a commuting pencil, the spectrum of the factors, its matching
+    distance relative to max(1, largest pencil eigenvalue modulus)."""
     scale = max(1.0, p.T.norm ** 2, p.S.norm)
     sym, one = factorization_residuals(f, p, lams)
     tol = tolerance("factorization-identity")
     rows = [claim("factorization-symmetric", sym / scale, tol)]
     if f.commuting:
         rows.append(claim("factorization-one-sided", one / scale, tol))
-        dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, pencil_spectrum(p))
-        rows.append(claim("spectrum-multiset", dist, tolerance("spectrum-match")))
+        spectrum = pencil_spectrum(p)
+        dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, spectrum)
+        size = max([1.0, *map(abs, spectrum)])
+        rows.append(claim("spectrum-multiset", dist / size, tolerance("spectrum-match")))
     ok = vandermonde_check(f)
     rows.append(claim("vandermonde-agreement", 0.0 if ok else 1.0, tolerance("bound-slack")))
     return rows

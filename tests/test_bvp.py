@@ -16,7 +16,7 @@ from accretive.bvp import (
     solve_bvp,
 )
 from accretive.errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
-from accretive.sampling import commuting_pencil_pair, rng_for
+from accretive.sampling import commuting_pencil_pair, complex_gaussian, rng_for
 
 SEED = 78112
 N_TRIALS = 15
@@ -329,6 +329,28 @@ def test_fd_oracle_diagonal_example():
     for j in range(2):
         expected = scalar_mode_oracle(T[j, j], S[j, j], 1.0, 0.0, fd.grid)
         assert np.max(np.abs(fd.values[:, j] - expected)) <= 1e-5, f"mode {j}"
+
+
+def test_fd_oracle_matches_the_dense_block_system():
+    # The banded solve and the block-by-block residual against the dense
+    # block-tridiagonal system, on a non-diagonal commuting pair: any entry
+    # misplaced in band storage shows here.
+    rng = rng_for(SEED, "fd-dense")
+    n, n_points = 3, 24
+    T, S = commuting_pencil_pair(rng, n)
+    p = BvpProblem(T, S, complex_gaussian(rng, n), complex_gaussian(rng, n))
+    fd = fd_oracle(p, n_points)
+    m, h = n_points - 1, 1.0 / n_points
+    lower = np.eye(n) / h**2 + p.T.matrix / h
+    diag = -2 * np.eye(n) / h**2 - p.S.matrix
+    upper = np.eye(n) / h**2 - p.T.matrix / h
+    A = np.kron(np.eye(m), diag) + np.kron(np.eye(m, k=-1), lower) + np.kron(np.eye(m, k=1), upper)
+    rhs = np.zeros(m * n, dtype=complex)
+    rhs[:n] = -(lower @ p.u0)
+    rhs[-n:] = -(upper @ p.u1)
+    dense = np.linalg.solve(A, rhs).reshape(m, n)
+    assert np.max(np.abs(fd.values[1:-1] - dense)) <= 1e-12 * np.max(np.abs(dense))
+    assert fd.ode_residual <= 1e-14
 
 
 def test_fd_convergence_rate():

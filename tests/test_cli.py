@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -12,7 +13,7 @@ import scipy.linalg
 from accretive import linops, selftest
 from accretive.cli import run
 from accretive.matio import read_matrix, write_matrix, write_vector
-from accretive.pencil import accretive_sqrt
+from accretive.pencil import QuadraticPencil, accretive_sqrt, factorize
 from accretive.pinv import pseudoinverse
 from accretive.sampling import (
     accretive_operator,
@@ -61,7 +62,30 @@ def test_analyze_witness(files):
     assert rc == 0
     report = json.loads(_text(files["out"] + "/analyze-report.json"))
     assert abs(report["analysis"]["omega"] - math.pi / 4) <= 1e-10
+    analysis = report["analysis"]
+    assert analysis["numerical_radius"] <= analysis["numerical_radius_upper"]
     assert all(c["status"] == "pass" for c in report["claims"])
+
+
+def test_norm_chain_reads_the_matching_ends_of_the_bracket():
+    # The 2x2 Jordan block has r = 0, w = 1/2 and ||T|| = 1 = 2w, and its
+    # bracket's w_hi is 1/(2 cos(pi/720)), 9.5e-6 relative above w.  The
+    # outer links read w_hi and the middle one w_lo: each fails when its own
+    # end is moved past it, and none reads the other end.
+    J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    rep = linops.accretivity_report(J)
+
+    def chain(**ends):
+        rows = selftest.analyze_claims(J, dataclasses.replace(rep, **ends))
+        return next(r["status"] for r in rows if r["claim"] == "norm-chain")
+
+    assert chain() == "pass"
+    assert chain(numerical_radius=0.0) == "pass"
+    assert chain(numerical_radius_upper=0.5 * (1 - 1e-6)) == "fail"
+    assert chain(numerical_radius=1 + 1e-6) == "fail"
+    assert chain(numerical_radius=0.0, spectral_radius=0.5 * (1 + 1e-6)) == "pass"
+    assert chain(spectral_radius=0.5 * (1 + 1e-4)) == "fail"
+    assert chain(numerical_radius_upper=1 + 1e-6) == "pass"
 
 
 def test_analyze_sweeps_the_numerical_range_once(files, stacked_solves):
@@ -256,6 +280,24 @@ def test_factorize_report(files):
     assert np.allclose(z1, np.diag([3.0, 5.0]), atol=1e-9)
 
 
+def test_spectrum_claim_is_relative_to_the_spectrum(files, tmp_path):
+    # T scaled by 1e8 and S by 1e16 scale every pencil eigenvalue by 1e8; the
+    # spectrum-multiset claim is relative to the spectrum, so it passes as the
+    # normalized identities do, and a 1e-3 relative error in one eigenvalue of
+    # a factor still fails it.
+    T, S = commuting_pencil_pair(rng_for(1, "x"), 8)
+    T, S = 1e8 * T, 1e16 * S
+    write_matrix(tmp_path / "t.json", T)
+    write_matrix(tmp_path / "s.json", S)
+    assert run(["factorize", "--input", str(tmp_path / "t.json"),
+                "--input2", str(tmp_path / "s.json"), "--out", files["out"]]) == 0
+    p = QuadraticPencil(T, S)
+    f = factorize(p)
+    wrong = [f.spectra_z1[0] * (1 + 1e-3), *f.spectra_z1[1:]]
+    rows = selftest.factorize_claims(p, dataclasses.replace(f, spectra_z1=wrong), [1.0])
+    assert [r["status"] for r in rows if r["claim"] == "spectrum-multiset"] == ["fail"]
+
+
 def test_solve_bvp_csv(files):
     rc = run(["solve-bvp", "--input", files["diag-t"], "--input2", files["diag-s"],
               "--u0", files["u0"], "--u1", files["u1"], "--grid", "33",
@@ -322,16 +364,34 @@ def test_module_entry_point(files):
     assert "strongly accretive" in proc.stdout
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize, scipy.linalg and scipy.sparse are imported by the few
-    # functions that need them, not by the package.
+def test_import_leaves_scipy_optimize_unloaded(files):
+    # scipy.linalg is imported by the few functions that need it, not by the
+    # package, and no subcommand imports scipy.optimize or scipy.sparse: each
+    # of the seven runs in a fresh process that then lists which it loaded.
     code = (
-        "import sys, accretive, accretive.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy.sparse') if m in sys.modules])"
+        "import sys, accretive, accretive.cli\n"
+        "def loaded(names): return [m for m in names if m in sys.modules]\n"
+        "assert not loaded(('scipy.optimize', 'scipy.linalg', 'scipy.sparse')), 'at import'\n"
+        "rc = accretive.cli.run(sys.argv[1:])\n"
+        "print(rc, loaded(('scipy.optimize', 'scipy.sparse')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    argvs = [
+        ["analyze", "--input", files["witness"]],
+        ["pinv", "--input", files["rank-t"]],
+        ["perturb", "--input", files["diag-t"], "--input2", files["zero"]],
+        ["factorize", "--input", files["diag-t"], "--input2", files["diag-s"]],
+        ["solve-bvp", "--input", files["diag-t"], "--input2", files["diag-s"],
+         "--u0", files["u0"], "--u1", files["u1"]],
+        ["demo-laplacian", "--modes", "8", "--x-samples", "9", "--grid", "17"],
+        ["selftest"],
+    ]
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--out", files["out"]],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        assert proc.stdout.strip().splitlines()[-1] == "0 []", argv[0]
 
 
 def test_missing_subcommand_exits_2():

@@ -154,6 +154,35 @@ def test_numerical_radius_matches_rayleigh_oracle():
         assert w - oracle <= 1e-6 * scale, f"trial {k}: ascent oracle fell short of w"
 
 
+def test_radius_bracket_holds_the_rayleigh_oracle():
+    # The ascent oracle lower-bounds w(T) with points of W(T), so it may not
+    # pass the polygon's upper end; on random input, whose W(T) is no disk,
+    # the refinement closes the bracket to its relative width of 1e-10.
+    rng = rng_for(SEED, "radius-bracket")
+    for k in range(N_TRIALS // 2):
+        dim = int(rng.integers(2, 17))
+        T = random_operator(rng, dim) if k % 2 else accretive_operator(rng, dim)
+        lo, hi = numerical_range(T).radius_bracket
+        assert numerical_range(T).radius == lo
+        assert rayleigh_radius_oracle(T, rng) <= hi * (1 + 1e-12), f"trial {k}"
+        assert lo <= hi and hi - lo <= linops._RADIUS_RTOL * hi, f"trial {k}"
+
+
+def test_radius_bracket_of_the_jordan_disk(monkeypatch):
+    # W(J2) is the disk |z| <= 1/2: every support value is 1/2, so w_lo is
+    # 1/2 to rounding and every arc's vertex ties at 1/(2 cos(pi/720)).  No
+    # bisection lowers that, so the refinement stops at its angle cap, and
+    # the bracket still holds w = 1/2.
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    lo, hi = numerical_range(JORDAN2).radius_bracket
+    assert abs(lo - W_JORDAN2) <= 2 * np.finfo(float).eps * W_JORDAN2
+    assert W_JORDAN2 <= hi <= W_JORDAN2 / math.cos(math.pi / 720) * (1 + 1e-15)
+    assert len(calls) == linops._RADIUS_ANGLES
+    assert all(np.shape(a) == (2, 2) for a in calls)
+
+
 def test_norm_chain():
     # r(T) <= w(T) <= ||T|| <= 2 w(T), all within the stated slack.
     rng = rng_for(SEED, "norm-chain")

@@ -1,5 +1,6 @@
 """Quadratic pencil factorization, square roots, fractional powers, spectra."""
 
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -364,6 +365,51 @@ def test_pencil_spectrum_roots_and_commuting_match():
         f = factorize(p)
         assert f.commuting
         assert multiset_match_distance(roots, f.spectra_z1 + f.spectra_z2) <= 1e-6
+
+
+def _brute_force_min_sum(cost):
+    rows = np.arange(len(cost))
+    return min(cost[rows, list(perm)].sum() for perm in itertools.permutations(rows))
+
+
+def test_min_sum_assignment_matches_brute_force():
+    # Against every permutation for m <= 7: continuous costs, small-integer
+    # costs full of ties, and distances between multisets with repeated values.
+    rng = rng_for(SEED, "assignment-brute")
+    multisets = [
+        ([0, 0, 2, 2], [2, 0, 2, 0]),
+        ([0, 0, 2, 2], [0, 1, 1, 2]),
+        ([1, 1, 1j, 1j, -1, 3], [1j, -1, 1, 1j, 3 + 1e-9, 1]),
+    ]
+    costs = [np.abs(np.subtract.outer(np.asarray(a, complex), np.asarray(b, complex)))
+             for a, b in multisets]
+    for m in range(1, 8):
+        costs += [rng.random((m, m)), rng.integers(0, 3, (m, m)).astype(float)]
+    for cost in costs:
+        cols = pencil._min_sum_assignment(cost)
+        rows = np.arange(len(cost))
+        assert sorted(cols) == list(rows)
+        assert cost[rows, cols].sum() <= _brute_force_min_sum(cost) + 1e-12
+    assert multiset_match_distance([0, 0, 2, 2], [2, 0, 2, 0]) == 0.0
+    assert multiset_match_distance(*multisets[2]) == pytest.approx(1e-9, rel=1e-6)
+
+
+def test_min_sum_assignment_matches_scipy_reference():
+    from scipy.optimize import linear_sum_assignment  # test-only reference
+
+    rng = rng_for(SEED, "assignment-scipy")
+    rows = np.arange(64)
+    for k in range(4):
+        cost = rng.random((64, 64)) * 10.0 ** (2 * k - 3)
+        ref = linear_sum_assignment(cost)[1]
+        best = cost[rows, ref].sum()
+        assert cost[rows, pencil._min_sum_assignment(cost)].sum() == pytest.approx(best, rel=1e-12)
+    # A 64-point spectrum against a shuffled copy with rounding-level noise,
+    # the shape of the spectrum-multiset claim: the same distance, to the bit.
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    y = rng.permutation(x) * (1 + 1e-15 * rng.standard_normal(64))
+    cost = np.abs(x[:, None] - y[None, :])
+    assert multiset_match_distance(x, y) == cost[rows, linear_sum_assignment(cost)[1]].max()
 
 
 def test_vandermonde_agreement():
