@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from accretive import QuadraticPencil, balakrishnan_power, factorize, pencil_spectrum
+from accretive import (
+    QuadraticPencil,
+    balakrishnan_power,
+    factorize,
+    pencil_spectrum,
+    sectorial_angle,
+)
 from accretive.pencil import factorization_residuals, vandermonde_check
 
 # Commuting pair: T and S are polynomials in one Hermitian matrix, so the
@@ -16,7 +22,7 @@ S = np.eye(4) * 1.0 + 0.1 * H @ H
 p = QuadraticPencil(T, S)
 f = factorize(p)
 print(f"sqrt residual        {f.sqrt_residual:.3e}")
-print(f"sqrt sector angle    {f.sqrt_sector_angle:.4f} rad")
+print(f"sqrt sector angle    {sectorial_angle(f.sqrt_upsilon)[0]:.4f} rad")
 print(f"commuting            {f.commuting}")
 print(f"separation           {f.separation:.4f}  ({f.separation_regime})")
 print(f"warnings             {f.warnings}")

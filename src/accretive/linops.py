@@ -17,6 +17,8 @@ from .errors import AccuracyError, DimensionError, PreconditionError
 from .tolerances import tolerance
 
 _EPS = float(np.finfo(np.float64).eps)
+# The factor of the one rank rule, rank_cutoff.
+_RANK_FACTOR = 100
 # The one W(T) grid: 720 uniform angles on [0, 2 pi).  The count is even, so
 # _ANGLES[k + 360] = _ANGLES[k] + pi and a sweep solves the first half-turn only.
 _ANGLES = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
@@ -46,7 +48,7 @@ class Operator:
     """A validated square complex128 matrix that computes each factorization once.
 
     Every step given the same Operator shares what the first one computed:
-    the singular values (norm is the first), the Cartesian parts, eigh(Re T),
+    the singular values (norm and rank read them), the Cartesian parts, eigh(Re T),
     the W(T) sweep of end eigenpairs, the full SVD that callers
     needing singular vectors read, and the complex Schur form that the
     principal square root reads.  Each field has one kernel, whichever call
@@ -80,6 +82,11 @@ class Operator:
     def norm(self):
         """Spectral norm, bit-for-bit operator_norm(matrix)."""
         return float(self.singular_values[0]) if self.dim else 0.0
+
+    @cached_property
+    def rank(self):
+        """Number of singular values above rank_cutoff(dim, norm)."""
+        return int(np.count_nonzero(self.singular_values > rank_cutoff(self.dim, self.norm)))
 
     @cached_property
     def parts(self):
@@ -151,6 +158,12 @@ def _shared_operator(shape, content):
     return Operator(np.frombuffer(content, dtype=np.complex128).reshape(shape))
 
 
+def rank_cutoff(n, sigma_max):
+    """The one rank rule: of an n x n matrix with top singular value sigma_max,
+    a singular value at or below _RANK_FACTOR * n * eps * sigma_max is kernel."""
+    return _RANK_FACTOR * n * _EPS * sigma_max
+
+
 def operator_norm(T):
     """Spectral norm (largest singular value) of an array."""
     return float(np.linalg.norm(T, 2)) if T.size else 0.0
@@ -197,7 +210,7 @@ class NumericalRange:
     and fills both.  radius_bracket brackets w(T) between the largest
     boundary point and the largest vertex of the outer polygon that the
     support lines cut out, bisecting arcs of the grid with one eigvalsh per
-    new angle; radius is its lower end.
+    new angle.
     A 0x0 operator has empty W(T): no points, support values -inf, w(T) = 0.
     """
 
@@ -255,11 +268,6 @@ class NumericalRange:
             proj = np.real(rot[None, :] * pts[lo:lo + step, None])
             out[lo:lo + step] = np.max(proj - self.support[None, :], axis=1)
         return out
-
-    @property
-    def radius(self):
-        """Numerical radius w(T), the lower end w_lo of radius_bracket."""
-        return self.radius_bracket[0]
 
     @cached_property
     def radius_bracket(self):
@@ -363,8 +371,8 @@ def numerical_range(T):
 
     Every caller handed that Operator, or an array of its content, shares its
     one end-eigenpair sweep of support and points; read its arrays, never
-    write them.  Its radius_bracket holds the numerical radius w(T), and its
-    radius is the lower end of that bracket.
+    write them.  Its radius_bracket (w_lo, w_hi) brackets the numerical
+    radius w(T).
     """
     return as_operator(T).numerical_range
 
@@ -436,7 +444,8 @@ def sectorial_angle(T, tol=None):
     norm is taken on the range block of Re(T), valid exactly when
     range(T) <= range(Re T), which is checked by the rank test
     rank([Re T | T]) = rank(Re T); when that fails the operator is accretive
-    but not sectorial and omega = pi/2 is returned flagged.
+    but not sectorial and omega = pi/2 is returned flagged.  Both ranks count
+    values above max(tol, rank_cutoff(n, ||T||)): tol decides the kernel of Re T.
     """
     op = as_operator(T)
     n, delta = op.dim, op.delta
@@ -448,7 +457,7 @@ def sectorial_angle(T, tol=None):
     if delta <= tol:
         # Singular (or nearly singular) real part: pseudoinverse path.
         re_vals = op.re_eigh[0]
-        cutoff = max(tol, 2 * n * _EPS * max(op.norm, 1e-300))
+        cutoff = max(tol, rank_cutoff(n, op.norm))
         aug = np.hstack([op.parts.re_part, op.matrix]) if n else np.zeros((0, 0))
         rank_h = int(np.count_nonzero(re_vals > cutoff))
         rank_aug = int(np.count_nonzero(np.linalg.svd(aug, compute_uv=False) > cutoff)) if n else 0

@@ -17,12 +17,12 @@ from .linops import (
     as_operator,
     checked_matrix,
     operator_norm,
+    rank_cutoff,
     sector_angle_estimate,
     sectorial_angle,
 )
 from .tolerances import tolerance
 
-_EPS = float(np.finfo(np.float64).eps)
 # Complex entries per stacked chunk of pencil residuals (8 MiB): all 16 lambdas
 # of the CLI's check up to n = 128, so memory stays O(n^2) for any lambda count.
 _RESIDUAL_CHUNK = 2**19
@@ -52,29 +52,21 @@ class QuadraticPencil:
         return self.T.dim
 
 
-def _sector_angle(op):
-    """Sectorial semiangle, or the sampled W(T) estimate when the Operator is not accretive."""
-    omega = sectorial_angle(op)[0]
-    return sector_angle_estimate(op) if omega is None else omega
-
-
 def _range_block(op):
     """Orthonormal range basis Q and the Operator Q* U Q for EP input U = op.
 
     For full-rank input Q is None and the block is op itself; only singular
-    input takes op's full SVD.  Raises PreconditionError when the range fails
-    to reduce U (non-EP), since kernel-preserving roots and powers are
-    undefined then.
+    input takes op's full SVD, whose op.rank leading vectors span the range.
+    Raises PreconditionError when the range fails to reduce U (non-EP), since
+    kernel-preserving roots and powers are undefined then.
     """
-    U, n = op.matrix, op.dim
-    cutoff = n * _EPS * op.norm * 100
-    rank = int(np.count_nonzero(op.singular_values > cutoff))
+    U, n, rank = op.matrix, op.dim, op.rank
     if rank == n:
         return None, op
     Q = op.svd[0][:, :rank]
     block = Q.conj().T @ U @ Q
     recon = Q @ block @ Q.conj().T
-    if operator_norm(recon - U) > max(cutoff, 1e-12 * max(1.0, op.norm)):
+    if operator_norm(recon - U) > max(rank_cutoff(n, op.norm), 1e-12 * max(1.0, op.norm)):
         raise PreconditionError(
             "singular input is not reduced by its range (not EP); "
             "kernel-preserving functional calculus undefined"
@@ -214,7 +206,7 @@ class PencilFactorization:
     disjoint-spectra claim applies) and "degenerate" otherwise (Z1 and Z2
     share kernel eigenvalues).  z1_sector_angle is measured and reported, not
     asserted against any fixed sector.  root is sqrt_upsilon as an Operator,
-    kept so vandermonde_check reuses the singular values factorize took.
+    kept so vandermonde_check reads the rank of the root factorize took.
     """
 
     upsilon: np.ndarray
@@ -222,7 +214,6 @@ class PencilFactorization:
     z1: np.ndarray
     z2: np.ndarray
     sqrt_residual: float
-    sqrt_sector_angle: float
     commuting: bool
     spectra_z1: list
     spectra_z2: list
@@ -256,8 +247,11 @@ def factorize(p):
     R = Operator(checked_matrix(W).copy())
     z1 = T + W
     z2 = T - W
-    sqrt_angle = _sector_angle(R)
-    z1_angle = _sector_angle(Operator(checked_matrix(z1)))
+    Z1 = Operator(checked_matrix(z1))
+    # The sampled W(Z1) estimate stands in when Z1 is not accretive.
+    z1_angle = sectorial_angle(Z1)[0]
+    if z1_angle is None:
+        z1_angle = sector_angle_estimate(Z1)
     comm = operator_norm(T @ S - S @ T)
     commuting = bool(comm <= tolerance("commutation") * max(1.0, t_norm * s_norm))
     s1 = np.linalg.eigvals(z1)
@@ -272,7 +266,6 @@ def factorize(p):
         z1=z1,
         z2=z2,
         sqrt_residual=float(sqrt_residual),
-        sqrt_sector_angle=float(sqrt_angle),
         commuting=commuting,
         spectra_z1=[complex(v) for v in s1],
         spectra_z2=[complex(v) for v in s2],
@@ -400,7 +393,7 @@ def vandermonde_check(f):
     """Invertibility of [[I, I], [Z1, Z2]] must track invertibility of the root.
 
     Row reduction gives det V = det(Z2 - Z1) = det(-2 Upsilon^{1/2}), so the
-    two rank decisions agree exactly; this check confirms it numerically.
+    two rank decisions agree exactly; this check confirms it with Operator.rank.
     """
     n = f.z1.shape[0]
     V = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -408,9 +401,5 @@ def vandermonde_check(f):
     V[:n, n:] = np.eye(n)
     V[n:, :n] = f.z1
     V[n:, n:] = f.z2
-    sv_V = np.linalg.svd(V, compute_uv=False)
-    sv_R = f.root.singular_values
-    v_invertible = bool(n == 0 or sv_V[-1] > 2 * n * _EPS * sv_V[0] * 100)
-    r_invertible = bool(n == 0 or sv_R[-1] > n * _EPS * max(sv_R[0], 1.0) * 100)
-    return v_invertible == r_invertible
+    return (Operator(V).rank == 2 * n) == (f.root.rank == n)
 

@@ -13,10 +13,8 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, PreconditionError
-from .linops import as_operator, checked_matrix, operator_norm, sectorial_angle
+from .linops import as_operator, checked_matrix, operator_norm, rank_cutoff, sectorial_angle
 from .tolerances import tolerance
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -27,29 +25,26 @@ class PinvResult:
     rank: int
     singular_values: list
     gamma: float
-    rank_tol: float
 
 
 def pseudoinverse(T):
     """Moore-Penrose inverse by SVD truncation.
 
-    rank_tol is dim * eps * sigma_max; singular values at or below it are
-    treated as zero.  gamma is the smallest retained singular value, the
+    Singular values at or below rank_cutoff(dim, sigma_max), the rule of
+    Operator.rank, are treated as zero; it is applied to the full SVD, so T
+    is factored once.  gamma is the smallest retained singular value, the
     reduced minimum modulus 1/||pinv|| (infinite for the zero matrix).
     """
     op = as_operator(T)
     n = op.dim
     if n == 0:
-        return PinvResult(pinv=op.matrix.copy(), rank=0, singular_values=[], gamma=math.inf,
-                          rank_tol=0.0)
+        return PinvResult(pinv=op.matrix.copy(), rank=0, singular_values=[], gamma=math.inf)
     U, s, Vh = op.svd
-    rank_tol = n * _EPS * float(s[0])
-    keep = s > rank_tol
+    keep = s > rank_cutoff(n, float(s[0]))
     rank = int(np.count_nonzero(keep))
     gamma = float(s[keep][-1]) if rank else math.inf
     P = (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
-    return PinvResult(pinv=P, rank=rank, singular_values=[float(v) for v in s],
-                      gamma=gamma, rank_tol=float(rank_tol))
+    return PinvResult(pinv=P, rank=rank, singular_values=[float(v) for v in s], gamma=gamma)
 
 
 def penrose_residuals(T, P):
@@ -232,7 +227,8 @@ def second_power_inequalities(T, samples=64, seed=0):
     ||Tx||^2 <= nu ||x||^2 + (1/nu) ||T^2 x||^2 for nu in {0.5, 1, 2}, the
     product bound ||Tx||^2 <= 2 ||T^2 x|| ||x|| on the orthocomplement of
     kernel(T^2), and the modulus bound gamma(T^2) >= gamma(T)^2 / 2.  Reports
-    worst slacks; a negative slack is a violation.
+    worst slacks; a negative slack is a violation.  The vector bounds are
+    judged by one figure, worst_vector_violation: -slack / max(1, ||T||^2).
     """
     op = as_operator(T)
     A, n = op.matrix, op.dim
@@ -251,10 +247,9 @@ def second_power_inequalities(T, samples=64, seed=0):
         t2x = float(np.linalg.norm(sq @ x) ** 2)
         for nu in nson:
             worst_split[nu] = min(worst_split[nu], nu + t2x / nu - tx)
-        y = proj @ x
-        ny = float(np.linalg.norm(y))
-        if ny > 1e-12:
-            y = y / ny
+        if res_sq.rank:
+            y = proj @ x
+            y = y / float(np.linalg.norm(y))
             worst_product = min(
                 worst_product,
                 2 * float(np.linalg.norm(sq @ y)) - float(np.linalg.norm(A @ y) ** 2),
@@ -263,14 +258,15 @@ def second_power_inequalities(T, samples=64, seed=0):
         res_sq.gamma - res.gamma ** 2 / 2
         if math.isfinite(res.gamma) else math.inf
     )
-    bar = -tolerance("vector-inequality") * max(1.0, op.norm ** 2)
-    violations = sum(1 for v in (*worst_split.values(), worst_product) if v < bar)
+    scaled = [-v / max(1.0, op.norm ** 2) for v in (*worst_split.values(), worst_product)]
+    violations = sum(1 for v in scaled if v > tolerance("vector-inequality"))
     if gamma_bound_slack < -tolerance("second-power-gamma"):
         violations += 1
     return {
         "samples": int(samples),
         "worst_split_slack": {str(nu): float(v) for nu, v in worst_split.items()},
         "worst_product_slack": float(worst_product),
+        "worst_vector_violation": max(0.0, *scaled),
         "gamma": res.gamma,
         "gamma_sq": res_sq.gamma,
         "gamma_bound_slack": float(gamma_bound_slack),

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from accretive import selftest
+from accretive.linops import as_operator
+from accretive.pencil import QuadraticPencil, factorize
 from accretive.pinv import (
     penrose_residuals,
     pseudoinverse,
@@ -20,6 +23,7 @@ from accretive.sampling import (
     singular_accretive_operator,
     square_accretive_operator,
 )
+from accretive.tolerances import overridden
 
 SEED = 91041
 N_TRIALS = 40
@@ -146,3 +150,63 @@ def test_second_power_gamma_bound_for_plain_accretive():
         T = singular_accretive_operator(rng, dim, rank)
         rep = second_power_inequalities(T, samples=8, seed=7)
         assert rep["gamma_bound_slack"] >= -1e-12
+
+
+def test_planted_rank_is_one_decision():
+    # T = U diag(d) U* is positive semidefinite, so accretive and EP, with its
+    # last singular value planted at rel * sigma_1.  The pseudoinverse, the
+    # Operator and the root that factorize takes must put the kernel at one
+    # place: a certificate from one rank is never paired with a result of another.
+    rng = rng_for(SEED, "planted-rank")
+    for n in (2, 4, 8, 16, 64):
+        for rel in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8):
+            d = rng.uniform(0.5, 1.5, n)
+            d[-1] = rel * d.max()
+            U = random_unitary(rng, n)
+            T = (U * d) @ U.conj().T
+            root = factorize(QuadraticPencil(np.zeros((n, n)), T)).root
+            ranks = (pseudoinverse(T).rank, as_operator(T).rank, root.rank)
+            assert len(set(ranks)) == 1, f"n = {n}, rel = {rel}: ranks {ranks}"
+            if rel <= 1e-14:
+                assert ranks[0] == n - 1, f"n = {n}, rel = {rel}"
+            if rel >= 1e-10:
+                assert ranks[0] == n, f"n = {n}, rel = {rel}"
+
+
+def test_tiny_singular_value_is_kernel():
+    # 1e-14 lies below 100 * 2 * eps: kernel, not a 1e14 entry of the inverse.
+    T = np.diag([1.0, 1e-14])
+    res = pseudoinverse(T)
+    assert (res.rank, res.gamma) == (1, 1.0)
+    assert np.array_equal(res.pinv, np.diag([1.0, 0.0]))
+    assert as_operator(T).rank == 1
+
+
+NILPOTENT = np.array([[0.0, 10.0], [0.0, 0.0]])
+
+
+def test_second_power_vector_bounds_are_judged_by_one_figure():
+    # T^2 = 0, so the split bound at nu = 1/2 fails by about ||T||^2 - 1/2;
+    # over max(1, ||T||^2) = 100 that is just under one.
+    rep = second_power_inequalities(NILPOTENT, samples=32, seed=1)
+    slacks = [*rep["worst_split_slack"].values(), rep["worst_product_slack"]]
+    worst = rep["worst_vector_violation"]
+    assert worst == max(0.0, -min(slacks)) / 100.0
+    assert 0.5 < worst < 1.0
+    for factor, violated in ((0.99, True), (1.01, False)):
+        with overridden({"vector-inequality": factor * worst}):
+            rep = second_power_inequalities(NILPOTENT, samples=32, seed=1)
+        assert (rep["violations"] > 0) == violated, factor
+
+
+def test_second_power_suite_reads_the_library_figure(monkeypatch):
+    # The suite's claim is the library's scaled figure, so an input the
+    # library passes cannot fail the suite through an unscaled slack.
+    def on_nilpotent(T, samples, seed):
+        return second_power_inequalities(NILPOTENT, samples=samples, seed=seed)
+
+    monkeypatch.setattr(selftest, "second_power_inequalities", on_nilpotent)
+    claims = {row[0]: row[1] for row in selftest._suite_second_power(rng_for(SEED, "suite"))}
+    expected = max(on_nilpotent(None, 48, k)["worst_vector_violation"] for k in range(10))
+    # Unscaled, the worst slack is about -99.5.
+    assert claims["second-power-vectors"] == expected < 1.0

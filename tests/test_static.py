@@ -1,4 +1,5 @@
-"""Static guards over the source: every tolerance key is read, every import is used."""
+"""Static guards over the source: every tolerance key is read, every import is used,
+and every rank decision reads the one rank rule."""
 
 import ast
 import pathlib
@@ -51,3 +52,27 @@ def _unused_imports(path):
 def test_every_imported_name_is_used():
     unused = [item for path in MODULES for item in _unused_imports(path)]
     assert not unused, f"imported but never used: {', '.join(unused)}"
+
+
+def test_rank_rule_has_one_home():
+    # An eps-scaled cutoff written anywhere but linops.rank_cutoff would be a
+    # second rank rule: no other module takes machine epsilon, and linops
+    # reads its _EPS only inside the rule.
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "linops.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            assert name not in ("finfo", "float_info"), (
+                f"{path.name}:{node.lineno}: machine epsilon outside linops.rank_cutoff")
+    tree = _tree(PACKAGE / "linops.py")
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "rank_cutoff")
+
+    def reads(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Name) and node.id == "_EPS"
+                and isinstance(node.ctx, ast.Load)]
+
+    assert reads(rule), "rank_cutoff does not read _EPS"
+    assert reads(tree) == reads(rule), "linops reads _EPS outside rank_cutoff"
