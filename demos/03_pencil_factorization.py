@@ -4,6 +4,7 @@ import numpy as np
 
 from accretive import (
     QuadraticPencil,
+    accretive_sqrt,
     balakrishnan_power,
     factorize,
     pencil_spectrum,
@@ -42,9 +43,11 @@ print(f"factor spectra       {np.round(combined, 4)}")
 print(f"vandermonde ranks agree  {vandermonde_check(f)}")
 
 # Fractional powers of the strongly accretive Upsilon = T^2 + S by
-# quadrature: the half power squares back and quarter powers compose.
+# quadrature: the half power squares back, matches the Schur-method root,
+# and quarter powers compose.
 U = T @ T + S
 half = balakrishnan_power(U, 0.5)
 print(f"\n|U^0.5 U^0.5 - U|        {np.linalg.norm(half @ half - U, 2):.3e}")
+print(f"|U^0.5 - sqrt(U)|        {np.linalg.norm(half - accretive_sqrt(U), 2):.3e}")
 quarter = balakrishnan_power(U, 0.25)
 print(f"|U^0.25 U^0.25 - U^0.5|  {np.linalg.norm(quarter @ quarter - half, 2):.3e}")

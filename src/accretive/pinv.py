@@ -2,9 +2,10 @@
 
 The perturbation results all live on the same geometry: for an EP operator T
 (range and row space coincide) and a perturbation S acting within that common
-subspace with a contraction certificate ||T_pinv S|| < 1 or ||S T_pinv|| < 1,
-the pseudoinverse of T + S is a Neumann-type update of T_pinv and keeps T's
-rank, range, and kernel.
+subspace, mapping into range(T) and vanishing on kernel(T), with the
+contraction certificate ||T_pinv S|| < 1 and ||S T_pinv|| < 1, the
+pseudoinverse of T + S is a Neumann-type update of T_pinv and keeps T's rank,
+range, and kernel.
 """
 
 from dataclasses import dataclass, field, fields
@@ -82,10 +83,14 @@ def subspace_distance(P, Q):
 class PerturbationCertificate:
     """Checkable hypotheses for the additive pseudoinverse update.
 
-    mode is "range-side" when range(S) sits inside range(T) with
-    ||T_pinv S|| < 1, "kernel-side" for the dual pair, "both" when the two
-    hypothesis sets hold together, "fail" otherwise.  norm_over_gamma records
-    the informational ratio ||S|| / gamma(T); it is not a hypothesis.
+    mode is "both" when range(S) sits inside range(T), S vanishes on
+    kernel(T), and ||T_pinv S|| < 1 and ||S T_pinv|| < 1; it is "fail"
+    otherwise.  One inclusion alone does not make the update formula give
+    (T + S)^+: T = diag(1, 0) with S = [[0.1, 0.2], [0, 0]] meets only the
+    range pair, and its transpose only the kernel pair.  For EP T and
+    accretive S the range pair implies the kernel pair, since N(S) = N(S*).
+    norm_over_gamma records the informational ratio ||S|| / gamma(T); it is
+    not a hypothesis.
     pinv_result keeps the pseudoinverse of T the certificate was computed
     from, so perturbed_pinv does not factor T again; as_dict leaves it out.
     """
@@ -124,16 +129,7 @@ def perturbation_certificate(T, S, tol=None):
     r_kernel = operator_norm(B @ (eye - P @ A))
     c_tds = operator_norm(P @ B)
     c_std = operator_norm(B @ P)
-    range_ok = r_range <= tol and c_tds < 1
-    kernel_ok = r_kernel <= tol and c_std < 1
-    if range_ok and kernel_ok:
-        mode = "both"
-    elif range_ok:
-        mode = "range-side"
-    elif kernel_ok:
-        mode = "kernel-side"
-    else:
-        mode = "fail"
+    mode = "both" if max(r_range, r_kernel) <= tol and max(c_tds, c_std) < 1 else "fail"
     theta = sectorial_angle(S)[0]
     ratio = s_norm / res.gamma if math.isfinite(res.gamma) else 0.0
     return PerturbationCertificate(

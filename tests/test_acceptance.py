@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from accretive.bvp import BvpProblem, fd_oracle, solve_bvp
 from accretive.errors import ModelError
@@ -88,27 +89,26 @@ def test_criterion_2_sectorial_angle():
 
 def test_criterion_3_perturbation():
     rng = rng_for(SEED, "acceptance-perturbation")
-    for side in ("range-side", "kernel-side"):
-        for k in range(300):
-            dim = int(rng.integers(2, 11))
-            rank = int(rng.integers(1, dim + 1))
-            T, S = certified_pair(rng, dim, rank, contraction=0.2 + 0.5 * rng.random())
-            cert = perturbation_certificate(T, S)
-            assert cert.mode in ("both", side), f"{side} trial {k}"
-            res = pseudoinverse(T)
-            pn = operator_norm(res.pinv)
-            updated = perturbed_pinv(T, S, cert)
-            direct = pseudoinverse(T + S)
-            assert operator_norm(updated - direct.pinv) <= 1e-8 * pn, f"{side} trial {k}"
-            assert direct.rank == res.rank
-            assert subspace_distance(range_projector(T, res), range_projector(T + S, direct)) <= 1e-8
-            assert subspace_distance(row_projector(T, res), row_projector(T + S, direct)) <= 1e-8
-            diff = operator_norm(direct.pinv - res.pinv)
-            bound = operator_norm(S) * pn**2 / (1 - cert.contraction_TdS)
-            assert diff <= bound * (1 + 1e-9) + 1e-12, f"{side} bound trial {k}"
-            if cert.s_accretive and cert.theta is not None and cert.theta < math.pi / 2:
-                norm_bound = 2 * pn + (1 + math.tan(cert.theta)) ** 2 * pn**2
-                assert operator_norm(direct.pinv) <= norm_bound * (1 + 1e-9)
+    for k in range(600):
+        dim = int(rng.integers(2, 11))
+        rank = int(rng.integers(1, dim + 1))
+        T, S = certified_pair(rng, dim, rank, contraction=0.2 + 0.5 * rng.random())
+        cert = perturbation_certificate(T, S)
+        assert cert.mode == "both", f"trial {k}"
+        res = pseudoinverse(T)
+        pn = operator_norm(res.pinv)
+        updated = perturbed_pinv(T, S, cert)
+        direct = pseudoinverse(T + S)
+        assert operator_norm(updated - direct.pinv) <= 1e-8 * pn, f"trial {k}"
+        assert direct.rank == res.rank
+        assert subspace_distance(range_projector(T, res), range_projector(T + S, direct)) <= 1e-8
+        assert subspace_distance(row_projector(T, res), row_projector(T + S, direct)) <= 1e-8
+        diff = operator_norm(direct.pinv - res.pinv)
+        bound = operator_norm(S) * pn**2 / (1 - cert.contraction_TdS)
+        assert diff <= bound * (1 + 1e-9) + 1e-12, f"bound trial {k}"
+        if cert.s_accretive and cert.theta is not None and cert.theta < math.pi / 2:
+            norm_bound = 2 * pn + (1 + math.tan(cert.theta)) ** 2 * pn**2
+            assert operator_norm(direct.pinv) <= norm_bound * (1 + 1e-9)
     for k in range(10):
         dim = int(rng.integers(2, 9))
         T = singular_accretive_operator(rng, dim, int(rng.integers(1, dim + 1)))
@@ -141,11 +141,9 @@ def test_criterion_5_fractional_powers():
     for k in range(50):
         dim = int(rng.integers(2, 9))
         T = accretive_operator(rng, dim, max_tan=1.5)
-        vals, vecs = np.linalg.eig(T)
-        inv_vecs = np.linalg.inv(vecs)
         for alpha in (0.25, 0.5, 0.75):
             power = balakrishnan_power(T, alpha)
-            oracle = vecs @ np.diag(vals**alpha) @ inv_vecs
+            oracle = scipy.linalg.fractional_matrix_power(T, alpha)
             rel = operator_norm(power - oracle) / operator_norm(oracle)
             assert rel <= 1e-6, f"trial {k} alpha={alpha}: {rel:.2e}"
             omega = sectorial_angle(power)[0]

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from accretive import pencil
 from accretive.errors import AccuracyError, ParameterError, PreconditionError
@@ -31,20 +33,10 @@ from accretive.sampling import (
     rng_for,
     singular_accretive_operator,
 )
+from accretive.tolerances import overridden
 
 SEED = 60493
 N_TRIALS = 20
-
-
-def eigen_power_oracle(T, alpha):
-    """Spectral fractional power V diag(mu^alpha) V^{-1}, principal branch.
-
-    Valid for diagonalizable T with no eigenvalue on the negative real axis;
-    serves as the independent reference for the quadrature route.
-    """
-    mu, V = np.linalg.eig(T)
-    powered = np.exp(alpha * np.log(mu))
-    return V @ np.diag(powered) @ np.linalg.inv(V)
 
 
 # Frozen square-root witness: the Jordan-type block [[2,1],[0,2]] has the
@@ -135,13 +127,16 @@ def test_balakrishnan_trivial():
     assert np.linalg.norm(got - np.diag([1.0, 2.0]), 2) <= 1e-8
 
 
-def test_balakrishnan_matches_eigen_oracle():
+def test_balakrishnan_matches_schur_pade_oracle():
+    # scipy's Schur-Pade fractional power (Higham & Lin 2011) is the
+    # independent route; unlike V diag(mu^alpha) V^{-1} it stays well
+    # conditioned on nonnormal input.
     rng = rng_for(SEED, "balakrishnan")
     for k in range(10):
         T = accretive_operator(rng, 6, max_tan=2.0)
         for alpha in (0.25, 0.5, 0.75):
             got = balakrishnan_power(T, alpha)
-            expected = eigen_power_oracle(T, alpha)
+            expected = scipy.linalg.fractional_matrix_power(T, alpha)
             rel = np.linalg.norm(got - expected, 2) / np.linalg.norm(expected, 2)
             assert rel <= 1e-6, f"trial {k}, alpha={alpha}: rel={rel:.2e}"
 
@@ -190,11 +185,68 @@ def test_balakrishnan_parameter_and_precondition_errors():
         balakrishnan_power(np.diag([-1.0, 1.0]), 0.5)
 
 
-def test_balakrishnan_nonconvergence_reports_achieved(monkeypatch):
-    for key, value in (("max_doublings", 0), ("panel_width", 50.0), ("nodes_per_panel", 2)):
-        monkeypatch.setitem(pencil._QUAD, key, value)
-    with pytest.raises(AccuracyError, match="achieved"):
+def test_balakrishnan_nonconvergence_reports_achieved():
+    with overridden({"quadrature-rel": 1e-300}), pytest.raises(
+        AccuracyError, match=r"achieved .* target 1\.0e-300"
+    ):
         balakrishnan_power(np.diag([1.0, 1e4]), 0.5)
+
+
+def test_balakrishnan_solves_each_node_once(monkeypatch):
+    # The returned power is the trapezoidal sum over exactly the solved
+    # nodes: each halving solves only the new midpoints, so the shifts form
+    # one uniform grid in u = log(lambda) and no node is solved twice.  T is
+    # the nonnormal Jordan-type [[0, 1], [-1, 2]] (eigenvalue 1 twice); its
+    # zero corner makes each system's corner the shift lambda itself.
+    T = np.array([[0.0, 1.0], [-1.0, 2.0]], dtype=complex)
+    solve = np.linalg.solve
+    shifts = []
+
+    def recording(a, b):
+        shifts.extend(a[:, 0, 0].real)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    alpha = 0.5
+    got = balakrishnan_power(T, alpha)
+    u = np.log(np.sort(shifts))
+    h = np.diff(u)
+    assert np.allclose(h, h.mean(), rtol=1e-9), "solved nodes are not one uniform grid"
+    weight = np.ones(u.size)
+    weight[[0, -1]] = 0.5
+    X = solve(np.exp(u)[:, None, None] * np.eye(2) + T, np.broadcast_to(T, (u.size, 2, 2)))
+    ref = math.sin(math.pi * alpha) / math.pi * h.mean() * np.tensordot(
+        weight * np.exp(alpha * u), X, axes=(0, 0))
+    assert np.linalg.norm(got - ref, 2) <= 1e-12
+    assert np.linalg.norm(got @ got - T, 2) <= 1e-10
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_balakrishnan_memory_is_bounded():
+    # The shifted systems are solved in chunks of at most _RESIDUAL_CHUNK
+    # entries, so memory is O(n^2): n = 64 peaks at about 16 MiB (168-226 MiB
+    # when every node of a level was held at once, 37 MiB for the last level's
+    # midpoints unchunked at alpha = 1/4), and the 8 halvings of a run that
+    # cannot converge at about 2 MiB (29 MiB).
+    T = accretive_operator(rng_for(SEED, "balakrishnan-memory"), 64, max_tan=2.0)
+    for alpha in (0.25, 0.5, 0.75):
+        peak = _traced_peak(lambda: balakrishnan_power(T, alpha))
+        assert peak < 32 * 2**20, f"n = 64, alpha = {alpha}: peak {peak / 2**20:.1f} MiB"
+
+    def nonconverging():
+        with overridden({"quadrature-rel": 1e-300}), pytest.raises(AccuracyError):
+            balakrishnan_power(np.diag([1.0, 1e4]), 0.5)
+
+    peak = _traced_peak(nonconverging)
+    assert peak < 8 * 2**20, f"non-convergence peak {peak / 2**20:.1f} MiB"
 
 
 def test_factorize_diagonal_frozen():

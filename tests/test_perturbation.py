@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from accretive.cli import run
 from accretive.errors import HypothesisError, PreconditionError
+from accretive.matio import write_matrix
 from accretive.pinv import (
     neumann_identity_check,
     perturbation_bound,
@@ -19,6 +21,8 @@ from accretive.pinv import (
 from accretive.sampling import (
     accretive_operator,
     certified_pair,
+    complex_gaussian,
+    random_unitary,
     rng_for,
 )
 
@@ -70,6 +74,46 @@ def test_perturbed_pinv_scalar_scaling():
 def test_perturbed_pinv_fail_mode_raises():
     with pytest.raises(HypothesisError, match="hypotheses unmet"):
         perturbed_pinv(np.diag([1.0, 0.0]), np.diag([0.0, 0.3]))
+
+
+def _single_inclusion_pairs():
+    """(T, S) pairs meeting exactly one inclusion, with ||T_pinv|| ||S|| = 1/2.
+
+    The frozen 2x2 S maps into range(T) but does not vanish on kernel(T),
+    and its transpose vanishes on kernel(T) but maps outside range(T); the
+    random EP pairs are S = Q B (range pair only) and S = B* Q* (kernel pair
+    only) for T = Q M Q*.  On each, the update formula misses (T + S)^+ (by
+    0.163 on the 2x2 pairs).
+    """
+    S = np.array([[0.1, 0.2], [0.0, 0.0]])
+    pairs = [(np.diag([1.0, 0.0]), S), (np.diag([1.0, 0.0]), S.T)]
+    rng = rng_for(SEED, "single-inclusion")
+    for _ in range(N_TRIALS // 2):
+        dim = int(rng.integers(2, 9))
+        Q = random_unitary(rng, dim)[:, :int(rng.integers(1, dim))]
+        T = Q @ accretive_operator(rng, Q.shape[1]) @ Q.conj().T
+        B = complex_gaussian(rng, (Q.shape[1], dim))
+        scale = 0.5 / np.linalg.norm(pseudoinverse(T).pinv, 2)
+        for S in (Q @ B, B.conj().T @ Q.conj().T):
+            pairs.append((T, scale * S / np.linalg.norm(S, 2)))
+    return pairs
+
+
+def test_single_inclusion_fails_the_certificate(tmp_path):
+    for k, (T, S) in enumerate(_single_inclusion_pairs()):
+        cert = perturbation_certificate(T, S)
+        residuals = sorted([cert.range_inclusion_residual, cert.kernel_inclusion_residual])
+        assert residuals[0] <= 1e-12 < 1e-3 <= residuals[1], f"pair {k}: {residuals}"
+        assert max(cert.contraction_TdS, cert.contraction_STd) < 1, f"pair {k}"
+        assert cert.mode == "fail", f"pair {k}"
+        with pytest.raises(HypothesisError, match="hypotheses unmet"):
+            perturbed_pinv(T, S, cert)
+        if k < 4:
+            write_matrix(tmp_path / "t.json", T)
+            write_matrix(tmp_path / "s.json", S)
+            argv = ["perturb", "--input", str(tmp_path / "t.json"),
+                    "--input2", str(tmp_path / "s.json"), "--out", str(tmp_path / "out")]
+            assert run(argv) == 3, f"pair {k}"
 
 
 def test_update_formula_matches_direct_pinv():

@@ -1,5 +1,5 @@
 """Static guards over the source: every tolerance key is read, every import is used,
-and every rank decision reads the one rank rule."""
+every rank decision reads the one rank rule, and every public library name has a reader."""
 
 import ast
 import pathlib
@@ -76,3 +76,30 @@ def test_rank_rule_has_one_home():
 
     assert reads(rule), "rank_cutoff does not read _EPS"
     assert reads(tree) == reads(rule), "linops reads _EPS outside rank_cutoff"
+
+
+# Public names that no library module or demo reads, each kept for a reason.
+UNREAD_ALLOWED = {
+    "support_excess": "the benchmark's analyze workload calls it (ROADMAP item 1)",
+    "eval_pencil": "the tests' reference Q(lambda), written once in the library",
+    "write_matrix": "writes matrix files in the format the CLI reads",
+    "write_vector": "writes vector files in the format the CLI reads",
+}
+
+
+def test_every_public_library_name_has_a_reader():
+    # A reader is another library module, the name's own module, or a demo;
+    # the __init__ re-export and the tests do not count.
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    reads = set()
+    for path in [*readers, *(ROOT / "demos").glob("*.py")]:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    public = {node.name for path in readers for node in _tree(path).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")}
+    assert sorted(public - reads - set(UNREAD_ALLOWED)) == [], "public names nothing reads"
+    assert sorted(set(UNREAD_ALLOWED) - (public - reads)) == [], "allowed names that now have a reader"
