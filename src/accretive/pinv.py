@@ -2,8 +2,8 @@
 
 The perturbation results all live on the same geometry: for an EP operator T
 (range and row space coincide) and a perturbation S acting within that common
-subspace, mapping into range(T) and vanishing on kernel(T), with the
-contraction certificate ||T_pinv S|| < 1 and ||S T_pinv|| < 1, the
+subspace, mapping into range(T) and vanishing on kernel(T), with a
+contraction certificate ||T_pinv S|| < 1 or ||S T_pinv|| < 1, the
 pseudoinverse of T + S is a Neumann-type update of T_pinv and keeps T's rank,
 range, and kernel.
 """
@@ -84,8 +84,11 @@ class PerturbationCertificate:
     """Checkable hypotheses for the additive pseudoinverse update.
 
     mode is "both" when range(S) sits inside range(T), S vanishes on
-    kernel(T), and ||T_pinv S|| < 1 and ||S T_pinv|| < 1; it is "fail"
-    otherwise.  One inclusion alone does not make the update formula give
+    kernel(T), and ||T_pinv S|| < 1, the contraction that the returned
+    formula and perturbation_bound read; it is "fail" otherwise.
+    ||S T_pinv|| is recorded but not required: the two products share their
+    nonzero spectrum, so either contraction makes both resolvents
+    invertible.  One inclusion alone does not make the update formula give
     (T + S)^+: T = diag(1, 0) with S = [[0.1, 0.2], [0, 0]] meets only the
     range pair, and its transpose only the kernel pair.  For EP T and
     accretive S the range pair implies the kernel pair, since N(S) = N(S*).
@@ -129,7 +132,7 @@ def perturbation_certificate(T, S, tol=None):
     r_kernel = operator_norm(B @ (eye - P @ A))
     c_tds = operator_norm(P @ B)
     c_std = operator_norm(B @ P)
-    mode = "both" if max(r_range, r_kernel) <= tol and max(c_tds, c_std) < 1 else "fail"
+    mode = "both" if max(r_range, r_kernel) <= tol and c_tds < 1 else "fail"
     theta = sectorial_angle(S)[0]
     ratio = s_norm / res.gamma if math.isfinite(res.gamma) else 0.0
     return PerturbationCertificate(

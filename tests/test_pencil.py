@@ -231,11 +231,7 @@ def _traced_peak(fn):
 
 
 def test_balakrishnan_memory_is_bounded():
-    # The shifted systems are solved in chunks of at most _RESIDUAL_CHUNK
-    # entries, so memory is O(n^2): n = 64 peaks at about 16 MiB (168-226 MiB
-    # when every node of a level was held at once, 37 MiB for the last level's
-    # midpoints unchunked at alpha = 1/4), and the 8 halvings of a run that
-    # cannot converge at about 2 MiB (29 MiB).
+    # Chunked solves keep the peak O(n^2), on the non-convergence path too.
     T = accretive_operator(rng_for(SEED, "balakrishnan-memory"), 64, max_tan=2.0)
     for alpha in (0.25, 0.5, 0.75):
         peak = _traced_peak(lambda: balakrishnan_power(T, alpha))

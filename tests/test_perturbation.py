@@ -76,6 +76,21 @@ def test_perturbed_pinv_fail_mode_raises():
         perturbed_pinv(np.diag([1.0, 0.0]), np.diag([0.0, 0.3]))
 
 
+def test_one_contraction_with_both_inclusions_certifies():
+    # T is invertible, so both inclusions hold; ||T_pinv S|| ~ 0.99 while
+    # ||S T_pinv|| ~ 17, and the update formula still gives (T + S)^+.
+    T = np.diag([1.0, 0.01])
+    S = np.array([[0.9, 0.17], [0.0, 0.009]])
+    cert = perturbation_certificate(T, S)
+    assert cert.s_accretive
+    assert cert.contraction_TdS < 1 < cert.contraction_STd
+    assert cert.mode == "both"
+    direct = pseudoinverse(T + S).pinv
+    assert np.linalg.norm(perturbed_pinv(T, S, cert) - direct, 2) <= 1e-12 * np.linalg.norm(direct, 2)
+    diff = np.linalg.norm(direct - pseudoinverse(T).pinv, 2)
+    assert diff <= perturbation_bound(S, cert)
+
+
 def _single_inclusion_pairs():
     """(T, S) pairs meeting exactly one inclusion, with ||T_pinv|| ||S|| = 1/2.
 
