@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
-from .linops import Operator, checked_matrix, operator_norm
-from .pencil import QuadraticPencil, _sqrt_and_residual
+from .linops import checked_matrix, operator_norm
+from .pencil import QuadraticPencil
 from .tolerances import tolerance
 
 
@@ -121,25 +121,22 @@ def chebyshev_grid(n=65):
 
 
 @dataclass(frozen=True)
-class BvpProblem:
-    """Problem data with the commutation hypothesis measured up front.
+class BvpProblem(QuadraticPencil):
+    """The pencil of u'' - 2Tu' - Su = 0 with boundary values u0 and u1.
 
-    T and S are kept as Operators, so solve_bvp reuses their norms.
-    sqrt_upsilon is R = (T^2 + S)^{1/2}, computed here unless the certified
-    root (factorize's) is given.  commutation_residual = ||T R - R T|| must be
+    The root R = (T^2 + S)^{1/2} is the pencil's (QuadraticPencil.root), so
+    factorize and solve_bvp given one problem root Upsilon once.
+    commutation_residual = ||T R - R T||, measured at construction, must be
     small to solve, since the closed formulas rely on Z1 Z2 = Z2 Z1.
     """
 
-    T: Operator
-    S: Operator
     u0: np.ndarray
     u1: np.ndarray
-    sqrt_upsilon: np.ndarray | None = None
     commutation_residual: float = field(init=False)
 
     def __post_init__(self):
-        pencil = QuadraticPencil(self.T, self.S)
-        T, S, n = pencil.T, pencil.S, pencil.dim
+        super().__post_init__()
+        n = self.dim
         u0 = np.asarray(self.u0, dtype=complex).ravel()
         u1 = np.asarray(self.u1, dtype=complex).ravel()
         if u0.shape != (n,) or u1.shape != (n,):
@@ -147,27 +144,10 @@ class BvpProblem:
                 f"boundary vectors must have length {n}, "
                 f"got {u0.shape[0]} and {u1.shape[0]}"
             )
-        A = T.matrix
-        if self.sqrt_upsilon is None:
-            # Upsilon is this call's own: an unshared Operator evicts no
-            # caller's operator from as_operator's cache.
-            R = _sqrt_and_residual(Operator(checked_matrix(A @ A + S.matrix)))[0]
-        else:
-            # A copy, writable like the computed root even when given an Operator.
-            R = checked_matrix(self.sqrt_upsilon).copy()
-            if R.shape != A.shape:
-                raise ParameterError(f"sqrt_upsilon has shape {R.shape}, expected {A.shape}")
-        resid = operator_norm(A @ R - R @ A)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "S", S)
+        A, R = self.T.matrix, self.root[0].matrix
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "sqrt_upsilon", R)
-        object.__setattr__(self, "commutation_residual", float(resid))
-
-    @property
-    def dim(self):
-        return self.T.dim
+        object.__setattr__(self, "commutation_residual", float(operator_norm(A @ R - R @ A)))
 
 
 @dataclass(frozen=True)
@@ -218,7 +198,7 @@ def solve_bvp(p, grid=None):
             f"T does not commute with the pencil root: residual "
             f"{p.commutation_residual:.3e} > tol {tol:.3e}"
         )
-    R = p.sqrt_upsilon
+    R = p.root[0].matrix
     z1 = p.T.matrix + R
     z2 = p.T.matrix - R
     n = p.dim

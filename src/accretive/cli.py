@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -118,7 +117,7 @@ def _cmd_pinv(args, out_dir):
     body = {
         "input": args.input,
         "rank": res.rank,
-        "gamma": None if math.isinf(res.gamma) else res.gamma,
+        "gamma": res.gamma,
         "singular_values": res.singular_values,
     }
     return _emit("pinv", body, claims, out_dir)
@@ -164,7 +163,7 @@ def _cmd_factorize(args, out_dir):
         "input": args.input,
         "input2": args.input2,
         "commuting": f.commuting,
-        "separation": f.separation if math.isfinite(f.separation) else None,
+        "separation": f.separation,
         "separation_regime": f.separation_regime,
         "sqrt_residual": f.sqrt_residual,
         "z1_sector_angle": f.z1_sector_angle,

@@ -125,9 +125,23 @@ def _atomic_write_text(path, text):
         raise
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def write_json(path, obj):
-    """Deterministic JSON write: sorted keys, two-space indent, newline end."""
-    _atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Deterministic strict JSON write: sorted keys, two-space indent, newline
+    end; a non-finite float (NaN or an infinity, which JSON has no word for)
+    is written as null."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write_text(path, text + "\n")
 
 
 def write_matrix(path, M):

@@ -7,6 +7,7 @@ when T and S commute.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -34,7 +35,9 @@ class QuadraticPencil:
     """Monic quadratic pencil data; hypotheses are certified later, not here.
 
     T and S are kept as Operators, so the norms factorize takes are cached on
-    the operators the caller passed.
+    the operators the caller passed.  The pencil owns Upsilon = T^2 + S and
+    its principal root, each computed on first read: factorize and solve_bvp
+    given one pencil share the one root.
     """
 
     T: Operator
@@ -51,6 +54,21 @@ class QuadraticPencil:
     @property
     def dim(self):
         return self.T.dim
+
+    @cached_property
+    def upsilon(self):
+        """Upsilon = T^2 + S as the pencil's own unshared Operator, so it
+        evicts no caller's operator from as_operator's cache."""
+        A = self.T.matrix
+        return Operator(checked_matrix(A @ A + self.S.matrix))
+
+    @cached_property
+    def root(self):
+        """(R, ||R^2 - Upsilon||): R = Upsilon^{1/2} by accretive_sqrt, as an
+        Operator whose matrix is read-only, since every reader shares it."""
+        W, residual = _sqrt_and_residual(self.upsilon)
+        W.flags.writeable = False
+        return Operator(W), residual
 
 
 def _range_block(op):
@@ -217,11 +235,11 @@ class PencilFactorization:
     separation_regime is "strong" when Re(Upsilon) is strictly positive (the
     disjoint-spectra claim applies) and "degenerate" otherwise (Z1 and Z2
     share kernel eigenvalues).  z1_sector_angle is measured and reported, not
-    asserted against any fixed sector.  root is sqrt_upsilon as an Operator,
-    kept so vandermonde_check reads the rank of the root factorize took.
+    asserted against any fixed sector.  root is the pencil's root Operator
+    (QuadraticPencil.root), kept so vandermonde_check reads the rank of the
+    root factorize took; sqrt_upsilon is a writable copy of its matrix.
     """
 
-    upsilon: np.ndarray
     sqrt_upsilon: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
@@ -239,42 +257,37 @@ class PencilFactorization:
 def factorize(p):
     """Factor operators Z1 = T + Upsilon^{1/2}, Z2 = T - Upsilon^{1/2}.
 
-    Hypothesis shortfalls (T, T^2, or S not accretive) are recorded as
-    warnings on the result rather than raised; square-root failures
-    propagate.
+    Upsilon and its root are the pencil's (QuadraticPencil.upsilon, .root).
+    Hypothesis shortfalls (T, T^2, or S not accretive, each judged as
+    sectorial_angle judges it) are recorded as warnings on the result rather
+    than raised; square-root failures propagate.
     """
     T, S = p.T.matrix, p.S.matrix
-    t_norm, s_norm = p.T.norm, p.S.norm
-    tol = tolerance("accretivity") * max(1.0, t_norm ** 2, s_norm)
     warnings = []
-    T2 = T @ T
-    for name, M in (("T", p.T), ("T^2", Operator(T2)), ("S", p.S)):
-        if M.delta < -tol:
+    for name, M in (("T", p.T), ("T^2", Operator(T @ T)), ("S", p.S)):
+        if M.delta < -tolerance("accretivity") * max(1.0, M.norm):
             warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
-    # Upsilon, R and Z1 are this call's own: unshared Operators, so they
-    # evict no caller's operator from as_operator's cache.
-    upsilon = T2 + S
-    U = Operator(checked_matrix(upsilon))
-    W, sqrt_residual = _sqrt_and_residual(U)
-    R = Operator(checked_matrix(W).copy())
+    R, sqrt_residual = p.root
+    W = R.matrix
     z1 = T + W
     z2 = T - W
+    # Z1 is this call's own: an unshared Operator, so it evicts no caller's
+    # operator from as_operator's cache.
     Z1 = Operator(checked_matrix(z1))
     # The sampled W(Z1) estimate stands in when Z1 is not accretive.
     z1_angle = sectorial_angle(Z1)[0]
     if z1_angle is None:
         z1_angle = sector_angle_estimate(Z1)
     comm = operator_norm(T @ S - S @ T)
-    commuting = bool(comm <= tolerance("commutation") * max(1.0, t_norm * s_norm))
+    commuting = bool(comm <= tolerance("commutation") * max(1.0, p.T.norm * p.S.norm))
     s1 = np.linalg.eigvals(z1)
     s2 = np.linalg.eigvals(z2)
     separation = float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
-    regime = "strong" if U.delta > tolerance("separation-strong") else "degenerate"
+    regime = "strong" if p.upsilon.delta > tolerance("separation-strong") else "degenerate"
     if regime == "degenerate":
         warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
     return PencilFactorization(
-        upsilon=upsilon,
-        sqrt_upsilon=W,
+        sqrt_upsilon=W.copy(),
         z1=z1,
         z2=z2,
         sqrt_residual=float(sqrt_residual),

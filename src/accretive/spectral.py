@@ -16,7 +16,7 @@ import numpy as np
 
 from .bvp import BvpProblem, BvpSolution, chebyshev_grid, solve_bvp
 from .errors import AccretiveError, ModelError, ParameterError, PreconditionError, ResonanceError
-from .pencil import QuadraticPencil, factorize
+from .pencil import factorize
 from .pinv import perturbation_certificate
 from .tolerances import tolerance
 
@@ -206,6 +206,8 @@ def _stage(name, fn, *args, **kwargs):
 def demo(m, u0, u1, grid=None, x_samples=33):
     """Full pipeline: screens, condition, build, factorize, solve, oracle.
 
+    The build stage makes one BvpProblem from the model's operators and the
+    boundary data; factorize and the solve both read that problem's root.
     Returns a report dict including the synthesized field
     u(t, x) = sum_j u_j(t) * sqrt(2) sin(j pi x) on a uniform x grid.
     """
@@ -228,11 +230,10 @@ def demo(m, u0, u1, grid=None, x_samples=33):
 
     _stage("screen", screens)
     total = _stage("condition", condition)
-    # One pencil's Operators serve every stage; the solve reuses factorize's root.
-    p = QuadraticPencil(*_stage("build", build_operators, m))
+    # One problem serves every stage: factorize and the solve read its one root.
+    p = _stage("build", lambda: BvpProblem(*build_operators(m), u0, u1))
     fac = _stage("factorize", factorize, p)
-    problem = _stage("solve", BvpProblem, p.T, p.S, u0, u1, fac.sqrt_upsilon)
-    sol = _stage("solve", solve_bvp, problem, grid)
+    sol = _stage("solve", solve_bvp, p, grid)
     oracle = _stage("oracle", per_mode_oracle, m, u0, u1, sol.grid)
     oracle_gap = float(np.max(np.abs(sol.values - oracle.values)))
     cert = _stage("certificate", perturbation_certificate, p.T.matrix @ p.T.matrix, p.S)

@@ -166,7 +166,8 @@ def test_criterion_6_factorization():
             dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, pencil_spectrum(p))
             assert dist <= 1e-6, f"trial {k}: multiset {dist:.2e}"
         assert vandermonde_check(f), f"trial {k}"
-        upsilon_delta = float(np.min(np.linalg.eigvalsh(0.5 * (f.upsilon + f.upsilon.conj().T))))
+        upsilon = T @ T + S
+        upsilon_delta = float(np.min(np.linalg.eigvalsh(0.5 * (upsilon + upsilon.conj().T))))
         if upsilon_delta > 1e-6:
             assert f.separation > 0, f"trial {k}"
 

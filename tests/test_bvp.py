@@ -16,6 +16,7 @@ from accretive.bvp import (
     solve_bvp,
 )
 from accretive.errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
+from accretive.pencil import factorize
 from accretive.sampling import commuting_pencil_pair, complex_gaussian, rng_for
 
 SEED = 78112
@@ -242,7 +243,7 @@ def test_exponential_consistency():
         dim = int(rng.integers(2, 6))
         T, S = commuting_pencil_pair(rng, dim)
         p = BvpProblem(T, S, np.zeros(dim), np.zeros(dim))
-        R = p.sqrt_upsilon
+        R = p.root[0].matrix
         lhs = expm(-2 * R)
         rhs = expm(-(T + R)) @ expm(T - R)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
@@ -285,24 +286,18 @@ def test_problem_roots_upsilon_from_one_schur_form(root_kernels):
     assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 0}
 
 
-def test_problem_reuses_a_given_root(monkeypatch):
-    rng = rng_for(SEED, "given-root")
-    T, S = commuting_pencil_pair(rng, 4)
-    u0, u1 = np.ones(4), np.zeros(4)
-    rooted = BvpProblem(T, S, u0, u1)
-    sqrtm_calls = []
-    sqrtm = scipy.linalg.sqrtm
-    monkeypatch.setattr(
-        scipy.linalg, "sqrtm", lambda a, *r, **k: sqrtm_calls.append(a) or sqrtm(a, *r, **k)
-    )
-    given = BvpProblem(T, S, u0, u1, rooted.sqrt_upsilon)
-    assert not sqrtm_calls
-    assert given.commutation_residual == rooted.commutation_residual
-    assert np.array_equal(solve_bvp(given).values, solve_bvp(rooted).values)
-    with pytest.raises(ParameterError):
-        BvpProblem(T, S, u0, u1, np.eye(3))
+def test_factorize_and_solve_share_the_problems_root(root_kernels):
+    # A problem is its pencil: factorize and solve_bvp read the one root its
+    # construction took, so Upsilon is factored and rooted once in all.
+    T, S = commuting_pencil_pair(rng_for(SEED, "shared-root"), 4)
+    problem = BvpProblem(T, S, np.ones(4), np.zeros(4))
+    f = factorize(problem)
+    solve_bvp(problem)
+    assert (root_kernels["schur"], root_kernels["sqrtm"]) == (1, 1)
+    assert f.root is problem.root[0]
+    assert np.array_equal(f.sqrt_upsilon, problem.root[0].matrix)
     with pytest.raises(TypeError):
-        BvpProblem(T, S, u0, u1, commutation_residual=0.0)
+        BvpProblem(T, S, np.ones(4), np.zeros(4), commutation_residual=0.0)
 
 
 def test_fd_oracle_sinh():

@@ -42,6 +42,7 @@ def files(tmp_path):
         paths[name] = str(p)
 
     add("witness", write_matrix, np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex))
+    add("rotation", write_matrix, np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex))
     add("diag-t", write_matrix, np.diag([1.0, 2.0]).astype(complex))
     add("diag-s", write_matrix, np.diag([3.0, 5.0]).astype(complex))
     add("rank-t", write_matrix, np.diag([2.0, 0.0]).astype(complex))
@@ -118,6 +119,15 @@ def _strict_json(path):
 
     with open(path) as fh:
         return json.load(fh, parse_constant=refuse)
+
+
+def test_non_sectorial_analyze_report_is_strict_json(files):
+    # The rotation is accretive (Re T = 0) but not sectorial: tan(omega) is
+    # infinite, which the report writes as null, not as Infinity.
+    assert run(["analyze", "--input", files["rotation"], "--out", files["out"]]) == 0
+    analysis = _strict_json(files["out"] + "/analyze-report.json")["analysis"]
+    assert analysis["is_accretive"] and not analysis["sectorial"]
+    assert analysis["lambda0_modulus"] is None
 
 
 def test_dim_zero_input(files):

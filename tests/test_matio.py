@@ -122,6 +122,19 @@ def test_write_json_sorted_deterministic(tmp_path):
     assert text.endswith("\n")
 
 
+def test_write_json_writes_non_finite_floats_as_null(tmp_path):
+    # JSON has no NaN or infinity; a strict parser must read every report.
+    path = tmp_path / "r.json"
+    write_json(path, {"a": np.inf, "b": [1.5, (float("nan"), -np.inf)], "c": {"d": np.float64(2.0)}})
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "a": None, "b": [1.5, [None, None]], "c": {"d": 2.0}
+    }
+
+
 def test_write_csv(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ("t", "re"), [(0.0, 1.0), (0.5, 2.0)])

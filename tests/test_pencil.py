@@ -268,7 +268,7 @@ def test_factorize_type_invariants():
         dim = int(rng.integers(2, 9))
         T, S = pencil_pair(rng, dim)
         f = factorize(QuadraticPencil(T, S))
-        scale = max(1.0, np.linalg.norm(f.upsilon, 2))
+        scale = max(1.0, np.linalg.norm(T @ T + S, 2))
         assert np.linalg.norm(f.z1 + f.z2 - 2 * T, 2) <= 1e-12 * scale
         assert np.linalg.norm(f.z1 - f.z2 - 2 * f.sqrt_upsilon, 2) <= 1e-12 * scale
         assert f.sqrt_residual <= 1e-10 * scale
@@ -282,6 +282,12 @@ def test_factorize_type_invariants():
 def test_factorize_records_warnings():
     f = factorize(QuadraticPencil(np.diag([-1.0, 1.0]), np.eye(2)))
     assert any("not accretive" in w for w in f.warnings)
+    # Each operator is judged on its own scale, as analyze judges it: a large
+    # ||T||^2 or ||S|| must not hide a small negative lambda_min(Re T).
+    for T, S in ((np.diag([100.0, -1e-7]), np.eye(2)), (np.diag([1.0, -1e-9]), 1e4 * np.eye(2))):
+        assert not accretivity_report(T).is_accretive
+        f = factorize(QuadraticPencil(T, S))
+        assert any(w.startswith("T not accretive") for w in f.warnings)
 
 
 def test_degenerate_regime_shares_kernel_eigenvalue():
@@ -352,7 +358,7 @@ def test_symmetric_residual_uniform_over_sweep():
         p = QuadraticPencil(T, S)
         f = factorize(p)
         sym, _ = factorization_residuals(f, p, lambdas)
-        assert sym <= 1e-10 * max(1.0, np.linalg.norm(f.upsilon, 2))
+        assert sym <= 1e-10 * max(1.0, np.linalg.norm(T @ T + S, 2))
 
 
 def _residuals_per_lambda(f, p, lambdas):

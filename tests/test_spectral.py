@@ -191,6 +191,8 @@ def test_demo_refusals_with_stage():
         demo(LaplacianModel(1.0, 0.0, 100.0, 16), np.zeros(16), np.zeros(16))
     with pytest.raises(PreconditionError, match=r"\[stage: condition\]"):
         demo(LaplacianModel(0.0, 0.0, 0.1, 4), np.zeros(4), np.zeros(4))
+    with pytest.raises(ParameterError, match=r"\[stage: build\] boundary vectors"):
+        demo(LaplacianModel(1.0, 0.0, 0.1, 4), np.zeros(6), np.zeros(4))
     with pytest.raises(ParameterError):
         demo(LaplacianModel(1.0, 0.0, 0.1, 4), np.zeros(4), np.zeros(4), x_samples=1)
 

@@ -1,5 +1,6 @@
 """Static guards over the source: every tolerance key is read, every import is used,
-every rank decision reads the one rank rule, and every public library name has a reader."""
+every rank decision reads the one rank rule, and every public library name and
+dataclass field has a reader."""
 
 import ast
 import pathlib
@@ -103,3 +104,50 @@ def test_every_public_library_name_has_a_reader():
               and not node.name.startswith("_")}
     assert sorted(public - reads - set(UNREAD_ALLOWED)) == [], "public names nothing reads"
     assert sorted(set(UNREAD_ALLOWED) - (public - reads)) == [], "allowed names that now have a reader"
+
+
+# Dataclass fields that are neither read in the library or a demo nor reported
+# through their class's as_dict, each kept for a reason.
+UNREAD_FIELDS_ALLOWED = {}
+
+
+def _reports_every_compared_field(cls):
+    # as_dict written as {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+    return any(isinstance(fn, ast.FunctionDef) and fn.name == "as_dict"
+               and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "fields"
+                       for node in ast.walk(fn))
+               for fn in cls.body)
+
+
+def _compared(stmt):
+    # A field(...) default with compare=False is left out of comparisons and as_dict.
+    call = stmt.value
+    return not (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "field"
+                and any(k.arg == "compare" and isinstance(k.value, ast.Constant)
+                        and k.value.value is False for k in call.keywords))
+
+
+def test_every_dataclass_field_has_a_reader():
+    # A field is read as .name in the library or a demo, or reaches a report
+    # through its class's as_dict; the tests do not count.
+    readers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    reads = {node.attr for path in [*readers, *(ROOT / "demos").glob("*.py")]
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.Attribute)}
+    unread = set()
+    for path in readers:
+        for cls in _tree(path).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+            if not any(getattr(d, "id", None) == "dataclass" for d in decorators):
+                continue
+            reported = _reports_every_compared_field(cls)
+            for stmt in cls.body:
+                if not isinstance(stmt, ast.AnnAssign):
+                    continue
+                name = stmt.target.id
+                if name not in reads and not (reported and _compared(stmt)):
+                    unread.add(f"{cls.name}.{name}")
+    assert len(UNREAD_FIELDS_ALLOWED) <= 3, "keep the allow-list short"
+    assert sorted(unread - set(UNREAD_FIELDS_ALLOWED)) == [], "dataclass fields nothing reads"
+    assert sorted(set(UNREAD_FIELDS_ALLOWED) - unread) == [], "allowed fields that now have a reader"
