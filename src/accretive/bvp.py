@@ -19,7 +19,8 @@ take the dense expm(t Z) @ v per time instead.  The boundary system still
 needs three dense exponentials: exp(-2R), exp(Z2) and exp(-Z1).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -124,15 +125,15 @@ def chebyshev_grid(n=65):
 class BvpProblem(QuadraticPencil):
     """The pencil of u'' - 2Tu' - Su = 0 with boundary values u0 and u1.
 
-    The root R = (T^2 + S)^{1/2} is the pencil's (QuadraticPencil.root), so
-    factorize and solve_bvp given one problem root Upsilon once.
-    commutation_residual = ||T R - R T||, measured at construction, must be
-    small to solve, since the closed formulas rely on Z1 Z2 = Z2 Z1.
+    Construction only validates the data.  The root R = (T^2 + S)^{1/2} is the
+    pencil's (QuadraticPencil.root), taken on first read, so factorize and
+    solve_bvp given one problem root Upsilon once.  commutation_residual =
+    ||T R - R T||, also measured on first read, must be small to solve, since
+    the closed formulas rely on Z1 Z2 = Z2 Z1.
     """
 
     u0: np.ndarray
     u1: np.ndarray
-    commutation_residual: float = field(init=False)
 
     def __post_init__(self):
         super().__post_init__()
@@ -144,15 +145,19 @@ class BvpProblem(QuadraticPencil):
                 f"boundary vectors must have length {n}, "
                 f"got {u0.shape[0]} and {u1.shape[0]}"
             )
-        A, R = self.T.matrix, self.root[0].matrix
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "u1", u1)
-        object.__setattr__(self, "commutation_residual", float(operator_norm(A @ R - R @ A)))
+
+    @cached_property
+    def commutation_residual(self):
+        A, R = self.T.matrix, self.root[0].matrix
+        return float(operator_norm(A @ R - R @ A))
 
 
 @dataclass(frozen=True)
 class BvpSolution:
-    """Solution samples plus the data needed to re-evaluate it anywhere."""
+    """Samples of u on a grid, the boundary coefficients x0 and x1, the
+    boundary and ODE residuals, and, for an oracle, its gap to solve_bvp."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -161,8 +166,6 @@ class BvpSolution:
     boundary_residual: float
     ode_residual: float
     oracle_gap: float | None = None
-    z1: np.ndarray | None = None
-    z2: np.ndarray | None = None
 
 
 def _factor_actions(z1, z2, x0, x1, ts):
@@ -238,7 +241,6 @@ def solve_bvp(p, grid=None):
     return BvpSolution(
         grid=ts, values=(X + Y).T, x0=x0, x1=x1,
         boundary_residual=boundary_residual, ode_residual=resid,
-        z1=z1, z2=z2,
     )
 
 
@@ -258,7 +260,7 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
     return float(np.max(np.linalg.norm(defect, axis=0))) / scale
 
 
-def fd_oracle(p, n_points, solution=None):
+def fd_oracle(p, n_points):
     """Second-order central-difference discretization, solved as one system.
 
     Interior nodes t_i = i h with h = 1/n_points; row i couples
@@ -267,7 +269,8 @@ def fd_oracle(p, n_points, solution=None):
     system has 2n - 1 sub- and superdiagonals, so it is stored in LAPACK band
     form and solved by one banded LU (scipy.linalg.solve_banded); the
     discrete residual is formed block by block.  oracle_gap is the max grid
-    distance to the exponential-formula solution (O(h^2)).
+    distance to solve_bvp(p, grid) on the same grid (O(h^2)); that solve reads
+    the problem's cached root.
     """
     if n_points < 16:
         raise ParameterError(f"n_points must be >= 16, got {n_points}")
@@ -304,12 +307,7 @@ def fd_oracle(p, n_points, solution=None):
     resid[1:] += interior[:-1] @ lower.T
     resid[:-1] += interior[1:] @ upper.T
     discrete_residual = float(np.linalg.norm(resid)) / (1 + float(np.linalg.norm(rhs)))
-    if solution is None:
-        solution = solve_bvp(p, grid=grid)
-        exact = solution.values
-    else:
-        X, Y = _factor_actions(solution.z1, solution.z2, solution.x0, solution.x1, grid)
-        exact = (X + Y).T
+    exact = solve_bvp(p, grid).values
     gap = float(np.max(np.linalg.norm(values - exact, axis=1)))
     return BvpSolution(
         grid=grid, values=values,

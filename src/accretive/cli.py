@@ -345,7 +345,10 @@ def run(argv=None):
     args = parser.parse_args(argv)
     try:
         with overridden(_parse_overrides(args.tol_override)):
-            os.makedirs(args.out, exist_ok=True)
+            try:
+                os.makedirs(args.out, exist_ok=True)
+            except OSError as exc:
+                raise ParameterError(f"--out {args.out}: {exc.strerror}") from exc
             return args.func(args, args.out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -35,9 +35,10 @@ class QuadraticPencil:
     """Monic quadratic pencil data; hypotheses are certified later, not here.
 
     T and S are kept as Operators, so the norms factorize takes are cached on
-    the operators the caller passed.  The pencil owns Upsilon = T^2 + S and
-    its principal root, each computed on first read: factorize and solve_bvp
-    given one pencil share the one root.
+    the operators the caller passed.  The pencil owns Upsilon = T^2 + S, kept
+    as a read-only matrix, and its principal root R, the one factorization of
+    Upsilon it keeps; each is computed on first read, so factorize and
+    solve_bvp given one pencil share the one root.
     """
 
     T: Operator
@@ -57,16 +58,22 @@ class QuadraticPencil:
 
     @cached_property
     def upsilon(self):
-        """Upsilon = T^2 + S as the pencil's own unshared Operator, so it
-        evicts no caller's operator from as_operator's cache."""
+        """Upsilon = T^2 + S as a read-only matrix; no factorization of it is kept."""
         A = self.T.matrix
-        return Operator(checked_matrix(A @ A + self.S.matrix))
+        U = checked_matrix(A @ A + self.S.matrix)
+        U.flags.writeable = False
+        return U
 
     @cached_property
     def root(self):
         """(R, ||R^2 - Upsilon||): R = Upsilon^{1/2} by accretive_sqrt, as an
-        Operator whose matrix is read-only, since every reader shares it."""
-        W, residual = _sqrt_and_residual(self.upsilon)
+        Operator whose matrix is read-only, since every reader shares it.
+
+        Upsilon is rooted as a transient unshared Operator, so its Schur form
+        and singular values are freed once R is taken, and it evicts no
+        caller's operator from as_operator's cache.
+        """
+        W, residual = _sqrt_and_residual(Operator(self.upsilon))
         W.flags.writeable = False
         return Operator(W), residual
 
@@ -283,7 +290,8 @@ def factorize(p):
     s1 = np.linalg.eigvals(z1)
     s2 = np.linalg.eigvals(z2)
     separation = float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
-    regime = "strong" if p.upsilon.delta > tolerance("separation-strong") else "degenerate"
+    strong = Operator(p.upsilon).delta > tolerance("separation-strong")
+    regime = "strong" if strong else "degenerate"
     if regime == "degenerate":
         warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
     return PencilFactorization(

@@ -61,16 +61,15 @@ def penrose_residuals(T, P):
     }
 
 
-def range_projector(T, result=None):
-    """Orthogonal projector onto range(T)."""
-    op = as_operator(T)
-    return op.matrix @ (result or pseudoinverse(op)).pinv
+def range_projector(T, result):
+    """Orthogonal projector onto range(T), given result = pseudoinverse(T)."""
+    return checked_matrix(T) @ result.pinv
 
 
-def row_projector(T, result=None):
-    """Orthogonal projector onto range(T*) = kernel(T) orthocomplement."""
-    op = as_operator(T)
-    return (result or pseudoinverse(op)).pinv @ op.matrix
+def row_projector(T, result):
+    """Orthogonal projector onto range(T*) = kernel(T) orthocomplement, given
+    result = pseudoinverse(T)."""
+    return result.pinv @ checked_matrix(T)
 
 
 def subspace_distance(P, Q):
@@ -219,15 +218,20 @@ def neumann_identity_check(T, S, k):
     return float(operator_norm(exact - partial))
 
 
-def second_power_inequalities(T, samples=64, seed=0):
+# Random unit vectors per second_power_inequalities call.
+_SECOND_POWER_SAMPLES = 48
+
+
+def second_power_inequalities(T, seed):
     """Sampled second-power inequalities relating ||Tx||, ||T^2 x||, gamma.
 
-    Checks, over random unit vectors, the split bound
-    ||Tx||^2 <= nu ||x||^2 + (1/nu) ||T^2 x||^2 for nu in {0.5, 1, 2}, the
-    product bound ||Tx||^2 <= 2 ||T^2 x|| ||x|| on the orthocomplement of
-    kernel(T^2), and the modulus bound gamma(T^2) >= gamma(T)^2 / 2.  Reports
-    worst slacks; a negative slack is a violation.  The vector bounds are
-    judged by one figure, worst_vector_violation: -slack / max(1, ||T||^2).
+    Checks, over _SECOND_POWER_SAMPLES random unit vectors drawn from seed,
+    the split bound ||Tx||^2 <= nu ||x||^2 + (1/nu) ||T^2 x||^2 for nu in
+    {0.5, 1, 2}, the product bound ||Tx||^2 <= 2 ||T^2 x|| ||x|| on the
+    orthocomplement of kernel(T^2), and the modulus bound
+    gamma(T^2) >= gamma(T)^2 / 2.  Reports worst slacks; a negative slack is
+    a violation.  The vector bounds are judged by one figure,
+    worst_vector_violation: -slack / max(1, ||T||^2).
     """
     op = as_operator(T)
     A, n = op.matrix, op.dim
@@ -239,7 +243,8 @@ def second_power_inequalities(T, samples=64, seed=0):
     nson = (0.5, 1.0, 2.0)
     worst_split = {nu: math.inf for nu in nson}
     worst_product = math.inf
-    X = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
+    shape = (_SECOND_POWER_SAMPLES, n)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     X /= np.linalg.norm(X, axis=1, keepdims=True)
     for x in X:
         tx = float(np.linalg.norm(A @ x) ** 2)
@@ -262,7 +267,7 @@ def second_power_inequalities(T, samples=64, seed=0):
     if gamma_bound_slack < -tolerance("second-power-gamma"):
         violations += 1
     return {
-        "samples": int(samples),
+        "samples": _SECOND_POWER_SAMPLES,
         "worst_split_slack": {str(nu): float(v) for nu, v in worst_split.items()},
         "worst_product_slack": float(worst_product),
         "worst_vector_violation": max(0.0, *scaled),

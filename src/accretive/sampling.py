@@ -66,16 +66,16 @@ def accretive_operator(rng, dim, max_tan=3.0):
     return R @ (np.eye(dim) + 1j * K) @ R
 
 
-def singular_accretive_operator(rng, dim, rank, max_tan=3.0):
+def singular_accretive_operator(rng, dim, rank):
     """Accretive operator with kernel of dimension dim - rank and N(T) = N(T*).
 
     Built as Q M Q* with Q an isometry onto an r-dimensional subspace and M
     strongly accretive, so T annihilates range(Q)^perp on both sides.
     """
     if rank >= dim:
-        return accretive_operator(rng, dim, max_tan=max_tan)
+        return accretive_operator(rng, dim)
     Q = random_unitary(rng, dim)[:, :rank]
-    M = accretive_operator(rng, max(rank, 1), max_tan=max_tan)
+    M = accretive_operator(rng, max(rank, 1))
     return Q @ M @ Q.conj().T
 
 

@@ -188,8 +188,6 @@ def per_mode_oracle(m, u0, u1, grid=None):
         x1=b,
         boundary_residual=boundary_residual,
         ode_residual=ode_residual,
-        z1=np.diag(z1),
-        z2=np.diag(z2),
     )
 
 
@@ -206,19 +204,16 @@ def _stage(name, fn, *args, **kwargs):
 def demo(m, u0, u1, grid=None, x_samples=33):
     """Full pipeline: screens, condition, build, factorize, solve, oracle.
 
-    The build stage makes one BvpProblem from the model's operators and the
-    boundary data; factorize and the solve both read that problem's root.
+    The screen stage builds the model's operators, refusing an infeasible
+    model; the build stage makes one BvpProblem from them and the boundary
+    data, and the problem's root is taken when factorize first reads it, so a
+    failure to root Upsilon is labelled factorize.
     Returns a report dict including the synthesized field
     u(t, x) = sum_j u_j(t) * sqrt(2) sin(j pi x) on a uniform x grid.
     """
     x_samples = int(x_samples)
     if x_samples < 2:
         raise ParameterError(f"x_samples must be at least 2, got {x_samples}")
-
-    def screens():
-        failures = m.screen_failures()
-        if failures:
-            raise ModelError("model infeasible: " + "; ".join(failures))
 
     def condition():
         ok, total = condition_check(m)
@@ -228,10 +223,10 @@ def demo(m, u0, u1, grid=None, x_samples=33):
             )
         return total
 
-    _stage("screen", screens)
+    T, S = _stage("screen", build_operators, m)
     total = _stage("condition", condition)
     # One problem serves every stage: factorize and the solve read its one root.
-    p = _stage("build", lambda: BvpProblem(*build_operators(m), u0, u1))
+    p = _stage("build", BvpProblem, T, S, u0, u1)
     fac = _stage("factorize", factorize, p)
     sol = _stage("solve", solve_bvp, p, grid)
     oracle = _stage("oracle", per_mode_oracle, m, u0, u1, sol.grid)

@@ -68,13 +68,13 @@ def tolerance(key):
 
 
 @contextmanager
-def overridden(overrides=None):
+def overridden(overrides):
     """Make DEFAULTS with ``overrides`` applied the active table inside the block.
 
     Raises ParameterError for unknown keys and for values outside (0, inf).
     """
     table = dict(DEFAULTS)
-    for key, value in (overrides or {}).items():
+    for key, value in overrides.items():
         if key not in table:
             raise ParameterError(f"unknown tolerance key: {key!r}")
         value = float(value)

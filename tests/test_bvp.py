@@ -1,6 +1,8 @@
 """Two-point BVP: exponential formula, residuals, finite-difference oracle."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from accretive.bvp import (
     solve_bvp,
 )
 from accretive.errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
+from accretive.linops import as_operator
 from accretive.pencil import factorize
 from accretive.sampling import commuting_pencil_pair, complex_gaussian, rng_for
 
@@ -114,10 +117,13 @@ def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
     T, S = commuting_pencil_pair(rng, 32)
     u0 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     u1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    sol = solve_bvp(BvpProblem(T, S, u0, u1))
+    p = BvpProblem(T, S, u0, u1)
+    sol = solve_bvp(p)
     assert len(expm_calls) == 3
+    R = p.root[0].matrix
+    z1, z2 = T + R, T - R
     dense = np.stack([
-        expm(-(1 - t) * sol.z1) @ sol.x0 + expm(t * sol.z2) @ sol.x1 for t in sol.grid
+        expm(-(1 - t) * z1) @ sol.x0 + expm(t * z2) @ sol.x1 for t in sol.grid
     ])
     assert np.max(np.abs(sol.values - dense)) <= 1e-12 * (1 + np.max(np.abs(dense)))
     assert sol.ode_residual <= 1e-8
@@ -125,10 +131,12 @@ def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
 
 def test_solve_bvp_takes_each_norm_once(svd_calls):
     # ||T|| and ||S|| feed both the commutation tolerance and the residual
-    # scale; the third SVD is sigma_min of I - e^{-2R}.
+    # scale; the third SVD is sigma_min of I - e^{-2R}.  The root and the
+    # commutation residual are the problem's, read here before counting.
     rng = rng_for(SEED, "three-svd")
     T, S = commuting_pencil_pair(rng, 8)
     p = BvpProblem(T, S, np.ones(8), np.zeros(8))
+    p.commutation_residual
     svd_calls.clear()
     solve_bvp(p)
     assert len(svd_calls) == 3
@@ -206,15 +214,18 @@ def test_analytic_derivative_matches_finite_differences():
         T, S = commuting_pencil_pair(rng, dim)
         u0 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         u1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        sol = solve_bvp(BvpProblem(T, S, u0, u1))
-        X, Y = _factor_actions(sol.z1, sol.z2, sol.x0, sol.x1, np.concatenate([ts + h, ts - h, ts]))
+        p = BvpProblem(T, S, u0, u1)
+        sol = solve_bvp(p)
+        R = p.root[0].matrix
+        z1, z2 = T + R, T - R
+        X, Y = _factor_actions(z1, z2, sol.x0, sol.x1, np.concatenate([ts + h, ts - h, ts]))
         U = X + Y
         fd = (U[:, :7] - U[:, 7:14]) / (2 * h)
         scale = (1 + 2 * np.linalg.norm(T, 2) + np.linalg.norm(S, 2)) * (
             1 + np.linalg.norm(sol.x0) + np.linalg.norm(sol.x1))
-        du = sol.z1 @ X[:, 14:] + sol.z2 @ Y[:, 14:]
+        du = z1 @ X[:, 14:] + z2 @ Y[:, 14:]
         assert np.max(np.linalg.norm(du - fd, axis=0)) <= 1e-6 * scale, f"trial {k}"
-        flipped = -sol.z1 @ X[:, 14:] + sol.z2 @ Y[:, 14:]
+        flipped = -z1 @ X[:, 14:] + z2 @ Y[:, 14:]
         assert np.max(np.linalg.norm(flipped - fd, axis=0)) > 1e-6 * scale, f"trial {k}"
 
 
@@ -279,16 +290,20 @@ def test_grid_validation():
 
 
 def test_problem_roots_upsilon_from_one_schur_form(root_kernels):
-    # The negative-axis test reads the Schur diagonal, so Upsilon is factored
-    # once; sqrtm sees only the triangular factor (the fixture checks that).
+    # Construction only validates; the first read of the commutation residual
+    # roots Upsilon.  The negative-axis test reads the Schur diagonal, so
+    # Upsilon is factored once; sqrtm sees only the triangular factor (the
+    # fixture checks that).
     T, S = commuting_pencil_pair(rng_for(SEED, "one-schur"), 6)
-    BvpProblem(T, S, np.ones(6), np.zeros(6))
+    p = BvpProblem(T, S, np.ones(6), np.zeros(6))
+    assert root_kernels == {"schur": 0, "sqrtm": 0, "eigvals": 0}
+    p.commutation_residual
     assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 0}
 
 
 def test_factorize_and_solve_share_the_problems_root(root_kernels):
-    # A problem is its pencil: factorize and solve_bvp read the one root its
-    # construction took, so Upsilon is factored and rooted once in all.
+    # A problem is its pencil: factorize and solve_bvp read the one root the
+    # first of them took, so Upsilon is factored and rooted once in all.
     T, S = commuting_pencil_pair(rng_for(SEED, "shared-root"), 4)
     problem = BvpProblem(T, S, np.ones(4), np.zeros(4))
     f = factorize(problem)
@@ -298,6 +313,32 @@ def test_factorize_and_solve_share_the_problems_root(root_kernels):
     assert np.array_equal(f.sqrt_upsilon, problem.root[0].matrix)
     with pytest.raises(TypeError):
         BvpProblem(T, S, np.ones(4), np.zeros(4), commutation_residual=0.0)
+
+
+def test_live_problem_keeps_upsilon_as_a_matrix_and_one_root():
+    # After factorize and solve_bvp, a live problem holds Upsilon as a
+    # read-only matrix and its root, not Upsilon's Schur form, singular
+    # values, Cartesian parts or eigh(Re Upsilon).  The given operators T and
+    # S, with what they cache, exist before tracing starts; at n = 128 each
+    # n x n complex matrix is 256 KiB.
+    rng = rng_for(SEED, "retained")
+    warm = BvpProblem(np.eye(4), np.eye(4), np.ones(4), np.zeros(4))
+    factorize(warm)
+    solve_bvp(warm)
+    T, S = (as_operator(M) for M in commuting_pencil_pair(rng, 128))
+    u0, u1 = complex_gaussian(rng, 128), complex_gaussian(rng, 128)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        p = BvpProblem(T, S, u0, u1)
+        factorize(p)
+        solve_bvp(p)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 2.5 * 2**20, f"{retained / 2**20:.2f} MiB retained"
+    assert type(p.upsilon) is np.ndarray and not p.upsilon.flags.writeable
 
 
 def test_fd_oracle_sinh():
@@ -350,7 +391,6 @@ def test_fd_oracle_matches_the_dense_block_system():
 
 def test_fd_convergence_rate():
     p = BvpProblem(np.zeros((1, 1)), np.eye(1), np.array([1.0]), np.array([0.0]))
-    sol = solve_bvp(p)
-    gaps = [fd_oracle(p, n, solution=sol).oracle_gap for n in (128, 256, 512)]
+    gaps = [fd_oracle(p, n).oracle_gap for n in (128, 256, 512)]
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 3.5 <= coarse / fine <= 4.5

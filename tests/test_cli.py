@@ -188,7 +188,7 @@ def test_suite_fails_when_no_input_produces_its_claim(monkeypatch):
         return [r for r in pinv_claims(T, res) if r["claim"] != "pinv-accretive"]
 
     monkeypatch.setattr(selftest, "pinv_claims", penrose_only)
-    claims = {c["claim"]: c for c in selftest.run_selftest(seed=42)["body"]["claims"]}
+    claims = {c["claim"]: c for c in selftest.run_selftest(42, {})["body"]["claims"]}
     failed = claims["pinv-accretive-completed"]
     assert failed["status"] == "fail"
     assert failed["error"] == "no generated input produced the claim 'pinv-accretive'"
@@ -402,6 +402,22 @@ def test_import_leaves_scipy_optimize_unloaded(files):
         )
         assert proc.returncode == 0, (argv[0], proc.stderr)
         assert proc.stdout.strip().splitlines()[-1] == "0 []", argv[0]
+
+
+@pytest.mark.parametrize("command", ["selftest", "analyze"])
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_exits_2(files, command, under):
+    # --out naming a regular file, or a directory below one, cannot be
+    # created: a configuration error, not a traceback and exit 1.
+    out = files["witness"] + ("/sub" if under else "")
+    inputs = {"analyze": ["--input", files["witness"]]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "accretive.cli", command, *inputs.get(command, []), "--out", out],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"invalid input: --out {out}: " in proc.stderr.splitlines()[-1]
 
 
 def test_missing_subcommand_exits_2():

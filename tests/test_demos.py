@@ -1,4 +1,5 @@
-"""Every shipped demo runs to completion against the package in src/."""
+"""Every shipped demo runs to completion against the package in src/, with
+warnings as errors, as tier-1 runs in-process code."""
 
 import os
 import pathlib
@@ -15,6 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -146,8 +146,8 @@ def test_update_formula_matches_direct_pinv():
         assert np.linalg.norm(got - direct.pinv, 2) <= 1e-8 * pinv_scale, f"trial {k}"
         assert direct.rank == res_T.rank, f"trial {k}"
         # Range and kernel survive the perturbation.
-        assert subspace_distance(range_projector(T + S), range_projector(T)) <= 1e-8
-        assert subspace_distance(row_projector(T + S), row_projector(T)) <= 1e-8
+        assert subspace_distance(range_projector(T + S, direct), range_projector(T, res_T)) <= 1e-8
+        assert subspace_distance(row_projector(T + S, direct), row_projector(T, res_T)) <= 1e-8
 
 
 def test_error_and_norm_bounds():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from accretive import pencil
 from accretive.bvp import BvpProblem, solve_bvp
 from accretive.errors import (
     ModelError,
@@ -195,6 +196,17 @@ def test_demo_refusals_with_stage():
         demo(LaplacianModel(1.0, 0.0, 0.1, 4), np.zeros(6), np.zeros(4))
     with pytest.raises(ParameterError):
         demo(LaplacianModel(1.0, 0.0, 0.1, 4), np.zeros(4), np.zeros(4), x_samples=1)
+
+
+def test_root_failure_is_labelled_factorize(monkeypatch):
+    # Building the problem only validates; Upsilon is rooted when factorize
+    # first reads the root, so a root failure carries that stage's label.
+    def no_root(op):
+        raise PreconditionError("no principal square root: forced")
+
+    monkeypatch.setattr(pencil, "_sqrt_and_residual", no_root)
+    with pytest.raises(PreconditionError, match=r"\[stage: factorize\] no principal"):
+        demo(LaplacianModel(1.0, 0.0, 0.1, 4), np.zeros(4), np.zeros(4))
 
 
 class _CodedError(Exception):

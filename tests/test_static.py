@@ -1,6 +1,6 @@
 """Static guards over the source: every tolerance key is read, every import is used,
-every rank decision reads the one rank rule, and every public library name and
-dataclass field has a reader."""
+every rank decision reads the one rank rule, every public library name and
+dataclass field has a reader, and every option is used at its default and set."""
 
 import ast
 import pathlib
@@ -151,3 +151,59 @@ def test_every_dataclass_field_has_a_reader():
     assert len(UNREAD_FIELDS_ALLOWED) <= 3, "keep the allow-list short"
     assert sorted(unread - set(UNREAD_FIELDS_ALLOWED)) == [], "dataclass fields nothing reads"
     assert sorted(set(UNREAD_FIELDS_ALLOWED) - unread) == [], "allowed fields that now have a reader"
+
+
+# Defaulted parameters of public library functions that the library, the
+# benchmark and the demos do not both leave at the default and set, each
+# kept for a reason.
+ONE_VALUE_OPTIONS_ALLOWED = {}
+# Calls that forward their second argument's call: tr.call(label, fn, ...) in
+# the benchmark and spectral._stage(label, fn, ...).
+FORWARDERS = {"call", "_stage"}
+
+
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def _defaulted(fn):
+    # (position or None for keyword-only, name, default) per defaulted parameter
+    a = fn.args
+    pos = [*a.posonlyargs, *a.args]
+    first = len(pos) - len(a.defaults)
+    return [*((first + i, arg.arg, d) for i, (arg, d) in enumerate(zip(pos[first:], a.defaults))),
+            *((None, arg.arg, d) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d)]
+
+
+def test_every_option_is_used_at_its_default_and_set():
+    # A call uses the default by leaving the parameter out or by passing the
+    # default literal; an option that only one value reaches is a constant.
+    public = {node.name: node for path in PACKAGE.glob("*.py") if path.name != "__init__.py"
+              for node in _tree(path).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    callers = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").rglob("*.py"),
+               *(ROOT / "demos").glob("*.py")]
+    uses, sets = set(), set()
+    for path in callers:
+        for call in ast.walk(_tree(path)):
+            if not isinstance(call, ast.Call):
+                continue
+            name, args = _name(call.func), call.args
+            if name in FORWARDERS and len(args) >= 2:
+                name, args = _name(args[1]), args[2:]
+            if name not in public:
+                continue
+            splat = (any(isinstance(arg, ast.Starred) for arg in args)
+                     or any(k.arg is None for k in call.keywords))
+            given = {k.arg: k.value for k in call.keywords if k.arg}
+            for i, param, default in _defaulted(public[name]):
+                value = given.get(param, args[i] if i is not None and i < len(args) else None)
+                if value is not None and ast.dump(value) != ast.dump(default):
+                    sets.add(f"{name}({param})")
+                elif value is not None or not splat:
+                    uses.add(f"{name}({param})")
+    options = {f"{name}({param})" for name, fn in public.items() for _, param, _ in _defaulted(fn)}
+    one_value = options - (uses & sets)
+    assert len(ONE_VALUE_OPTIONS_ALLOWED) <= 3, "keep the allow-list short"
+    assert sorted(one_value - set(ONE_VALUE_OPTIONS_ALLOWED)) == [], "options with one value in use"
+    assert sorted(set(ONE_VALUE_OPTIONS_ALLOWED) - one_value) == [], "allowed options now in use"

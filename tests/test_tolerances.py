@@ -42,11 +42,13 @@ CASES = {
         "both"),
     # T^2 = 0, so ||Tx||^2 <= nu + ||T^2 x||^2 / nu fails at nu = 1/2.
     "vector-inequality": (
-        1e3, lambda: second_power_inequalities(np.array([[0.0, 1.0], [0.0, 0.0]]))["violations"],
+        1e3,
+        lambda: second_power_inequalities(np.array([[0.0, 1.0], [0.0, 0.0]]), 0)["violations"],
         0),
     # gamma(T^2) = gamma(T) = sqrt(101) < gamma(T)^2 / 2; two vector bounds fail too.
     "second-power-gamma": (
-        1e3, lambda: second_power_inequalities(np.array([[1.0, 10.0], [0.0, 0.0]]))["violations"],
+        1e3,
+        lambda: second_power_inequalities(np.array([[1.0, 10.0], [0.0, 0.0]]), 0)["violations"],
         2),
     "sqrt-residual": (1e-300, lambda: accretive_sqrt(_accretive()).shape, AccuracyError),
     "quadrature-rel": (1e-300, lambda: balakrishnan_power(_accretive(), 0.5).shape, AccuracyError),
