@@ -68,8 +68,10 @@ def _expm_actions(A, v, ts):
     degree m and step count q minimise m*q subject to
     ||B||_1 max|t_k| / q <= theta_m.  When that Taylor work, m*q*n^2 per time,
     reaches the ~(8 + s)*n^3 of a dense scaling-and-squaring exponential,
-    s = ceil(log2(||t A||_1 / 5.4)), each column is expm(t_k A) @ v instead.
-    t_k = 0 gives v exactly.  Non-finite results raise AccuracyError.
+    s = ceil(log2(||t A||_1 / 5.4)), each column is scipy's expm(t_k A) @ v
+    instead, without the input and output checks of expm: the one finiteness
+    check of F covers every time.  t_k = 0 gives v exactly, with no call.
+    Non-finite results raise AccuracyError.
     """
     ts = np.asarray(ts, dtype=float)
     n = A.shape[0]
@@ -89,7 +91,10 @@ def _expm_actions(A, v, ts):
     squarings = max(0, math.ceil(math.log2(dense_reach / 5.4))) if dense_reach > 0 else 0
     with np.errstate(over="ignore", invalid="ignore"):
         if m * q >= (8 + squarings) * n:
-            F = np.stack([expm(t * A) @ v for t in ts], axis=1)
+            import scipy.linalg  # deferred, as in expm
+
+            v = np.asarray(v, dtype=complex)
+            F = np.stack([scipy.linalg.expm(t * A) @ v if t else v for t in ts], axis=1)
         else:
             steps = ts / q
             growth = np.exp(mu * steps)

@@ -50,9 +50,9 @@ class Operator:
     Every step given the same Operator shares what the first one computed:
     the singular values (norm and rank read them), the Cartesian parts, eigh(Re T),
     the W(T) sweep of end eigenpairs, the full SVD that callers
-    needing singular vectors read, and the complex Schur form that the
-    principal square root reads.  Each field has one kernel, whichever call
-    reads it first.
+    needing singular vectors read, the range block that reduces a singular
+    EP operator, and the complex Schur form that the principal square root
+    reads.  Each field has one kernel, whichever call reads it first.
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -89,6 +89,27 @@ class Operator:
         return int(np.count_nonzero(self.singular_values > rank_cutoff(self.dim, self.norm)))
 
     @cached_property
+    def range_block(self):
+        """T = Q B Q* + E on R(T) + N(T) for singular EP T, or None (no reduction).
+
+        Q is the orthonormal basis of the rank leading left singular vectors
+        of svd, B = Q* T Q the compressed block and residual = ||Q B Q* - T||.
+        None when T has full rank (no SVD is taken then), or when the kernel
+        does not reduce T: residual above max(rank_cutoff, 1e-12 max(1, ||T||)).
+        The root and fractional powers act on B, and the W(T) sweep solves
+        B's rotated matrices instead of T's.
+        """
+        A, n, rank = self.matrix, self.dim, self.rank
+        if rank == n:
+            return None
+        Q = self.svd[0][:, :rank]
+        B = Q.conj().T @ A @ Q
+        residual = operator_norm(Q @ B @ Q.conj().T - A)
+        if residual > max(rank_cutoff(n, self.norm), 1e-12 * max(1.0, self.norm)):
+            return None
+        return RangeBlock(basis=Q, block=Operator(B), residual=residual)
+
+    @cached_property
     def parts(self):
         A, Ah = self.matrix, self.matrix.conj().T
         return CartesianParts(re_part=(A + Ah) / 2, im_part=(A - Ah) / 2j)
@@ -112,8 +133,12 @@ class Operator:
 
     @cached_property
     def numerical_range(self):
-        """The 720-angle sweep of W(T); see NumericalRange."""
-        return NumericalRange(self.matrix, self.parts)
+        """The 720-angle sweep of W(T); see NumericalRange.
+
+        A singular EP operator is swept on its range block.
+        """
+        rb = self.range_block
+        return NumericalRange(self.matrix, self.parts if rb is None else rb.block.parts, rb)
 
 
 def as_operator(T):
@@ -147,7 +172,7 @@ def checked_matrix(T):
     A = np.asarray(T, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.all(np.isfinite(A)):
         raise DimensionError("matrix entries must be finite")
     return A
 
@@ -167,6 +192,15 @@ def rank_cutoff(n, sigma_max):
 def operator_norm(T):
     """Spectral norm (largest singular value) of an array."""
     return float(np.linalg.norm(T, 2)) if T.size else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class RangeBlock:
+    """Operator.range_block: T = basis @ block.matrix @ basis* up to residual in norm."""
+
+    basis: np.ndarray
+    block: Operator
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -197,16 +231,26 @@ class NumericalRange:
     Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at theta_k
     also gives h(theta_k + pi) and its point from the bottom eigenpair, so
     only the first half-turn is solved.  The rotated matrices are built from
-    the operator's cached Cartesian parts and solved in stacked chunks of at
+    the swept matrix's Cartesian parts and solved in stacked chunks of at
     most _SWEEP_CHUNK complex entries, so memory is O(n^2) and not
     O(len(_ANGLES) * n^2).
 
-    It holds the matrix and its parts, not the Operator: the Operator caches
-    its sweep, and a reference back would make a cycle that keeps an
-    Operator alive after its last use until the cyclic garbage collector runs.
+    A singular EP operator is swept on its range block (reduction, the
+    Operator's range_block): T = Q B Q* + E with ||E|| = delta, so
+    W(T) lies within delta of W(Q B Q*) = conv(W(B) u {0}), and parts are
+    B's.  Each angle then reduces a matrix of order rank(T), not n.  The
+    support value is max(h_B(theta), 0) + delta, an upper bound of h(theta);
+    each point is the Rayleigh quotient x* T x at x = Q y for B's end
+    eigenvector y, or 0 where the kernel attains the support (h_B < 0).
+    Full-rank and non-EP singular input are swept as T itself.
+
+    It holds the matrix, the parts and the range block, not the Operator:
+    the Operator caches its sweep, and a reference back would make a cycle
+    that keeps an Operator alive after its last use until the cyclic garbage
+    collector runs.
 
     The sweep has one solve path: the first read of support or points solves
-    only the bottom and top eigenpairs of each H(theta_k) (_end_eigenpairs)
+    only the bottom and top eigenpairs of each rotated matrix (_end_eigenpairs)
     and fills both.  radius_bracket brackets w(T) between the largest
     boundary point and the largest vertex of the outer polygon that the
     support lines cut out, bisecting arcs of the grid with one eigvalsh per
@@ -216,12 +260,14 @@ class NumericalRange:
 
     matrix: np.ndarray = field(repr=False)
     parts: CartesianParts = field(repr=False)
+    reduction: RangeBlock | None = field(repr=False)
     angles = _ANGLES
 
-    @property
+    @cached_property
     def support(self):
-        """h(theta_k) for every grid angle."""
-        return self._sweep[0]
+        """h(theta_k) at every grid angle; on a range block, the bound max(h_B, 0) + delta."""
+        h = self._sweep[0]
+        return h if self.reduction is None else h + self.reduction.residual
 
     @property
     def points(self):
@@ -230,26 +276,36 @@ class NumericalRange:
 
     @cached_property
     def _sweep(self):
-        """(support, points) from the end eigenpairs of half-turn chunks."""
+        """(h, points) from the end eigenpairs of half-turn chunks; h is the
+        support of W(Q B Q*) when reduced, before delta is added."""
         A, m = self.matrix, len(self.angles)
-        n = A.shape[0]
-        if n == 0:
+        if A.shape[0] == 0:
             return np.full(m, -np.inf), np.zeros(0, complex)
+        re, im = self.parts.re_part, self.parts.im_part
+        r = re.shape[0]
+        if r == 0:
+            # The zero operator's range block is empty: W(T) = {0}.
+            return np.zeros(m), np.zeros(m, complex)
         half = m // 2
         support = np.empty(m)
         points = np.empty(m, complex)
-        re, im = self.parts.re_part, self.parts.im_part
-        step = max(1, _SWEEP_CHUNK // (n * n))
+        step = max(1, _SWEEP_CHUNK // (r * r))
         for lo in range(0, half, step):
             hi = min(lo + step, half)
             theta = self.angles[lo:hi]
             H = np.cos(theta)[:, None, None] * re
             H += np.sin(theta)[:, None, None] * im
             vals, vecs = _end_eigenpairs(H, theta)
+            if self.reduction is not None:
+                vecs = vecs @ self.reduction.basis.T
             support[lo:hi] = vals[:, 1]
             points[lo:hi] = _rayleigh(A, vecs[:, 1])
             support[lo + half:hi + half] = -vals[:, 0]
             points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
+        if self.reduction is not None:
+            kernel = support < 0
+            support[kernel] = 0.0
+            points[kernel] = 0.0
         return support, points
 
     def excess(self, points):
@@ -283,22 +339,30 @@ class NumericalRange:
         is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
         The cap binds when W(T) is a disk: every arc of the grid then has the
         same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
+        On a range block the polygon and the new angles are those of
+        W(Q B Q*), and w(T) is within delta of w(Q B Q*): delta is added to
+        w_hi and taken from its support values as lower bounds; the boundary
+        points are Rayleigh quotients of T, attained as they are.
         """
         if self.matrix.shape[0] == 0:
             return 0.0, 0.0
         re, im = self.parts.re_part, self.parts.im_part
+        delta = 0.0 if self.reduction is None else self.reduction.residual
+        grid = self._sweep[0]
         theta = np.append(self.angles, 2 * np.pi)
-        h = np.append(self.support, self.support[0])
-        lo = max(float(np.max(self.support)), float(np.max(np.abs(self.points))))
+        h = np.append(grid, grid[0])
+        lo = max(float(np.max(grid)) - delta, float(np.max(np.abs(self.points))))
         for spent in range(_RADIUS_ANGLES + 1):
             vertex = _vertex_modulus(theta, h)
             k = int(np.argmax(vertex))
-            hi = max(float(vertex[k]), lo)
+            hi = max(float(vertex[k]) + delta, lo)
             if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
                 return lo, hi
             t = (theta[k] + theta[k + 1]) / 2
             h_t = float(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im)[-1])
-            lo = max(lo, h_t)
+            if self.reduction is not None:
+                h_t = max(h_t, 0.0)
+            lo = max(lo, h_t - delta)
             theta = np.insert(theta, k + 1, t)
             h = np.insert(h, k + 1, h_t)
 
@@ -372,7 +436,9 @@ def numerical_range(T):
     Every caller handed that Operator, or an array of its content, shares its
     one end-eigenpair sweep of support and points; read its arrays, never
     write them.  Its radius_bracket (w_lo, w_hi) brackets the numerical
-    radius w(T).
+    radius w(T).  A singular EP operator is swept on its range block
+    (Operator.range_block): its support values are then upper bounds that
+    exceed h(theta) by at most the block's residual delta.
     """
     return as_operator(T).numerical_range
 

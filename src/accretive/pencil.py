@@ -18,7 +18,6 @@ from .linops import (
     as_operator,
     checked_matrix,
     operator_norm,
-    rank_cutoff,
     sector_angle_estimate,
     sectorial_angle,
 )
@@ -28,6 +27,12 @@ from .tolerances import tolerance
 # of the CLI's check up to n = 128, and of the quadrature's shifted systems, so
 # memory stays O(n^2) for any lambda or node count.
 _RESIDUAL_CHUNK = 2**19
+# Singular input whose kernel does not reduce it (Operator.range_block is None
+# below full rank): kernel-preserving roots and powers are undefined.
+_NOT_EP = (
+    "singular input is not reduced by its range (not EP); "
+    "kernel-preserving functional calculus undefined"
+)
 
 
 @dataclass(frozen=True)
@@ -78,28 +83,6 @@ class QuadraticPencil:
         return Operator(W), residual
 
 
-def _range_block(op):
-    """Orthonormal range basis Q and the Operator Q* U Q for EP input U = op.
-
-    For full-rank input Q is None and the block is op itself; only singular
-    input takes op's full SVD, whose op.rank leading vectors span the range.
-    Raises PreconditionError when the range fails to reduce U (non-EP), since
-    kernel-preserving roots and powers are undefined then.
-    """
-    U, n, rank = op.matrix, op.dim, op.rank
-    if rank == n:
-        return None, op
-    Q = op.svd[0][:, :rank]
-    block = Q.conj().T @ U @ Q
-    recon = Q @ block @ Q.conj().T
-    if operator_norm(recon - U) > max(rank_cutoff(n, op.norm), 1e-12 * max(1.0, op.norm)):
-        raise PreconditionError(
-            "singular input is not reduced by its range (not EP); "
-            "kernel-preserving functional calculus undefined"
-        )
-    return Q, Operator(block)
-
-
 def accretive_sqrt(U):
     """Principal square root with the kernel annihilated explicitly.
 
@@ -125,8 +108,10 @@ def _sqrt_and_residual(op):
     if op.dim == 0:
         return A.copy(), 0.0
     tol = tolerance("accretivity") * max(1.0, nrm)
-    Q, block = _range_block(op)
-    theta, V = block.schur
+    rb = op.range_block
+    if rb is None and op.rank < op.dim:
+        raise PreconditionError(_NOT_EP)
+    theta, V = (op if rb is None else rb.block).schur
     eigs = np.diag(theta)
     bad = (eigs.real < 0) & (np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs.real)))
     if np.any(bad):
@@ -136,8 +121,8 @@ def _sqrt_and_residual(op):
     import scipy.linalg  # deferred: a first import takes ~0.3 s and ~28 MiB
 
     W = V @ np.asarray(scipy.linalg.sqrtm(theta), dtype=np.complex128) @ V.conj().T
-    if Q is not None:
-        W = Q @ W @ Q.conj().T
+    if rb is not None:
+        W = rb.basis @ W @ rb.basis.conj().T
     residual = operator_norm(W @ W - A)
     if residual > tolerance("sqrt-residual") * max(1.0, nrm):
         raise AccuracyError(f"square-root residual {residual:.3e} above tolerance")
@@ -228,11 +213,12 @@ def balakrishnan_power(T, alpha):
         raise PreconditionError(f"input not accretive: delta = {op.delta:.3e}")
     if op.norm <= tol:
         return np.zeros_like(op.matrix)
-    Q, block = _range_block(op)
-    result = _balakrishnan_dense(block, float(alpha))
-    if Q is not None:
-        result = Q @ result @ Q.conj().T
-    return result
+    rb = op.range_block
+    if rb is None and op.rank < op.dim:
+        raise PreconditionError(_NOT_EP)
+    if rb is None:
+        return _balakrishnan_dense(op, float(alpha))
+    return rb.basis @ _balakrishnan_dense(rb.block, float(alpha)) @ rb.basis.conj().T
 
 
 @dataclass(frozen=True)

@@ -163,9 +163,10 @@ def perturbed_pinv(T, S, cert=None):
     Returns (I + T_pinv S)^{-1} T_pinv.  The dual form
     T_pinv (I + S T_pinv)^{-1} is computed as well and the two are required to
     agree; under a valid certificate both resolvents exist because the two
-    products share their nonzero spectrum.  A singular resolvent or a gap
-    between the routes raises AccuracyError.  A given cert must be the
-    certificate of (T, S): its pseudoinverse of T is reused.
+    products share their nonzero spectrum.  A singular resolvent, or a gap
+    between the routes above tolerance("update-route-gap") * max(1, ||T_pinv||),
+    raises AccuracyError.  A given cert must be the certificate of (T, S):
+    its pseudoinverse of T is reused.
     """
     T, S = as_operator(T), as_operator(S)
     if cert is None:
@@ -189,7 +190,8 @@ def perturbed_pinv(T, S, cert=None):
             "this contradicts the spectral-radius argument"
         ) from exc
     gap = operator_norm(F_range - F_kernel)
-    if gap > 1e-10 * max(1.0, 1.0 / res.gamma):  # ||T_pinv|| = 1 / gamma
+    # ||T_pinv|| = 1 / gamma
+    if gap > tolerance("update-route-gap") * max(1.0, 1.0 / res.gamma):
         raise AccuracyError(f"update formula routes disagree: gap = {gap:.3e}")
     return F_range
 

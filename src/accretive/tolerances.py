@@ -29,6 +29,7 @@ DEFAULTS = {
     "involution": 1e-10,
     "inclusion-residual": 1e-10,   # certificate residuals, scaled by max(1, ||S||)
     "perturb-formula-rel": 1e-8,   # formula vs direct pinv, scaled by ||pinv||
+    "update-route-gap": 1e-10,     # range vs kernel update route, scaled by max(1, ||pinv||)
     "subspace-angle": 1e-8,
     "perturb-scaling": 1e-12,
     "neumann-tail": 1e-6,          # truncation deviation at order 20, contraction 0.4

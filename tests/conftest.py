@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,11 @@ def default_tolerances():
 @pytest.fixture
 def stacked_solves(monkeypatch):
     """Matrices passed in stacks (ndim > 2) to numpy's eigh and eigvalsh, per
-    function, and matrices passed to LAPACK zhetrd, the W(T) sweep's kernel."""
+    function, and matrices passed to LAPACK zhetrd, the W(T) sweep's kernel,
+    with a count of zhetrd matrices per order under "zhetrd_orders"."""
     from scipy.linalg import lapack
 
-    counts = {"eigh": 0, "eigvalsh": 0, "zhetrd": 0}
+    counts = {"eigh": 0, "eigvalsh": 0, "zhetrd": 0, "zhetrd_orders": Counter()}
     for name in ("eigh", "eigvalsh"):
         def counting(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
             if np.ndim(a) > 2:
@@ -38,6 +41,7 @@ def stacked_solves(monkeypatch):
 
     def zhetrd(a, *args, _fn=lapack.zhetrd, **kwargs):
         counts["zhetrd"] += 1
+        counts["zhetrd_orders"][np.shape(a)[0]] += 1
         return _fn(a, *args, **kwargs)
 
     monkeypatch.setattr(lapack, "zhetrd", zhetrd)

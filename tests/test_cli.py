@@ -95,9 +95,9 @@ def test_analyze_sweeps_the_numerical_range_once(files, stacked_solves):
     # eigvalsh.  A second run on the same file reads the same matrix content,
     # so it shares that sweep and solves nothing more.
     assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360, "zhetrd_orders": {2: 360}}
     assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360, "zhetrd_orders": {2: 360}}
 
 
 def test_analyze_computes_the_spectrum_once(files, monkeypatch):
@@ -277,6 +277,23 @@ def test_route_disagreement_is_an_accuracy_failure(files, capsys, monkeypatch, f
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("accuracy failure: "), err
+
+
+def test_update_route_gap_is_a_tolerance_key(tmp_path, capsys):
+    # perturbed_pinv's range and kernel routes differ by rounding on a
+    # certified pair (~2e-16 here); the update-route-gap key bounds that gap,
+    # so --tol-override reaches it and 1e-300 makes the run an accuracy failure.
+    T, S = certified_pair(rng_for(1, "route-gap"), 6, 3)
+    write_matrix(tmp_path / "t.json", T)
+    write_matrix(tmp_path / "s.json", S)
+    argv = ["perturb", "--input", str(tmp_path / "t.json"), "--input2", str(tmp_path / "s.json")]
+    assert run(argv + ["--out", str(tmp_path / "default")]) == 0
+    capsys.readouterr()
+    rc = run(argv + ["--tol-override", "update-route-gap=1e-300", "--out", str(tmp_path / "tight")])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(err) == 1, err
+    assert err[0].startswith("accuracy failure: update formula routes disagree: gap = "), err
 
 
 def test_factorize_report(files):

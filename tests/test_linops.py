@@ -1,5 +1,6 @@
 """Numerical range, accretivity, and sectorial-angle certification."""
 
+from collections import Counter
 import gc
 import math
 import re
@@ -30,6 +31,7 @@ from accretive.sampling import (
     pencil_pair,
     positive_definite,
     random_operator,
+    random_unitary,
     rng_for,
     singular_accretive_operator,
 )
@@ -317,6 +319,12 @@ def test_sweep_raises_on_lapack_failure(routine, monkeypatch):
         wr.points
 
 
+def _sweeps_only(order, sweeps=1):
+    """The stacked_solves record of W(T) sweeps alone: 360 tridiagonalizations
+    of the given order per sweep, and no stacked eigh or eigvalsh."""
+    return {"eigh": 0, "eigvalsh": 0, "zhetrd": 360 * sweeps, "zhetrd_orders": {order: 360 * sweeps}}
+
+
 def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     # w(T), support excess and the accretivity report read support values
     # only, yet run the one half-turn sweep that also gives the points, so a
@@ -331,14 +339,14 @@ def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     )
     for call in calls:
         linops._shared_operator.cache_clear()
-        stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0)
+        stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
         call()
-        assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
+        assert stacked_solves == _sweeps_only(6)
     linops._shared_operator.cache_clear()
-    stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0)
+    stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
     for call in calls:
         call()
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
+    assert stacked_solves == _sweeps_only(6)
 
 
 def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
@@ -350,7 +358,102 @@ def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
     pts = numerical_range_boundary(T)
     support_excess(T, pts)
     support_excess(T, np.linalg.eigvals(T))
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
+    assert stacked_solves == _sweeps_only(6)
+
+
+def _stacked_support(T):
+    """h(theta) of T at every grid angle from stacked numpy eigvalsh, 90 angles per stack."""
+    out = []
+    for theta in np.split(linops._ANGLES, 8):
+        rot = np.exp(-1j * theta)[:, None, None] * T
+        out.append(np.linalg.eigvalsh((rot + rot.conj().transpose(0, 2, 1)) / 2)[:, -1])
+    return np.concatenate(out)
+
+
+def _vertex_max(h):
+    """Largest |vertex| of the support lines of adjacent grid angles: w(T) <= it."""
+    step = 2 * np.pi / len(h)
+    nxt = np.roll(h, -1)
+    return float(np.max(np.hypot(h, (nxt - h * math.cos(step)) / math.sin(step))))
+
+
+def _planted_ep(rng, n, rank, accretive):
+    """Q M Q* for an n x rank isometry Q: singular EP, M strongly accretive or not."""
+    Q = random_unitary(rng, n)[:, :rank]
+    M = accretive_operator(rng, rank) if accretive else random_operator(rng, rank)
+    return Q @ M @ Q.conj().T
+
+
+@pytest.mark.parametrize("accretive", [True, False])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive):
+    # T = Q M Q* is swept on its range block: 360 tridiagonalizations of
+    # order rank(T).  Against a stacked eigh of T itself, the support values
+    # are upper bounds of h(theta) that exceed it by at most the block's
+    # reconstruction residual delta, the points lie in W(T), and the bracket
+    # holds w(T).  Both sides carry a rounding allowance of 10 n eps ||T||:
+    # the support sits a few eps ||T|| below the reference on some rank-1
+    # and rank-2 inputs, whose delta is itself ~eps ||T||.
+    rng = rng_for(SEED, f"planted-ep-{n}-{accretive}")
+    eps = np.finfo(float).eps
+    for rank in (n // 2, 1):
+        T = _planted_ep(rng, n, rank, accretive)
+        ref = _stacked_support(T)
+        linops._shared_operator.cache_clear()
+        stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
+        op = as_operator(T)
+        wr = op.numerical_range
+        lo, hi = wr.radius_bracket
+        assert op.rank == rank and op.range_block.block.dim == rank
+        assert stacked_solves == _sweeps_only(rank)
+        slack = 10 * n * eps * op.norm
+        delta = op.range_block.residual
+        assert np.min(wr.support - ref) >= -slack, rank
+        assert np.max(wr.support - ref) <= delta + slack, rank
+        attained = np.real(np.exp(-1j * linops._ANGLES)[None, :] * wr.points[:, None])
+        assert np.max(attained - ref[None, :]) <= slack, rank
+        assert np.max(ref) <= hi + slack and lo <= _vertex_max(ref) + slack, rank
+
+
+@pytest.mark.parametrize("T", [
+    np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex),  # singular, not EP
+    ROT_WITNESS,
+    np.diag([3.0, 1e-3, 1.0]).astype(complex),
+])
+def test_full_rank_and_non_ep_input_sweep_at_full_order(stacked_solves, T):
+    op = as_operator(T)
+    assert op.range_block is None
+    numerical_range(T).radius_bracket
+    assert stacked_solves == _sweeps_only(len(T))
+    assert np.max(np.abs(op.numerical_range.support - _stacked_support(T))) <= 1e-13 * op.norm
+
+
+def test_zero_operator_sweep(stacked_solves):
+    wr = numerical_range(np.zeros((5, 5)))
+    assert np.array_equal(wr.support, np.zeros(720))
+    assert np.array_equal(wr.points, np.zeros(720, complex))
+    assert wr.radius_bracket == (0.0, 0.0)
+    assert stacked_solves["zhetrd"] == 0
+
+
+def test_range_block_across_the_rank_cutoff():
+    # A normal EP T = Q diag(lam) Q* whose smallest nonzero |lam| sits 1%
+    # above or below the rank cutoff: above, it is swept at rank 8; below,
+    # at rank 7 with delta ~ that |lam|.  The two supports agree within two
+    # cutoffs.
+    n, rank = 16, 8
+    rng = rng_for(SEED, "rank-cutoff-sweep")
+    Q = random_unitary(rng, n)[:, :rank]
+    lam = (0.5 + 1.5 * rng.random(rank)) * np.exp(1j * rng.uniform(-1.2, 1.2, rank))
+    lam[0] = 2.0
+    cutoff = linops.rank_cutoff(n, 2.0)
+    supports = []
+    for factor, kept in ((1.01, rank), (0.99, rank - 1)):
+        lam[-1] = factor * cutoff * np.exp(0.3j)
+        op = as_operator((Q * lam) @ Q.conj().T)
+        assert op.rank == kept and op.range_block.block.dim == kept
+        supports.append(op.numerical_range.support)
+    assert np.max(np.abs(supports[0] - supports[1])) <= 2 * cutoff
 
 
 def _bits(x):
@@ -450,14 +553,14 @@ def test_shared_operators_are_bounded(stacked_solves):
     for M in others[:-1]:
         numerical_range(M).radius_bracket[0]
     numerical_range(first).radius_bracket[0]
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": linops._SHARED_OPERATORS * 360}
+    assert stacked_solves == _sweeps_only(4, linops._SHARED_OPERATORS)
     # first is now the most recent of the kept contents; after as many
     # distinct contents as are kept, its sweep runs again.
     for M in others:
         numerical_range(M).radius_bracket[0]
-    stacked_solves["zhetrd"] = 0
+    stacked_solves.update(zhetrd=0, zhetrd_orders=Counter())
     numerical_range(first).radius_bracket[0]
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360}
+    assert stacked_solves == _sweeps_only(4)
 
 
 def test_dropped_operator_is_freed_without_the_cycle_collector():

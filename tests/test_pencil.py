@@ -111,6 +111,19 @@ def test_sqrt_kernel_structure_singular_ep():
         assert np.linalg.norm(W @ kernel, 2) <= 1e-12 * max(1.0, np.linalg.norm(U, 2))
 
 
+def test_non_ep_singular_input_is_rejected():
+    # A singular input that its kernel does not reduce has no range block
+    # (Operator.range_block is None below full rank), so neither the root nor
+    # a fractional power can preserve the kernel.  The second input is
+    # accretive up to the accretivity tolerance (lambda_min(Re T) ~ -2.5e-13)
+    # yet 1e-6 away from EP.
+    for T in (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]]), np.array([[1, 1e-6], [0, 0]])):
+        with pytest.raises(PreconditionError, match="not EP"):
+            accretive_sqrt(T)
+    with pytest.raises(PreconditionError, match="not EP"):
+        balakrishnan_power(np.array([[1, 1e-6], [0, 0]]), 0.5)
+
+
 def test_sqrt_sector_angle():
     rng = rng_for(SEED, "sqrt-angle")
     for _ in range(N_TRIALS):
