@@ -23,7 +23,7 @@ S = np.eye(4) * 1.0 + 0.1 * H @ H
 p = QuadraticPencil(T, S)
 f = factorize(p)
 print(f"sqrt residual        {f.sqrt_residual:.3e}")
-print(f"sqrt sector angle    {sectorial_angle(f.sqrt_upsilon)[0]:.4f} rad")
+print(f"sqrt sector angle    {sectorial_angle(f.root)[0]:.4f} rad")
 print(f"commuting            {f.commuting}")
 print(f"separation           {f.separation:.4f}  ({f.separation_regime})")
 print(f"warnings             {f.warnings}")

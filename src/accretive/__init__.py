@@ -14,13 +14,11 @@ from .errors import (
 from .linops import (
     AccretivityReport,
     CartesianParts,
-    NumericalRange,
     Operator,
     accretivity_report,
     as_operator,
     cartesian_parts,
     kato_representation,
-    numerical_range,
     numerical_range_boundary,
     sectorial_angle,
 )

@@ -154,7 +154,7 @@ def _cmd_factorize(args, out_dir):
     rng = rng_for(args.seed, "factorize-lambdas")
     lams = np.concatenate([complex_gaussian(rng, 12, 2.0), rng.standard_normal(4) * 3.0])
     claims = selftest.factorize_claims(p, f, lams)
-    for name, M in (("z1", f.z1), ("z2", f.z2), ("sqrt-upsilon", f.sqrt_upsilon)):
+    for name, M in (("z1", f.z1), ("z2", f.z2), ("sqrt-upsilon", f.root.matrix)):
         write_json(os.path.join(out_dir, f"{name}.json"), matrix_payload(M))
     for w in f.warnings:
         print(f"warning: {w}")

@@ -54,6 +54,12 @@ class Operator:
     EP operator, and the complex Schur form that the principal square root
     reads.  Each field has one kernel, whichever call reads it first.
 
+    The Operator owns its W(T) sweep (_sweep): support and points read the
+    one rotation-method sweep over the 720-angle grid _ANGLES, excess
+    measures points against its support planes, and radius_bracket refines
+    it into a bracket of the numerical radius w(T).  A singular EP operator
+    is swept on its range block, at order rank(T).
+
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
     contents, and its matrix is a read-only copy of the input, so nothing
@@ -132,13 +138,133 @@ class Operator:
         return scipy.linalg.schur(self.matrix, output="complex")
 
     @cached_property
-    def numerical_range(self):
-        """The 720-angle sweep of W(T); see NumericalRange.
+    def support(self):
+        """h(theta_k) at every grid angle; on a range block, the bound max(h_B, 0) + delta."""
+        h, rb = self._sweep[0], self.range_block
+        return h if rb is None else h + rb.residual
 
-        A singular EP operator is swept on its range block.
+    @property
+    def points(self):
+        """Boundary Rayleigh points attaining h(theta_k), in grid order."""
+        return self._sweep[1]
+
+    @cached_property
+    def _sweep(self):
+        """(h, points): one rotation-method sweep of W(T) over the grid _ANGLES.
+
+        At each grid angle theta_k the top eigenpair of
+        H(theta_k) = Re(e^{-i*theta_k} T) = cos(theta_k) Re T + sin(theta_k) Im T
+        gives the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T)
+        and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
+        Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at theta_k
+        also gives h(theta_k + pi) and its point from the bottom eigenpair, so
+        only the first half-turn is solved, and only the bottom and top
+        eigenpairs of each rotated matrix (_end_eigenpairs).  The rotated
+        matrices are built from the swept Cartesian parts and solved in
+        stacked chunks of at most _SWEEP_CHUNK complex entries, so memory is
+        O(n^2) and not O(len(_ANGLES) * n^2).
+
+        A singular EP operator is swept on its range block: T = Q B Q* + E
+        with ||E|| = delta, so W(T) lies within delta of
+        W(Q B Q*) = conv(W(B) u {0}), and the swept parts are B's.  Each angle
+        then reduces a matrix of order rank(T), not n, and h is the support
+        of W(Q B Q*), max(h_B(theta), 0), before support adds delta; each
+        point is the Rayleigh quotient x* T x at x = Q y for B's end
+        eigenvector y, or 0 where the kernel attains the support (h_B < 0).
+        Full-rank and non-EP singular input are swept as T itself.  A 0x0
+        operator has empty W(T): no points, support values -inf, w(T) = 0.
         """
+        A, m = self.matrix, len(_ANGLES)
+        if self.dim == 0:
+            return np.full(m, -np.inf), np.zeros(0, complex)
         rb = self.range_block
-        return NumericalRange(self.matrix, self.parts if rb is None else rb.block.parts, rb)
+        parts = self.parts if rb is None else rb.block.parts
+        re, im = parts.re_part, parts.im_part
+        r = re.shape[0]
+        if r == 0:
+            # The zero operator's range block is empty: W(T) = {0}.
+            return np.zeros(m), np.zeros(m, complex)
+        half = m // 2
+        support = np.empty(m)
+        points = np.empty(m, complex)
+        step = max(1, _SWEEP_CHUNK // (r * r))
+        for lo in range(0, half, step):
+            hi = min(lo + step, half)
+            theta = _ANGLES[lo:hi]
+            H = np.cos(theta)[:, None, None] * re
+            H += np.sin(theta)[:, None, None] * im
+            vals, vecs = _end_eigenpairs(H, theta)
+            if rb is not None:
+                vecs = vecs @ rb.basis.T
+            support[lo:hi] = vals[:, 1]
+            points[lo:hi] = _rayleigh(A, vecs[:, 1])
+            support[lo + half:hi + half] = -vals[:, 0]
+            points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
+        if rb is not None:
+            kernel = support < 0
+            support[kernel] = 0.0
+            points[kernel] = 0.0
+        return support, points
+
+    def excess(self, points):
+        """Signed distance of each point to the sampled support planes of W(T).
+
+        <= 0 up to rounding for p in the closure of W(T); a positive value
+        lower-bounds the distance from W(T), so containment claims need no
+        discretization allowance.  The points are projected on the angles in
+        chunks of at most _EXCESS_CHUNK entries, so memory is O(len(_ANGLES)).
+        """
+        pts = np.asarray(points, dtype=np.complex128).ravel()
+        rot = np.exp(-1j * _ANGLES)
+        step = max(1, _EXCESS_CHUNK // len(rot))
+        out = np.empty(pts.size)
+        for lo in range(0, pts.size, step):
+            proj = np.real(rot[None, :] * pts[lo:lo + step, None])
+            out[lo:lo + step] = np.max(proj - self.support[None, :], axis=1)
+        return out
+
+    @cached_property
+    def radius_bracket(self):
+        """(w_lo, w_hi) with w_lo <= w(T) <= w_hi up to rounding, computed on first read.
+
+        w(T) = max over theta of h(theta).  The support lines of adjacent
+        angles alpha < beta meet at the vertex
+        v = e^{i alpha} (h(alpha) + i (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha))
+        of an outer polygon of W(T), and h <= |v| on [alpha, beta], so
+        w_hi = max |v|.  w_lo = max(h, |boundary point|) is attained in W(T).
+        The arc with the largest vertex is bisected, one single-matrix
+        eigvalsh per new angle, until the relative width (w_hi - w_lo) / w_hi
+        is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
+        The cap binds when W(T) is a disk: every arc of the grid then has the
+        same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
+        On a range block the polygon and the new angles are those of
+        W(Q B Q*), and w(T) is within delta of w(Q B Q*): delta is added to
+        w_hi and taken from its support values as lower bounds; the boundary
+        points are Rayleigh quotients of T, attained as they are.
+        """
+        if self.dim == 0:
+            return 0.0, 0.0
+        rb = self.range_block
+        parts = self.parts if rb is None else rb.block.parts
+        re, im = parts.re_part, parts.im_part
+        delta = 0.0 if rb is None else rb.residual
+        grid = self._sweep[0]
+        theta = np.append(_ANGLES, 2 * np.pi)
+        h = np.append(grid, grid[0])
+        lo = max(float(np.max(grid)) - delta, float(np.max(np.abs(self.points))))
+        for spent in range(_RADIUS_ANGLES + 1):
+            vertex = _vertex_modulus(theta, h)
+            k = int(np.argmax(vertex))
+            hi = max(float(vertex[k]) + delta, lo)
+            if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
+                return lo, hi
+            t = (theta[k] + theta[k + 1]) / 2
+            h_t = float(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im)[-1])
+            if rb is not None:
+                h_t = max(h_t, 0.0)
+            lo = max(lo, h_t - delta)
+            theta = np.insert(theta, k + 1, t)
+            h = np.insert(h, k + 1, h_t)
 
 
 def as_operator(T):
@@ -220,153 +346,6 @@ def cartesian_parts(T):
     return CartesianParts(re_part=parts.re_part.copy(), im_part=parts.im_part.copy())
 
 
-@dataclass(frozen=True, eq=False)
-class NumericalRange:
-    """One rotation-method sweep of W(T) over the 720-angle grid _ANGLES.
-
-    At each grid angle theta_k the top eigenpair of
-    H(theta_k) = Re(e^{-i*theta_k} T) = cos(theta_k) Re T + sin(theta_k) Im T
-    gives the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T)
-    and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
-    Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at theta_k
-    also gives h(theta_k + pi) and its point from the bottom eigenpair, so
-    only the first half-turn is solved.  The rotated matrices are built from
-    the swept matrix's Cartesian parts and solved in stacked chunks of at
-    most _SWEEP_CHUNK complex entries, so memory is O(n^2) and not
-    O(len(_ANGLES) * n^2).
-
-    A singular EP operator is swept on its range block (reduction, the
-    Operator's range_block): T = Q B Q* + E with ||E|| = delta, so
-    W(T) lies within delta of W(Q B Q*) = conv(W(B) u {0}), and parts are
-    B's.  Each angle then reduces a matrix of order rank(T), not n.  The
-    support value is max(h_B(theta), 0) + delta, an upper bound of h(theta);
-    each point is the Rayleigh quotient x* T x at x = Q y for B's end
-    eigenvector y, or 0 where the kernel attains the support (h_B < 0).
-    Full-rank and non-EP singular input are swept as T itself.
-
-    It holds the matrix, the parts and the range block, not the Operator:
-    the Operator caches its sweep, and a reference back would make a cycle
-    that keeps an Operator alive after its last use until the cyclic garbage
-    collector runs.
-
-    The sweep has one solve path: the first read of support or points solves
-    only the bottom and top eigenpairs of each rotated matrix (_end_eigenpairs)
-    and fills both.  radius_bracket brackets w(T) between the largest
-    boundary point and the largest vertex of the outer polygon that the
-    support lines cut out, bisecting arcs of the grid with one eigvalsh per
-    new angle.
-    A 0x0 operator has empty W(T): no points, support values -inf, w(T) = 0.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    parts: CartesianParts = field(repr=False)
-    reduction: RangeBlock | None = field(repr=False)
-    angles = _ANGLES
-
-    @cached_property
-    def support(self):
-        """h(theta_k) at every grid angle; on a range block, the bound max(h_B, 0) + delta."""
-        h = self._sweep[0]
-        return h if self.reduction is None else h + self.reduction.residual
-
-    @property
-    def points(self):
-        """Boundary Rayleigh points attaining h(theta_k), in grid order."""
-        return self._sweep[1]
-
-    @cached_property
-    def _sweep(self):
-        """(h, points) from the end eigenpairs of half-turn chunks; h is the
-        support of W(Q B Q*) when reduced, before delta is added."""
-        A, m = self.matrix, len(self.angles)
-        if A.shape[0] == 0:
-            return np.full(m, -np.inf), np.zeros(0, complex)
-        re, im = self.parts.re_part, self.parts.im_part
-        r = re.shape[0]
-        if r == 0:
-            # The zero operator's range block is empty: W(T) = {0}.
-            return np.zeros(m), np.zeros(m, complex)
-        half = m // 2
-        support = np.empty(m)
-        points = np.empty(m, complex)
-        step = max(1, _SWEEP_CHUNK // (r * r))
-        for lo in range(0, half, step):
-            hi = min(lo + step, half)
-            theta = self.angles[lo:hi]
-            H = np.cos(theta)[:, None, None] * re
-            H += np.sin(theta)[:, None, None] * im
-            vals, vecs = _end_eigenpairs(H, theta)
-            if self.reduction is not None:
-                vecs = vecs @ self.reduction.basis.T
-            support[lo:hi] = vals[:, 1]
-            points[lo:hi] = _rayleigh(A, vecs[:, 1])
-            support[lo + half:hi + half] = -vals[:, 0]
-            points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
-        if self.reduction is not None:
-            kernel = support < 0
-            support[kernel] = 0.0
-            points[kernel] = 0.0
-        return support, points
-
-    def excess(self, points):
-        """Signed distance of each point to the sampled support planes of W(T).
-
-        <= 0 up to rounding for p in the closure of W(T); a positive value
-        lower-bounds the distance from W(T), so containment claims need no
-        discretization allowance.  The points are projected on the angles in
-        chunks of at most _EXCESS_CHUNK entries, so memory is O(len(_ANGLES)).
-        """
-        pts = np.asarray(points, dtype=np.complex128).ravel()
-        rot = np.exp(-1j * self.angles)
-        step = max(1, _EXCESS_CHUNK // len(rot))
-        out = np.empty(pts.size)
-        for lo in range(0, pts.size, step):
-            proj = np.real(rot[None, :] * pts[lo:lo + step, None])
-            out[lo:lo + step] = np.max(proj - self.support[None, :], axis=1)
-        return out
-
-    @cached_property
-    def radius_bracket(self):
-        """(w_lo, w_hi) with w_lo <= w(T) <= w_hi up to rounding, computed on first read.
-
-        w(T) = max over theta of h(theta).  The support lines of adjacent
-        angles alpha < beta meet at the vertex
-        v = e^{i alpha} (h(alpha) + i (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha))
-        of an outer polygon of W(T), and h <= |v| on [alpha, beta], so
-        w_hi = max |v|.  w_lo = max(h, |boundary point|) is attained in W(T).
-        The arc with the largest vertex is bisected, one single-matrix
-        eigvalsh per new angle, until the relative width (w_hi - w_lo) / w_hi
-        is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
-        The cap binds when W(T) is a disk: every arc of the grid then has the
-        same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
-        On a range block the polygon and the new angles are those of
-        W(Q B Q*), and w(T) is within delta of w(Q B Q*): delta is added to
-        w_hi and taken from its support values as lower bounds; the boundary
-        points are Rayleigh quotients of T, attained as they are.
-        """
-        if self.matrix.shape[0] == 0:
-            return 0.0, 0.0
-        re, im = self.parts.re_part, self.parts.im_part
-        delta = 0.0 if self.reduction is None else self.reduction.residual
-        grid = self._sweep[0]
-        theta = np.append(self.angles, 2 * np.pi)
-        h = np.append(grid, grid[0])
-        lo = max(float(np.max(grid)) - delta, float(np.max(np.abs(self.points))))
-        for spent in range(_RADIUS_ANGLES + 1):
-            vertex = _vertex_modulus(theta, h)
-            k = int(np.argmax(vertex))
-            hi = max(float(vertex[k]) + delta, lo)
-            if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
-                return lo, hi
-            t = (theta[k] + theta[k + 1]) / 2
-            h_t = float(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im)[-1])
-            if self.reduction is not None:
-                h_t = max(h_t, 0.0)
-            lo = max(lo, h_t - delta)
-            theta = np.insert(theta, k + 1, t)
-            h = np.insert(h, k + 1, h_t)
-
-
 def _vertex_modulus(theta, h):
     """|v| for the vertex of the support lines at each pair of adjacent angles."""
     step = np.diff(theta)
@@ -430,31 +409,18 @@ def _rayleigh(A, X):
     return ((X.conj() @ A) * X).sum(axis=1)
 
 
-def numerical_range(T):
-    """The operator's W(T) sweep (Operator.numerical_range); see NumericalRange.
-
-    Every caller handed that Operator, or an array of its content, shares its
-    one end-eigenpair sweep of support and points; read its arrays, never
-    write them.  Its radius_bracket (w_lo, w_hi) brackets the numerical
-    radius w(T).  A singular EP operator is swept on its range block
-    (Operator.range_block): its support values are then upper bounds that
-    exceed h(theta) by at most the block's residual delta.
-    """
-    return as_operator(T).numerical_range
-
-
 def numerical_range_boundary(T):
     """Rayleigh points attaining the support function at each grid angle.
 
     They lie in W(T), so their hull approximates W(T) from inside.  The
     points are a copy, so writing to them leaves the cached sweep intact.
     """
-    return numerical_range(T).points.copy()
+    return as_operator(T).points.copy()
 
 
 def support_excess(T, points):
     """Signed distance of each point to the sampled support planes of W(T)."""
-    return numerical_range(T).excess(points)
+    return as_operator(T).excess(points)
 
 
 @dataclass(frozen=True)
@@ -468,7 +434,7 @@ class AccretivityReport:
     accretive path.  eigenvalues is the spectrum behind spectral_radius, kept
     so callers need no second eigensolve; as_dict leaves it out.
     numerical_radius and numerical_radius_upper are the ends of the w(T)
-    bracket of the operator's Operator.numerical_range.
+    bracket of the operator's Operator.radius_bracket.
     """
 
     dim: int
@@ -550,7 +516,7 @@ def accretivity_report(T, tol=None):
     omega, delta, sectorial, tan_omega = sectorial_angle(op, tol)
     eigs = np.linalg.eigvals(op.matrix) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    w_lo, w_hi = op.numerical_range.radius_bracket
+    w_lo, w_hi = op.radius_bracket
     is_acc = delta >= -tol
     bound = None
     if not is_acc:
@@ -614,7 +580,7 @@ def sector_angle_estimate(T):
     nrm = op.norm
     if nrm == 0.0:
         return 0.0
-    pts = op.numerical_range.points
+    pts = op.points
     keep = np.abs(pts) > 1e-9 * nrm
     if not np.any(keep):
         return 0.0

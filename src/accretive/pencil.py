@@ -63,9 +63,13 @@ class QuadraticPencil:
 
     @cached_property
     def upsilon(self):
-        """Upsilon = T^2 + S as a read-only matrix; no factorization of it is kept."""
+        """Upsilon = T^2 + S as a read-only matrix; no factorization of it is kept.
+
+        Overflowing entries raise DimensionError, with no RuntimeWarning.
+        """
         A = self.T.matrix
-        U = checked_matrix(A @ A + self.S.matrix)
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = checked_matrix(A @ A + self.S.matrix)
         U.flags.writeable = False
         return U
 
@@ -129,8 +133,8 @@ def _sqrt_and_residual(op):
     return W, residual
 
 
-# Balakrishnan quadrature: each truncated tail stays below
-# _QUAD_TAIL * max(1, ||T||^alpha); the step is halved at most _QUAD_HALVINGS times.
+# Balakrishnan quadrature: each truncated tail stays below _QUAD_TAIL * ||T||^alpha,
+# relative to the power at any scale; the step is halved at most _QUAD_HALVINGS times.
 _QUAD_TAIL = 1e-12
 _QUAD_HALVINGS = 8
 
@@ -143,8 +147,9 @@ def _balakrishnan_dense(op, alpha):
     over the whole line.  Accretivity gives ||(e^u + T)^{-1}|| <= e^{-u}, so
     the integrand norm decays like e^{alpha u} to the left and like
     ||T|| e^{(alpha-1)u} to the right; the truncation points push both tails
-    below _QUAD_TAIL * max(1, ||T||^alpha).  The integrand is analytic in the
-    strip |Im u| < pi/2, where the trapezoidal rule converges geometrically
+    below _QUAD_TAIL * ||T||^alpha, the scale of T^alpha, whatever ||T|| is.
+    The integrand is analytic in the strip |Im u| < pi/2, where the
+    trapezoidal rule converges geometrically
     (Trefethen & Weideman, SIAM Rev. 56, 2014).  The step starts at most 1,
     and each halving solves only the new midpoints and adds them to one
     running sum, so every node is solved once.  The shifted systems are solved
@@ -154,9 +159,9 @@ def _balakrishnan_dense(op, alpha):
     A, n, nrm = op.matrix, op.dim, op.norm
     target = tolerance("quadrature-rel")
     sin_pa = math.sin(math.pi * alpha)
-    tail_target = _QUAD_TAIL * max(1.0, nrm ** alpha)
+    tail_target = _QUAD_TAIL * nrm ** alpha
     u_lo = math.log(math.pi * alpha * tail_target / (2 * sin_pa)) / alpha
-    u_hi = math.log(math.pi * (1 - alpha) * tail_target / (sin_pa * max(nrm, 1e-300))) / (alpha - 1)
+    u_hi = math.log(math.pi * (1 - alpha) * tail_target / (sin_pa * nrm)) / (alpha - 1)
     if u_hi <= u_lo:
         u_hi = u_lo + 1.0
     chunk = max(1, _RESIDUAL_CHUNK // (n * n))
@@ -211,7 +216,7 @@ def balakrishnan_power(T, alpha):
     tol = tolerance("accretivity") * max(1.0, op.norm)
     if op.delta < -tol:
         raise PreconditionError(f"input not accretive: delta = {op.delta:.3e}")
-    if op.norm <= tol:
+    if op.rank == 0:
         return np.zeros_like(op.matrix)
     rb = op.range_block
     if rb is None and op.rank < op.dim:
@@ -230,10 +235,9 @@ class PencilFactorization:
     share kernel eigenvalues).  z1_sector_angle is measured and reported, not
     asserted against any fixed sector.  root is the pencil's root Operator
     (QuadraticPencil.root), kept so vandermonde_check reads the rank of the
-    root factorize took; sqrt_upsilon is a writable copy of its matrix.
+    root factorize took; its matrix, Upsilon^{1/2}, is read-only.
     """
 
-    sqrt_upsilon: np.ndarray
     z1: np.ndarray
     z2: np.ndarray
     sqrt_residual: float
@@ -256,11 +260,12 @@ def factorize(p):
     than raised; square-root failures propagate.
     """
     T, S = p.T.matrix, p.S.matrix
+    # The root first: an Upsilon that overflows is refused before T^2 is formed.
+    R, sqrt_residual = p.root
     warnings = []
     for name, M in (("T", p.T), ("T^2", Operator(T @ T)), ("S", p.S)):
         if M.delta < -tolerance("accretivity") * max(1.0, M.norm):
             warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
-    R, sqrt_residual = p.root
     W = R.matrix
     z1 = T + W
     z2 = T - W
@@ -281,7 +286,6 @@ def factorize(p):
     if regime == "degenerate":
         warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
     return PencilFactorization(
-        sqrt_upsilon=W.copy(),
         z1=z1,
         z2=z2,
         sqrt_residual=float(sqrt_residual),

@@ -152,9 +152,17 @@ def perturbation_bound(S, cert):
 
     cert is the certificate of (T, S).  ||T^+|| is read through the shared
     Operator of its pseudoinverse, so every reader shares one SVD of T^+.
+    A bound beyond the float range raises AccuracyError: an infinite bound
+    would pass any claim against it.
     """
     pn = as_operator(cert.pinv_result.pinv).norm
-    return as_operator(S).norm * pn**2 / (1 - cert.contraction_TdS)
+    try:
+        bound = as_operator(S).norm * pn**2 / (1 - cert.contraction_TdS)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise AccuracyError(f"perturbation bound overflows: ||T^+|| = {pn:.3e}")
+    return bound
 
 
 def perturbed_pinv(T, S, cert=None):

@@ -87,15 +87,14 @@ def analyze_claims(T, rep):
     accretivity_report."""
     T = as_operator(T)
     scale = max(1.0, T.norm)
-    wr = T.numerical_range
-    hull = float(np.max(wr.excess(wr.points))) / scale if wr.points.size else 0.0
+    hull = float(np.max(T.excess(T.points))) / scale if T.points.size else 0.0
     chain = max(
         rep.spectral_radius - rep.numerical_radius_upper,
         rep.numerical_radius - rep.operator_norm,
         rep.operator_norm - 2 * rep.numerical_radius_upper,
     ) / scale
     eigs = rep.eigenvalues
-    spec = float(np.max(wr.excess(eigs))) / scale if eigs.size else 0.0
+    spec = float(np.max(T.excess(eigs))) / scale if eigs.size else 0.0
     return [
         claim("norm-chain", chain, tolerance("norm-chain")),
         claim("hull-consistency", hull, tolerance("hull-distance")),

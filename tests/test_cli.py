@@ -346,6 +346,36 @@ def test_solve_bvp_hypothesis_failures(files):
                 "--u0", files["u0"], "--u1", files["u1"], "--out", files["out"]]) == 3
 
 
+def test_pencil_whose_square_overflows_exits_2(files, tmp_path, capsys):
+    # T = S = 1e160 I: ||T||^2 and Upsilon = T^2 + S lie beyond the float
+    # range, so solve-bvp refuses the data as factorize does, with one line
+    # and no warning (tier-1 runs with warnings as errors).
+    big = str(tmp_path / "big.json")
+    write_matrix(big, 1e160 * np.eye(2))
+    for argv in (
+        ["factorize", "--input", big, "--input2", big],
+        ["solve-bvp", "--input", big, "--input2", big, "--u0", files["u0"], "--u1", files["u1"]],
+    ):
+        rc = run(argv + ["--out", str(tmp_path / argv[0])])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 2, argv[0]
+        assert len(err) == 1 and err[0].startswith("invalid input: "), err
+
+
+def test_perturbation_bound_overflow_is_an_accuracy_failure(tmp_path, capsys):
+    # T = 1e-200 I has ||T^+||^2 = 1e400: the error bound is not a float, and
+    # an infinite bound would pass its claim, so the run fails instead.
+    write_matrix(tmp_path / "t.json", 1e-200 * np.eye(2))
+    write_matrix(tmp_path / "s.json", 0.5e-200 * np.eye(2))
+    out = tmp_path / "out"
+    rc = run(["perturb", "--input", str(tmp_path / "t.json"), "--input2", str(tmp_path / "s.json"),
+              "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert err == ["accuracy failure: perturbation bound overflows: ||T^+|| = 1.000e+200"], err
+    assert not (out / "perturb-report.json").exists()
+
+
 def test_demo_laplacian(files):
     rc = run(["demo-laplacian", "--modes", "8", "--x-samples", "9", "--grid", "17",
               "--out", files["out"]])

@@ -19,7 +19,6 @@ from accretive.linops import (
     cartesian_parts,
     hermitian_sqrt,
     kato_representation,
-    numerical_range,
     numerical_range_boundary,
     sector_angle_estimate,
     support_excess,
@@ -84,7 +83,7 @@ NORM_ROT = math.sqrt(2.0)
 
 
 def test_numerical_radius_jordan_block_frozen():
-    w = numerical_range(JORDAN2).radius_bracket[0]
+    w = as_operator(JORDAN2).radius_bracket[0]
     assert abs(w - W_JORDAN2) < 1e-12, f"w(J2) = {w}, expected {W_JORDAN2}"
     oracle = rayleigh_radius_oracle(JORDAN2, rng_for(SEED, "jordan-oracle"))
     assert oracle <= w + 1e-12
@@ -149,7 +148,7 @@ def test_numerical_radius_matches_rayleigh_oracle():
     for k in range(N_TRIALS // 2):
         dim = int(rng.integers(2, 9))
         T = random_operator(rng, dim)
-        w = numerical_range(T).radius_bracket[0]
+        w = as_operator(T).radius_bracket[0]
         oracle = rayleigh_radius_oracle(T, rng)
         scale = max(1.0, w)
         assert oracle <= w + 1e-10 * scale, f"trial {k}: oracle exceeded rotation value"
@@ -164,7 +163,7 @@ def test_radius_bracket_holds_the_rayleigh_oracle():
     for k in range(N_TRIALS // 2):
         dim = int(rng.integers(2, 17))
         T = random_operator(rng, dim) if k % 2 else accretive_operator(rng, dim)
-        lo, hi = numerical_range(T).radius_bracket
+        lo, hi = as_operator(T).radius_bracket
         assert rayleigh_radius_oracle(T, rng) <= hi * (1 + 1e-12), f"trial {k}"
         assert lo <= hi and hi - lo <= linops._RADIUS_RTOL * hi, f"trial {k}"
 
@@ -177,7 +176,7 @@ def test_radius_bracket_of_the_jordan_disk(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
-    lo, hi = numerical_range(JORDAN2).radius_bracket
+    lo, hi = as_operator(JORDAN2).radius_bracket
     assert abs(lo - W_JORDAN2) <= 2 * np.finfo(float).eps * W_JORDAN2
     assert W_JORDAN2 <= hi <= W_JORDAN2 / math.cos(math.pi / 720) * (1 + 1e-15)
     assert len(calls) == linops._RADIUS_ANGLES
@@ -249,20 +248,20 @@ def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
     # eigh on the one grid, 720 uniform angles; chunked forces ragged chunks
     # of 7 angles.
     angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    assert np.array_equal(linops._ANGLES, angles)
     rng = rng_for(SEED, "sweep-oracle")
     inputs = [random_operator(rng, dim) for dim in (0, 1, 2, 5, 13, 32)] + [JORDAN2]
     for T in inputs:
         if chunked:
             monkeypatch.setattr(linops, "_SWEEP_CHUNK", 7 * T.shape[0] ** 2)
         tol = 1e-13 * max(1.0, np.linalg.norm(T, 2) if T.size else 0.0)
-        wr = numerical_range(T)
-        assert np.array_equal(wr.angles, angles)
+        op = as_operator(T)
         if T.shape[0] == 0:
-            assert np.all(wr.support == -np.inf) and wr.points.size == 0
+            assert np.all(op.support == -np.inf) and op.points.size == 0
             continue
         support = _sweep_oracle(T, angles)[0]
-        assert np.max(np.abs(wr.support - support)) <= tol
-        attained = np.real(np.exp(-1j * angles) * wr.points)
+        assert np.max(np.abs(op.support - support)) <= tol
+        attained = np.real(np.exp(-1j * angles) * op.points)
         assert np.max(np.abs(attained - support)) <= tol
 
 
@@ -314,9 +313,10 @@ def test_sweep_raises_on_lapack_failure(routine, monkeypatch):
         return out[:-1] + (1,) if len(calls) == fail_at else out
 
     monkeypatch.setattr(lapack, routine, failing)
-    wr = numerical_range(random_operator(rng_for(SEED, "lapack-info"), 4))
-    with pytest.raises(AccuracyError, match=rf"{routine} .*theta = {re.escape(repr(float(wr.angles[2])))}$"):
-        wr.points
+    op = as_operator(random_operator(rng_for(SEED, "lapack-info"), 4))
+    theta = re.escape(repr(float(linops._ANGLES[2])))
+    with pytest.raises(AccuracyError, match=rf"{routine} .*theta = {theta}$"):
+        op.points
 
 
 def _sweeps_only(order, sweeps=1):
@@ -333,7 +333,7 @@ def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     # half-turn; in sequence on one matrix content the three share one sweep.
     T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
     calls = (
-        lambda: numerical_range(T).radius_bracket[0],
+        lambda: as_operator(T).radius_bracket[0],
         lambda: support_excess(T.copy(), np.linalg.eigvals(T)),
         lambda: accretivity_report(T.copy()),
     )
@@ -402,15 +402,14 @@ def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive)
         linops._shared_operator.cache_clear()
         stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
         op = as_operator(T)
-        wr = op.numerical_range
-        lo, hi = wr.radius_bracket
+        lo, hi = op.radius_bracket
         assert op.rank == rank and op.range_block.block.dim == rank
         assert stacked_solves == _sweeps_only(rank)
         slack = 10 * n * eps * op.norm
         delta = op.range_block.residual
-        assert np.min(wr.support - ref) >= -slack, rank
-        assert np.max(wr.support - ref) <= delta + slack, rank
-        attained = np.real(np.exp(-1j * linops._ANGLES)[None, :] * wr.points[:, None])
+        assert np.min(op.support - ref) >= -slack, rank
+        assert np.max(op.support - ref) <= delta + slack, rank
+        attained = np.real(np.exp(-1j * linops._ANGLES)[None, :] * op.points[:, None])
         assert np.max(attained - ref[None, :]) <= slack, rank
         assert np.max(ref) <= hi + slack and lo <= _vertex_max(ref) + slack, rank
 
@@ -423,16 +422,16 @@ def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive)
 def test_full_rank_and_non_ep_input_sweep_at_full_order(stacked_solves, T):
     op = as_operator(T)
     assert op.range_block is None
-    numerical_range(T).radius_bracket
+    op.radius_bracket
     assert stacked_solves == _sweeps_only(len(T))
-    assert np.max(np.abs(op.numerical_range.support - _stacked_support(T))) <= 1e-13 * op.norm
+    assert np.max(np.abs(op.support - _stacked_support(T))) <= 1e-13 * op.norm
 
 
 def test_zero_operator_sweep(stacked_solves):
-    wr = numerical_range(np.zeros((5, 5)))
-    assert np.array_equal(wr.support, np.zeros(720))
-    assert np.array_equal(wr.points, np.zeros(720, complex))
-    assert wr.radius_bracket == (0.0, 0.0)
+    op = as_operator(np.zeros((5, 5)))
+    assert np.array_equal(op.support, np.zeros(720))
+    assert np.array_equal(op.points, np.zeros(720, complex))
+    assert op.radius_bracket == (0.0, 0.0)
     assert stacked_solves["zhetrd"] == 0
 
 
@@ -452,7 +451,7 @@ def test_range_block_across_the_rank_cutoff():
         lam[-1] = factor * cutoff * np.exp(0.3j)
         op = as_operator((Q * lam) @ Q.conj().T)
         assert op.rank == kept and op.range_block.block.dim == kept
-        supports.append(op.numerical_range.support)
+        supports.append(op.support)
     assert np.max(np.abs(supports[0] - supports[1])) <= 2 * cutoff
 
 
@@ -483,7 +482,7 @@ def test_results_do_not_depend_on_call_order():
         lambda A: pinv.pseudoinverse(A).singular_values,
         numerical_range_boundary,
         lambda A: accretivity_report(A).as_dict(),
-        lambda A: numerical_range(A).radius_bracket[0],
+        lambda A: as_operator(A).radius_bracket[0],
         lambda A: support_excess(A, np.linalg.eigvals(A)),
         linops.sectorial_angle,
         lambda A: as_operator(A).schur,
@@ -500,17 +499,15 @@ def test_results_do_not_depend_on_call_order():
 
 def test_factorize_keeps_the_callers_operators_shared():
     # Upsilon, its root and Z1 are factorize's own temporaries: they take no
-    # shared slot, so the caller's T and S stay cached, and the root Operator
-    # does not alias the writable sqrt_upsilon the caller receives.  The
-    # sampler puts nothing in the cache either.
+    # shared slot, so the caller's T and S stay cached.  The sampler puts
+    # nothing in the cache either.
     T, S = pencil_pair(rng_for(SEED, "factorize-sharing"), 5)
     assert linops._shared_operator.cache_info().currsize == 0
     p = pencil.QuadraticPencil(T, S)
-    f = pencil.factorize(p)
+    pencil.factorize(p)
     assert as_operator(T) is p.T
     assert as_operator(S) is p.S
     assert linops._shared_operator.cache_info().currsize == 2
-    assert not np.shares_memory(f.root.matrix, f.sqrt_upsilon)
 
 
 def test_bvp_problem_keeps_the_callers_operators_shared():
@@ -549,35 +546,40 @@ def test_shared_operators_are_bounded(stacked_solves):
     rng = rng_for(SEED, "bounded-sharing")
     first = random_operator(rng, 4)
     others = [random_operator(rng, 4) for _ in range(linops._SHARED_OPERATORS)]
-    numerical_range(first).radius_bracket[0]
+    as_operator(first).radius_bracket[0]
     for M in others[:-1]:
-        numerical_range(M).radius_bracket[0]
-    numerical_range(first).radius_bracket[0]
+        as_operator(M).radius_bracket[0]
+    as_operator(first).radius_bracket[0]
     assert stacked_solves == _sweeps_only(4, linops._SHARED_OPERATORS)
     # first is now the most recent of the kept contents; after as many
     # distinct contents as are kept, its sweep runs again.
     for M in others:
-        numerical_range(M).radius_bracket[0]
+        as_operator(M).radius_bracket[0]
     stacked_solves.update(zhetrd=0, zhetrd_orders=Counter())
-    numerical_range(first).radius_bracket[0]
+    as_operator(first).radius_bracket[0]
     assert stacked_solves == _sweeps_only(4)
 
 
 def test_dropped_operator_is_freed_without_the_cycle_collector():
-    # The Operator caches its sweep, and the sweep does not point back, so a
-    # dropped Operator's factorizations are freed at once, not kept until the
-    # cyclic garbage collector happens to run.
-    op = as_operator(random_operator(rng_for(SEED, "no-cycle"), 4))
-    op.numerical_range.points
-    op.svd
-    ref = weakref.ref(op)
-    gc.disable()
-    try:
-        del op
-        linops._shared_operator.cache_clear()
-        assert ref() is None
-    finally:
-        gc.enable()
+    # The Operator caches its own sweep, and none of its cached fields points
+    # back at it, so a dropped Operator's factorizations are freed at once,
+    # not kept until the cyclic garbage collector happens to run.  The second
+    # input is singular EP, Q M Q* of rank n/2, whose sweep and bracket run
+    # on the range block's Operator.
+    rng = rng_for(SEED, "no-cycle")
+    for T, reduced in ((random_operator(rng, 4), False), (_planted_ep(rng, 4, 2, True), True)):
+        op = as_operator(T)
+        op.radius_bracket
+        op.svd
+        assert (op.range_block is not None) == reduced
+        ref = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            linops._shared_operator.cache_clear()
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_returned_arrays_are_writable():
@@ -587,7 +589,7 @@ def test_returned_arrays_are_writable():
     f = pencil.factorize(pencil.QuadraticPencil(T, S))
     parts = cartesian_parts(T)
     arrays = [
-        f.sqrt_upsilon, f.z1, f.z2, parts.re_part, parts.im_part,
+        f.z1, f.z2, parts.re_part, parts.im_part,
         numerical_range_boundary(T), kato_representation(T),
         pinv.pseudoinverse(T).pinv, pinv.pseudoinverse(np.zeros((0, 0))).pinv,
         pencil.accretive_sqrt(T), pencil.balakrishnan_power(T, 0.5),
@@ -609,10 +611,10 @@ def test_sweep_memory_is_bounded():
     T = random_operator(rng_for(SEED, "sweep-memory"), 64)
     # A 2x2 sweep first, so the peak leaves out the ~14 MiB that the sweep's
     # first import of scipy.linalg allocates in a process that has none yet.
-    numerical_range(np.eye(2)).points
+    as_operator(np.eye(2)).points
     tracemalloc.start()
     try:
-        numerical_range(T).points
+        as_operator(T).points
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -622,11 +624,11 @@ def test_sweep_memory_is_bounded():
 def test_excess_memory_is_bounded_and_chunking_changes_no_bit():
     # The one-shot 720 x 720 projection of a sweep's own points peaks at 11.9 MiB.
     T = random_operator(rng_for(SEED, "excess-memory"), 32)
-    wr = numerical_range(T)
-    pts = wr.points  # the sweep itself is solved before tracing starts
+    op = as_operator(T)
+    pts = op.points  # the sweep itself is solved before tracing starts
     tracemalloc.start()
     try:
-        wr.excess(pts)
+        op.excess(pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -634,10 +636,9 @@ def test_excess_memory_is_bounded_and_chunking_changes_no_bit():
     # A probe of several chunks (a chunk holds 2**16 // 720 = 91 points) against
     # the one-shot formula.
     probe = np.concatenate([pts, 1.5 * pts[:300], [0.0, 1e3j]])
-    one_shot = np.max(
-        np.real(np.exp(-1j * wr.angles)[None, :] * probe[:, None]) - wr.support[None, :], axis=1
-    )
-    assert np.array_equal(wr.excess(probe), one_shot)
+    proj = np.real(np.exp(-1j * linops._ANGLES)[None, :] * probe[:, None])
+    one_shot = np.max(proj - op.support[None, :], axis=1)
+    assert np.array_equal(op.excess(probe), one_shot)
 
 
 def test_cartesian_parts_reconstruct():
@@ -714,7 +715,7 @@ def test_input_validation():
     with pytest.raises(DimensionError):
         accretivity_report(np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(DimensionError):
-        numerical_range(np.zeros(4))
+        as_operator(np.zeros(4))
 
 
 def test_operator_norm_once_per_input(monkeypatch):

@@ -155,6 +155,25 @@ def test_balakrishnan_matches_schur_pade_oracle():
             assert rel <= 1e-6, f"trial {k}, alpha={alpha}: rel={rel:.2e}"
 
 
+def test_balakrishnan_keeps_relative_accuracy_below_unit_norm():
+    # The quadrature's tails are truncated relative to ||T||^alpha, and only
+    # the rank-0 operator has power zero, so small-norm input keeps the
+    # accuracy of unit-norm input.  The oracle is the Schur-method root
+    # (Bjorck & Hammarling 1983): T^(1/4) = sqrt(sqrt(T)), T^(3/4) = T^(1/2) T^(1/4).
+    base = accretive_operator(rng_for(SEED, "balakrishnan-small"), 4, max_tan=2.0)
+    for scale in (1e-16, 1e-11, 1e-9):
+        T = scale * base
+        half = scipy.linalg.sqrtm(T)
+        quarter = scipy.linalg.sqrtm(half)
+        for alpha, oracle in ((0.25, quarter), (0.5, half), (0.75, half @ quarter)):
+            got = balakrishnan_power(T, alpha)
+            rel = np.linalg.norm(got - oracle, 2) / np.linalg.norm(oracle, 2)
+            assert rel <= 1e-10, f"scale {scale:.0e}, alpha={alpha}: rel={rel:.2e}"
+    for alpha in (0.25, 0.5, 0.75):
+        zero = balakrishnan_power(np.zeros((3, 3)), alpha)
+        assert zero.shape == (3, 3) and not np.any(zero)
+
+
 def test_balakrishnan_singular_ep_input():
     rng = rng_for(SEED, "balakrishnan-singular")
     for _ in range(6):
@@ -284,7 +303,7 @@ def test_factorize_type_invariants():
         f = factorize(QuadraticPencil(T, S))
         scale = max(1.0, np.linalg.norm(T @ T + S, 2))
         assert np.linalg.norm(f.z1 + f.z2 - 2 * T, 2) <= 1e-12 * scale
-        assert np.linalg.norm(f.z1 - f.z2 - 2 * f.sqrt_upsilon, 2) <= 1e-12 * scale
+        assert np.linalg.norm(f.z1 - f.z2 - 2 * f.root.matrix, 2) <= 1e-12 * scale
         assert f.sqrt_residual <= 1e-10 * scale
         assert sectorial_angle(f.root)[0] <= math.pi / 4 + 1e-8
         # Quadratic identity for both factors: Z^2 - TZ - ZT - S = 0.
