@@ -200,10 +200,7 @@ def solve_bvp(p, grid=None):
     if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
             and ts[0] >= 0 and ts[-1] <= 1):
         raise ParameterError("grid must be strictly increasing within [0, 1]")
-    try:
-        tol = tolerance("bvp-commutation") * max(1.0, p.T.norm ** 2, p.S.norm)
-    except OverflowError:
-        raise ParameterError(f"||T||^2 overflows: ||T|| = {p.T.norm:.3e}") from None
+    tol = tolerance("bvp-commutation") * p.scale
     if p.commutation_residual > tol:
         raise HypothesisError(
             f"T does not commute with the pencil root: residual "

@@ -315,6 +315,12 @@ def rank_cutoff(n, sigma_max):
     return _RANK_FACTOR * n * _EPS * sigma_max
 
 
+def accretivity_tol(norm):
+    """The one accretivity threshold: an operator of the given norm is
+    accretive when lambda_min(Re T) >= -tolerance("accretivity") * max(1, norm)."""
+    return tolerance("accretivity") * max(1.0, norm)
+
+
 def operator_norm(T):
     """Spectral norm (largest singular value) of an array."""
     return float(np.linalg.norm(T, 2)) if T.size else 0.0
@@ -482,7 +488,7 @@ def sectorial_angle(T, tol=None):
     op = as_operator(T)
     n, delta = op.dim, op.delta
     if tol is None:
-        tol = tolerance("accretivity") * max(1.0, op.norm)
+        tol = accretivity_tol(op.norm)
     if delta < -tol:
         return None, delta, False, None
     keep = slice(None)
@@ -505,14 +511,14 @@ def sectorial_angle(T, tol=None):
 def accretivity_report(T, tol=None):
     """Full accretivity certificate: delta, omega, the w(T) bracket, r(T), ||T||.
 
-    tol defaults to tolerance("accretivity") * max(1, ||T||), on lambda_min(Re T).
+    tol defaults to accretivity_tol(||T||), on lambda_min(Re T).
     Non-accretive input yields is_accretive=False with omega=None (a status,
     not an exception).
     """
     op = as_operator(T)
     n, nrm = op.dim, op.norm
     if tol is None:
-        tol = tolerance("accretivity") * max(1.0, nrm)
+        tol = accretivity_tol(nrm)
     omega, delta, sectorial, tan_omega = sectorial_angle(op, tol)
     eigs = np.linalg.eigvals(op.matrix) if n else np.zeros(0, dtype=complex)
     spec_r = float(np.max(np.abs(eigs))) if eigs.size else 0.0
@@ -553,7 +559,7 @@ def kato_representation(T):
     Hermitian with ||T_tilde|| = tan(omega).
     """
     op = as_operator(T)
-    tol = tolerance("accretivity") * max(1.0, op.norm)
+    tol = accretivity_tol(op.norm)
     if op.delta <= tol:
         raise PreconditionError(
             f"real part not positive definite: lambda_min = {op.delta:.3e} <= tol = {tol:.3e}"

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
     Operator,
+    accretivity_tol,
     as_operator,
     checked_matrix,
     operator_norm,
@@ -43,7 +44,8 @@ class QuadraticPencil:
     the operators the caller passed.  The pencil owns Upsilon = T^2 + S, kept
     as a read-only matrix, and its principal root R, the one factorization of
     Upsilon it keeps; each is computed on first read, so factorize and
-    solve_bvp given one pencil share the one root.
+    solve_bvp given one pencil share the one root.  scale is the size of the
+    pencil's coefficients that the factorization and BVP tolerances scale by.
     """
 
     T: Operator
@@ -60,6 +62,14 @@ class QuadraticPencil:
     @property
     def dim(self):
         return self.T.dim
+
+    @cached_property
+    def scale(self):
+        """max(1, ||T||^2, ||S||); a ||T||^2 beyond the float range raises ParameterError."""
+        try:
+            return max(1.0, self.T.norm ** 2, self.S.norm)
+        except OverflowError:
+            raise ParameterError(f"||T||^2 overflows: ||T|| = {self.T.norm:.3e}") from None
 
     @cached_property
     def upsilon(self):
@@ -111,13 +121,13 @@ def _sqrt_and_residual(op):
     A, nrm = op.matrix, op.norm
     if op.dim == 0:
         return A.copy(), 0.0
-    tol = tolerance("accretivity") * max(1.0, nrm)
+    tol = accretivity_tol(nrm)
     rb = op.range_block
     if rb is None and op.rank < op.dim:
         raise PreconditionError(_NOT_EP)
     theta, V = (op if rb is None else rb.block).schur
     eigs = np.diag(theta)
-    bad = (eigs.real < 0) & (np.abs(eigs.imag) <= tol * np.maximum(1.0, np.abs(eigs.real)))
+    bad = (eigs.real < 0) & (np.abs(eigs.imag) / np.maximum(1.0, np.abs(eigs.real)) <= tol)
     if np.any(bad):
         raise PreconditionError(
             f"no principal square root: eigenvalue {eigs[bad][0]:.6g} on the negative real axis"
@@ -213,8 +223,7 @@ def balakrishnan_power(T, alpha):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     if op.dim == 0:
         return op.matrix.copy()
-    tol = tolerance("accretivity") * max(1.0, op.norm)
-    if op.delta < -tol:
+    if op.delta < -accretivity_tol(op.norm):
         raise PreconditionError(f"input not accretive: delta = {op.delta:.3e}")
     if op.rank == 0:
         return np.zeros_like(op.matrix)
@@ -264,7 +273,7 @@ def factorize(p):
     R, sqrt_residual = p.root
     warnings = []
     for name, M in (("T", p.T), ("T^2", Operator(T @ T)), ("S", p.S)):
-        if M.delta < -tolerance("accretivity") * max(1.0, M.norm):
+        if M.delta < -accretivity_tol(M.norm):
             warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
     W = R.matrix
     z1 = T + W
@@ -276,7 +285,11 @@ def factorize(p):
     z1_angle = sectorial_angle(Z1)[0]
     if z1_angle is None:
         z1_angle = sector_angle_estimate(Z1)
-    comm = operator_norm(T @ S - S @ T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = T @ S - S @ T
+    if not np.all(np.isfinite(C)):
+        raise ParameterError(f"TS - ST overflows: ||T|| = {p.T.norm:.3e}, ||S|| = {p.S.norm:.3e}")
+    comm = operator_norm(C)
     commuting = bool(comm <= tolerance("commutation") * max(1.0, p.T.norm * p.S.norm))
     s1 = np.linalg.eigvals(z1)
     s2 = np.linalg.eigvals(z2)

@@ -61,23 +61,6 @@ def penrose_residuals(T, P):
     }
 
 
-def range_projector(T, result):
-    """Orthogonal projector onto range(T), given result = pseudoinverse(T)."""
-    return checked_matrix(T) @ result.pinv
-
-
-def row_projector(T, result):
-    """Orthogonal projector onto range(T*) = kernel(T) orthocomplement, given
-    result = pseudoinverse(T)."""
-    return result.pinv @ checked_matrix(T)
-
-
-def subspace_distance(P, Q):
-    """Spectral norm of a projector difference: sine of the largest principal
-    angle between the two subspaces."""
-    return operator_norm(np.asarray(P) - np.asarray(Q))
-
-
 @dataclass(frozen=True)
 class PerturbationCertificate:
     """Checkable hypotheses for the additive pseudoinverse update.

@@ -24,6 +24,7 @@ from .bvp import BvpProblem, fd_oracle, solve_bvp
 from .errors import ModelError
 from .linops import (
     accretivity_report,
+    accretivity_tol,
     as_operator,
     cartesian_parts,
     hermitian_sqrt,
@@ -47,10 +48,7 @@ from .pinv import (
     perturbation_certificate,
     perturbed_pinv,
     pseudoinverse,
-    range_projector,
-    row_projector,
     second_power_inequalities,
-    subspace_distance,
 )
 from .sampling import (
     accretive_operator,
@@ -111,7 +109,7 @@ def pinv_claims(T, res):
     scale = max(1.0, nrm, operator_norm(res.pinv))
     worst = max(penrose_residuals(T, res.pinv).values()) / scale
     rows = [claim("penrose-identities", worst, tolerance("penrose"))]
-    if T.dim and T.delta >= -tolerance("accretivity") * max(1.0, nrm):
+    if T.dim and T.delta >= -accretivity_tol(nrm):
         lam = float(np.min(np.linalg.eigvalsh(0.5 * (res.pinv + res.pinv.conj().T))))
         rows.append(claim("pinv-accretive", max(0.0, -lam), tolerance("pinv-accretive")))
     return rows
@@ -134,12 +132,11 @@ def factorize_claims(p, f, lams):
     """The factorization identities of f = factorize(p) at the lambdas and,
     for a commuting pencil, the spectrum of the factors, its matching
     distance relative to max(1, largest pencil eigenvalue modulus)."""
-    scale = max(1.0, p.T.norm ** 2, p.S.norm)
     sym, one = factorization_residuals(f, p, lams)
     tol = tolerance("factorization-identity")
-    rows = [claim("factorization-symmetric", sym / scale, tol)]
+    rows = [claim("factorization-symmetric", sym / p.scale, tol)]
     if f.commuting:
-        rows.append(claim("factorization-one-sided", one / scale, tol))
+        rows.append(claim("factorization-one-sided", one / p.scale, tol))
         spectrum = pencil_spectrum(p)
         dist = multiset_match_distance(f.spectra_z1 + f.spectra_z2, spectrum)
         size = max([1.0, *map(abs, spectrum)])
@@ -262,10 +259,11 @@ def _suite_perturbation(rng):
         rows += perturb_claims(S, cert, perturbed_pinv(T, S, cert), direct)
         if direct.rank != res.rank:
             worst_geom = max(worst_geom, 1.0)
+        # The range projectors T T^+ and row-space projectors T^+ T of T and T + S.
         worst_geom = max(
             worst_geom,
-            subspace_distance(range_projector(T, res), range_projector(T + S, direct)),
-            subspace_distance(row_projector(T, res), row_projector(T + S, direct)),
+            operator_norm(T @ res.pinv - (T + S) @ direct.pinv),
+            operator_norm(res.pinv @ T - direct.pinv @ (T + S)),
         )
         if cert.s_accretive and cert.theta is not None and cert.theta < math.pi / 2:
             pn = as_operator(res.pinv).norm

@@ -68,8 +68,9 @@ class LaplacianModel:
         """Accretivity screens; empty list means the model is feasible.
 
         The third screen guards T^2: Re(t_j^2) = (eta^2 - eta1^2 lam_j^2) lam_j^2
-        goes negative once eta1*lam_j exceeds eta, and the square of the
-        damping operator genuinely stops being accretive there.
+        goes negative once |eta1|*lam_j exceeds |eta|, and the square of the
+        damping operator genuinely stops being accretive there; the moduli are
+        compared unsquared, so no square overflows.
         """
         failures = []
         if self.eta < 0:
@@ -77,7 +78,7 @@ class LaplacianModel:
         if self.xi.real < 0:
             failures.append(f"Re(xi) = {self.xi.real} < 0: zero-order coefficient not accretive")
         lam = self.eigenvalues
-        bad = np.flatnonzero(self.eta**2 - self.eta1**2 * lam**2 < 0)
+        bad = np.flatnonzero(abs(self.eta1) * lam > abs(self.eta))
         if bad.size:
             j = int(bad[0]) + 1
             failures.append(
@@ -125,13 +126,16 @@ def condition_check(m):
         raise PreconditionError("degenerate damping: eta = eta1 = 0 leaves T = 0")
     if m.xi == 0:
         raise PreconditionError("xi = 0: the condition compares against 1/|xi|")
-    partial = float(np.sum(1.0 / np.abs(m.mode_coefficients()) ** 2))
+    # A |t_j|^2 or eta^2 beyond the float range gives a zero term, and one that
+    # underflows an infinite term: eta * eta overflows to inf where eta**2 raises.
+    with np.errstate(over="ignore", divide="ignore"):
+        partial = float(np.sum(1.0 / np.abs(m.mode_coefficients()) ** 2))
     N = m.n_modes
     if m.eta > 0:
-        tail = 1.0 / (3 * N**3 * m.eta**2 * math.pi**4)
+        denom = 3 * N**3 * (m.eta * m.eta) * math.pi**4
     else:
-        tail = 1.0 / (7 * N**7 * m.eta1**2 * math.pi**8)
-    total = partial + tail
+        denom = 7 * N**7 * (m.eta1 * m.eta1) * math.pi**8
+    total = partial + (1.0 / denom if denom else math.inf)
     return bool(total < 1.0 / abs(m.xi)), total
 
 

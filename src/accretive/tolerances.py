@@ -15,7 +15,7 @@ from .errors import ParameterError
 
 DEFAULTS = {
     # linops
-    "accretivity": 1e-10,          # on lambda_min(Re T), scaled by max(1, ||T||)
+    "accretivity": 1e-10,          # on lambda_min(Re T), scaled in linops.accretivity_tol
     "norm-chain": 1e-8,            # slack in r <= w <= ||T|| <= 2w
     "sectorial-bound": 1e-8,       # slack in tan(omega) <= sqrt(||T||^2/delta^2 - 1)
     "sectorial-witness": 1e-10,    # omega = pi/4 for the 2x2 witness
@@ -40,7 +40,7 @@ DEFAULTS = {
     # pencil
     "sqrt-residual": 1e-10,        # scaled by max(1, ||U||)
     "commutation": 1e-10,          # scaled by max(1, ||T||*||S||)
-    "factorization-identity": 1e-10,
+    "factorization-identity": 1e-10,  # scaled by QuadraticPencil.scale
     "spectrum-match": 1e-6,
     "separation-strong": 1e-6,     # lambda_min(Re Upsilon) above which separation is asserted
     "balakrishnan-rel": 1e-6,
@@ -48,7 +48,7 @@ DEFAULTS = {
     "quadrature-rel": 1e-8,
     # bvp
     "bvp-witness": 1e-10,          # scalar sinh witness at the default grid
-    "bvp-commutation": 1e-8,       # scaled by max(1, ||T||^2, ||S||)
+    "bvp-commutation": 1e-8,       # scaled by QuadraticPencil.scale
     "resonance": 1e-12,            # scaled by dim
     "boundary-residual": 1e-9,     # scaled by 1 + ||u0|| + ||u1||
     "ode-residual": 1e-8,

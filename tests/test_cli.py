@@ -349,12 +349,24 @@ def test_solve_bvp_hypothesis_failures(files):
 def test_pencil_whose_square_overflows_exits_2(files, tmp_path, capsys):
     # T = S = 1e160 I: ||T||^2 and Upsilon = T^2 + S lie beyond the float
     # range, so solve-bvp refuses the data as factorize does, with one line
-    # and no warning (tier-1 runs with warnings as errors).
-    big = str(tmp_path / "big.json")
-    write_matrix(big, 1e160 * np.eye(2))
+    # and no warning (tier-1 runs with warnings as errors).  The nilpotent
+    # T = [[0, 1e160], [0, 0]] with S = I has T^2 = 0 and a finite Upsilon,
+    # but ||T||^2 overflows the pencil scale of the factorize claims.  At
+    # (1e150 T, 1e300 S) Upsilon is finite but the commutator T S - S T is not.
+    def matrix(name, M):
+        write_matrix(tmp_path / name, M)
+        return str(tmp_path / name)
+
+    big = matrix("big.json", 1e160 * np.eye(2))
+    nil = matrix("nil.json", [[0, 1e160], [0, 0]])
+    eye = matrix("eye.json", np.eye(2))
+    T, S = pencil_pair(np.random.default_rng(0), 3)
+    wide_t, wide_s = matrix("wide-t.json", 1e150 * T), matrix("wide-s.json", 1e300 * S)
     for argv in (
         ["factorize", "--input", big, "--input2", big],
         ["solve-bvp", "--input", big, "--input2", big, "--u0", files["u0"], "--u1", files["u1"]],
+        ["factorize", "--input", nil, "--input2", eye],
+        ["factorize", "--input", wide_t, "--input2", wide_s],
     ):
         rc = run(argv + ["--out", str(tmp_path / argv[0])])
         err = capsys.readouterr().err.splitlines()
@@ -386,6 +398,20 @@ def test_demo_laplacian(files):
     report = json.loads(_text(files["out"] + "/demo-laplacian-report.json"))
     assert report["certificate_mode"] == "both"
     assert run(["demo-laplacian", "--eta1", "0.01", "--out", files["out"]]) == 3
+
+
+@pytest.mark.parametrize("argv, code, stage", [
+    (["--eta", "1e200"], 2, "factorize"),
+    (["--eta", "1", "--eta1", "1e200"], 3, "screen"),
+    (["--eta", "1e-200"], 3, "condition"),
+], ids=["eta-overflows", "eta1-overflows", "eta-underflows"])
+def test_demo_laplacian_at_extreme_scales(tmp_path, capsys, argv, code, stage):
+    # eta^2 or eta1^2 beyond the float range, or eta^2 below it: a contract
+    # exit naming the failing stage in one line, with no warning.
+    rc = run(["demo-laplacian", *argv, "--out", str(tmp_path)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == code
+    assert len(err) == 1 and f"[stage: {stage}]" in err[0], err
 
 
 def test_selftest_deterministic(files, tmp_path):

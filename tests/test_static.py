@@ -1,6 +1,7 @@
 """Static guards over the source: every tolerance key is read, every import is used,
-every rank decision reads the one rank rule, every public library name and
-dataclass field has a reader, and every option is used at its default and set."""
+every rank decision reads the one rank rule and every accretivity decision the
+one accretivity threshold, every public library name and dataclass field has a
+reader, and every option is used at its default and set."""
 
 import ast
 import pathlib
@@ -77,6 +78,25 @@ def test_rank_rule_has_one_home():
 
     assert reads(rule), "rank_cutoff does not read _EPS"
     assert reads(tree) == reads(rule), "linops reads _EPS outside rank_cutoff"
+
+
+def test_accretivity_rule_has_one_home():
+    # tolerance("accretivity") read anywhere but linops.accretivity_tol would
+    # be a second accretivity threshold.
+    def reads(root):
+        return [node.lineno for node in ast.walk(root)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tolerance"
+                and getattr(node.args[0], "value", None) == "accretivity"]
+
+    tree = _tree(PACKAGE / "linops.py")
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "accretivity_tol")
+    assert reads(rule), "accretivity_tol does not read tolerance('accretivity')"
+    for path in PACKAGE.glob("*.py"):
+        found = reads(_tree(path))
+        if path.name == "linops.py":
+            found = [line for line in found if line not in reads(rule)]
+        assert not found, f"{path.name}:{found}: tolerance('accretivity') outside accretivity_tol"
 
 
 # Public names that no library module or demo reads, each kept for a reason.
