@@ -33,14 +33,7 @@ from .errors import (
     PreconditionError,
 )
 from .linops import accretivity_report, as_operator
-from .matio import (
-    matrix_payload,
-    read_matrix,
-    read_vector,
-    vector_payload,
-    write_csv,
-    write_json,
-)
+from .matio import read_matrix, read_vector, vector_payload, write_csv, write_json, write_matrix
 from .pencil import QuadraticPencil, factorize
 from .pinv import perturbation_bound, perturbation_certificate, perturbed_pinv, pseudoinverse
 from .sampling import complex_gaussian, rng_for
@@ -111,7 +104,7 @@ def _cmd_pinv(args, out_dir):
     res = pseudoinverse(T)
     claims = selftest.pinv_claims(T, res)
     out_path = os.path.join(out_dir, "pinv.json")
-    write_json(out_path, matrix_payload(res.pinv))
+    write_matrix(out_path, res.pinv)
     print(f"rank = {res.rank}, gamma = {res.gamma}")
     print(f"pseudoinverse: {out_path}")
     body = {
@@ -136,7 +129,7 @@ def _cmd_perturb(args, out_dir):
     updated = perturbed_pinv(T, S, cert)
     claims = selftest.perturb_claims(S, cert, updated, pseudoinverse(T.matrix + S.matrix))
     out_path = os.path.join(out_dir, "perturbed-pinv.json")
-    write_json(out_path, matrix_payload(updated))
+    write_matrix(out_path, updated)
     print(f"certificate mode: {cert.mode}")
     print(f"updated pseudoinverse: {out_path}")
     body = {
@@ -155,7 +148,7 @@ def _cmd_factorize(args, out_dir):
     lams = np.concatenate([complex_gaussian(rng, 12, 2.0), rng.standard_normal(4) * 3.0])
     claims = selftest.factorize_claims(p, f, lams)
     for name, M in (("z1", f.z1), ("z2", f.z2), ("sqrt-upsilon", f.root.matrix)):
-        write_json(os.path.join(out_dir, f"{name}.json"), matrix_payload(M))
+        write_matrix(os.path.join(out_dir, f"{name}.json"), M)
     for w in f.warnings:
         print(f"warning: {w}")
     print(f"separation = {f.separation:.6e} ({f.separation_regime})")

@@ -58,7 +58,7 @@ class Operator:
     one rotation-method sweep over the 720-angle grid _ANGLES, excess
     measures points against its support planes, and radius_bracket refines
     it into a bracket of the numerical radius w(T).  A singular EP operator
-    is swept on its range block, at order rank(T).
+    reads both from its range block, at order rank(T).
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -102,8 +102,7 @@ class Operator:
         of svd, B = Q* T Q the compressed block and residual = ||Q B Q* - T||.
         None when T has full rank (no SVD is taken then), or when the kernel
         does not reduce T: residual above max(rank_cutoff, 1e-12 max(1, ||T||)).
-        The root and fractional powers act on B, and the W(T) sweep solves
-        B's rotated matrices instead of T's.
+        Whatever T's sweep, bracket, root and powers need is B's (RangeBlock).
         """
         A, n, rank = self.matrix, self.dim, self.rank
         if rank == n:
@@ -137,11 +136,10 @@ class Operator:
 
         return scipy.linalg.schur(self.matrix, output="complex")
 
-    @cached_property
+    @property
     def support(self):
         """h(theta_k) at every grid angle; on a range block, the bound max(h_B, 0) + delta."""
-        h, rb = self._sweep[0], self.range_block
-        return h if rb is None else h + rb.residual
+        return self._sweep[0]
 
     @property
     def points(self):
@@ -160,50 +158,43 @@ class Operator:
         also gives h(theta_k + pi) and its point from the bottom eigenpair, so
         only the first half-turn is solved, and only the bottom and top
         eigenpairs of each rotated matrix (_end_eigenpairs).  The rotated
-        matrices are built from the swept Cartesian parts and solved in
+        matrices are built from the Cartesian parts and solved in
         stacked chunks of at most _SWEEP_CHUNK complex entries, so memory is
         O(n^2) and not O(len(_ANGLES) * n^2).
 
-        A singular EP operator is swept on its range block: T = Q B Q* + E
-        with ||E|| = delta, so W(T) lies within delta of
-        W(Q B Q*) = conv(W(B) u {0}), and the swept parts are B's.  Each angle
-        then reduces a matrix of order rank(T), not n, and h is the support
-        of W(Q B Q*), max(h_B(theta), 0), before support adds delta; each
-        point is the Rayleigh quotient x* T x at x = Q y for B's end
-        eigenvector y, or 0 where the kernel attains the support (h_B < 0).
-        Full-rank and non-EP singular input are swept as T itself.  A 0x0
-        operator has empty W(T): no points, support values -inf, w(T) = 0.
+        A singular EP operator is B's sweep (RangeBlock): T = Q B Q* + E with
+        ||E|| = delta, so W(T) lies within delta of W(Q B Q*) = conv(W(B) u {0}),
+        whose support is max(h_B, 0), and x* T x = y* B y at x = Q y.  The
+        support values are max(h_B, 0) + delta; the points are B's, or 0 where
+        the kernel attains the support (h_B < 0).  A 0x0 operator has empty
+        W(T): no points, support values -inf, w(T) = 0.
         """
         A, m = self.matrix, len(_ANGLES)
         if self.dim == 0:
             return np.full(m, -np.inf), np.zeros(0, complex)
         rb = self.range_block
-        parts = self.parts if rb is None else rb.block.parts
-        re, im = parts.re_part, parts.im_part
-        r = re.shape[0]
-        if r == 0:
-            # The zero operator's range block is empty: W(T) = {0}.
-            return np.zeros(m), np.zeros(m, complex)
-        half = m // 2
+        if rb is not None:
+            h, pts = rb.block._sweep
+            kernel = h < 0  # everywhere for the zero operator, whose block is 0x0
+            points = np.zeros(m, complex)
+            if rb.block.dim:
+                points[~kernel] = pts[~kernel]
+            return np.where(kernel, 0.0, h) + rb.residual, points
+        re, im = self.parts.re_part, self.parts.im_part
+        n, half = self.dim, m // 2
         support = np.empty(m)
         points = np.empty(m, complex)
-        step = max(1, _SWEEP_CHUNK // (r * r))
+        step = max(1, _SWEEP_CHUNK // (n * n))
         for lo in range(0, half, step):
             hi = min(lo + step, half)
             theta = _ANGLES[lo:hi]
             H = np.cos(theta)[:, None, None] * re
             H += np.sin(theta)[:, None, None] * im
             vals, vecs = _end_eigenpairs(H, theta)
-            if rb is not None:
-                vecs = vecs @ rb.basis.T
             support[lo:hi] = vals[:, 1]
             points[lo:hi] = _rayleigh(A, vecs[:, 1])
             support[lo + half:hi + half] = -vals[:, 0]
             points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
-        if rb is not None:
-            kernel = support < 0
-            support[kernel] = 0.0
-            points[kernel] = 0.0
         return support, points
 
     def excess(self, points):
@@ -237,32 +228,30 @@ class Operator:
         is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
         The cap binds when W(T) is a disk: every arc of the grid then has the
         same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
-        On a range block the polygon and the new angles are those of
-        W(Q B Q*), and w(T) is within delta of w(Q B Q*): delta is added to
-        w_hi and taken from its support values as lower bounds; the boundary
-        points are Rayleigh quotients of T, attained as they are.
+        A singular EP operator takes B's bracket and adds delta to its upper
+        end (RangeBlock): w(T) <= w(Q B Q*) + delta = w(B) + delta, while
+        W(B) = W(Q* T Q) lies inside W(T), so w_lo(B) <= w(T) as it stands.
         """
         if self.dim == 0:
             return 0.0, 0.0
         rb = self.range_block
-        parts = self.parts if rb is None else rb.block.parts
-        re, im = parts.re_part, parts.im_part
-        delta = 0.0 if rb is None else rb.residual
+        if rb is not None:
+            lo, hi = rb.block.radius_bracket
+            return lo, hi + rb.residual
+        re, im = self.parts.re_part, self.parts.im_part
         grid = self._sweep[0]
         theta = np.append(_ANGLES, 2 * np.pi)
         h = np.append(grid, grid[0])
-        lo = max(float(np.max(grid)) - delta, float(np.max(np.abs(self.points))))
+        lo = max(float(np.max(grid)), float(np.max(np.abs(self.points))))
         for spent in range(_RADIUS_ANGLES + 1):
             vertex = _vertex_modulus(theta, h)
             k = int(np.argmax(vertex))
-            hi = max(float(vertex[k]) + delta, lo)
+            hi = max(float(vertex[k]), lo)
             if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
                 return lo, hi
             t = (theta[k] + theta[k + 1]) / 2
             h_t = float(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im)[-1])
-            if rb is not None:
-                h_t = max(h_t, 0.0)
-            lo = max(lo, h_t - delta)
+            lo = max(lo, h_t)
             theta = np.insert(theta, k + 1, t)
             h = np.insert(h, k + 1, h_t)
 
@@ -328,7 +317,16 @@ def operator_norm(T):
 
 @dataclass(frozen=True, eq=False)
 class RangeBlock:
-    """Operator.range_block: T = basis @ block.matrix @ basis* up to residual in norm."""
+    """Operator.range_block: T = basis @ block.matrix @ basis* up to residual in norm.
+
+    The one seam of a singular EP operator T = Q B Q* + E, ||E|| = delta:
+    each quantity of T is B's, carried back once.  The W(T) sweep and the
+    w(T) bracket are B's, widened by delta where they bound W(T) from
+    outside; B = Q* T Q is a compression of T, so W(B) lies inside W(T) and
+    B's attained points and lower bounds hold for T as they are.  A function
+    f with f(0) = 0 (the root, the fractional powers) is Q f(B) Q*, so
+    kernel(f(T)) = kernel(T) exactly (pencil._on_range_block).
+    """
 
     basis: np.ndarray
     block: Operator

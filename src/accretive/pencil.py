@@ -75,11 +75,15 @@ class QuadraticPencil:
     def upsilon(self):
         """Upsilon = T^2 + S as a read-only matrix; no factorization of it is kept.
 
-        Overflowing entries raise DimensionError, with no RuntimeWarning.
+        Overflowing entries raise ParameterError, with no RuntimeWarning.
         """
         A = self.T.matrix
         with np.errstate(over="ignore", invalid="ignore"):
-            U = checked_matrix(A @ A + self.S.matrix)
+            U = A @ A + self.S.matrix
+        if not np.all(np.isfinite(U)):
+            raise ParameterError(
+                f"Upsilon = T^2 + S overflows: ||T|| = {self.T.norm:.3e}, ||S|| = {self.S.norm:.3e}"
+            )
         U.flags.writeable = False
         return U
 
@@ -112,21 +116,24 @@ def accretive_sqrt(U):
 
 
 def _sqrt_and_residual(op):
-    """accretive_sqrt of the Operator op, with its residual ||W^2 - U||.
+    """accretive_sqrt of the Operator op, with its residual ||W^2 - U||."""
+    W = _on_range_block(op, _schur_sqrt)
+    residual = operator_norm(W @ W - op.matrix)
+    if residual > tolerance("sqrt-residual") * max(1.0, op.norm):
+        raise AccuracyError(f"square-root residual {residual:.3e} above tolerance")
+    return W, residual
 
-    The block's one complex Schur form (Operator.schur) serves both the
+
+def _schur_sqrt(op):
+    """Principal square root of the invertible Operator op by the Schur method.
+
+    Its one complex Schur form (Operator.schur) serves both the
     negative-axis test, on its diagonal, and the root, taken of its
-    triangular factor, so the block is factored once.
+    triangular factor, so op is factored once.
     """
-    A, nrm = op.matrix, op.norm
-    if op.dim == 0:
-        return A.copy(), 0.0
-    tol = accretivity_tol(nrm)
-    rb = op.range_block
-    if rb is None and op.rank < op.dim:
-        raise PreconditionError(_NOT_EP)
-    theta, V = (op if rb is None else rb.block).schur
+    theta, V = op.schur
     eigs = np.diag(theta)
+    tol = accretivity_tol(op.norm)
     bad = (eigs.real < 0) & (np.abs(eigs.imag) / np.maximum(1.0, np.abs(eigs.real)) <= tol)
     if np.any(bad):
         raise PreconditionError(
@@ -134,13 +141,25 @@ def _sqrt_and_residual(op):
         )
     import scipy.linalg  # deferred: a first import takes ~0.3 s and ~28 MiB
 
-    W = V @ np.asarray(scipy.linalg.sqrtm(theta), dtype=np.complex128) @ V.conj().T
-    if rb is not None:
-        W = rb.basis @ W @ rb.basis.conj().T
-    residual = operator_norm(W @ W - A)
-    if residual > tolerance("sqrt-residual") * max(1.0, nrm):
-        raise AccuracyError(f"square-root residual {residual:.3e} above tolerance")
-    return W, residual
+    return V @ np.asarray(scipy.linalg.sqrtm(theta), dtype=np.complex128) @ V.conj().T
+
+
+def _on_range_block(op, fn):
+    """f(T) of the Operator op = T, for an f with f(0) = 0 that fn takes of invertible input.
+
+    Rank 0 (the zero operator, or 0x0) gives zeros and full rank fn(op).
+    Singular EP input gives Q fn(B) Q* on its range block (RangeBlock), so
+    kernel(f(T)) = kernel(T) exactly; any other singular input has no
+    kernel-preserving f(T) and raises PreconditionError.
+    """
+    if op.rank == 0:
+        return np.zeros_like(op.matrix)
+    if op.rank == op.dim:
+        return fn(op)
+    rb = op.range_block
+    if rb is None:
+        raise PreconditionError(_NOT_EP)
+    return rb.basis @ fn(rb.block) @ rb.basis.conj().T
 
 
 # Balakrishnan quadrature: each truncated tail stays below _QUAD_TAIL * ||T||^alpha,
@@ -221,18 +240,9 @@ def balakrishnan_power(T, alpha):
     op = as_operator(T)
     if not (0 < alpha < 1):
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if op.dim == 0:
-        return op.matrix.copy()
     if op.delta < -accretivity_tol(op.norm):
         raise PreconditionError(f"input not accretive: delta = {op.delta:.3e}")
-    if op.rank == 0:
-        return np.zeros_like(op.matrix)
-    rb = op.range_block
-    if rb is None and op.rank < op.dim:
-        raise PreconditionError(_NOT_EP)
-    if rb is None:
-        return _balakrishnan_dense(op, float(alpha))
-    return rb.basis @ _balakrishnan_dense(rb.block, float(alpha)) @ rb.basis.conj().T
+    return _on_range_block(op, lambda block: _balakrishnan_dense(block, float(alpha)))
 
 
 @dataclass(frozen=True)

@@ -400,18 +400,18 @@ def test_demo_laplacian(files):
     assert run(["demo-laplacian", "--eta1", "0.01", "--out", files["out"]]) == 3
 
 
-@pytest.mark.parametrize("argv, code, stage", [
-    (["--eta", "1e200"], 2, "factorize"),
-    (["--eta", "1", "--eta1", "1e200"], 3, "screen"),
-    (["--eta", "1e-200"], 3, "condition"),
+@pytest.mark.parametrize("argv, code, stage, cause", [
+    (["--eta", "1e200"], 2, "factorize", "Upsilon = T^2 + S overflows"),
+    (["--eta", "1", "--eta1", "1e200"], 3, "screen", "exceeds eta"),
+    (["--eta", "1e-200"], 3, "condition", "modulus condition fails"),
 ], ids=["eta-overflows", "eta1-overflows", "eta-underflows"])
-def test_demo_laplacian_at_extreme_scales(tmp_path, capsys, argv, code, stage):
+def test_demo_laplacian_at_extreme_scales(tmp_path, capsys, argv, code, stage, cause):
     # eta^2 or eta1^2 beyond the float range, or eta^2 below it: a contract
-    # exit naming the failing stage in one line, with no warning.
+    # exit naming the failing stage and its cause in one line, with no warning.
     rc = run(["demo-laplacian", *argv, "--out", str(tmp_path)])
     err = capsys.readouterr().err.splitlines()
     assert rc == code
-    assert len(err) == 1 and f"[stage: {stage}]" in err[0], err
+    assert len(err) == 1 and f"[stage: {stage}] " in err[0] and cause in err[0], err
 
 
 def test_selftest_deterministic(files, tmp_path):

@@ -393,7 +393,10 @@ def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive)
     # reconstruction residual delta, the points lie in W(T), and the bracket
     # holds w(T).  Both sides carry a rounding allowance of 10 n eps ||T||:
     # the support sits a few eps ||T|| below the reference on some rank-1
-    # and rank-2 inputs, whose delta is itself ~eps ||T||.
+    # and rank-2 inputs, whose delta is itself ~eps ||T||.  Bit for bit, the
+    # sweep and the bracket are the block's: support max(h_B, 0) + delta,
+    # B's points where h_B >= 0 and 0 where the kernel attains the support,
+    # and B's bracket with delta added to its upper end.
     rng = rng_for(SEED, f"planted-ep-{n}-{accretive}")
     eps = np.finfo(float).eps
     for rank in (n // 2, 1):
@@ -412,6 +415,11 @@ def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive)
         attained = np.real(np.exp(-1j * linops._ANGLES)[None, :] * op.points[:, None])
         assert np.max(attained - ref[None, :]) <= slack, rank
         assert np.max(ref) <= hi + slack and lo <= _vertex_max(ref) + slack, rank
+        B = op.range_block.block
+        assert np.array_equal(op.support, np.maximum(B.support, 0) + delta), rank
+        assert np.array_equal(op.points, np.where(B.support >= 0, B.points, 0)), rank
+        b_lo, b_hi = B.radius_bracket
+        assert (lo, hi) == (b_lo, b_hi + delta), rank
 
 
 @pytest.mark.parametrize("T", [

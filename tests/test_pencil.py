@@ -170,9 +170,17 @@ def test_balakrishnan_keeps_relative_accuracy_below_unit_norm():
             got = balakrishnan_power(T, alpha)
             rel = np.linalg.norm(got - oracle, 2) / np.linalg.norm(oracle, 2)
             assert rel <= 1e-10, f"scale {scale:.0e}, alpha={alpha}: rel={rel:.2e}"
-    for alpha in (0.25, 0.5, 0.75):
-        zero = balakrishnan_power(np.zeros((3, 3)), alpha)
-        assert zero.shape == (3, 3) and not np.any(zero)
+
+
+@pytest.mark.parametrize("n", [3, 0])
+def test_rank_0_input_has_zero_root_and_powers(n, root_kernels):
+    # The zero operator and the 0x0 operator have rank 0: the root and every
+    # fractional power are the n x n zero matrix, and no Schur form is taken.
+    T = np.zeros((n, n))
+    powers = [balakrishnan_power(T, alpha) for alpha in (0.25, 0.5, 0.75)]
+    for zero in [accretive_sqrt(T), *powers]:
+        assert zero.shape == (n, n) and zero.dtype == complex and not np.any(zero)
+    assert root_kernels == {"schur": 0, "sqrtm": 0, "eigvals": 0}
 
 
 def test_balakrishnan_singular_ep_input():

@@ -103,7 +103,6 @@ def test_accretivity_rule_has_one_home():
 UNREAD_ALLOWED = {
     "support_excess": "the benchmark's analyze workload calls it (ROADMAP item 1)",
     "eval_pencil": "the tests' reference Q(lambda), written once in the library",
-    "write_matrix": "writes matrix files in the format the CLI reads",
     "write_vector": "writes vector files in the format the CLI reads",
 }
 
