@@ -23,11 +23,11 @@ _RANK_FACTOR = 100
 # _ANGLES[k + 360] = _ANGLES[k] + pi and a sweep solves the first half-turn only.
 _ANGLES = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
 _ANGLES.flags.writeable = False
-# Complex entries per stacked chunk of rotated matrices in a W(T) sweep (8 MiB):
-# 32 angles at n = 128, a whole half-turn at n = 32.  The chunk is overwritten
-# by its Householder reflectors; besides it a chunk holds only two eigenvectors
-# per angle, never a (k, n, n) eigenvector array.
-_SWEEP_CHUNK = 2**19
+# Complex entries per buffer of rotated matrices in a W(T) sweep (1 MiB): 64
+# angles at n = 32, 4 at n = 128, one from n = 256 on.  A sweep reuses two such
+# buffers for all its angles and keeps only two eigenvectors per angle: each
+# angle's reflectors are applied to them before the next angle is reduced.
+_SWEEP_CHUNK = 2**16
 # Complex entries per chunk of the point-by-angle projection in excess (1 MiB),
 # so its memory is O(len(_ANGLES)) whatever the number of points.
 _EXCESS_CHUNK = 2**16
@@ -158,9 +158,12 @@ class Operator:
         also gives h(theta_k + pi) and its point from the bottom eigenpair, so
         only the first half-turn is solved, and only the bottom and top
         eigenpairs of each rotated matrix (_end_eigenpairs).  The rotated
-        matrices are built from the Cartesian parts and solved in
-        stacked chunks of at most _SWEEP_CHUNK complex entries, so memory is
-        O(n^2) and not O(len(_ANGLES) * n^2).
+        matrices are built from the Cartesian parts into two buffers of at
+        most _SWEEP_CHUNK complex entries, reused across the half-turn; only
+        the two end eigenvectors of each angle are kept, and the points are
+        their Rayleigh quotients, taken once at the end.  So memory is O(n^2)
+        plus 720 vectors, not O(len(_ANGLES) * n^2): a tracemalloc peak of
+        2.8 / 3.4 / 4.8 MiB at n = 32 / 64 / 128.
 
         A singular EP operator is B's sweep (RangeBlock): T = Q B Q* + E with
         ||E|| = delta, so W(T) lies within delta of W(Q B Q*) = conv(W(B) u {0}),
@@ -182,20 +185,18 @@ class Operator:
             return np.where(kernel, 0.0, h) + rb.residual, points
         re, im = self.parts.re_part, self.parts.im_part
         n, half = self.dim, m // 2
-        support = np.empty(m)
-        points = np.empty(m, complex)
-        step = max(1, _SWEEP_CHUNK // (n * n))
+        step = min(half, max(1, _SWEEP_CHUNK // (n * n)))
+        H, scratch = np.empty((2, step, n, n), complex)
+        vals = np.empty((half, 2))
+        vecs = np.empty((half, 2, n), complex)
         for lo in range(0, half, step):
-            hi = min(lo + step, half)
-            theta = _ANGLES[lo:hi]
-            H = np.cos(theta)[:, None, None] * re
-            H += np.sin(theta)[:, None, None] * im
-            vals, vecs = _end_eigenpairs(H, theta)
-            support[lo:hi] = vals[:, 1]
-            points[lo:hi] = _rayleigh(A, vecs[:, 1])
-            support[lo + half:hi + half] = -vals[:, 0]
-            points[lo + half:hi + half] = _rayleigh(A, vecs[:, 0])
-        return support, points
+            k = min(step, half - lo)
+            theta = _ANGLES[lo:lo + k]
+            np.multiply(np.cos(theta)[:, None, None], re, out=H[:k])
+            H[:k] += np.multiply(np.sin(theta)[:, None, None], im, out=scratch[:k])
+            vals[lo:lo + k], vecs[lo:lo + k] = _end_eigenpairs(H[:k], theta)
+        support = np.concatenate([vals[:, 1], -vals[:, 0]])
+        return support, np.concatenate([_rayleigh(A, vecs[:, 1]), _rayleigh(A, vecs[:, 0])])
 
     def excess(self, points):
         """Signed distance of each point to the sampled support planes of W(T).
@@ -358,48 +359,57 @@ def _vertex_modulus(theta, h):
 
 
 def _end_eigenpairs(H, theta):
-    """Bottom and top eigenpairs of each Hermitian H[j] of a chunk; H is overwritten.
+    """Bottom and top eigenpairs of each Hermitian H[j] of a stack; H is overwritten.
 
     Returns the two eigenvalues of each matrix in ascending order, shape
     (k, 2), and their unit eigenvectors as rows, shape (k, 2, n).  Each H[j]
     is reduced to a real tridiagonal by one Householder tridiagonalization
-    (zhetrd), whose end eigenpairs come from two index-range dstemr calls;
-    then the two vectors of every matrix are carried back through the
-    reflectors of the whole chunk at once, one numpy step per reflector.
-    zhetrd runs in place on H[j].T, the Fortran-ordered view of
-    conj(H[j]), so the vectors are conjugated on return.  A nonzero LAPACK
-    info raises AccuracyError naming the routine and the angle theta[j].
+    (zhetrd), whose end eigenpairs z come from two index-range dstemr calls;
+    one zunmqr call then carries both z back before the next matrix is
+    reduced, so no reflectors outlive their angle.  zhetrd runs in place on
+    H[j].T, the Fortran-ordered view of conj(H[j]), so the vectors are
+    conjugated on return.  A nonzero LAPACK info raises AccuracyError naming
+    the routine and the angle theta[j].
+
+    Upper storage gives Q = G_{n-2} ... G_0, G_i = I - tau_i v v^H with
+    v = (c[:i, i+1], 1, 0, ...), its 1 at index i; Q fixes the last axis.
+    With P the index reversal, P Q P = (P G_{n-2} P) ... (P G_0 P) is the QR
+    form that zunmqr applies, on rows 1..n-1 of P z: reflector l is column l
+    of c[-2::-1, :0:-1], below its diagonal, with tau[::-1][l].
     """
     from scipy.linalg import lapack  # deferred: a first import takes ~0.3 s and ~28 MiB
 
     k, n = H.shape[:2]
     vals = np.empty((k, 2))
-    vecs = np.empty((k, 2, n))
-    taus = np.empty((k, n - 1), complex)
-    # dstemr takes the off-diagonal padded to length n and overwrites it:
-    # each call gets its own row.
-    offdiag = np.zeros((k, 2, n))
+    # Each angle's two eigenvectors, in reversed index order until the return.
+    vecs = np.empty((k, 2, n), complex)
+    # dstemr takes the off-diagonal padded to length n (the pad is workspace,
+    # unread on input) and overwrites it: each call gets its own row.
+    offdiag = np.zeros((2, n))
+    # Rows 1..n-1 of the two reversed vectors, which zunmqr overwrites.
+    tail = np.empty((n - 1, 2), complex, order="F")
     for j in range(k):
-        _, d, e, taus[j], info = lapack.zhetrd(H[j].T, overwrite_a=1)
+        c, d, e, tau, info = lapack.zhetrd(H[j].T, overwrite_a=1)
         if info:
             raise _lapack_error("zhetrd", info, theta[j])
-        offdiag[j, :, :-1] = e
+        offdiag[:, :-1] = e
         for col, index in enumerate((1, n)):
             # range 2: eigenpairs il..iu = index..index, counted from the bottom.
-            _, w, z, info = lapack.dstemr(d, offdiag[j, col], 2, 0.0, 1.0, index, index)
+            _, w, z, info = lapack.dstemr(d, offdiag[col], 2, 0.0, 1.0, index, index)
             if info:
                 raise _lapack_error("dstemr", info, theta[j])
             vals[j, col] = w[0]
-            vecs[j, col] = z[:, 0]
-    vecs = vecs.astype(complex)
-    # Upper storage: Q = P_{n-2} ... P_0 with P_i = I - tau_i v v^H, where
-    # v = (H[i+1, :i], 1, 0, ...); H[i+1, i] holds the superdiagonal, already in e.
-    for i in range(n - 1):
-        H[:, i + 1, i] = 1.0
-        v = H[:, i + 1, :i + 1]
-        head = vecs[:, :, :i + 1]
-        head -= taus[:, i, None, None] * (head @ v.conj()[:, :, None]) * v[:, None, :]
-    return vals, vecs.conj()
+            vecs[j, col, 0] = z[-1, 0]
+            tail[:, col] = z[-2::-1, 0]
+        if n > 1:
+            # lwork = 2, the minimum for two columns, takes the unblocked path:
+            # a blocked one builds a triangular factor per block of reflectors,
+            # which two vectors do not amortize (5x slower at n = 128).
+            info = lapack.zunmqr("L", "N", c[-2::-1, :0:-1], tau[::-1], tail, 2, overwrite_c=1)[2]
+            if info:
+                raise _lapack_error("zunmqr", info, theta[j])
+            vecs[j, :, 1:] = tail.T
+    return vals, vecs[:, :, ::-1].conj()
 
 
 def _lapack_error(routine, info, theta):
