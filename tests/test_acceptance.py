@@ -130,8 +130,10 @@ def test_criterion_4_second_power():
         P = res.pinv
         gap = operator_norm(res_sq.pinv - P @ P)
         assert gap <= 1e-10 * max(1.0, operator_norm(P) ** 2), f"square pinv trial {k}"
-        stats = second_power_inequalities(T, seed=k)
-        assert stats["violations"] == 0, f"vector trial {k}: {stats}"
+        stats = second_power_inequalities(T)
+        # Certified for every x: the bracket's upper end is below 0.
+        assert stats["vector_violation"][1] < 0, f"vector trial {k}: {stats}"
+        assert stats["gamma_bound_slack"] >= -1e-12, f"gamma trial {k}: {stats}"
 
 
 def test_criterion_5_fractional_powers():

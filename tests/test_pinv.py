@@ -14,13 +14,14 @@ from accretive.pinv import (
     second_power_inequalities,
 )
 from accretive.sampling import (
+    accretive_operator,
+    complex_gaussian,
     random_operator,
     random_unitary,
     rng_for,
     singular_accretive_operator,
     square_accretive_operator,
 )
-from accretive.tolerances import overridden
 
 SEED = 91041
 N_TRIALS = 40
@@ -116,16 +117,24 @@ def test_accretive_implies_ep_and_shared_kernels():
 
 
 def test_second_power_frozen_cases():
-    rep = second_power_inequalities(np.diag([1.0, 0.5]), seed=3)
-    assert rep["gamma"] == pytest.approx(0.5)
-    assert rep["gamma_sq"] == pytest.approx(0.25)
+    # On unit x, ||Tx||^2 - 2 ||T^2 x|| for diag(1, 1/2) is convex in |x_1|^2
+    # and largest at e_2: 1/4 - 2/4.  For I it is 1 - 2 everywhere.
+    T = np.diag([1.0, 0.5])
+    assert (pseudoinverse(T).gamma, pseudoinverse(T @ T).gamma) == (0.5, 0.25)
+    rep = second_power_inequalities(T)
+    lo, hi = rep["vector_violation"]
+    assert lo == pytest.approx(-0.25, rel=1e-14)
+    assert lo <= hi < 0 and hi == pytest.approx(-0.25, rel=1e-6)
     assert rep["gamma_bound_slack"] == pytest.approx(0.125)
-    assert rep["violations"] == 0
 
-    rep_eye = second_power_inequalities(np.eye(4), seed=5)
-    # At nu = 1 the split bound reads 1 <= 1 + 1: slack exactly 1.
-    assert rep_eye["worst_split_slack"]["1.0"] == pytest.approx(1.0)
-    assert rep_eye["violations"] == 0
+    rep_eye = second_power_inequalities(np.eye(4))
+    assert rep_eye["vector_violation"] == pytest.approx((-1.0, -1.0), rel=1e-12)
+    assert rep_eye["gamma_bound_slack"] == pytest.approx(0.5)
+
+    # T = 0: kernel(T^2) is everything, its complement is empty, and so is
+    # the set the bracket is taken over; the claim's clamp at 0 is exact.
+    rep_zero = second_power_inequalities(np.zeros((3, 3)))
+    assert rep_zero == {"vector_violation": (-math.inf, -math.inf), "gamma_bound_slack": math.inf}
 
 
 def test_second_power_random_suite():
@@ -133,8 +142,8 @@ def test_second_power_random_suite():
     for k in range(N_TRIALS):
         dim = int(rng.integers(2, 13))
         T = square_accretive_operator(rng, dim)
-        rep = second_power_inequalities(T, seed=1000 + k)
-        assert rep["violations"] == 0, f"trial {k}: {rep}"
+        rep = second_power_inequalities(T)
+        assert rep["vector_violation"][1] < 0, f"trial {k}: {rep}"
         assert rep["gamma_bound_slack"] >= -1e-12
 
 
@@ -145,8 +154,63 @@ def test_second_power_gamma_bound_for_plain_accretive():
         dim = int(rng.integers(2, 10))
         rank = int(rng.integers(1, dim + 1))
         T = singular_accretive_operator(rng, dim, rank)
-        rep = second_power_inequalities(T, seed=7)
+        rep = second_power_inequalities(T)
         assert rep["gamma_bound_slack"] >= -1e-12
+
+
+def test_second_power_certifies_a_gaussian_violation():
+    # A complex Gaussian T is not accretive, and Kato's bound fails on most
+    # draws: the lower end, attained by some unit x, is above 0.
+    rng = rng_for(SEED, "second-power-gaussian")
+    decided = [second_power_inequalities(random_operator(rng, dim))["vector_violation"]
+               for dim in (3, 4, 6, 8, 10)]
+    assert decided[0][0] > 0, decided[0]
+    # No draw is left undecided.
+    assert all(lo > 0 or hi < 0 for lo, hi in decided), decided
+
+
+def test_second_power_certifies_an_accretive_operator():
+    T = accretive_operator(rng_for(SEED, "second-power-accretive"), 8)
+    lo, hi = second_power_inequalities(T)["vector_violation"]
+    assert lo <= hi < 0
+
+
+def _excess(T, X):
+    """(||Tx||^2 - 2 ||T^2 x||) / max(1, ||T||^2) for each unit row x of X."""
+    scale = max(1.0, np.linalg.norm(T, 2) ** 2)
+    tx = np.linalg.norm(X @ T.T, axis=1) ** 2
+    return (tx - 2 * np.linalg.norm(X @ (T @ T).T, axis=1)) / scale
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "accretive", "singular-accretive"])
+def test_second_power_bracket_holds_the_sampled_vectors(kind):
+    # The sampler the certificate replaced, kept as an oracle at 10^4 random
+    # unit vectors, projected on the complement of kernel(T^2) as it did:
+    # none exceeds the upper end.  The lower end is attained: it is the
+    # largest excess at the top eigenvector of cos(t) B + sin(t) A over the
+    # grid, B = (T^2)* T^2 and A = T* T, found here by a stacked eigh.
+    rng = rng_for(SEED, f"second-power-oracle-{kind}")
+    for dim in (2, 5, 9):
+        if kind == "gaussian":
+            T = random_operator(rng, dim)
+        elif kind == "accretive":
+            T = accretive_operator(rng, dim)
+        else:
+            T = singular_accretive_operator(rng, dim, dim - 1)
+        lo, hi = second_power_inequalities(T)["vector_violation"]
+        sq = T @ T
+        _, s, Vh = np.linalg.svd(sq)
+        Q = Vh[s > 1e-10 * s[0]].conj().T
+        X = complex_gaussian(rng, (10**4, dim))
+        X = X @ (Q @ Q.conj().T).T
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        assert np.max(_excess(T, X)) <= hi, (kind, dim)
+        TQ, SQ = T @ Q, sq @ Q
+        A, B = TQ.conj().T @ TQ, SQ.conj().T @ SQ
+        theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)[:, None, None]
+        tops = np.linalg.eigh(np.cos(theta) * B + np.sin(theta) * A)[1][:, :, -1]
+        attained = np.max(_excess(T, tops @ Q.T))
+        assert lo == pytest.approx(attained, rel=1e-12, abs=1e-15), (kind, dim)
 
 
 def test_planted_rank_is_one_decision():
@@ -183,27 +247,21 @@ NILPOTENT = np.array([[0.0, 10.0], [0.0, 0.0]])
 
 
 def test_second_power_vector_bounds_are_judged_by_one_figure():
-    # T^2 = 0, so the split bound at nu = 1/2 fails by about ||T||^2 - 1/2;
-    # over max(1, ||T||^2) = 100 that is just under one.
-    rep = second_power_inequalities(NILPOTENT, seed=1)
-    slacks = [*rep["worst_split_slack"].values(), rep["worst_product_slack"]]
-    worst = rep["worst_vector_violation"]
-    assert worst == max(0.0, -min(slacks)) / 100.0
-    assert 0.5 < worst < 1.0
-    for factor, violated in ((0.99, True), (1.01, False)):
-        with overridden({"vector-inequality": factor * worst}):
-            rep = second_power_inequalities(NILPOTENT, seed=1)
-        assert (rep["violations"] > 0) == violated, factor
+    # T^2 = 0, so every unit x lies in kernel(T^2) and the excess is
+    # ||Tx||^2, largest at ||T||^2: over max(1, ||T||^2) that is exactly one.
+    # A sampler only approaches it from below.
+    assert second_power_inequalities(NILPOTENT)["vector_violation"] == (1.0, 1.0)
+    # Below norm 1 the scale is 1: the figure is ||T||^2 itself.
+    assert second_power_inequalities(NILPOTENT / 20)["vector_violation"] == (0.25, 0.25)
 
 
 def test_second_power_suite_reads_the_library_figure(monkeypatch):
-    # The suite's claim is the library's scaled figure, so an input the
-    # library passes cannot fail the suite through an unscaled slack.
-    def on_nilpotent(T, seed):
-        return second_power_inequalities(NILPOTENT, seed=seed)
+    # The suite's claim is the library's scaled upper end, so an input the
+    # library passes cannot fail the suite through an unscaled excess.
+    def on_nilpotent(T):
+        return second_power_inequalities(NILPOTENT)
 
     monkeypatch.setattr(selftest, "second_power_inequalities", on_nilpotent)
     claims = {row[0]: row[1] for row in selftest._suite_second_power(rng_for(SEED, "suite"))}
-    expected = max(on_nilpotent(None, k)["worst_vector_violation"] for k in range(10))
-    # Unscaled, the worst slack is about -99.5.
-    assert claims["second-power-vectors"] == expected < 1.0
+    # Unscaled, the excess is 100.
+    assert claims["second-power-vectors"] == on_nilpotent(None)["vector_violation"][1] == 1.0

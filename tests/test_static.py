@@ -1,7 +1,8 @@
 """Static guards over the source: every tolerance key is read, every import is used,
 every rank decision reads the one rank rule and every accretivity decision the
-one accretivity threshold, every public library name and dataclass field has a
-reader, and every option is used at its default and set."""
+one accretivity threshold, only the samplers draw random numbers, every public
+library name and dataclass field has a reader, and every option is used at its
+default and set."""
 
 import ast
 import pathlib
@@ -97,6 +98,27 @@ def test_accretivity_rule_has_one_home():
         if path.name == "linops.py":
             found = [line for line in found if line not in reads(rule)]
         assert not found, f"{path.name}:{found}: tolerance('accretivity') outside accretivity_tol"
+
+
+def test_only_the_samplers_draw_random_numbers():
+    # A global claim found by sampling, such as the 48-vector second-power
+    # sampler that a certified bracket replaced, is not a certificate: no
+    # module but sampling reads numpy's random module.
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "sampling.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            reads = (isinstance(node, ast.Attribute) and node.attr == "random"
+                     and getattr(node.value, "id", None) in ("np", "numpy"))
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            imports = any(name == "random" or name.startswith(("random.", "numpy.random"))
+                          for name in names)
+            assert not (reads or imports), f"{path.name}:{node.lineno}: random numbers"
 
 
 # Public names that no library module or demo reads, each kept for a reason.
