@@ -57,11 +57,11 @@ class Operator:
     The Operator owns its W(T) sweep (_sweep): support and points read the
     one rotation-method sweep over the 720-angle grid _ANGLES, excess
     measures points against its support planes.  Its support lines bound
-    one outer polygon of W(T) (_vertices): radius_bracket refines it into a
-    bracket of the numerical radius w(T), and convex_bracket reads it as it
-    stands to bracket the maximum of a quasiconvex functional over W(T).  A
-    singular EP operator reads the sweep and the bracket from its range
-    block, at order rank(T).
+    one outer polygon of W(T) (_vertex_heights): radius_bracket refines it
+    into a bracket of the numerical radius w(T), and convex_bound reads it
+    as it stands to bound the maximum of a quasiconvex functional over
+    W(T).  A singular EP operator reads the sweep and the bracket from its
+    range block, at order rank(T).
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -223,9 +223,9 @@ class Operator:
         """(w_lo, w_hi) with w_lo <= w(T) <= w_hi up to rounding, computed on first read.
 
         w(T) = max over theta of h(theta).  The support lines of adjacent
-        angles alpha < beta meet at a vertex e^{i alpha} u of an outer polygon
-        of W(T) (_vertices), and h <= |u| on [alpha, beta], so
-        w_hi = max |u|.  w_lo = max(h, |boundary point|) is attained in W(T).
+        angles alpha < beta meet at a vertex v of an outer polygon of W(T)
+        (_vertex_heights), and h <= |v| on [alpha, beta], so
+        w_hi = max |v|.  w_lo = max(h, |boundary point|) is attained in W(T).
         The arc with the largest vertex is bisected, one single-matrix
         eigvalsh per new angle, until the relative width (w_hi - w_lo) / w_hi
         is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
@@ -242,12 +242,12 @@ class Operator:
             lo, hi = rb.block.radius_bracket
             return lo, hi + rb.residual
         re, im = self.parts.re_part, self.parts.im_part
+        grid = self._sweep[0]
         theta = np.append(_ANGLES, 2 * np.pi)
-        h = np.append(self.support, self.support[0])
-        lo = max(float(np.max(self.support)), float(np.max(np.abs(self.points))))
+        h = np.append(grid, grid[0])
+        lo = max(float(np.max(grid)), float(np.max(np.abs(self.points))))
         for spent in range(_RADIUS_ANGLES + 1):
-            u = _vertices(theta, h)
-            vertex = np.hypot(u.real, u.imag)
+            vertex = np.hypot(h[:-1], _vertex_heights(theta, h))
             k = int(np.argmax(vertex))
             hi = max(float(vertex[k]), lo)
             if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
@@ -258,24 +258,25 @@ class Operator:
             theta = np.insert(theta, k + 1, t)
             h = np.insert(h, k + 1, h_t)
 
-    def convex_bracket(self, f):
-        """(lo, hi) with lo <= sup f(W(T)) <= hi up to rounding, for a quasiconvex f.
+    def convex_bound(self, f):
+        """An upper bound, up to rounding, of sup f(W(T)) for a quasiconvex f.
 
         f maps an array of complex numbers to reals, +inf allowed, and has
-        convex sublevel sets, as a convex f has.  lo is the largest f at the
-        points, which lie in W(T).  hi is the largest f at the vertices of the
-        outer polygon of the grid's support lines (_vertices): the polygon
-        contains W(T), and such an f takes its maximum over a polygon at a
-        vertex.  Both ends read the one sweep on the grid _ANGLES, as it
-        stands: unlike radius_bracket, no angle is added.  On a singular EP
-        operator the support values are the range block's bounds
-        max(h_B, 0) + delta and the points are B's or 0, so both ends hold
-        there too.  A 0x0 operator has empty W(T): (-inf, -inf).
+        convex sublevel sets, as a convex f has.  The bound is the largest f
+        at the vertices of the outer polygon of the grid's support lines
+        (_vertex_heights): the polygon contains W(T), and such an f takes its
+        maximum over a polygon at a vertex.  It reads the one sweep on the
+        grid _ANGLES as it stands: unlike radius_bracket, no angle is added.
+        The points, which lie in W(T), give the caller a lower end.  On a
+        singular EP operator the support values are the range block's bounds
+        max(h_B, 0) + delta, so the bound holds there too.  A 0x0 operator
+        has empty W(T): -inf.
         """
         if self.dim == 0:
-            return -math.inf, -math.inf
-        u = _vertices(np.append(_ANGLES, 2 * np.pi), np.append(self.support, self.support[0]))
-        return float(np.max(f(self.points))), float(np.max(f(np.exp(1j * _ANGLES) * u)))
+            return -math.inf
+        h = np.append(self.support, self.support[0])
+        u = h[:-1] + 1j * _vertex_heights(np.append(_ANGLES, 2 * np.pi), h)
+        return float(np.max(f(np.exp(1j * _ANGLES) * u)))
 
 
 def as_operator(T):
@@ -372,18 +373,19 @@ def cartesian_parts(T):
     return CartesianParts(re_part=parts.re_part.copy(), im_part=parts.im_part.copy())
 
 
-def _vertices(theta, h):
-    """The outer polygon's vertices, each in the frame of its first angle.
+def _vertex_heights(theta, h):
+    """Where each vertex of the outer polygon lies along its first support line.
 
     The support lines Re(e^{-i alpha} z) = h(alpha) and Re(e^{-i beta} z) =
-    h(beta) of adjacent angles alpha < beta meet at the vertex e^{i alpha} u,
-    u = h(alpha) + i (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha),
-    and u is returned for each pair.  The polygon contains W(T), and h <= |u|
-    on [alpha, beta].  |vertex| = hypot(u.real, u.imag) then takes no rounding
-    from the rotation, which np.abs(e^{i alpha} u) would.
+    h(beta) of adjacent angles alpha < beta meet at the vertex
+    v = e^{i alpha} (h(alpha) + i height), height being its offset along
+    the first line from the foot e^{i alpha} h(alpha):
+    height = (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha).
+    The polygon contains W(T), and h <= |v| = hypot(h(alpha), height) on
+    [alpha, beta].
     """
     step = np.diff(theta)
-    return h[:-1] + 1j * ((h[1:] - h[:-1] * np.cos(step)) / np.sin(step))
+    return (h[1:] - h[:-1] * np.cos(step)) / np.sin(step)
 
 
 def _end_eigenpairs(H, theta):
@@ -619,6 +621,11 @@ def sector_angle_estimate(T):
     noise.  Underestimates only, so it is safe in one-sided bounds.
     """
     op = as_operator(T)
+    nrm = op.norm
+    if nrm == 0.0:
+        return 0.0
     pts = op.points
-    keep = np.abs(pts) > 1e-9 * op.norm
-    return float(np.max(np.abs(np.angle(pts[keep])))) if np.any(keep) else 0.0
+    keep = np.abs(pts) > 1e-9 * nrm
+    if not np.any(keep):
+        return 0.0
+    return float(np.max(np.abs(np.angle(pts[keep]))))

@@ -218,11 +218,6 @@ def neumann_identity_check(T, S, k):
     return float(operator_norm(exact - partial))
 
 
-def _kato_excess(z):
-    """a - 2 sqrt(b) at each z = b + ia, and +inf where b < 0: convex on the plane."""
-    return np.where(z.real >= 0, z.imag - 2 * np.sqrt(np.abs(z.real)), np.inf)
-
-
 def second_power_inequalities(T):
     """Kato's second-power bounds, decided over every vector, not sampled.
 
@@ -231,22 +226,28 @@ def second_power_inequalities(T):
     gamma(T^2) >= gamma(T)^2 / 2 follows.  Returns two keys:
     vector_violation, a bracket (lo, hi) of sup (||Tx||^2 - 2 ||T^2 x||) over
     unit x, relative to max(1, ||T||^2): hi <= 0 certifies the vector bound
-    for every x and lo > 0 a violation, since lo is attained; and
-    gamma_bound_slack = gamma(T^2) - gamma(T)^2 / 2, exact, negative when
+    for every x and lo > 0 a violation, since lo is attained up to rounding;
+    and gamma_bound_slack = gamma(T^2) - gamma(T)^2 / 2, exact, negative when
     violated (inf for T = 0).
 
-    If rank(T^2) < rank(T) (the rule of pseudoinverse), kernel(T^2) holds
-    unit x with Tx != 0, where the excess is ||Tx||^2 > 0: the bracket is
-    (||T Q_N||^2, ||T||^2) for an orthonormal basis Q_N of kernel(T^2).
-    Otherwise kernel(T^2) = kernel(T).  With Q an orthonormal basis of its
+    If rank(T^2) < rank(T) (the rule of pseudoinverse), T moves some unit x
+    of kernel(T^2), and the excess is taken at the one it stretches most.
+    Above 0, it is a violation with bracket (that excess, ||T||^2).  At or
+    below 0, every unit x of kernel(T^2) has excess at most
+    2 rank_cutoff(n, ||T^2||), which the rank rule reads as 0, and
+    kernel(T^2) is read as kernel(T).  With Q an orthonormal basis of its
     complement, A = (TQ)*(TQ) and B = (T^2 Q)*(T^2 Q), the numerical range
     W(B + iA) = {||T^2 x||^2 + i ||Tx||^2 : x = Qy, ||y|| = 1} is convex
     (Toeplitz-Hausdorff) and f(b + ia) = a - 2 sqrt(b), +inf for b < 0, is
-    convex, so Operator.convex_bracket of f on B + iA brackets the sup over
-    unit x in that complement.  Adding z in kernel(T) to such x changes
-    neither Tx nor T^2 x and only lengthens x, so vectors in kernel(T^2)
-    add 0: over all unit x the sup is max(0, .) of the bracket when T^2 is
-    singular.
+    convex, so Operator.convex_bound of f on B + iA bounds the sup over unit
+    x in that complement, and f at W's points, which lie in it, is attained.
+    Near b = 0 the square root turns a rounding of b into a far larger one
+    of f, so each b is read within e = rank_cutoff(m, ||B + iA||), the size
+    of B + iA that the rank rule reads as 0: the upper end takes f at b - e,
+    +inf (undecided) where the polygon reaches b < e, and the lower end at
+    max(b, 0) + e.  Adding z in kernel(T) to such x changes neither Tx nor
+    T^2 x and only lengthens x, so vectors in kernel(T^2) add 0: over all
+    unit x the sup is max(0, .) of the bracket when T^2 is singular.
     """
     op = as_operator(T)
     A = op.matrix
@@ -254,14 +255,24 @@ def second_power_inequalities(T):
     sq = as_operator(A @ A)
     res_sq = pseudoinverse(sq)
     V = sq.svd[2].conj().T
+    lo = -math.inf
     if res_sq.rank < res.rank:
-        lo, hi = operator_norm(A @ V[:, res_sq.rank:]) ** 2, op.norm ** 2
+        # The unit x of kernel(T^2) that T stretches most.
+        x = V[:, res_sq.rank:] @ np.linalg.svd(A @ V[:, res_sq.rank:])[2][0].conj()
+        lo = float(np.linalg.norm(A @ x) ** 2 - 2 * np.linalg.norm(sq.matrix @ x))
+    if lo > 0:
+        hi = op.norm ** 2
     else:
         TQ, SQ = A @ V[:, :res_sq.rank], sq.matrix @ V[:, :res_sq.rank]
         # This call's own matrix: an unshared Operator evicts no caller's
         # operator from as_operator's cache.
         W = Operator(SQ.conj().T @ SQ + 1j * (TQ.conj().T @ TQ))
-        lo, hi = W.convex_bracket(_kato_excess)
+        e = rank_cutoff(W.dim, W.norm)
+        b, a = W.points.real, W.points.imag
+        lo = float(np.max(a - 2 * np.sqrt(np.maximum(b, 0) + e), initial=-math.inf))
+        hi = W.convex_bound(
+            lambda z: np.where(z.real >= e, z.imag - 2 * np.sqrt(np.abs(z.real - e)), np.inf)
+        )
     scale = max(1.0, op.norm ** 2)
     gamma_bound_slack = (
         res_sq.gamma - res.gamma ** 2 / 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from accretive import selftest
-from accretive.linops import as_operator
+from accretive.linops import as_operator, rank_cutoff
 from accretive.pencil import QuadraticPencil, factorize
 from accretive.pinv import (
     penrose_residuals,
@@ -186,9 +186,11 @@ def _excess(T, X):
 def test_second_power_bracket_holds_the_sampled_vectors(kind):
     # The sampler the certificate replaced, kept as an oracle at 10^4 random
     # unit vectors, projected on the complement of kernel(T^2) as it did:
-    # none exceeds the upper end.  The lower end is attained: it is the
-    # largest excess at the top eigenvector of cos(t) B + sin(t) A over the
-    # grid, B = (T^2)* T^2 and A = T* T, found here by a stacked eigh.
+    # none exceeds the upper end.  The lower end is attained: it is at most
+    # the largest excess at the top eigenvectors of cos(t) B + sin(t) A over
+    # the grid, B = (T^2)* T^2 and A = T* T, found here by a stacked eigh,
+    # and equals it with each b = ||T^2 x||^2 read as b + e, the rounding
+    # allowance e = rank_cutoff(m, ||B + iA||).
     rng = rng_for(SEED, f"second-power-oracle-{kind}")
     for dim in (2, 5, 9):
         if kind == "gaussian":
@@ -209,8 +211,30 @@ def test_second_power_bracket_holds_the_sampled_vectors(kind):
         A, B = TQ.conj().T @ TQ, SQ.conj().T @ SQ
         theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)[:, None, None]
         tops = np.linalg.eigh(np.cos(theta) * B + np.sin(theta) * A)[1][:, :, -1]
-        attained = np.max(_excess(T, tops @ Q.T))
-        assert lo == pytest.approx(attained, rel=1e-12, abs=1e-15), (kind, dim)
+        X = tops @ Q.T
+        assert lo <= np.max(_excess(T, X)) + 1e-15, (kind, dim)
+        e = rank_cutoff(len(B), np.linalg.norm(B + 1j * A, 2))
+        b = np.linalg.norm(X @ sq.T, axis=1) ** 2
+        tx = np.linalg.norm(X @ T.T, axis=1) ** 2
+        allowed = np.max(tx - 2 * np.sqrt(b + e)) / max(1.0, np.linalg.norm(T, 2) ** 2)
+        assert lo == pytest.approx(allowed, rel=1e-12, abs=1e-15), (kind, dim)
+
+
+def test_second_power_ill_conditioned_accretive_is_never_a_violation():
+    # T^2 = diag(1, 1e-20): the rank rule drops 1e-20, so kernel(T^2) looks
+    # larger than kernel(T) = 0, but T moves e_2 by 1e-10 only, and the
+    # excess there is 1e-20 - 2e-20 < 0.  It is read as kernel(T), and the
+    # rest of the space gives 1 - 2.
+    lo, hi = second_power_inequalities(np.diag([1.0, 1e-10]))["vector_violation"]
+    assert lo <= hi <= 0 and hi == pytest.approx(-1.0)
+    # Positive definite with ||T^2 x||^2 down to 1e-20 or below: b sits under
+    # the rounding of B + iA, where the square root cannot be read; the
+    # bound is then left undecided (hi = +inf), never called violated.
+    rng = rng_for(SEED, "second-power-ill-conditioned")
+    for d in ([1.0, 1e-5], np.logspace(0, -9, 4), np.logspace(0, -9, 8)):
+        U = random_unitary(rng, len(d))
+        lo, hi = second_power_inequalities((U * d) @ U.conj().T)["vector_violation"]
+        assert lo <= 0 and (hi <= 0 or hi == math.inf), (d, lo, hi)
 
 
 def test_planted_rank_is_one_decision():
