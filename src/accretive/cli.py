@@ -60,7 +60,7 @@ exit codes:
 
 def _emit(command, body, claims, out_dir):
     report = {
-        "format": 1,
+        "format": selftest.FORMAT_VERSION,
         "kind": "report",
         "command": command,
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

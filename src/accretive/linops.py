@@ -23,11 +23,6 @@ _RANK_FACTOR = 100
 # _ANGLES[k + 360] = _ANGLES[k] + pi and a sweep solves the first half-turn only.
 _ANGLES = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
 _ANGLES.flags.writeable = False
-# Complex entries per buffer of rotated matrices in a W(T) sweep (1 MiB): 64
-# angles at n = 32, 4 at n = 128, one from n = 256 on.  A sweep reuses two such
-# buffers for all its angles and keeps only two eigenvectors per angle: each
-# angle's reflectors are applied to them before the next angle is reduced.
-_SWEEP_CHUNK = 2**16
 # Complex entries per chunk of the point-by-angle projection in excess (1 MiB),
 # so its memory is O(len(_ANGLES)) whatever the number of points.
 _EXCESS_CHUNK = 2**16
@@ -160,13 +155,13 @@ class Operator:
         Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at theta_k
         also gives h(theta_k + pi) and its point from the bottom eigenpair, so
         only the first half-turn is solved, and only the bottom and top
-        eigenpairs of each rotated matrix (_end_eigenpairs).  The rotated
-        matrices are built from the Cartesian parts into two buffers of at
-        most _SWEEP_CHUNK complex entries, reused across the half-turn; only
-        the two end eigenvectors of each angle are kept, and the points are
-        their Rayleigh quotients, taken once at the end.  So memory is O(n^2)
-        plus 720 vectors, not O(len(_ANGLES) * n^2): a tracemalloc peak of
-        2.8 / 3.4 / 4.8 MiB at n = 32 / 64 / 128.
+        eigenpairs of each rotated matrix (_end_eigenpairs), which builds each
+        angle's matrix from the Cartesian parts into one reused n x n buffer
+        just before reducing it.  Only the two end eigenvectors of each angle
+        are kept, and the points are their Rayleigh quotients, taken once at
+        the end.  So memory is O(n^2) plus 720 vectors, not
+        O(len(_ANGLES) * n^2): a tracemalloc peak of 0.9 / 1.6 / 3.3 MiB at
+        n = 32 / 64 / 128.
 
         A singular EP operator is B's sweep (RangeBlock): T = Q B Q* + E with
         ||E|| = delta, so W(T) lies within delta of W(Q B Q*) = conv(W(B) u {0}),
@@ -186,18 +181,7 @@ class Operator:
             if rb.block.dim:
                 points[~kernel] = pts[~kernel]
             return np.where(kernel, 0.0, h) + rb.residual, points
-        re, im = self.parts.re_part, self.parts.im_part
-        n, half = self.dim, m // 2
-        step = min(half, max(1, _SWEEP_CHUNK // (n * n)))
-        H, scratch = np.empty((2, step, n, n), complex)
-        vals = np.empty((half, 2))
-        vecs = np.empty((half, 2, n), complex)
-        for lo in range(0, half, step):
-            k = min(step, half - lo)
-            theta = _ANGLES[lo:lo + k]
-            np.multiply(np.cos(theta)[:, None, None], re, out=H[:k])
-            H[:k] += np.multiply(np.sin(theta)[:, None, None], im, out=scratch[:k])
-            vals[lo:lo + k], vecs[lo:lo + k] = _end_eigenpairs(H[:k], theta)
+        vals, vecs = _end_eigenpairs(self.parts.re_part, self.parts.im_part, _ANGLES[:m // 2])
         support = np.concatenate([vals[:, 1], -vals[:, 0]])
         return support, np.concatenate([_rayleigh(A, vecs[:, 1]), _rayleigh(A, vecs[:, 0])])
 
@@ -388,18 +372,20 @@ def _vertex_heights(theta, h):
     return (h[1:] - h[:-1] * np.cos(step)) / np.sin(step)
 
 
-def _end_eigenpairs(H, theta):
-    """Bottom and top eigenpairs of each Hermitian H[j] of a stack; H is overwritten.
+def _end_eigenpairs(re, im, theta):
+    """Bottom and top eigenpairs of H(theta_j) = cos(theta_j) re + sin(theta_j) im.
 
-    Returns the two eigenvalues of each matrix in ascending order, shape
-    (k, 2), and their unit eigenvectors as rows, shape (k, 2, n).  Each H[j]
-    is reduced to a real tridiagonal by one Householder tridiagonalization
-    (zhetrd), whose end eigenpairs z come from two index-range dstemr calls;
-    one zunmqr call then carries both z back before the next matrix is
-    reduced, so no reflectors outlive their angle.  zhetrd runs in place on
-    H[j].T, the Fortran-ordered view of conj(H[j]), so the vectors are
-    conjugated on return.  A nonzero LAPACK info raises AccuracyError naming
-    the routine and the angle theta[j].
+    re and im are Hermitian n x n arrays, only read.  Returns the two
+    eigenvalues at each of the k angles in ascending order, shape (k, 2), and
+    their unit eigenvectors as rows, shape (k, 2, n).  Each H(theta_j) is
+    built into one n x n buffer, reused across the angles, and reduced there
+    to a real tridiagonal by one Householder tridiagonalization (zhetrd),
+    whose end eigenpairs z come from two index-range dstemr calls; one zunmqr
+    call then carries both z back before the next matrix is built, so no
+    matrix or reflectors outlive their angle.  zhetrd runs in place on H.T,
+    the Fortran-ordered view of conj(H), so the vectors are conjugated on
+    return.  A nonzero LAPACK info raises AccuracyError naming the routine
+    and the angle theta[j].
 
     Upper storage gives Q = G_{n-2} ... G_0, G_i = I - tau_i v v^H with
     v = (c[:i, i+1], 1, 0, ...), its 1 at index i; Q fixes the last axis.
@@ -409,7 +395,9 @@ def _end_eigenpairs(H, theta):
     """
     from scipy.linalg import lapack  # deferred: a first import takes ~0.3 s and ~28 MiB
 
-    k, n = H.shape[:2]
+    k, n = len(theta), re.shape[0]
+    cos, sin = np.cos(theta), np.sin(theta)
+    H = np.empty((n, n), complex)
     vals = np.empty((k, 2))
     # Each angle's two eigenvectors, in reversed index order until the return.
     vecs = np.empty((k, 2, n), complex)
@@ -419,7 +407,9 @@ def _end_eigenpairs(H, theta):
     # Rows 1..n-1 of the two reversed vectors, which zunmqr overwrites.
     tail = np.empty((n - 1, 2), complex, order="F")
     for j in range(k):
-        c, d, e, tau, info = lapack.zhetrd(H[j].T, overwrite_a=1)
+        np.multiply(cos[j], re, out=H)
+        H += sin[j] * im
+        c, d, e, tau, info = lapack.zhetrd(H.T, overwrite_a=1)
         if info:
             raise _lapack_error("zhetrd", info, theta[j])
         offdiag[:, :-1] = e

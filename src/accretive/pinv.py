@@ -248,11 +248,17 @@ def second_power_inequalities(T):
     max(b, 0) + e.  Adding z in kernel(T) to such x changes neither Tx nor
     T^2 x and only lengthens x, so vectors in kernel(T^2) add 0: over all
     unit x the sup is max(0, .) of the bracket when T^2 is singular.
+
+    Raises ParameterError naming ||T|| when ||T||^2, T^2 or B + iA, or the
+    Cartesian parts of either, overflow (from ||T|| ~ 1e77 on, as B's
+    entries reach ||T||^4), with no RuntimeWarning.  T^2 and B + iA are this
+    call's own matrices: as unshared Operators they evict no caller's
+    operator from as_operator's cache.
     """
     op = as_operator(T)
     A = op.matrix
     res = pseudoinverse(op)
-    sq = as_operator(A @ A)
+    sq = _kato_operator(lambda: A @ A, op.norm)
     res_sq = pseudoinverse(sq)
     V = sq.svd[2].conj().T
     lo = -math.inf
@@ -264,9 +270,7 @@ def second_power_inequalities(T):
         hi = op.norm ** 2
     else:
         TQ, SQ = A @ V[:, :res_sq.rank], sq.matrix @ V[:, :res_sq.rank]
-        # This call's own matrix: an unshared Operator evicts no caller's
-        # operator from as_operator's cache.
-        W = Operator(SQ.conj().T @ SQ + 1j * (TQ.conj().T @ TQ))
+        W = _kato_operator(lambda: SQ.conj().T @ SQ + 1j * (TQ.conj().T @ TQ), op.norm)
         e = rank_cutoff(W.dim, W.norm)
         b, a = W.points.real, W.points.imag
         lo = float(np.max(a - 2 * np.sqrt(np.maximum(b, 0) + e), initial=-math.inf))
@@ -282,3 +286,15 @@ def second_power_inequalities(T):
         "vector_violation": (lo / scale, hi / scale),
         "gamma_bound_slack": float(gamma_bound_slack),
     }
+
+
+def _kato_operator(form, norm):
+    """The matrix form() as an unshared Operator, or ParameterError naming
+    ||T|| = norm when norm^2, the matrix or its Cartesian parts, which its
+    W(T) sweep reads, overflow; form() and the parts run with no RuntimeWarning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = Operator(form())
+        finite = np.isfinite([op.parts.re_part, op.parts.im_part]).all()
+    if not (finite and math.isfinite(norm * norm)):
+        raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")
+    return op

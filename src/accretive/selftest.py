@@ -64,6 +64,8 @@ from .sampling import (
 from .spectral import LaplacianModel, demo
 from .tolerances import overridden, tolerance
 
+# The one format version of every report the CLI writes: the conformance
+# report and each subcommand's (cli._emit).
 FORMAT_VERSION = 1
 
 

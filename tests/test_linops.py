@@ -242,18 +242,14 @@ def _sweep_oracle(T, angles):
     return support, points
 
 
-@pytest.mark.parametrize("chunked", [False, True])
-def test_sweep_matches_per_angle_oracle(chunked, monkeypatch):
-    # Half-turn, chunked sweep against an independent per-angle full-turn
-    # eigh on the one grid, 720 uniform angles; chunked forces ragged chunks
-    # of 7 angles.
+def test_sweep_matches_per_angle_oracle():
+    # Half-turn sweep against an independent per-angle full-turn eigh on the
+    # one grid, 720 uniform angles.
     angles = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
     assert np.array_equal(linops._ANGLES, angles)
     rng = rng_for(SEED, "sweep-oracle")
     inputs = [random_operator(rng, dim) for dim in (0, 1, 2, 5, 13, 32)] + [JORDAN2]
     for T in inputs:
-        if chunked:
-            monkeypatch.setattr(linops, "_SWEEP_CHUNK", 7 * T.shape[0] ** 2)
         tol = 1e-13 * max(1.0, np.linalg.norm(T, 2) if T.size else 0.0)
         op = as_operator(T)
         if T.shape[0] == 0:
@@ -284,18 +280,44 @@ def _end_pair_inputs(n, rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 32, 65, 128])
 def test_end_eigenpairs_match_eigh(n):
     # The sweep's kernel against numpy's full eigh: the same end
-    # eigenvalues, residuals and unit norms at rounding level.  n = 65 and
-    # 128 check the zunmqr back-transform past LAPACK's block size of 32.
+    # eigenvalues, residuals and unit norms at rounding level.  Each matrix
+    # is passed as the real part at theta = 0 with a zero imaginary part, so
+    # the kernel builds it exactly.  n = 65 and 128 check the zunmqr
+    # back-transform past LAPACK's block size of 32.
     eps = np.finfo(float).eps
     for name, H in _end_pair_inputs(n, rng_for(SEED, f"end-pairs-{n}")).items():
-        vals, vecs = linops._end_eigenpairs(H.copy(), np.arange(len(H), dtype=float))
         ref = np.linalg.eigvalsh(H)
         for j, M in enumerate(H):
+            vals, vecs = linops._end_eigenpairs(M, np.zeros_like(M), np.zeros(1))
             scale = 8 * n * eps * max(np.linalg.norm(M, 2), np.finfo(float).tiny)
-            assert np.abs(vals[j] - ref[j, [0, -1]]).max() <= scale, (name, j)
-            for lam, x in zip(vals[j], vecs[j]):
+            assert np.abs(vals[0] - ref[j, [0, -1]]).max() <= scale, (name, j)
+            for lam, x in zip(vals[0], vecs[0]):
                 assert np.linalg.norm(M @ x - lam * x) <= scale, (name, j)
                 assert abs(np.linalg.norm(x) - 1) <= 8 * n * eps, (name, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 13, 65])
+def test_end_eigenpairs_off_the_grid(n):
+    # At angles off the 720-angle grid, the kernel's end eigenpairs of the
+    # matrices it builds itself match numpy's eigh of
+    # cos(theta) Re T + sin(theta) Im T at rounding level, and it leaves the
+    # Cartesian parts as they were.
+    eps = np.finfo(float).eps
+    parts = cartesian_parts(random_operator(rng_for(SEED, f"end-pairs-off-grid-{n}"), n))
+    re_part, im_part = parts.re_part.copy(), parts.im_part.copy()
+    theta = np.array([0.1, 1.0, 2.5, 3.0, 4.4, 6.2])
+    vals, vecs = linops._end_eigenpairs(parts.re_part, parts.im_part, theta)
+    assert np.array_equal(parts.re_part, re_part) and np.array_equal(parts.im_part, im_part)
+    for j, t in enumerate(theta):
+        M = math.cos(t) * re_part + math.sin(t) * im_part
+        ref_vals, ref_vecs = np.linalg.eigh(M)
+        scale = 8 * n * eps * max(np.linalg.norm(M, 2), np.finfo(float).tiny)
+        assert np.abs(vals[j] - ref_vals[[0, -1]]).max() <= scale, j
+        for lam, x, y in zip(vals[j], vecs[j], ref_vecs[:, [0, -1]].T):
+            assert np.linalg.norm(M @ x - lam * x) <= scale, j
+            # The end eigenvalues of a random matrix are simple: the vectors
+            # agree up to a unimodular factor.
+            assert abs(abs(np.vdot(y, x)) - 1) <= 8 * n * eps, j
 
 
 @pytest.mark.parametrize("routine", ["zhetrd", "dstemr", "zunmqr"])
@@ -619,17 +641,20 @@ def test_sweep_memory_is_bounded():
     # Solving all 720 angles at once with eigenvectors peaks at 136 MiB at
     # n = 64; carrying the end vectors of 8 MiB chunks of angles back through
     # every reflector of the chunk at once peaked at 16.3 MiB at n = 128.
-    T = random_operator(rng_for(SEED, "sweep-memory"), 128)
+    # Building the rotated matrices in two 1 MiB stacks peaked at 2.9 MiB at
+    # n = 32; one n x n buffer, rebuilt per angle, peaks at 0.9 MiB.
     # A 2x2 sweep first, so the peak leaves out the ~14 MiB that the sweep's
     # first import of scipy.linalg allocates in a process that has none yet.
     as_operator(np.eye(2)).points
-    tracemalloc.start()
-    try:
-        as_operator(T).points
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20, f"sweep peak {peak / 2**20:.1f} MiB"
+    for n, bound_mib in ((32, 1.5), (128, 6)):
+        T = random_operator(rng_for(SEED, "sweep-memory"), n)
+        tracemalloc.start()
+        try:
+            as_operator(T).points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, f"sweep peak {peak / 2**20:.2f} MiB at n = {n}"
 
 
 def test_excess_memory_is_bounded_and_chunking_changes_no_bit():

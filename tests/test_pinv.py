@@ -1,11 +1,14 @@
 """Pseudoinverse core: Penrose axioms, EP structure, reduced minimum modulus."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 
-from accretive import selftest
+from accretive import linops, selftest
+from accretive.errors import ParameterError
 from accretive.linops import as_operator, rank_cutoff
 from accretive.pencil import QuadraticPencil, factorize
 from accretive.pinv import (
@@ -265,6 +268,28 @@ def test_tiny_singular_value_is_kernel():
     assert (res.rank, res.gamma) == (1, 1.0)
     assert np.array_equal(res.pinv, np.diag([1.0, 0.0]))
     assert as_operator(T).rank == 1
+
+
+def test_second_power_overflow_is_a_parameter_error():
+    # B = (T^2)*(T^2) overflows from ||T|| ~ 1e77 on, and T^2 itself from
+    # ~1e154 on: either is one ParameterError naming ||T||, with no
+    # RuntimeWarning, not a NaN bracket or an error about a T^2 the caller
+    # never passed.  A nilpotent T has T^2 = 0 but an overflowing ||T||^2.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (np.diag([1e100, 1.0]), np.diag([1e200, 1.0]), np.array([[0.0, 1e160], [0.0, 0.0]])):
+            with pytest.raises(ParameterError, match=re.escape(f"||T|| = {np.abs(T).max():.3e}")):
+                second_power_inequalities(T)
+        # Below that range a bracket comes back as before.  B's entries reach
+        # 1e240 and sigma_min(T^2) = 1e-120 sigma_max(T^2), so the upper end
+        # is set by rounding and left unchecked here.
+        linops._shared_operator.cache_clear()
+        rep = second_power_inequalities(np.diag([1e60, 1.0]))
+    lo, hi = rep["vector_violation"]
+    assert lo == pytest.approx(-1.0) and lo <= hi
+    assert rep["gamma_bound_slack"] == pytest.approx(5e119)
+    # T^2 and B + iA are the call's own Operators: only T is shared.
+    assert linops._shared_operator.cache_info().currsize == 1
 
 
 NILPOTENT = np.array([[0.0, 10.0], [0.0, 0.0]])
