@@ -114,8 +114,10 @@ class Operator:
 
     @cached_property
     def parts(self):
-        A, Ah = self.matrix, self.matrix.conj().T
-        return CartesianParts(re_part=(A + Ah) / 2, im_part=(A - Ah) / 2j)
+        """Re T = A/2 + A*/2 and Im T = (A/2 - A*/2)/i, halved before summing so
+        that finite entries up to the float range give finite parts."""
+        A, Ah = self.matrix / 2, self.matrix.conj().T / 2
+        return CartesianParts(re_part=A + Ah, im_part=(A - Ah) / 1j)
 
     @cached_property
     def re_eigh(self):
@@ -602,20 +604,3 @@ def hermitian_sqrt(H):
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
-
-def sector_angle_estimate(T):
-    """Largest |arg z| over sampled boundary points of W(T), away from zero.
-
-    A sampling-based fallback for operators that need not be accretive; points
-    with |z| below 1e-9 * ||T|| are skipped since their argument is rounding
-    noise.  Underestimates only, so it is safe in one-sided bounds.
-    """
-    op = as_operator(T)
-    nrm = op.norm
-    if nrm == 0.0:
-        return 0.0
-    pts = op.points
-    keep = np.abs(pts) > 1e-9 * nrm
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(np.abs(np.angle(pts[keep]))))

@@ -19,7 +19,6 @@ from .linops import (
     as_operator,
     checked_matrix,
     operator_norm,
-    sector_angle_estimate,
     sectorial_angle,
 )
 from .tolerances import tolerance
@@ -251,7 +250,9 @@ class PencilFactorization:
 
     separation_regime is "strong" when Re(Upsilon) is strictly positive (the
     disjoint-spectra claim applies) and "degenerate" otherwise (Z1 and Z2
-    share kernel eigenvalues).  z1_sector_angle is measured and reported, not
+    share kernel eigenvalues).  z1_sector_angle is the sectorial semiangle
+    of Z1 that sectorial_angle certifies, None when Z1 is not accretive (no
+    sector holds it; W(Z1) is not sampled in its place); it is reported, not
     asserted against any fixed sector.  root is the pencil's root Operator
     (QuadraticPencil.root), kept so vandermonde_check reads the rank of the
     root factorize took; its matrix, Upsilon^{1/2}, is read-only.
@@ -264,7 +265,7 @@ class PencilFactorization:
     spectra_z1: list
     spectra_z2: list
     separation: float
-    z1_sector_angle: float
+    z1_sector_angle: float | None
     separation_regime: str
     root: Operator = field(repr=False, compare=False)
     warnings: list = field(default_factory=list)
@@ -276,7 +277,8 @@ def factorize(p):
     Upsilon and its root are the pencil's (QuadraticPencil.upsilon, .root).
     Hypothesis shortfalls (T, T^2, or S not accretive, each judged as
     sectorial_angle judges it) are recorded as warnings on the result rather
-    than raised; square-root failures propagate.
+    than raised; square-root failures propagate.  The sector angle of Z1 is
+    sectorial_angle's, None when Z1 is not accretive, so no W(Z1) sweep runs.
     """
     T, S = p.T.matrix, p.S.matrix
     # The root first: an Upsilon that overflows is refused before T^2 is formed.
@@ -290,11 +292,7 @@ def factorize(p):
     z2 = T - W
     # Z1 is this call's own: an unshared Operator, so it evicts no caller's
     # operator from as_operator's cache.
-    Z1 = Operator(checked_matrix(z1))
-    # The sampled W(Z1) estimate stands in when Z1 is not accretive.
-    z1_angle = sectorial_angle(Z1)[0]
-    if z1_angle is None:
-        z1_angle = sector_angle_estimate(Z1)
+    z1_angle = sectorial_angle(Operator(checked_matrix(z1)))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         C = T @ S - S @ T
     if not np.all(np.isfinite(C)):
@@ -316,7 +314,7 @@ def factorize(p):
         spectra_z1=[complex(v) for v in s1],
         spectra_z2=[complex(v) for v in s2],
         separation=separation,
-        z1_sector_angle=float(z1_angle),
+        z1_sector_angle=z1_angle,
         separation_regime=regime,
         root=R,
         warnings=warnings,

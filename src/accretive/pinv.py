@@ -249,8 +249,8 @@ def second_power_inequalities(T):
     T^2 x and only lengthens x, so vectors in kernel(T^2) add 0: over all
     unit x the sup is max(0, .) of the bracket when T^2 is singular.
 
-    Raises ParameterError naming ||T|| when ||T||^2, T^2 or B + iA, or the
-    Cartesian parts of either, overflow (from ||T|| ~ 1e77 on, as B's
+    Raises ParameterError naming ||T|| when ||T||^2, T^2 or B + iA, or M + M*
+    or M - M* for either M, overflow (from ||T|| ~ 1e77 on, as B's
     entries reach ||T||^4), with no RuntimeWarning.  T^2 and B + iA are this
     call's own matrices: as unshared Operators they evict no caller's
     operator from as_operator's cache.
@@ -289,12 +289,13 @@ def second_power_inequalities(T):
 
 
 def _kato_operator(form, norm):
-    """The matrix form() as an unshared Operator, or ParameterError naming
-    ||T|| = norm when norm^2, the matrix or its Cartesian parts, which its
-    W(T) sweep reads, overflow; form() and the parts run with no RuntimeWarning."""
+    """The matrix M = form() as an unshared Operator, or ParameterError naming
+    ||T|| = norm when norm^2, M + M* or M - M* overflow: an M without that
+    factor-2 headroom can overflow in its W(M) sweep and outer polygon.
+    form() and the check run with no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        op = Operator(form())
-        finite = np.isfinite([op.parts.re_part, op.parts.im_part]).all()
+        M = form()
+        finite = np.isfinite([M + M.conj().T, M - M.conj().T]).all()
     if not (finite and math.isfinite(norm * norm)):
         raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")
-    return op
+    return Operator(M)

@@ -5,6 +5,7 @@ import gc
 import math
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -20,7 +21,6 @@ from accretive.linops import (
     hermitian_sqrt,
     kato_representation,
     numerical_range_boundary,
-    sector_angle_estimate,
     support_excess,
 )
 from accretive.sampling import (
@@ -688,6 +688,26 @@ def test_cartesian_parts_reconstruct():
         assert np.allclose(parts.re_part + 1j * parts.im_part, T, atol=1e-14)
 
 
+def test_parts_halve_before_summing():
+    # On ordinary input the parts are (A + A*)/2 and (A - A*)/2i to the bit;
+    # halving first keeps them finite up to the float range's edge, where
+    # A + A* overflows.  Warnings are errors, so an overflow fails here.
+    rng = rng_for(SEED, "parts-bits")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(N_TRIALS):
+            dim = int(rng.integers(1, 40))
+            for A in (random_operator(rng, dim), hermitian(rng, dim), rng.standard_normal((dim, dim)) + 0j):
+                parts = linops.Operator(A).parts
+                Ah = A.conj().T
+                assert parts.re_part.tobytes() == ((A + Ah) / 2).tobytes()
+                assert parts.im_part.tobytes() == ((A - Ah) / 2j).tobytes()
+        rep = accretivity_report(np.diag([1.5e308, 1.0]))
+    assert rep.is_accretive and rep.delta == 1.0
+    assert math.isfinite(rep.numerical_radius) and math.isfinite(rep.numerical_radius_upper)
+    assert rep.numerical_radius == 1.5e308 <= rep.numerical_radius_upper
+
+
 def test_kato_representation_round_trip():
     rng = rng_for(SEED, "kato")
     for k in range(N_TRIALS):
@@ -723,14 +743,16 @@ def test_angle_bound_under_strong_accretivity():
 
 
 def test_sampled_angle_agrees_with_certified_angle():
+    # The sweep's boundary points lie in W(T), inside the certified sector,
+    # and their largest argument nearly attains its semiangle.
     rng = rng_for(SEED, "angle-sampled")
     for _ in range(10):
         dim = int(rng.integers(2, 8))
         T = accretive_operator(rng, dim)
         rep = accretivity_report(T)
-        est = sector_angle_estimate(T)
-        assert est <= rep.omega + 1e-8
-        assert est >= rep.omega - 0.05, "sampled boundary should nearly attain omega"
+        sampled = float(np.max(np.abs(np.angle(as_operator(T).points))))
+        assert sampled <= rep.omega + 1e-8
+        assert sampled >= rep.omega - 0.05, "sampled boundary should nearly attain omega"
 
 
 def test_compression_preserves_angle():

@@ -332,6 +332,24 @@ def test_factorize_records_warnings():
         assert any(w.startswith("T not accretive") for w in f.warnings)
 
 
+def test_non_accretive_z1_has_no_sector_angle(stacked_solves):
+    # Upsilon = diag(0.5, 2), so Z1 = diag(-1 + sqrt(0.5), 1 + sqrt(2)) is not
+    # accretive and no sector holds it: its angle is None, as analyze reports
+    # omega, and W(Z1) is not swept in its place.
+    f = factorize(QuadraticPencil(np.diag([-1.0, 1.0]), np.diag([-0.5, 1.0])))
+    assert f.z1_sector_angle is None
+    assert f.warnings == ["T not accretive (delta = -1.000e+00)", "S not accretive (delta = -5.000e-01)"]
+    assert stacked_solves["zhetrd"] == 0
+    # Otherwise it is the certified semiangle of Z1, None exactly when Z1 is
+    # not accretive.
+    rng = rng_for(SEED, "z1-angle")
+    for _ in range(N_TRIALS):
+        T, S = pencil_pair(rng, int(rng.integers(2, 7)))
+        f = factorize(QuadraticPencil(T, S))
+        assert f.z1_sector_angle == sectorial_angle(f.z1)[0]
+        assert (f.z1_sector_angle is None) == (not accretivity_report(f.z1).is_accretive)
+
+
 def test_degenerate_regime_shares_kernel_eigenvalue():
     f = factorize(QuadraticPencil(np.diag([1.0, 0.0]), np.zeros((2, 2))))
     assert f.separation_regime == "degenerate"

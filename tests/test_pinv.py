@@ -275,10 +275,17 @@ def test_second_power_overflow_is_a_parameter_error():
     # ~1e154 on: either is one ParameterError naming ||T||, with no
     # RuntimeWarning, not a NaN bracket or an error about a T^2 the caller
     # never passed.  A nilpotent T has T^2 = 0 but an overflowing ||T||^2.
+    # The dense T has a finite B whose B + B* overflows, and with it the
+    # outer polygon of W(B + iA).
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for T in (np.diag([1e100, 1.0]), np.diag([1e200, 1.0]), np.array([[0.0, 1e160], [0.0, 0.0]])):
-            with pytest.raises(ParameterError, match=re.escape(f"||T|| = {np.abs(T).max():.3e}")):
+        for T in (
+            np.diag([1e100, 1.0]),
+            np.diag([1e200, 1.0]),
+            np.array([[0.0, 1e160], [0.0, 0.0]]),
+            np.array([[8e76, 2.4e76], [1.6e76, 8e76]]),
+        ):
+            with pytest.raises(ParameterError, match=re.escape(f"||T|| = {np.linalg.norm(T, 2):.3e}")):
                 second_power_inequalities(T)
         # Below that range a bracket comes back as before.  B's entries reach
         # 1e240 and sigma_min(T^2) = 1e-120 sigma_max(T^2), so the upper end
