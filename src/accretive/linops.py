@@ -212,9 +212,11 @@ class Operator:
         angles alpha < beta meet at a vertex v of an outer polygon of W(T)
         (_vertex_heights), and h <= |v| on [alpha, beta], so
         w_hi = max |v|.  w_lo = max(h, |boundary point|) is attained in W(T).
-        The arc with the largest vertex is bisected, one single-matrix
-        eigvalsh per new angle, until the relative width (w_hi - w_lo) / w_hi
-        is at most _RADIUS_RTOL or _RADIUS_ANGLES angles have been added.
+        The arc with the largest vertex is bisected until the relative width
+        (w_hi - w_lo) / w_hi is at most _RADIUS_RTOL or _RADIUS_ANGLES angles
+        have been added.  Each new angle t is solved by the sweep's own kernel,
+        _end_eigenpairs, so every support value comes from one H(theta)
+        builder and one solver, and a LAPACK failure names t.
         The cap binds when W(T) is a disk: every arc of the grid then has the
         same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
         A singular EP operator takes B's bracket and adds delta to its upper
@@ -239,7 +241,7 @@ class Operator:
             if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
                 return lo, hi
             t = (theta[k] + theta[k + 1]) / 2
-            h_t = float(np.linalg.eigvalsh(math.cos(t) * re + math.sin(t) * im)[-1])
+            h_t = float(_end_eigenpairs(re, im, np.array([t]))[0][0, 1])
             lo = max(lo, h_t)
             theta = np.insert(theta, k + 1, t)
             h = np.insert(h, k + 1, h_t)
@@ -377,6 +379,11 @@ def _vertex_heights(theta, h):
 def _end_eigenpairs(re, im, theta):
     """Bottom and top eigenpairs of H(theta_j) = cos(theta_j) re + sin(theta_j) im.
 
+    The one solver of every W(T) support value: the sweep's grid angles and
+    each angle that radius_bracket adds.  The vectors are the boundary
+    points' Rayleigh vectors, so a refined angle needs no other kernel for
+    its eigenvector.
+
     re and im are Hermitian n x n arrays, only read.  Returns the two
     eigenvalues at each of the k angles in ascending order, shape (k, 2), and
     their unit eigenvectors as rows, shape (k, 2, n).  Each H(theta_j) is
@@ -389,11 +396,10 @@ def _end_eigenpairs(re, im, theta):
     return.  A nonzero LAPACK info raises AccuracyError naming the routine
     and the angle theta[j].
 
-    Upper storage gives Q = G_{n-2} ... G_0, G_i = I - tau_i v v^H with
-    v = (c[:i, i+1], 1, 0, ...), its 1 at index i; Q fixes the last axis.
-    With P the index reversal, P Q P = (P G_{n-2} P) ... (P G_0 P) is the QR
-    form that zunmqr applies, on rows 1..n-1 of P z: reflector l is column l
-    of c[-2::-1, :0:-1], below its diagonal, with tau[::-1][l].
+    Lower storage gives Q = G_0 ... G_{n-2}, G_i = I - tau_i v v^H with
+    v = (0, ..., 0, 1, c[i+2:, i]), its 1 at index i + 1.  Q fixes the first
+    axis, and on rows 1..n-1 it is the QR form that zunmqr applies:
+    reflector i is column i of c[1:, :-1], below its diagonal, with tau[i].
     """
     from scipy.linalg import lapack  # deferred: a first import takes ~0.3 s and ~28 MiB
 
@@ -401,17 +407,16 @@ def _end_eigenpairs(re, im, theta):
     cos, sin = np.cos(theta), np.sin(theta)
     H = np.empty((n, n), complex)
     vals = np.empty((k, 2))
-    # Each angle's two eigenvectors, in reversed index order until the return.
     vecs = np.empty((k, 2, n), complex)
     # dstemr takes the off-diagonal padded to length n (the pad is workspace,
     # unread on input) and overwrites it: each call gets its own row.
     offdiag = np.zeros((2, n))
-    # Rows 1..n-1 of the two reversed vectors, which zunmqr overwrites.
+    # Rows 1..n-1 of the two vectors, which zunmqr overwrites.
     tail = np.empty((n - 1, 2), complex, order="F")
     for j in range(k):
         np.multiply(cos[j], re, out=H)
         H += sin[j] * im
-        c, d, e, tau, info = lapack.zhetrd(H.T, overwrite_a=1)
+        c, d, e, tau, info = lapack.zhetrd(H.T, lower=1, overwrite_a=1)
         if info:
             raise _lapack_error("zhetrd", info, theta[j])
         offdiag[:, :-1] = e
@@ -421,22 +426,22 @@ def _end_eigenpairs(re, im, theta):
             if info:
                 raise _lapack_error("dstemr", info, theta[j])
             vals[j, col] = w[0]
-            vecs[j, col, 0] = z[-1, 0]
-            tail[:, col] = z[-2::-1, 0]
+            vecs[j, col, 0] = z[0, 0]
+            tail[:, col] = z[1:, 0]
         if n > 1:
             # lwork = 2, the minimum for two columns, takes the unblocked path:
             # a blocked one builds a triangular factor per block of reflectors,
             # which two vectors do not amortize (5x slower at n = 128).
-            info = lapack.zunmqr("L", "N", c[-2::-1, :0:-1], tau[::-1], tail, 2, overwrite_c=1)[2]
+            info = lapack.zunmqr("L", "N", c[1:, :-1], tau, tail, 2, overwrite_c=1)[2]
             if info:
                 raise _lapack_error("zunmqr", info, theta[j])
             vecs[j, :, 1:] = tail.T
-    return vals, vecs[:, :, ::-1].conj()
+    return vals, vecs.conj()
 
 
 def _lapack_error(routine, info, theta):
     return AccuracyError(
-        f"LAPACK {routine} failed (info = {info}) in the W(T) sweep at theta = {float(theta)!r}"
+        f"LAPACK {routine} failed (info = {info}) solving H(theta) at theta = {float(theta)!r}"
     )
 
 

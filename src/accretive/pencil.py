@@ -438,11 +438,16 @@ def vandermonde_check(f):
 
     Row reduction gives det V = det(Z2 - Z1) = det(-2 Upsilon^{1/2}), so the
     two rank decisions agree exactly; this check confirms it with Operator.rank.
+    The identity blocks are scaled by the largest entry of Z1 and Z2, a row
+    scaling that leaves rank V unchanged, so that V's rank is judged at the
+    scale of its bottom blocks, not of the identity: at T = 0, S = 1e-30 I
+    the unscaled V reads rank n.  Scaling by ||Upsilon^{1/2}|| alone would
+    misjudge a small root beside a large T.
     """
     n = f.z1.shape[0]
     V = np.zeros((2 * n, 2 * n), dtype=complex)
-    V[:n, :n] = np.eye(n)
-    V[:n, n:] = np.eye(n)
+    scale = max(np.abs(Z).max(initial=0.0) for Z in (f.z1, f.z2))
+    V[:n, :n] = V[:n, n:] = scale * np.eye(n)
     V[n:, :n] = f.z1
     V[n:, n:] = f.z2
     return (Operator(V).rank == 2 * n) == (f.root.rank == n)

@@ -42,6 +42,12 @@ def pseudoinverse(T):
     Operator.rank, are treated as zero; it is applied to the full SVD, so T
     is factored once.  gamma is the smallest retained singular value, the
     reduced minimum modulus 1/||pinv|| (infinite for the zero matrix).
+
+    Raises ParameterError naming gamma when 1/gamma, P + P* or P - P* is not
+    finite (_with_headroom), with no RuntimeWarning: rank_cutoff scales with
+    ||T||, so a T near the bottom of the float range can keep a singular
+    value whose inverse overflows, and the pinv-accretive claim and the
+    Cartesian parts of T^+ need the factor-2 headroom.
     """
     op = as_operator(T)
     n = op.dim
@@ -51,7 +57,9 @@ def pseudoinverse(T):
     keep = s > rank_cutoff(n, float(s[0]))
     rank = int(np.count_nonzero(keep))
     gamma = float(s[keep][-1]) if rank else math.inf
-    P = (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
+    P = _with_headroom(lambda: (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T)
+    if P is None or not math.isfinite(1 / gamma):
+        raise ParameterError(f"the pseudoinverse overflows: gamma = {gamma:.3e}")
     return PinvResult(pinv=P, rank=rank, singular_values=[float(v) for v in s], gamma=gamma)
 
 
@@ -290,12 +298,19 @@ def second_power_inequalities(T):
 
 def _kato_operator(form, norm):
     """The matrix M = form() as an unshared Operator, or ParameterError naming
-    ||T|| = norm when norm^2, M + M* or M - M* overflow: an M without that
-    factor-2 headroom can overflow in its W(M) sweep and outer polygon.
-    form() and the check run with no RuntimeWarning."""
+    ||T|| = norm when norm^2 overflows or M lacks _with_headroom's factor-2
+    headroom: such an M can overflow in its W(M) sweep and outer polygon."""
+    M = _with_headroom(form)
+    if M is None or not math.isfinite(norm * norm):
+        raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")
+    return Operator(M)
+
+
+def _with_headroom(form):
+    """M = form(), or None unless M + M* and M - M* are finite, the factor-2
+    headroom that Cartesian parts and sums of M with M* need.  form() and the
+    check run with no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
         M = form()
         finite = np.isfinite([M + M.conj().T, M - M.conj().T]).all()
-    if not (finite and math.isfinite(norm * norm)):
-        raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")
-    return Operator(M)
+    return M if finite else None

@@ -374,6 +374,21 @@ def test_pencil_whose_square_overflows_exits_2(files, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("invalid input: "), err
 
 
+def test_pseudoinverse_overflow_exits_2(tmp_path, capsys):
+    # A T^+ beyond the float range, or without the factor-2 headroom of
+    # T^+ + (T^+)*, is refused by pinv and perturb with one line and no
+    # warning (tier-1 runs with warnings as errors).
+    for name, T in (("tiny", np.diag([1e-300, 1e-310])), ("edge", np.diag([1e-308, 1e-308]))):
+        path = str(tmp_path / f"{name}.json")
+        write_matrix(path, T)
+        for argv in (["pinv", "--input", path], ["perturb", "--input", path, "--input2", path]):
+            rc = run(argv + ["--out", str(tmp_path / f"{argv[0]}-{name}")])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 2, argv
+            assert len(err) == 1, err
+            assert err[0].startswith("invalid input: the pseudoinverse overflows"), err
+
+
 def test_perturbation_bound_overflow_is_an_accuracy_failure(tmp_path, capsys):
     # T = 1e-200 I has ||T^+||^2 = 1e400: the error bound is not a float, and
     # an infinite bound would pass its claim, so the run fails instead.

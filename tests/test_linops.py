@@ -168,19 +168,18 @@ def test_radius_bracket_holds_the_rayleigh_oracle():
         assert lo <= hi and hi - lo <= linops._RADIUS_RTOL * hi, f"trial {k}"
 
 
-def test_radius_bracket_of_the_jordan_disk(monkeypatch):
+def test_radius_bracket_of_the_jordan_disk(stacked_solves):
     # W(J2) is the disk |z| <= 1/2: every support value is 1/2, so w_lo is
     # 1/2 to rounding and every arc's vertex ties at 1/(2 cos(pi/720)).  No
     # bisection lowers that, so the refinement stops at its angle cap, and
-    # the bracket still holds w = 1/2.
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+    # the bracket still holds w = 1/2.  Each added angle is one more order-2
+    # tridiagonalization of the sweep's own kernel.
     lo, hi = as_operator(JORDAN2).radius_bracket
     assert abs(lo - W_JORDAN2) <= 2 * np.finfo(float).eps * W_JORDAN2
     assert W_JORDAN2 <= hi <= W_JORDAN2 / math.cos(math.pi / 720) * (1 + 1e-15)
-    assert len(calls) == linops._RADIUS_ANGLES
-    assert all(np.shape(a) == (2, 2) for a in calls)
+    count = 360 + linops._RADIUS_ANGLES
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": count,
+                              "zhetrd_orders": {2: count}}
 
 
 def test_norm_chain():
@@ -320,14 +319,29 @@ def test_end_eigenpairs_off_the_grid(n):
             assert abs(abs(np.vdot(y, x)) - 1) <= 8 * n * eps, j
 
 
-@pytest.mark.parametrize("routine", ["zhetrd", "dstemr", "zunmqr"])
-def test_sweep_raises_on_lapack_failure(routine, monkeypatch):
+@pytest.mark.parametrize("routine, refined", [
+    ("zhetrd", False), ("dstemr", False), ("zunmqr", False), ("zhetrd", True),
+], ids=["zhetrd", "dstemr", "zunmqr", "zhetrd-refined"])
+def test_sweep_raises_on_lapack_failure(routine, refined, monkeypatch):
     # A nonzero LAPACK status names the routine and the angle it was solving:
     # here the third angle of the grid, whose zhetrd and zunmqr calls are the
-    # third and whose first dstemr call is the fifth.
+    # third and whose first dstemr call is the fifth, or the first angle that
+    # the w(T) bracket adds, whose zhetrd call follows the sweep's 360.
     from scipy.linalg import lapack
 
-    fail_at = {"zhetrd": 3, "dstemr": 5, "zunmqr": 3}[routine]
+    T = random_operator(rng_for(SEED, "lapack-info"), 4)
+    theta = float(linops._ANGLES[2])
+    if refined:
+        added = []
+        solve = linops._end_eigenpairs
+        monkeypatch.setattr(
+            linops, "_end_eigenpairs", lambda a, b, t: added.append(t) or solve(a, b, t)
+        )
+        as_operator(T).radius_bracket
+        linops._shared_operator.cache_clear()
+        assert len(added) > 1
+        theta = float(added[1][0])
+    fail_at = {"zhetrd": 361 if refined else 3, "dstemr": 5, "zunmqr": 3}[routine]
     calls = []
 
     def failing(*args, _fn=getattr(lapack, routine), **kwargs):
@@ -336,16 +350,19 @@ def test_sweep_raises_on_lapack_failure(routine, monkeypatch):
         return out[:-1] + (1,) if len(calls) == fail_at else out
 
     monkeypatch.setattr(lapack, routine, failing)
-    op = as_operator(random_operator(rng_for(SEED, "lapack-info"), 4))
-    theta = re.escape(repr(float(linops._ANGLES[2])))
-    with pytest.raises(AccuracyError, match=rf"{routine} .*theta = {theta}$"):
-        op.points
+    op = as_operator(T)
+    with pytest.raises(AccuracyError, match=rf"{routine} .*theta = {re.escape(repr(theta))}$"):
+        op.radius_bracket
 
 
-def _sweeps_only(order, sweeps=1):
-    """The stacked_solves record of W(T) sweeps alone: 360 tridiagonalizations
-    of the given order per sweep, and no stacked eigh or eigvalsh."""
-    return {"eigh": 0, "eigvalsh": 0, "zhetrd": 360 * sweeps, "zhetrd_orders": {order: 360 * sweeps}}
+def _assert_sweeps_only(record, order, sweeps=1, brackets=0):
+    """Assert a stacked_solves record of W(T) sweeps and w(T) brackets alone:
+    360 tridiagonalizations per sweep, at most _RADIUS_ANGLES more per
+    refined bracket, all of the given order, and no stacked eigh or eigvalsh.
+    A second sweep adds 360, more than a bracket may, so it still shows."""
+    count = record["zhetrd"]
+    assert 0 <= count - 360 * sweeps <= linops._RADIUS_ANGLES * brackets, count
+    assert record == {"eigh": 0, "eigvalsh": 0, "zhetrd": count, "zhetrd_orders": {order: count}}
 
 
 def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
@@ -353,7 +370,9 @@ def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
     # only, yet run the one half-turn sweep that also gives the points, so a
     # cached field never depends on which read came first.  Alone, each call
     # sweeps the grid once, one tridiagonalization per solved angle of the
-    # half-turn; in sequence on one matrix content the three share one sweep.
+    # half-turn, and the bracket's refined angles add at most _RADIUS_ANGLES
+    # more; in sequence on one matrix content the three share one sweep and
+    # one bracket.
     T = random_operator(rng_for(SEED, "sweep-lazy"), 6)
     calls = (
         lambda: as_operator(T).radius_bracket[0],
@@ -364,24 +383,24 @@ def test_sweep_solves_each_grid_once_for_its_readers(stacked_solves):
         linops._shared_operator.cache_clear()
         stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
         call()
-        assert stacked_solves == _sweeps_only(6)
+        _assert_sweeps_only(stacked_solves, 6, brackets=1)
     linops._shared_operator.cache_clear()
     stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
     for call in calls:
         call()
-    assert stacked_solves == _sweeps_only(6)
+    _assert_sweeps_only(stacked_solves, 6, brackets=1)
 
 
 def test_analyze_sequence_on_one_array_sweeps_once(stacked_solves):
     # The report, the boundary and two support-excess checks, each handed the
     # same raw array, share one sweep that gives the support values and the
-    # boundary points.
+    # boundary points, and the report's one refined bracket.
     T = random_operator(rng_for(SEED, "analyze-sequence"), 6)
     accretivity_report(T)
     pts = numerical_range_boundary(T)
     support_excess(T, pts)
     support_excess(T, np.linalg.eigvals(T))
-    assert stacked_solves == _sweeps_only(6)
+    _assert_sweeps_only(stacked_solves, 6, brackets=1)
 
 
 def _stacked_support(T):
@@ -410,13 +429,14 @@ def _planted_ep(rng, n, rank, accretive):
 @pytest.mark.parametrize("accretive", [True, False])
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive):
-    # T = Q M Q* is swept on its range block: 360 tridiagonalizations of
-    # order rank(T).  Against a stacked eigh of T itself, the support values
-    # are upper bounds of h(theta) that exceed it by at most the block's
-    # reconstruction residual delta, the points lie in W(T), and the bracket
-    # holds w(T).  Both sides carry a rounding allowance of 10 n eps ||T||:
-    # the support sits a few eps ||T|| below the reference on some rank-1
-    # and rank-2 inputs, whose delta is itself ~eps ||T||.  Bit for bit, the
+    # T = Q M Q* is swept and its bracket refined on its range block: 360
+    # tridiagonalizations of order rank(T), and at most _RADIUS_ANGLES more.
+    # Against a stacked eigh of T itself, the support values are upper bounds
+    # of h(theta) that exceed it by at most the block's reconstruction
+    # residual delta, the points lie in W(T), and the bracket holds w(T).
+    # Both sides carry a rounding allowance of 10 n eps ||T||: the support
+    # sits a few eps ||T|| below the reference on some rank-1 and rank-2
+    # inputs, whose delta is itself ~eps ||T||.  Bit for bit, the
     # sweep and the bracket are the block's: support max(h_B, 0) + delta,
     # B's points where h_B >= 0 and 0 where the kernel attains the support,
     # and B's bracket with delta added to its upper end.
@@ -430,7 +450,7 @@ def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive)
         op = as_operator(T)
         lo, hi = op.radius_bracket
         assert op.rank == rank and op.range_block.block.dim == rank
-        assert stacked_solves == _sweeps_only(rank)
+        _assert_sweeps_only(stacked_solves, rank, brackets=1)
         slack = 10 * n * eps * op.norm
         delta = op.range_block.residual
         assert np.min(op.support - ref) >= -slack, rank
@@ -454,7 +474,7 @@ def test_full_rank_and_non_ep_input_sweep_at_full_order(stacked_solves, T):
     op = as_operator(T)
     assert op.range_block is None
     op.radius_bracket
-    assert stacked_solves == _sweeps_only(len(T))
+    _assert_sweeps_only(stacked_solves, len(T))
     assert np.max(np.abs(op.support - _stacked_support(T))) <= 1e-13 * op.norm
 
 
@@ -581,14 +601,15 @@ def test_shared_operators_are_bounded(stacked_solves):
     for M in others[:-1]:
         as_operator(M).radius_bracket[0]
     as_operator(first).radius_bracket[0]
-    assert stacked_solves == _sweeps_only(4, linops._SHARED_OPERATORS)
+    n = linops._SHARED_OPERATORS
+    _assert_sweeps_only(stacked_solves, 4, sweeps=n, brackets=n)
     # first is now the most recent of the kept contents; after as many
     # distinct contents as are kept, its sweep runs again.
     for M in others:
         as_operator(M).radius_bracket[0]
     stacked_solves.update(zhetrd=0, zhetrd_orders=Counter())
     as_operator(first).radius_bracket[0]
-    assert stacked_solves == _sweeps_only(4)
+    _assert_sweeps_only(stacked_solves, 4, brackets=1)
 
 
 def test_dropped_operator_is_freed_without_the_cycle_collector():

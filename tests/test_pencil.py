@@ -531,6 +531,18 @@ def test_vandermonde_agreement():
     assert vandermonde_check(f)
     f_sing = factorize(QuadraticPencil(np.diag([1.0, 0.0]), np.zeros((2, 2))))
     assert vandermonde_check(f_sing)
+    # T = 0 with S = c I has a full-rank root R = sqrt(c) I, so
+    # det V = det(-2R) != 0; V's rank is judged at the scale of Z1 and Z2, not
+    # of its identity blocks, at which a root of norm 1e-15 or 1e-100 reads
+    # as 0.  The zero pencil's root and V are both singular.
+    zero, eye = np.zeros((2, 2)), np.eye(2)
+    for c, rank in ((1e-30, 2), (1e-200, 2), (0.0, 0)):
+        f = factorize(QuadraticPencil(zero, c * eye))
+        assert f.root.rank == rank and vandermonde_check(f), c
+    # A full-rank root of norm 1e-7 beside ||T|| = 1 (T, T^2, S accretive):
+    # scaling the identity blocks by ||R|| alone would read V as singular.
+    f = factorize(QuadraticPencil(np.exp(0.25j * np.pi) * eye, (1e-14 - 1j) * eye))
+    assert f.root.rank == 2 and vandermonde_check(f)
     rng = rng_for(SEED, "vandermonde")
     for _ in range(N_TRIALS):
         dim = int(rng.integers(2, 8))

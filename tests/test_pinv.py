@@ -13,6 +13,7 @@ from accretive.linops import as_operator, rank_cutoff
 from accretive.pencil import QuadraticPencil, factorize
 from accretive.pinv import (
     penrose_residuals,
+    perturbation_certificate,
     pseudoinverse,
     second_power_inequalities,
 )
@@ -268,6 +269,28 @@ def test_tiny_singular_value_is_kernel():
     assert (res.rank, res.gamma) == (1, 1.0)
     assert np.array_equal(res.pinv, np.diag([1.0, 0.0]))
     assert as_operator(T).rank == 1
+
+
+def test_pseudoinverse_beyond_the_float_range_is_a_parameter_error():
+    # The rank rule scales with ||T||, so diag(1e-300, 1e-310) keeps 1e-310,
+    # whose inverse overflows; diag(1e-308, 1e-308) has a finite T^+ but an
+    # overflowing T^+ + (T^+)*, which the pinv-accretive claim sums.  Both
+    # are one ParameterError naming gamma, with no RuntimeWarning, for
+    # pseudoinverse and for the perturbation certificate that reads it.
+    # With the factor-2 headroom, diag(1e-307, 1e-307) is inverted as before.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T, gamma in ((np.diag([1e-300, 1e-310]), 1e-310), (np.diag([1e-308, 1e-308]), 1e-308)):
+            match = re.escape(f"gamma = {gamma:.3e}")
+            with pytest.raises(ParameterError, match=match):
+                pseudoinverse(T)
+            with pytest.raises(ParameterError, match=match):
+                perturbation_certificate(T, T)
+        T = np.diag([1e-307, 1e-307])
+        res = pseudoinverse(T)
+        assert np.allclose(res.pinv, np.diag([1e307, 1e307]), rtol=1e-15, atol=0)
+        assert res.gamma == 1e-307
+        assert all(c["status"] == "pass" for c in selftest.pinv_claims(T, res))
 
 
 def test_second_power_overflow_is_a_parameter_error():
