@@ -32,6 +32,8 @@ S = 0.05 * (Q[:, :2] @ np.array([[1.0, 0.3], [0.0, -0.8]]) @ Q[:, :2].conj().T)
 cert = perturbation_certificate(T, S)
 print(f"\ncertificate mode      {cert.mode}")
 print(f"contraction |T+ S|    {cert.contraction_TdS:.6f}")
+# |T+ S| <= |T+| |S| = |S| / gamma(T): the contraction is at most this ratio.
+print(f"|S| / gamma(T)        {cert.norm_over_gamma:.6f}")
 
 upd = perturbed_pinv(T, S, cert)
 direct = np.linalg.pinv(T + S)

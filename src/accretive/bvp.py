@@ -275,13 +275,22 @@ def fd_oracle(p, n_points):
     form and solved by one banded LU (scipy.linalg.solve_banded); the
     discrete residual is formed block by block.  oracle_gap is the max grid
     distance to solve_bvp(p, grid) on the same grid (O(h^2)); that solve reads
-    the problem's cached root.
+    the problem's cached root.  A 0x0 problem has no unknowns: its solution
+    is the trivial one solve_bvp returns, at gap 0.
     """
     if n_points < 16:
         raise ParameterError(f"n_points must be >= 16, got {n_points}")
+    n = p.dim
+    grid = np.linspace(0.0, 1.0, n_points + 1)
+    if n == 0:
+        # No band to store: its width 2n - 1 would be -1.
+        empty = np.zeros(0, dtype=complex)
+        return BvpSolution(
+            grid=grid, values=np.zeros((grid.size, 0), dtype=complex), x0=empty, x1=empty,
+            boundary_residual=0.0, ode_residual=0.0, oracle_gap=0.0,
+        )
     import scipy.linalg  # deferred, as in expm
 
-    n = p.dim
     m = n_points - 1
     h = 1.0 / n_points
     eye = np.eye(n)
@@ -306,7 +315,6 @@ def fd_oracle(p, n_points):
     if not np.all(np.isfinite(flat)):
         raise ResonanceError("discrete boundary system is singular (non-finite solve)")
     interior = flat.reshape(m, n)
-    grid = np.linspace(0.0, 1.0, n_points + 1)
     values = np.vstack([p.u0[None, :], interior, p.u1[None, :]])
     resid = interior @ diag.T - rhs
     resid[1:] += interior[:-1] @ lower.T

@@ -21,7 +21,7 @@ from .linops import (
     operator_norm,
     sectorial_angle,
 )
-from .tolerances import tolerance
+from .tolerances import active_table, deferred, tolerance
 
 # Complex entries per stacked chunk (8 MiB) of pencil residuals, all 16 lambdas
 # of the CLI's check up to n = 128, and of the quadrature's shifted systems, so
@@ -248,77 +248,104 @@ def balakrishnan_power(T, alpha):
 class PencilFactorization:
     """Factor data for Q(lambda) with residuals and spectral layout.
 
-    separation_regime is "strong" when Re(Upsilon) is strictly positive (the
-    disjoint-spectra claim applies) and "degenerate" otherwise (Z1 and Z2
-    share kernel eigenvalues).  z1_sector_angle is the sectorial semiangle
-    of Z1 that sectorial_angle certifies, None when Z1 is not accretive (no
-    sector holds it; W(Z1) is not sampled in its place); it is reported, not
-    asserted against any fixed sector.  root is the pencil's root Operator
-    (QuadraticPencil.root), kept so vandermonde_check reads the rank of the
-    root factorize took; its matrix, Upsilon^{1/2}, is read-only.
+    z1, z2, commuting and the pencil's root are computed by factorize.  The
+    report fields spectra_z1, spectra_z2, separation, separation_regime,
+    z1_sector_angle and warnings are computed on first read, once, under the
+    tolerance table active when factorize ran (tolerance_table), so a field
+    nobody reads costs nothing and a field read after an overridden block
+    gives the verdict it would have given inside it.  pencil is the factored
+    pencil, whose Operators, Upsilon and root the other fields read.
     """
 
     z1: np.ndarray
     z2: np.ndarray
-    sqrt_residual: float
     commuting: bool
-    spectra_z1: list
-    spectra_z2: list
-    separation: float
-    z1_sector_angle: float | None
-    separation_regime: str
-    root: Operator = field(repr=False, compare=False)
-    warnings: list = field(default_factory=list)
+    pencil: QuadraticPencil = field(repr=False, compare=False)
+    tolerance_table: dict = field(default_factory=active_table, init=False, repr=False,
+                                  compare=False)
+
+    @property
+    def root(self):
+        """The pencil's root Operator (QuadraticPencil.root), so vandermonde_check
+        reads the rank of the root factorize took; its matrix, Upsilon^{1/2},
+        is read-only."""
+        return self.pencil.root[0]
+
+    @property
+    def sqrt_residual(self):
+        """||R^2 - Upsilon|| of the pencil's root R."""
+        return self.pencil.root[1]
+
+    @deferred
+    def spectra_z1(self):
+        """Eigenvalues of Z1, one eigvals call."""
+        return [complex(v) for v in np.linalg.eigvals(self.z1)]
+
+    @deferred
+    def spectra_z2(self):
+        """Eigenvalues of Z2, one eigvals call."""
+        return [complex(v) for v in np.linalg.eigvals(self.z2)]
+
+    @deferred
+    def separation(self):
+        """Smallest distance between an eigenvalue of Z1 and one of Z2 (inf at dim 0)."""
+        s1, s2 = np.asarray(self.spectra_z1), np.asarray(self.spectra_z2)
+        return float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
+
+    @deferred
+    def separation_regime(self):
+        """The regime "strong" when Re(Upsilon) is strictly positive, lambda_min
+        above tolerance("separation-strong"), so the disjoint-spectra claim
+        applies; "degenerate" otherwise (Z1 and Z2 share kernel eigenvalues)."""
+        strong = Operator(self.pencil.upsilon).delta > tolerance("separation-strong")
+        return "strong" if strong else "degenerate"
+
+    @deferred
+    def z1_sector_angle(self):
+        """The sectorial semiangle of Z1 that sectorial_angle certifies, None
+        when Z1 is not accretive (no sector holds it; W(Z1) is not sampled in
+        its place); it is reported, not asserted against any fixed sector.
+        Z1 is an unshared Operator, so it evicts no caller's operator from
+        as_operator's cache."""
+        return sectorial_angle(Operator(self.z1))[0]
+
+    @deferred
+    def warnings(self):
+        """Hypothesis shortfalls: T, T^2 or S not accretive, each judged as
+        sectorial_angle judges it, then a degenerate separation regime."""
+        p = self.pencil
+        out = []
+        for name, M in (("T", p.T), ("T^2", Operator(p.T.matrix @ p.T.matrix)), ("S", p.S)):
+            if M.delta < -accretivity_tol(M.norm):
+                out.append(f"{name} not accretive (delta = {M.delta:.3e})")
+        if self.separation_regime == "degenerate":
+            out.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
+        return out
 
 
 def factorize(p):
     """Factor operators Z1 = T + Upsilon^{1/2}, Z2 = T - Upsilon^{1/2}.
 
     Upsilon and its root are the pencil's (QuadraticPencil.upsilon, .root).
-    Hypothesis shortfalls (T, T^2, or S not accretive, each judged as
-    sectorial_angle judges it) are recorded as warnings on the result rather
-    than raised; square-root failures propagate.  The sector angle of Z1 is
-    sectorial_angle's, None when Z1 is not accretive, so no W(Z1) sweep runs.
+    factorize takes the root, forms Z1 and Z2, refuses a TS - ST that
+    overflows and decides commuting, so each refusal is raised by factorize
+    itself.  The report fields are computed on first read
+    (PencilFactorization): hypothesis shortfalls are recorded as warnings
+    rather than raised, and the sector angle of Z1 is sectorial_angle's, so
+    no W(Z1) sweep runs.
     """
     T, S = p.T.matrix, p.S.matrix
-    # The root first: an Upsilon that overflows is refused before T^2 is formed.
-    R, sqrt_residual = p.root
-    warnings = []
-    for name, M in (("T", p.T), ("T^2", Operator(T @ T)), ("S", p.S)):
-        if M.delta < -accretivity_tol(M.norm):
-            warnings.append(f"{name} not accretive (delta = {M.delta:.3e})")
-    W = R.matrix
-    z1 = T + W
+    # The root first: an Upsilon that overflows is refused before TS - ST is formed.
+    W = p.root[0].matrix
+    z1 = checked_matrix(T + W)
     z2 = T - W
-    # Z1 is this call's own: an unshared Operator, so it evicts no caller's
-    # operator from as_operator's cache.
-    z1_angle = sectorial_angle(Operator(checked_matrix(z1)))[0]
     with np.errstate(over="ignore", invalid="ignore"):
         C = T @ S - S @ T
     if not np.all(np.isfinite(C)):
         raise ParameterError(f"TS - ST overflows: ||T|| = {p.T.norm:.3e}, ||S|| = {p.S.norm:.3e}")
     comm = operator_norm(C)
     commuting = bool(comm <= tolerance("commutation") * max(1.0, p.T.norm * p.S.norm))
-    s1 = np.linalg.eigvals(z1)
-    s2 = np.linalg.eigvals(z2)
-    separation = float(np.min(np.abs(s1[:, None] - s2[None, :]))) if s1.size else math.inf
-    strong = Operator(p.upsilon).delta > tolerance("separation-strong")
-    regime = "strong" if strong else "degenerate"
-    if regime == "degenerate":
-        warnings.append("Re(Upsilon) not strictly positive; disjoint-spectra claim not applicable")
-    return PencilFactorization(
-        z1=z1,
-        z2=z2,
-        sqrt_residual=float(sqrt_residual),
-        commuting=commuting,
-        spectra_z1=[complex(v) for v in s1],
-        spectra_z2=[complex(v) for v in s2],
-        separation=separation,
-        z1_sector_angle=z1_angle,
-        separation_regime=regime,
-        root=R,
-        warnings=warnings,
-    )
+    return PencilFactorization(z1=z1, z2=z2, commuting=commuting, pencil=p)
 
 
 def eval_pencil(p, lam):

@@ -8,7 +8,7 @@ pseudoinverse of T + S is a Neumann-type update of T_pinv and keeps T's rank,
 range, and kernel.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -22,7 +22,7 @@ from .linops import (
     rank_cutoff,
     sectorial_angle,
 )
-from .tolerances import tolerance
+from .tolerances import active_table, deferred, tolerance
 
 
 @dataclass(frozen=True)
@@ -83,37 +83,73 @@ class PerturbationCertificate:
     mode is "both" when range(S) sits inside range(T), S vanishes on
     kernel(T), and ||T_pinv S|| < 1, the contraction that the returned
     formula and perturbation_bound read; it is "fail" otherwise.
-    ||S T_pinv|| is recorded but not required: the two products share their
-    nonzero spectrum, so either contraction makes both resolvents
-    invertible.  One inclusion alone does not make the update formula give
-    (T + S)^+: T = diag(1, 0) with S = [[0.1, 0.2], [0, 0]] meets only the
-    range pair, and its transpose only the kernel pair.  For EP T and
-    accretive S the range pair implies the kernel pair, since N(S) = N(S*).
-    norm_over_gamma records the informational ratio ||S|| / gamma(T); it is
-    not a hypothesis.
+    ||S T_pinv|| (contraction_STd) is recorded but not required: the two
+    products share their nonzero spectrum, so either contraction makes both
+    resolvents invertible.  One inclusion alone does not make the update
+    formula give (T + S)^+: T = diag(1, 0) with S = [[0.1, 0.2], [0, 0]]
+    meets only the range pair, and its transpose only the kernel pair.  For
+    EP T and accretive S the range pair implies the kernel pair, since
+    N(S) = N(S*).  norm_over_gamma records the informational ratio
+    ||S|| / gamma(T); it is not a hypothesis.
+
+    The residuals, contraction_TdS, mode and norm_over_gamma are computed by
+    perturbation_certificate.  contraction_STd, theta and s_accretive, which
+    no hypothesis reads, are computed on first read, once, under the
+    tolerance table active when the certificate was built (tolerance_table).
     pinv_result keeps the pseudoinverse of T the certificate was computed
-    from, so perturbed_pinv does not factor T again; as_dict leaves it out.
+    from, so perturbed_pinv does not factor T again, and perturbation the
+    Operator of S; as_dict leaves them out.
     """
 
     range_inclusion_residual: float
     kernel_inclusion_residual: float
     contraction_TdS: float
-    contraction_STd: float
     mode: str
-    s_accretive: bool
-    theta: float | None
     norm_over_gamma: float
     pinv_result: PinvResult = field(repr=False, compare=False)
+    perturbation: Operator = field(repr=False, compare=False)
+    tolerance_table: dict = field(default_factory=active_table, init=False, repr=False,
+                                  compare=False)
+
+    @deferred
+    def contraction_STd(self):
+        """||S T_pinv||."""
+        return operator_norm(self.perturbation.matrix @ self.pinv_result.pinv)
+
+    @deferred
+    def theta(self):
+        """The sectorial angle of S when S is accretive (pi/2 when accretive
+        but not sectorial), None otherwise."""
+        return sectorial_angle(self.perturbation)[0]
+
+    @deferred
+    def s_accretive(self):
+        """Whether S is accretive: theta is not None."""
+        return self.theta is not None
 
     def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        """The eight reported keys, in _REPORTED's order; reading them computes the deferred ones."""
+        return {name: getattr(self, name) for name in _REPORTED}
+
+
+# PerturbationCertificate.as_dict's keys, in report order.
+_REPORTED = (
+    "range_inclusion_residual",
+    "kernel_inclusion_residual",
+    "contraction_TdS",
+    "contraction_STd",
+    "mode",
+    "s_accretive",
+    "theta",
+    "norm_over_gamma",
+)
 
 
 def perturbation_certificate(T, S, tol=None):
     """Residuals and contraction norms for the perturbation hypotheses.
 
-    A failed mode is recorded, never raised.  theta is the sectorial angle of
-    S when S is accretive (pi/2 when accretive but not sectorial).
+    A failed mode is recorded, never raised.  theta, the sectorial angle of
+    S, and ||S T_pinv|| are computed when first read (PerturbationCertificate).
     """
     T, S = as_operator(T), as_operator(S)
     A, B = T.matrix, S.matrix
@@ -128,20 +164,16 @@ def perturbation_certificate(T, S, tol=None):
     r_range = operator_norm((eye - A @ P) @ B)
     r_kernel = operator_norm(B @ (eye - P @ A))
     c_tds = operator_norm(P @ B)
-    c_std = operator_norm(B @ P)
     mode = "both" if max(r_range, r_kernel) <= tol and c_tds < 1 else "fail"
-    theta = sectorial_angle(S)[0]
     ratio = s_norm / res.gamma if math.isfinite(res.gamma) else 0.0
     return PerturbationCertificate(
         range_inclusion_residual=float(r_range),
         kernel_inclusion_residual=float(r_kernel),
         contraction_TdS=float(c_tds),
-        contraction_STd=float(c_std),
         mode=mode,
-        s_accretive=theta is not None,
-        theta=theta,
         norm_over_gamma=float(ratio),
         pinv_result=res,
+        perturbation=S,
     )
 
 

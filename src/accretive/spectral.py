@@ -211,7 +211,9 @@ def demo(m, u0, u1, grid=None, x_samples=33):
     The screen stage builds the model's operators, refusing an infeasible
     model; the build stage makes one BvpProblem from them and the boundary
     data, and the problem's root is taken when factorize first reads it, so a
-    failure to root Upsilon is labelled factorize.
+    failure to root Upsilon is labelled factorize.  The factorize and
+    certificate stages read every field the report takes from them, so a
+    field computed on first read fails under its own stage's label too.
     Returns a report dict including the synthesized field
     u(t, x) = sum_j u_j(t) * sqrt(2) sin(j pi x) on a uniform x grid.
     """
@@ -227,15 +229,28 @@ def demo(m, u0, u1, grid=None, x_samples=33):
             )
         return total
 
+    def factorization():
+        fac = factorize(p)
+        return {
+            "separation": fac.separation,
+            "separation_regime": fac.separation_regime,
+            "sqrt_residual": fac.sqrt_residual,
+            "z1_sector_angle": fac.z1_sector_angle,
+            "warnings": list(fac.warnings),
+        }
+
     T, S = _stage("screen", build_operators, m)
     total = _stage("condition", condition)
     # One problem serves every stage: factorize and the solve read its one root.
     p = _stage("build", BvpProblem, T, S, u0, u1)
-    fac = _stage("factorize", factorize, p)
+    fac = _stage("factorize", factorization)
     sol = _stage("solve", solve_bvp, p, grid)
     oracle = _stage("oracle", per_mode_oracle, m, u0, u1, sol.grid)
     oracle_gap = float(np.max(np.abs(sol.values - oracle.values)))
-    cert = _stage("certificate", perturbation_certificate, p.T.matrix @ p.T.matrix, p.S)
+    cert = _stage(
+        "certificate",
+        lambda: perturbation_certificate(p.T.matrix @ p.T.matrix, p.S).as_dict(),
+    )
     xs = np.linspace(0.0, 1.0, x_samples)
     basis = math.sqrt(2.0) * np.sin(math.pi * np.outer(np.arange(1, m.n_modes + 1), xs))
     field = sol.values @ basis
@@ -243,19 +258,13 @@ def demo(m, u0, u1, grid=None, x_samples=33):
         "model": m.as_dict(),
         "condition_sum": total,
         "condition_bound": 1.0 / abs(m.xi),
-        "factorization": {
-            "separation": fac.separation,
-            "separation_regime": fac.separation_regime,
-            "sqrt_residual": fac.sqrt_residual,
-            "z1_sector_angle": fac.z1_sector_angle,
-            "warnings": list(fac.warnings),
-        },
+        "factorization": fac,
         "solution": sol,
         "oracle_gap": oracle_gap,
         "boundary_residual": sol.boundary_residual,
         "ode_residual": sol.ode_residual,
-        "certificate": cert.as_dict(),
-        "certificate_mode": cert.mode,
+        "certificate": cert,
+        "certificate_mode": cert["mode"],
         "x_grid": xs,
         "field": field,
     }

@@ -6,10 +6,14 @@ enter once.  So a --tol-override reaches every check that reads its key, and a
 failed internal check can make a subcommand exit 3 or 1 (solve-bvp
 --tol-override resonance=1e3 exits 3).  An explicit tol= argument wins over
 the table.  Values are absolute unless the check documents a scale factor.
+
+A report field computed on first read (deferred) runs its checks under the
+table that was active when its object was built, whenever it is read.
 """
 
 from contextlib import contextmanager
 from contextvars import ContextVar
+from functools import cached_property, wraps
 
 from .errors import ParameterError
 
@@ -82,8 +86,32 @@ def overridden(overrides):
         if not 0 < value < float("inf"):
             raise ParameterError(f"tolerance {key!r} must be positive and finite, got {value}")
         table[key] = value
+    with _active(table):
+        yield
+
+
+def active_table():
+    """The active table, for an object to keep as its tolerance_table field."""
+    return _ACTIVE.get()
+
+
+@contextmanager
+def _active(table):
     token = _ACTIVE.set(table)
     try:
         yield
     finally:
         _ACTIVE.reset(token)
+
+
+def deferred(compute):
+    """A cached_property that computes on first read under the object's
+    tolerance_table, the table active when the object was built, so a field
+    read after an overridden block ends gives the verdict it gave inside."""
+
+    @wraps(compute)
+    def read(self):
+        with _active(self.tolerance_table):
+            return compute(self)
+
+    return cached_property(read)

@@ -67,3 +67,31 @@ def root_kernels(monkeypatch):
     for mod, name in ((scipy.linalg, "schur"), (scipy.linalg, "sqrtm"), (np.linalg, "eigvals")):
         monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     return counts
+
+
+# Kernel families counted per operator, on numpy.linalg and its private module
+# (numpy.linalg.norm(A, 2) reaches svd through the latter), as the benchmark's
+# tracer counts them, plus scipy's Schur form and square root.
+_KERNEL_FAMILIES = {"svd": "svd", "eigh": "eigh", "eigvalsh": "eigh", "eigvals": "eigvals"}
+
+
+@pytest.fixture
+def kernel_args(monkeypatch):
+    """(family, argument) for every 2-D argument of a counted kernel."""
+    import scipy.linalg
+
+    calls = []
+
+    def counting(fn, family):
+        def wrapped(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                calls.append((family, np.array(a)))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    for mod in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        for name, family in _KERNEL_FAMILIES.items():
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name), family))
+    for name in ("schur", "sqrtm"):
+        monkeypatch.setattr(scipy.linalg, name, counting(getattr(scipy.linalg, name), name))
+    return calls

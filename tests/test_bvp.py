@@ -354,6 +354,15 @@ def test_fd_oracle_zero_data_and_validation():
     assert np.allclose(fd.values, 0)
     with pytest.raises(ParameterError):
         fd_oracle(p, 8)
+    # A 0x0 problem has the trivial solution that solve_bvp returns, at gap 0.
+    empty = BvpProblem(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+    fd = fd_oracle(empty, 16)
+    exact = solve_bvp(empty, fd.grid)
+    assert fd.values.shape == exact.values.shape == (17, 0)
+    assert np.array_equal(fd.grid, np.linspace(0.0, 1.0, 17))
+    assert (fd.oracle_gap, fd.ode_residual, fd.boundary_residual) == (0.0, 0.0, 0.0)
+    with pytest.raises(ParameterError):
+        fd_oracle(empty, 8)
 
 
 def test_fd_oracle_diagonal_example():

@@ -369,8 +369,9 @@ def test_separation_positive_under_strong_hypotheses():
 
 def test_factorize_takes_one_schur_form_per_root(root_kernels):
     # Upsilon (or, for singular EP input, its range block) is factored once,
-    # by the Schur form that both the negative-axis test and sqrtm read; the
-    # two eigvals calls are the spectra of Z1 and Z2.
+    # by the Schur form that both the negative-axis test and sqrtm read.  The
+    # spectra of Z1 and Z2 are one eigvals call each, taken on first read of
+    # them or of separation, and never again.
     rng = rng_for(SEED, "one-schur")
     pairs = [
         commuting_pencil_pair(rng, 6),
@@ -379,8 +380,26 @@ def test_factorize_takes_one_schur_form_per_root(root_kernels):
     ]
     for T, S in pairs:
         root_kernels.update(schur=0, sqrtm=0, eigvals=0)
-        factorize(QuadraticPencil(T, S))
-        assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 2}
+        f = factorize(QuadraticPencil(T, S))
+        assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 0}
+        for _ in range(2):
+            f.spectra_z1, f.spectra_z2, f.separation
+            assert root_kernels == {"schur": 1, "sqrtm": 1, "eigvals": 2}
+
+
+def test_factorize_cost_follows_reads(stacked_solves, kernel_args):
+    # factorize and reads of commuting, z1, z2 and root take no Hermitian
+    # eigensolve, stacked or not; the hypothesis warnings take theirs when
+    # read, which shows the counters see them.
+    rng = rng_for(SEED, "cost-follows-reads")
+    for T, S in (commuting_pencil_pair(rng, 6), pencil_pair(rng, 6)):
+        kernel_args.clear()
+        f = factorize(QuadraticPencil(T, S))
+        _ = f.commuting, f.z1, f.z2, f.root
+        assert [family for family, _ in kernel_args if family == "eigh"] == []
+        assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 0, "zhetrd_orders": {}}
+        _ = f.warnings
+        assert [family for family, _ in kernel_args if family == "eigh"] != []
 
 
 def test_eval_pencil():

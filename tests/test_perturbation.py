@@ -50,6 +50,24 @@ def test_certificate_records_informational_ratio():
     assert cert.theta == pytest.approx(0.0, abs=1e-12)
 
 
+def test_certificate_cost_follows_reads(stacked_solves, kernel_args):
+    # The certificate and a read of its mode take no Hermitian eigensolve,
+    # stacked or not; theta takes its own when read, which shows the counters
+    # see it.  as_dict reads the eight keys in their report order.
+    T, S = certified_pair(rng_for(SEED, "cost-follows-reads"), 6, 3)
+    kernel_args.clear()
+    cert = perturbation_certificate(T, S)
+    assert cert.mode == "both"
+    assert [family for family, _ in kernel_args if family == "eigh"] == []
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 0, "zhetrd_orders": {}}
+    assert cert.theta is not None
+    assert [family for family, _ in kernel_args if family == "eigh"] != []
+    assert list(cert.as_dict()) == [
+        "range_inclusion_residual", "kernel_inclusion_residual", "contraction_TdS",
+        "contraction_STd", "mode", "s_accretive", "theta", "norm_over_gamma",
+    ]
+
+
 def test_perturbed_pinv_trivial_cases():
     T = np.diag([1.0, 0.0])
     assert np.allclose(perturbed_pinv(T, np.zeros((2, 2))), pseudoinverse(T).pinv)

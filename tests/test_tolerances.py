@@ -68,6 +68,24 @@ def test_override_reaches_the_library_check(case):
         assert _outcome(check) == flipped
 
 
+def test_deferred_fields_keep_the_table_they_were_built_under():
+    # Fields computed on first read give the verdict of the table active when
+    # their object was built, whenever and under whatever table they are read.
+    # Re [[1, 1], [-1, 1]] = I: S is strongly accretive with theta = pi/4, and
+    # under accretivity 1e3 its real part reads as singular, theta = 0.
+    S = np.array([[1.0, 1.0], [-1.0, 1.0]])
+    with overridden({"separation-strong": 1e3}):
+        f = factorize(_pencil())
+    with overridden({"accretivity": 1e3}):
+        cert = perturbation_certificate(np.eye(2), S)
+    assert f.separation_regime == "degenerate"
+    assert cert.theta == 0.0
+    f, cert = factorize(_pencil()), perturbation_certificate(np.eye(2), S)
+    with overridden({"separation-strong": 1e3, "accretivity": 1e3}):
+        assert f.separation_regime == "strong"
+        assert cert.theta == pytest.approx(np.pi / 4)
+
+
 def test_overridden_applies_to_its_block_only():
     with overridden({"penrose": 1e-3}):
         assert tolerance("penrose") == 1e-3
