@@ -126,7 +126,7 @@ def chebyshev_grid(n=65):
     return (1 - np.cos(math.pi * k / (n - 1))) / 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BvpProblem(QuadraticPencil):
     """The pencil of u'' - 2Tu' - Su = 0 with boundary values u0 and u1.
 
@@ -159,7 +159,7 @@ class BvpProblem(QuadraticPencil):
         return float(operator_norm(A @ R - R @ A))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BvpSolution:
     """Samples of u on a grid, the boundary coefficients x0 and x1, the
     boundary and ODE residuals, and, for an oracle, its gap to solve_bvp."""

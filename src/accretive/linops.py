@@ -19,20 +19,31 @@ from .tolerances import tolerance
 _EPS = float(np.finfo(np.float64).eps)
 # The factor of the one rank rule, rank_cutoff.
 _RANK_FACTOR = 100
-# The one W(T) grid: 720 uniform angles on [0, 2 pi).  The count is even, so
-# _ANGLES[k + 360] = _ANGLES[k] + pi and a sweep solves the first half-turn only.
-_ANGLES = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-_ANGLES.flags.writeable = False
-# Complex entries per chunk of the point-by-angle projection in excess (1 MiB),
-# so its memory is O(len(_ANGLES)) whatever the number of points.
-_EXCESS_CHUNK = 2**16
-# The numerical-radius bracket stops at this relative width, or once this
-# many angles have been added to the grid.  Random inputs at n = 2-64 took a
-# median of 9 and at most 52; the cap binds only where the boundary of W(T)
-# runs close to the circle |z| = w(T) near its farthest point (a disk, or a
-# near-circular arc, where the bracket stays ~1e-8 to 1e-5 wide).
+# The polygon's first half-turn of seed angles: with H(theta + pi) = -H(theta),
+# these 4 solves give 8 uniform angles.
+_SEED_ANGLES = np.arange(4) * (np.pi / 4)
+# The w(T) bisection stops at this relative width, or after this many solves
+# past the seed.  The 40 analyze benchmark inputs of seeds 1 and 3 took 10-29
+# of them; on 186 seeded inputs at n = 2-32 the median / largest count was
+# 24 / 49 for complex Gaussian, 30 / 64 for real Gaussian (6 reached the cap)
+# and 14 / 25 for accretive_operator.  The cap binds where the boundary of
+# W(T) runs close to the circle |z| = w(T) near its farthest point (a disk,
+# which 64 solves leave 3e-4 wide), and the level-set test then decides: one
+# QZ costs as much as 68 solves at n = 32 and 235 at n = 128.
 _RADIUS_RTOL = 1e-10
-_RADIUS_ANGLES = 64
+_RADIUS_SOLVES = 64
+# A pencil eigenvalue this close to the unit circle counts as unimodular
+# (_level_set_distance).  On 179 of those inputs whose bracket closed, the
+# unimodular eigenvalues at r = w_lo(1 - 1e-10) were computed within 2.7e-10
+# of the circle, and at r = w_lo(1 + 1e-10) the nearest eigenvalue sat at
+# least 1.2e-5 off it.  The gap sits nearer the latter: a refusal only leaves
+# the polygon's wider bracket, while a missed unimodular eigenvalue would
+# certify a false upper end.
+_UNIT_CIRCLE_GAP = 1e-6
+# convex_bound stops refining its copy of the polygon after this many solves.
+# The 60 second-power draws of selftest at seeds 42 and 1-5 took 0-4 (median
+# 0); it binds only where the sign of sup f stays undecided.
+_BOUND_SOLVES = 64
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
 _SHARED_OPERATORS = 4
@@ -44,19 +55,19 @@ class Operator:
 
     Every step given the same Operator shares what the first one computed:
     the singular values (norm and rank read them), the Cartesian parts, eigh(Re T),
-    the W(T) sweep of end eigenpairs, the full SVD that callers
+    the outer polygon of W(T), the full SVD that callers
     needing singular vectors read, the range block that reduces a singular
     EP operator, and the complex Schur form that the principal square root
     reads.  Each field has one kernel, whichever call reads it first.
 
-    The Operator owns its W(T) sweep (_sweep): support and points read the
-    one rotation-method sweep over the 720-angle grid _ANGLES, excess
-    measures points against its support planes.  Its support lines bound
-    one outer polygon of W(T) (_vertex_heights): radius_bracket refines it
-    into a bracket of the numerical radius w(T), and convex_bound reads it
-    as it stands to bound the maximum of a quasiconvex functional over
-    W(T).  A singular EP operator reads the sweep and the bracket from its
-    range block, at order rank(T).
+    The Operator owns one outer polygon of W(T) (_polygon): support lines at
+    8 seed angles, refined where the w(T) bracket needs them.  support and
+    points read it, excess measures points against its support lines, and
+    radius_bracket reads the numerical radius w(T) off it, with a level-set
+    test where the bisection stalls.  convex_bound refines a
+    copy of it to bound the maximum of a quasiconvex functional over W(T).
+    A singular EP operator reads the polygon and the bracket from its range
+    block, at order rank(T).
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -100,7 +111,7 @@ class Operator:
         of svd, B = Q* T Q the compressed block and residual = ||Q B Q* - T||.
         None when T has full rank (no SVD is taken then), or when the kernel
         does not reduce T: residual above max(rank_cutoff, 1e-12 max(1, ||T||)).
-        Whatever T's sweep, bracket, root and powers need is B's (RangeBlock).
+        Whatever T's polygon, bracket, root and powers need is B's (RangeBlock).
         """
         A, n, rank = self.matrix, self.dim, self.rank
         if rank == n:
@@ -138,87 +149,90 @@ class Operator:
 
     @property
     def support(self):
-        """h(theta_k) at every grid angle; on a range block, the bound max(h_B, 0) + delta."""
-        return self._sweep[0]
+        """h(theta_k) at every polygon angle theta_k (_polygon); on a range block,
+        the bound max(h_B, 0) + delta."""
+        return self._polygon[1]
 
     @property
     def points(self):
-        """Boundary Rayleigh points attaining h(theta_k), in grid order."""
-        return self._sweep[1]
+        """Boundary Rayleigh points attaining h(theta_k), in the polygon's order."""
+        return self._polygon[2]
 
     @cached_property
-    def _sweep(self):
-        """(h, points): one rotation-method sweep of W(T) over the grid _ANGLES.
+    def _polygon(self):
+        """(theta, h, points): one outer polygon of W(T), refined for w(T).
 
-        At each grid angle theta_k the top eigenpair of
-        H(theta_k) = Re(e^{-i*theta_k} T) = cos(theta_k) Re T + sin(theta_k) Im T
-        gives the support value h(theta_k) = max Re(e^{-i*theta_k} z) over W(T)
+        At an angle theta the top eigenpair of
+        H(theta) = Re(e^{-i*theta} T) = cos(theta) Re T + sin(theta) Im T
+        gives the support value h(theta) = max Re(e^{-i*theta} z) over W(T)
         and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
-        Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at theta_k
-        also gives h(theta_k + pi) and its point from the bottom eigenpair, so
-        only the first half-turn is solved, and only the bottom and top
-        eigenpairs of each rotated matrix (_end_eigenpairs), which builds each
-        angle's matrix from the Cartesian parts into one reused n x n buffer
-        just before reducing it.  Only the two end eigenvectors of each angle
-        are kept, and the points are their Rayleigh quotients, taken once at
-        the end.  So memory is O(n^2) plus 720 vectors, not
-        O(len(_ANGLES) * n^2): a tracemalloc peak of 0.9 / 1.6 / 3.3 MiB at
-        n = 32 / 64 / 128.
+        Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at t
+        also gives h(t + pi) and its point from the bottom eigenpair
+        (_solve), so the angles are a first half-turn and the same angles
+        plus pi.  The support lines of adjacent angles cut out an outer
+        polygon of W(T) (_vertices).  The 8 seed angles _SEED_ANGLES
+        take 4 solves; the arc of the largest vertex is then bisected
+        (_bisect) until the w(T) bracket is _RADIUS_RTOL wide relative, or
+        _RADIUS_SOLVES more solves are spent.  It is one cached
+        computation: every reader gets the same bits, whichever reads first.
+        Memory is O(n^2) plus one point per angle.
 
-        A singular EP operator is B's sweep (RangeBlock): T = Q B Q* + E with
-        ||E|| = delta, so W(T) lies within delta of W(Q B Q*) = conv(W(B) u {0}),
-        whose support is max(h_B, 0), and x* T x = y* B y at x = Q y.  The
-        support values are max(h_B, 0) + delta; the points are B's, or 0 where
-        the kernel attains the support (h_B < 0).  A 0x0 operator has empty
-        W(T): no points, support values -inf, w(T) = 0.
+        A singular EP operator is B's polygon (RangeBlock): T = Q B Q* + E
+        with ||E|| = delta, so W(T) lies within delta of W(Q B Q*) =
+        conv(W(B) u {0}), whose support is max(h_B, 0), and x* T x = y* B y
+        at x = Q y.  A 0x0 operator has empty W(T): support values -inf at
+        the seed angles, no points, w(T) = 0.
         """
-        A, m = self.matrix, len(_ANGLES)
+        theta = np.concatenate([_SEED_ANGLES, _SEED_ANGLES + np.pi])
         if self.dim == 0:
-            return np.full(m, -np.inf), np.zeros(0, complex)
+            return theta, np.full(len(theta), -np.inf), np.zeros(0, complex)
         rb = self.range_block
         if rb is not None:
-            h, pts = rb.block._sweep
+            theta, h, points = rb.block._polygon
             kernel = h < 0  # everywhere for the zero operator, whose block is 0x0
-            points = np.zeros(m, complex)
-            if rb.block.dim:
-                points[~kernel] = pts[~kernel]
-            return np.where(kernel, 0.0, h) + rb.residual, points
-        vals, vecs = _end_eigenpairs(self.parts.re_part, self.parts.im_part, _ANGLES[:m // 2])
-        support = np.concatenate([vals[:, 1], -vals[:, 0]])
-        return support, np.concatenate([_rayleigh(A, vecs[:, 1]), _rayleigh(A, vecs[:, 0])])
+            if not rb.block.dim:
+                points = np.zeros(len(h), complex)
+            return theta, np.where(kernel, 0.0, h) + rb.residual, np.where(kernel, 0, points)
+        seed = (theta, *self._solve(_SEED_ANGLES))
+        return _bisect(seed, self._solve, lambda *p: _radius_ends(*p)[2], _RADIUS_SOLVES)
+
+    def _solve(self, t):
+        """h and the attaining points at the angles t, then at t + pi, from
+        one _end_eigenpairs call at order n.  On a range block these are T's
+        own support lines, tighter than B's widened ones."""
+        vals, vecs = _end_eigenpairs(self.parts.re_part, self.parts.im_part, t)
+        X = np.concatenate([vecs[:, 1], vecs[:, 0]])
+        # The points are the Rayleigh quotients x^H T x of the rows x of X.
+        points = ((X.conj() @ self.matrix) * X).sum(axis=1)
+        return np.concatenate([vals[:, 1], -vals[:, 0]]), points
 
     def excess(self, points):
-        """Signed distance of each point to the sampled support planes of W(T).
+        """Signed distance of each point to the polygon's support lines.
 
         <= 0 up to rounding for p in the closure of W(T); a positive value
         lower-bounds the distance from W(T), so containment claims need no
-        discretization allowance.  The points are projected on the angles in
-        chunks of at most _EXCESS_CHUNK entries, so memory is O(len(_ANGLES)).
+        discretization allowance.  Memory is O(len(points)): the polygon
+        has at most 8 + 2 _RADIUS_SOLVES angles.
         """
+        theta, h, _ = self._polygon
         pts = np.asarray(points, dtype=np.complex128).ravel()
-        rot = np.exp(-1j * _ANGLES)
-        step = max(1, _EXCESS_CHUNK // len(rot))
-        out = np.empty(pts.size)
-        for lo in range(0, pts.size, step):
-            proj = np.real(rot[None, :] * pts[lo:lo + step, None])
-            out[lo:lo + step] = np.max(proj - self.support[None, :], axis=1)
-        return out
+        return np.max(np.real(np.exp(-1j * theta) * pts[:, None]) - h, axis=1)
 
     @cached_property
     def radius_bracket(self):
         """(w_lo, w_hi) with w_lo <= w(T) <= w_hi up to rounding, computed on first read.
 
-        w(T) = max over theta of h(theta).  The support lines of adjacent
-        angles alpha < beta meet at a vertex v of an outer polygon of W(T)
-        (_vertex_heights), and h <= |v| on [alpha, beta], so
-        w_hi = max |v|.  w_lo = max(h, |boundary point|) is attained in W(T).
-        The arc with the largest vertex is bisected until the relative width
-        (w_hi - w_lo) / w_hi is at most _RADIUS_RTOL or _RADIUS_ANGLES angles
-        have been added.  Each new angle t is solved by the sweep's own kernel,
-        _end_eigenpairs, so every support value comes from one H(theta)
-        builder and one solver, and a LAPACK failure names t.
-        The cap binds when W(T) is a disk: every arc of the grid then has the
-        same vertex, 1/cos(pi/720) - 1 = 9.5e-6 relative above w(T).
+        w(T) = max over theta of h(theta), and h <= |v| on the arc of each
+        vertex v of the outer polygon (_vertices), so w_hi = max |v|.
+        w_lo = max(h, |boundary point|) is attained in W(T).  The polygon's
+        bisection closes the bracket to _RADIUS_RTOL relative width unless
+        W(T) runs close to the circle |z| = w(T) near its farthest point, as
+        a disk does: no bisection lowers its vertices fast.  Then the
+        level-set test (Mengi & Overton, IMA J. Numer. Anal. 25, 2005) runs
+        once at r = w_lo (1 + _RADIUS_RTOL): when no eigenvalue of its pencil
+        lies within _UNIT_CIRCLE_GAP of the unit circle (_level_set_distance),
+        no H(theta) has eigenvalue r.  Since r exceeds the attained h at the
+        polygon's angles, h < r everywhere by continuity, and w_hi = r.
         A singular EP operator takes B's bracket and adds delta to its upper
         end (RangeBlock): w(T) <= w(Q B Q*) + delta = w(B) + delta, while
         W(B) = W(Q* T Q) lies inside W(T), so w_lo(B) <= w(T) as it stands.
@@ -229,42 +243,40 @@ class Operator:
         if rb is not None:
             lo, hi = rb.block.radius_bracket
             return lo, hi + rb.residual
-        re, im = self.parts.re_part, self.parts.im_part
-        grid = self._sweep[0]
-        theta = np.append(_ANGLES, 2 * np.pi)
-        h = np.append(grid, grid[0])
-        lo = max(float(np.max(grid)), float(np.max(np.abs(self.points))))
-        for spent in range(_RADIUS_ANGLES + 1):
-            vertex = np.hypot(h[:-1], _vertex_heights(theta, h))
-            k = int(np.argmax(vertex))
-            hi = max(float(vertex[k]), lo)
-            if hi - lo <= _RADIUS_RTOL * hi or spent == _RADIUS_ANGLES:
-                return lo, hi
-            t = (theta[k] + theta[k + 1]) / 2
-            h_t = float(_end_eigenpairs(re, im, np.array([t]))[0][0, 1])
-            lo = max(lo, h_t)
-            theta = np.insert(theta, k + 1, t)
-            h = np.insert(h, k + 1, h_t)
+        lo, hi, unclosed = _radius_ends(*self._polygon)
+        r = lo * (1 + _RADIUS_RTOL)
+        # r is not finite where the points overflow, at the float range's edge.
+        if unclosed is not None and math.isfinite(r):
+            if _level_set_distance(self.matrix, r) > _UNIT_CIRCLE_GAP:
+                hi = r
+        return lo, hi
 
     def convex_bound(self, f):
         """An upper bound, up to rounding, of sup f(W(T)) for a quasiconvex f.
 
         f maps an array of complex numbers to reals, +inf allowed, and has
         convex sublevel sets, as a convex f has.  The bound is the largest f
-        at the vertices of the outer polygon of the grid's support lines
-        (_vertex_heights): the polygon contains W(T), and such an f takes its
-        maximum over a polygon at a vertex.  It reads the one sweep on the
-        grid _ANGLES as it stands: unlike radius_bracket, no angle is added.
-        The points, which lie in W(T), give the caller a lower end.  On a
-        singular EP operator the support values are the range block's bounds
-        max(h_B, 0) + delta, so the bound holds there too.  A 0x0 operator
-        has empty W(T): -inf.
+        at the vertices of an outer polygon (_vertices): the polygon
+        contains W(T), and such an f takes its maximum over a polygon at a
+        vertex.  A copy of the cached polygon is bisected (_bisect) at the
+        arc of the vertex of largest f until the sign of sup f is decided,
+        the bound <= 0 or f > 0 at a point, or _BOUND_SOLVES solves are
+        spent; the cached polygon is left as it was.  The points, which lie
+        in W(T), give the caller a lower end.  On a singular EP operator the
+        cached support values are the range block's bounds max(h_B, 0) + delta
+        and the added ones T's own (_solve), so the bound holds there too.  A
+        0x0 operator has empty W(T): -inf.
         """
         if self.dim == 0:
             return -math.inf
-        h = np.append(self.support, self.support[0])
-        u = h[:-1] + 1j * _vertex_heights(np.append(_ANGLES, 2 * np.pi), h)
-        return float(np.max(f(np.exp(1j * _ANGLES) * u)))
+
+        def undecided(theta, h, points):
+            values = f(_vertices(theta, h))
+            k = int(np.argmax(values))
+            return None if values[k] <= 0 or np.max(f(points)) > 0 else k
+
+        theta, h, _ = _bisect(self._polygon, self._solve, undecided, _BOUND_SOLVES)
+        return float(np.max(f(_vertices(theta, h))))
 
 
 def as_operator(T):
@@ -272,7 +284,7 @@ def as_operator(T):
 
     Equal matrix content (shape and complex128 bytes) gives the same
     Operator, so calls handed separate arrays with one content share its
-    factorizations and W(T) sweep; each field has one kernel, so sharing
+    factorizations and W(T) polygon; each field has one kernel, so sharing
     never changes a result's bits.  Only the _SHARED_OPERATORS most recently
     used contents are kept, so retained memory stays O(n^2).  The Operator's
     matrix is a read-only copy, not the caller's array: changing that array
@@ -331,7 +343,7 @@ class RangeBlock:
     """Operator.range_block: T = basis @ block.matrix @ basis* up to residual in norm.
 
     The one seam of a singular EP operator T = Q B Q* + E, ||E|| = delta:
-    each quantity of T is B's, carried back once.  The W(T) sweep and the
+    each quantity of T is B's, carried back once.  The W(T) polygon and the
     w(T) bracket are B's, widened by delta where they bound W(T) from
     outside; B = Q* T Q is a compression of T, so W(B) lies inside W(T) and
     B's attained points and lower bounds hold for T as they are.  A function
@@ -344,7 +356,7 @@ class RangeBlock:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CartesianParts:
     """Hermitian pair with re_part + i*im_part = T."""
 
@@ -361,28 +373,92 @@ def cartesian_parts(T):
     return CartesianParts(re_part=parts.re_part.copy(), im_part=parts.im_part.copy())
 
 
-def _vertex_heights(theta, h):
-    """Where each vertex of the outer polygon lies along its first support line.
+def _vertices(theta, h):
+    """The vertices of the outer polygon of the support lines at theta.
 
-    The support lines Re(e^{-i alpha} z) = h(alpha) and Re(e^{-i beta} z) =
-    h(beta) of adjacent angles alpha < beta meet at the vertex
+    theta ascends in [0, 2 pi) from theta[0] = 0.  The support lines
+    Re(e^{-i alpha} z) = h(alpha) and Re(e^{-i beta} z) = h(beta) of adjacent
+    angles alpha < beta (beta = 2 pi after the last angle) meet at the vertex
     v = e^{i alpha} (h(alpha) + i height), height being its offset along
     the first line from the foot e^{i alpha} h(alpha):
     height = (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha).
-    The polygon contains W(T), and h <= |v| = hypot(h(alpha), height) on
-    [alpha, beta].
+    The polygon contains W(T), and h <= |v| on [alpha, beta].
     """
-    step = np.diff(theta)
-    return (h[1:] - h[:-1] * np.cos(step)) / np.sin(step)
+    step = np.diff(np.append(theta, 2 * np.pi))
+    height = (np.append(h[1:], h[0]) - h * np.cos(step)) / np.sin(step)
+    return np.exp(1j * theta) * (h + 1j * height)
+
+
+def _radius_ends(theta, h, points):
+    """(w_lo, w_hi, k) of the polygon: the attained max(h, |point|), the
+    largest vertex modulus (at least w_lo), and the arc k of that vertex,
+    None once (w_hi - w_lo) / w_hi is at most _RADIUS_RTOL."""
+    modulus = np.abs(_vertices(theta, h))
+    k = int(np.argmax(modulus))
+    lo = max(float(np.max(h)), float(np.max(np.abs(points))))
+    hi = max(float(modulus[k]), lo)
+    return lo, hi, None if hi - lo <= _RADIUS_RTOL * hi else k
+
+
+def _bisect(polygon, solve, pick, cap):
+    """Refine a copy of polygon = (theta, h, points), at most cap solves.
+
+    While pick(theta, h, points) names an arc k, the one from theta[k] to
+    the next angle, its midpoint t is solved by solve, which gives t + pi
+    too, and both are inserted; the angles stay a first half-turn and the
+    same angles plus pi.  It stops early when the midpoint of that arc, or
+    of the opposite one, would equal an end of it in floating point, so two
+    angles never coincide.  Operator._polygon and convex_bound's copy of it
+    are both refined here.
+    """
+    theta, h, points = polygon
+    for _ in range(cap):
+        k = pick(theta, h, points)
+        if k is None:
+            break
+        m = len(theta) // 2
+        j = k % m
+        ext = np.append(theta, 2 * np.pi)
+        t = (ext[j] + ext[j + 1]) / 2
+        # Rounding is monotone, so t + pi strictly inside the opposite arc
+        # puts t strictly inside its own.
+        if not ext[m + j] < t + np.pi < ext[m + j + 1]:
+            break
+        at, (h_t, points_t) = [j + 1, m + j + 1], solve(np.array([t]))
+        theta = np.insert(theta, at, [t, t + np.pi])
+        h, points = np.insert(h, at, h_t), np.insert(points, at, points_t)
+    return theta, h, points
+
+
+def _level_set_distance(A, r):
+    """Distance from the unit circle of the nearest eigenvalue z of A' - z B'.
+
+    A' = [[0, I], [-A, 2 r I]] and B' = [[I, 0], [0, A*]] linearize
+    A - 2 r z I + z^2 A*, and z = e^{i theta} is an eigenvalue exactly when
+    r is an eigenvalue of H(theta) = Re(e^{-i theta} A) (Mengi & Overton, IMA
+    J. Numer. Anal. 25, 2005).  One QZ (scipy's eigvals of the pencil): an
+    infinite eigenvalue is infinitely far, and a singular pencil gives NaN,
+    which no distance exceeds.  A and r are first divided by the largest
+    |entry| of A, so 2 r I cannot overflow: r is near w(A) <= n max |a_ij|.
+    """
+    import scipy.linalg  # deferred: a first import takes ~0.3 s and ~28 MiB
+
+    scale = np.max(np.abs(A))
+    A, r = A / scale, r / scale
+    eye, zero = np.eye(len(A)), np.zeros(A.shape)
+    z = scipy.linalg.eigvals(
+        np.block([[zero, eye], [-A, 2 * r * eye]]), np.block([[eye, zero], [zero, A.conj().T]])
+    )
+    return float(np.min(np.abs(np.abs(z) - 1)))
 
 
 def _end_eigenpairs(re, im, theta):
     """Bottom and top eigenpairs of H(theta_j) = cos(theta_j) re + sin(theta_j) im.
 
-    The one solver of every W(T) support value: the sweep's grid angles and
-    each angle that radius_bracket adds.  The vectors are the boundary
-    points' Rayleigh vectors, so a refined angle needs no other kernel for
-    its eigenvector.
+    The one solver of every W(T) support value (Operator._solve): the
+    polygon's seed angles and each angle that a bisection adds.  The vectors
+    are the boundary points' Rayleigh vectors, so no angle needs another
+    kernel for its point.
 
     re and im are Hermitian n x n arrays, only read.  Returns the two
     eigenvalues at each of the k angles in ascending order, shape (k, 2), and
@@ -445,22 +521,17 @@ def _lapack_error(routine, info, theta):
     )
 
 
-def _rayleigh(A, X):
-    """x^H A x for each row x of X."""
-    return ((X.conj() @ A) * X).sum(axis=1)
-
-
 def numerical_range_boundary(T):
-    """Rayleigh points attaining the support function at each grid angle.
+    """Rayleigh points attaining the support function at each polygon angle.
 
     They lie in W(T), so their hull approximates W(T) from inside.  The
-    points are a copy, so writing to them leaves the cached sweep intact.
+    points are a copy, so writing to them leaves the cached polygon intact.
     """
     return as_operator(T).points.copy()
 
 
 def support_excess(T, points):
-    """Signed distance of each point to the sampled support planes of W(T)."""
+    """Signed distance of each point to the polygon's support lines of W(T)."""
     return as_operator(T).excess(points)
 
 

@@ -35,7 +35,7 @@ _NOT_EP = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticPencil:
     """Monic quadratic pencil data; hypotheses are certified later, not here.
 
@@ -244,7 +244,7 @@ def balakrishnan_power(T, alpha):
     return _on_range_block(op, lambda block: _balakrishnan_dense(block, float(alpha)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PencilFactorization:
     """Factor data for Q(lambda) with residuals and spectral layout.
 

@@ -25,7 +25,7 @@ from .linops import (
 from .tolerances import active_table, deferred, tolerance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PinvResult:
     """SVD-truncated pseudoinverse with its rank decision made explicit."""
 
@@ -331,7 +331,7 @@ def second_power_inequalities(T):
 def _kato_operator(form, norm):
     """The matrix M = form() as an unshared Operator, or ParameterError naming
     ||T|| = norm when norm^2 overflows or M lacks _with_headroom's factor-2
-    headroom: such an M can overflow in its W(M) sweep and outer polygon."""
+    headroom: such an M can overflow in the outer polygon of W(M)."""
     M = _with_headroom(form)
     if M is None or not math.isfinite(norm * norm):
         raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")

@@ -83,7 +83,7 @@ def claim(name, measured, tol, ok=None):
 def analyze_claims(T, rep):
     """The norm chain r <= w <= ||T|| <= 2w on the matching ends of the w(T)
     bracket [w_lo, w_hi] (r <= w_hi, w_lo <= ||T||, ||T|| <= 2 w_hi), and the
-    sweep's own boundary points and the spectrum inside W(T); rep is T's
+    polygon's own boundary points and the spectrum inside W(T); rep is T's
     accretivity_report."""
     T = as_operator(T)
     scale = max(1.0, T.norm)

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, artifacts, determinism."""
 
+from collections import Counter
 import dataclasses
 import json
 import math
@@ -69,9 +70,9 @@ def test_analyze_witness(files):
 
 def test_norm_chain_reads_the_matching_ends_of_the_bracket():
     # The 2x2 Jordan block has r = 0, w = 1/2 and ||T|| = 1 = 2w, and its
-    # bracket's w_hi is 1/(2 cos(pi/720)), 9.5e-6 relative above w.  The
-    # outer links read w_hi and the middle one w_lo: each fails when its own
-    # end is moved past it, and none reads the other end.
+    # bracket's w_hi is certified at w_lo (1 + 1e-10) by the level-set test.
+    # The outer links read w_hi and the middle one w_lo: each fails when its
+    # own end is moved past it, and none reads the other end.
     J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     rep = linops.accretivity_report(J)
 
@@ -83,20 +84,25 @@ def test_norm_chain_reads_the_matching_ends_of_the_bracket():
     assert chain(numerical_radius=0.0) == "pass"
     assert chain(numerical_radius_upper=0.5 * (1 - 1e-6)) == "fail"
     assert chain(numerical_radius=1 + 1e-6) == "fail"
-    assert chain(numerical_radius=0.0, spectral_radius=0.5 * (1 + 1e-6)) == "pass"
+    assert chain(numerical_radius=0.0, spectral_radius=0.5 * (1 + 1e-9)) == "pass"
+    assert chain(spectral_radius=0.5 * (1 + 1e-6)) == "fail"
     assert chain(spectral_radius=0.5 * (1 + 1e-4)) == "fail"
     assert chain(numerical_radius_upper=1 + 1e-6) == "pass"
 
 
 def test_analyze_sweeps_the_numerical_range_once(files, stacked_solves):
-    # One half-turn sweep of the 720-angle grid gives the points and the
-    # support values: 360 tridiagonalizations, and no stacked eigh or
-    # eigvalsh.  A second run on the same file reads the same matrix content,
-    # so it shares that sweep and solves nothing more.
+    # One polygon of W(T) gives the points and the support values: one
+    # tridiagonalization per solve, a polygon of 2m angles taking m solves,
+    # at most 4 + _RADIUS_SOLVES, and no stacked eigh or eigvalsh.  A second
+    # run on the same file reads the same matrix content, so it shares that
+    # polygon and solves nothing more.
+    m = len(linops.Operator(read_matrix(files["witness"]))._polygon[0]) // 2
+    assert 4 <= m <= 4 + linops._RADIUS_SOLVES
+    stacked_solves.update(zhetrd=0, zhetrd_orders=Counter())
     assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360, "zhetrd_orders": {2: 360}}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": m, "zhetrd_orders": {2: m}}
     assert run(["analyze", "--input", files["witness"], "--out", files["out"]]) == 0
-    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": 360, "zhetrd_orders": {2: 360}}
+    assert stacked_solves == {"eigh": 0, "eigvalsh": 0, "zhetrd": m, "zhetrd_orders": {2: m}}
 
 
 def test_analyze_computes_the_spectrum_once(files, monkeypatch):

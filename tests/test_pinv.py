@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from accretive import linops, selftest
+from accretive import linops, pinv, selftest
 from accretive.errors import ParameterError
 from accretive.linops import as_operator, rank_cutoff
 from accretive.pencil import QuadraticPencil, factorize
@@ -187,14 +187,21 @@ def _excess(T, X):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "accretive", "singular-accretive"])
-def test_second_power_bracket_holds_the_sampled_vectors(kind):
+def test_second_power_bracket_holds_the_sampled_vectors(kind, monkeypatch):
     # The sampler the certificate replaced, kept as an oracle at 10^4 random
     # unit vectors, projected on the complement of kernel(T^2) as it did:
     # none exceeds the upper end.  The lower end is attained: it is at most
-    # the largest excess at the top eigenvectors of cos(t) B + sin(t) A over
-    # the grid, B = (T^2)* T^2 and A = T* T, found here by a stacked eigh,
-    # and equals it with each b = ||T^2 x||^2 read as b + e, the rounding
-    # allowance e = rank_cutoff(m, ||B + iA||).
+    # the largest excess at the top eigenvectors of cos(t) B + sin(t) A at
+    # the angles t of the polygon of W(B + iA), B = (T^2)* T^2 and A = T* T,
+    # found here by a stacked eigh, and equals it with each b = ||T^2 x||^2
+    # read as b + e, the rounding allowance e = rank_cutoff(m, ||B + iA||).
+    formed = []
+
+    def recording(*args, _form=pinv._kato_operator):
+        formed.append(_form(*args))
+        return formed[-1]
+
+    monkeypatch.setattr(pinv, "_kato_operator", recording)
     rng = rng_for(SEED, f"second-power-oracle-{kind}")
     for dim in (2, 5, 9):
         if kind == "gaussian":
@@ -213,7 +220,8 @@ def test_second_power_bracket_holds_the_sampled_vectors(kind):
         assert np.max(_excess(T, X)) <= hi, (kind, dim)
         TQ, SQ = T @ Q, sq @ Q
         A, B = TQ.conj().T @ TQ, SQ.conj().T @ SQ
-        theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)[:, None, None]
+        # The last Operator formed is B + iA; T^2 comes before it.
+        theta = formed[-1]._polygon[0][:, None, None]
         tops = np.linalg.eigh(np.cos(theta) * B + np.sin(theta) * A)[1][:, :, -1]
         X = tops @ Q.T
         assert lo <= np.max(_excess(T, X)) + 1e-15, (kind, dim)

@@ -194,6 +194,37 @@ def test_every_dataclass_field_has_a_reader():
     assert sorted(set(UNREAD_FIELDS_ALLOWED) - unread) == [], "allowed fields that now have a reader"
 
 
+def test_dataclasses_holding_arrays_declare_eq_false():
+    # A generated __eq__ compares fields as tuples, so == on an ndarray field
+    # raises ValueError (truth value of an array) and hash() TypeError.  Every
+    # dataclass with a compared ndarray field declares eq=False, and so does
+    # each dataclass it derives from: a subclass with eq=False inherits its
+    # base's generated __eq__, which would compare the base's fields alone.
+    classes = {}
+    for path in PACKAGE.glob("*.py"):
+        for cls in _tree(path).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            decorators = [d for d in cls.decorator_list if _name(getattr(d, "func", d)) == "dataclass"]
+            if not decorators:
+                continue
+            eq_false = any(k.arg == "eq" and getattr(k.value, "value", True) is False
+                           for d in decorators for k in getattr(d, "keywords", []))
+            arrays = any(isinstance(stmt, ast.AnnAssign) and _compared(stmt)
+                         and ast.unparse(stmt.annotation) == "np.ndarray" for stmt in cls.body)
+            classes[cls.name] = (path.name, eq_false, arrays, [_name(b) for b in cls.bases])
+    required = {name for name, (_, _, arrays, _) in classes.items() if arrays}
+    pending = list(required)
+    while pending:
+        for base in classes[pending.pop()][3]:
+            if base in classes and base not in required:
+                required.add(base)
+                pending.append(base)
+    assert {"Operator", "PinvResult", "BvpProblem", "QuadraticPencil"} <= required
+    missing = sorted(f"{classes[name][0]}:{name}" for name in required if not classes[name][1])
+    assert not missing, f"dataclasses holding arrays without eq=False: {missing}"
+
+
 # Defaulted parameters of public library functions that the library, the
 # benchmark and the demos do not both leave at the default and set, each
 # kept for a reason.
