@@ -56,18 +56,18 @@ class Operator:
     Every step given the same Operator shares what the first one computed:
     the singular values (norm and rank read them), the Cartesian parts, eigh(Re T),
     the outer polygon of W(T), the full SVD that callers
-    needing singular vectors read, the range block that reduces a singular
-    EP operator, and the complex Schur form that the principal square root
-    reads.  Each field has one kernel, whichever call reads it first.
+    needing singular vectors read, and the complex Schur form that the
+    principal square root reads.  Each field has one kernel, whichever call
+    reads it first.
 
     The Operator owns one outer polygon of W(T) (_polygon): support lines at
-    8 seed angles, refined where the w(T) bracket needs them.  support and
-    points read it, excess measures points against its support lines, and
-    radius_bracket reads the numerical radius w(T) off it, with a level-set
-    test where the bisection stalls.  convex_bound refines a
-    copy of it to bound the maximum of a quasiconvex functional over W(T).
-    A singular EP operator reads the polygon and the bracket from its range
-    block, at order rank(T).
+    8 seed angles, refined where the w(T) bracket needs them, solved at
+    order n for every T, whatever its rank, and in units of one power of
+    two (_unit), so nothing in it overflows.  support and points read it,
+    excess measures points against its support lines, and radius_bracket
+    reads the numerical radius w(T) off it, with a level-set test where the
+    bisection stalls.  convex_bound refines a copy of it to bound the
+    maximum of a quasiconvex functional over W(T).
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -104,26 +104,6 @@ class Operator:
         return int(np.count_nonzero(self.singular_values > rank_cutoff(self.dim, self.norm)))
 
     @cached_property
-    def range_block(self):
-        """T = Q B Q* + E on R(T) + N(T) for singular EP T, or None (no reduction).
-
-        Q is the orthonormal basis of the rank leading left singular vectors
-        of svd, B = Q* T Q the compressed block and residual = ||Q B Q* - T||.
-        None when T has full rank (no SVD is taken then), or when the kernel
-        does not reduce T: residual above max(rank_cutoff, 1e-12 max(1, ||T||)).
-        Whatever T's polygon, bracket, root and powers need is B's (RangeBlock).
-        """
-        A, n, rank = self.matrix, self.dim, self.rank
-        if rank == n:
-            return None
-        Q = self.svd[0][:, :rank]
-        B = Q.conj().T @ A @ Q
-        residual = operator_norm(Q @ B @ Q.conj().T - A)
-        if residual > max(rank_cutoff(n, self.norm), 1e-12 * max(1.0, self.norm)):
-            return None
-        return RangeBlock(basis=Q, block=Operator(B), residual=residual)
-
-    @cached_property
     def parts(self):
         """Re T = A/2 + A*/2 and Im T = (A/2 - A*/2)/i, halved before summing so
         that finite entries up to the float range give finite parts."""
@@ -149,18 +129,27 @@ class Operator:
 
     @property
     def support(self):
-        """h(theta_k) at every polygon angle theta_k (_polygon); on a range block,
-        the bound max(h_B, 0) + delta."""
-        return self._polygon[1]
+        """h(theta_k) at every polygon angle theta_k (_polygon)."""
+        return self._polygon[1] * self._unit
 
     @property
     def points(self):
         """Boundary Rayleigh points attaining h(theta_k), in the polygon's order."""
-        return self._polygon[2]
+        return self._polygon[2] * self._unit
+
+    @cached_property
+    def _unit(self):
+        """The power of two s in (m/2, m], m the largest real or imaginary part
+        of an entry in modulus (1/2 for the zero matrix), in whose units the
+        polygon and the level-set test are solved.  T/s is exact, its entries
+        below 2 * sqrt(2) in modulus, and T and 2^k T give the same T/s."""
+        m = float(np.max(np.abs((self.matrix.real, self.matrix.imag)), initial=0.0))
+        return math.ldexp(1.0, math.frexp(m)[1] - 1)
 
     @cached_property
     def _polygon(self):
-        """(theta, h, points): one outer polygon of W(T), refined for w(T).
+        """(theta, h, points): one outer polygon of W(T), refined for w(T),
+        with h and points in units of s (_unit).
 
         At an angle theta the top eigenpair of
         H(theta) = Re(e^{-i*theta} T) = cos(theta) Re T + sin(theta) Im T
@@ -168,43 +157,43 @@ class Operator:
         and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
         Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at t
         also gives h(t + pi) and its point from the bottom eigenpair
-        (_solve), so the angles are a first half-turn and the same angles
+        (_solver), so the angles are a first half-turn and the same angles
         plus pi.  The support lines of adjacent angles cut out an outer
         polygon of W(T) (_vertices).  The 8 seed angles _SEED_ANGLES
         take 4 solves; the arc of the largest vertex is then bisected
         (_bisect) until the w(T) bracket is _RADIUS_RTOL wide relative, or
-        _RADIUS_SOLVES more solves are spent.  It is one cached
-        computation: every reader gets the same bits, whichever reads first.
-        Memory is O(n^2) plus one point per angle.
-
-        A singular EP operator is B's polygon (RangeBlock): T = Q B Q* + E
-        with ||E|| = delta, so W(T) lies within delta of W(Q B Q*) =
-        conv(W(B) u {0}), whose support is max(h_B, 0), and x* T x = y* B y
-        at x = Q y.  A 0x0 operator has empty W(T): support values -inf at
-        the seed angles, no points, w(T) = 0.
+        _RADIUS_SOLVES more solves are spent.  Every T is solved this way at
+        order n, whatever its rank.  It is one cached computation: every
+        reader gets the same bits, whichever reads first.  Memory is O(n^2)
+        plus one point per angle.  In units of s every support value,
+        point and vertex is at most a small multiple of n, so none
+        overflows, and T and 2^k T give the same bits.  A 0x0 operator has
+        empty W(T): support values -inf at the seed angles, no points,
+        w(T) = 0.
         """
         theta = np.concatenate([_SEED_ANGLES, _SEED_ANGLES + np.pi])
         if self.dim == 0:
             return theta, np.full(len(theta), -np.inf), np.zeros(0, complex)
-        rb = self.range_block
-        if rb is not None:
-            theta, h, points = rb.block._polygon
-            kernel = h < 0  # everywhere for the zero operator, whose block is 0x0
-            if not rb.block.dim:
-                points = np.zeros(len(h), complex)
-            return theta, np.where(kernel, 0.0, h) + rb.residual, np.where(kernel, 0, points)
-        seed = (theta, *self._solve(_SEED_ANGLES))
-        return _bisect(seed, self._solve, lambda *p: _radius_ends(*p)[2], _RADIUS_SOLVES)
+        solve = self._solver()
+        seed = (theta, *solve(_SEED_ANGLES))
+        return _bisect(seed, solve, lambda *p: _radius_ends(*p)[2], _RADIUS_SOLVES)
 
-    def _solve(self, t):
-        """h and the attaining points at the angles t, then at t + pi, from
-        one _end_eigenpairs call at order n.  On a range block these are T's
-        own support lines, tighter than B's widened ones."""
-        vals, vecs = _end_eigenpairs(self.parts.re_part, self.parts.im_part, t)
-        X = np.concatenate([vecs[:, 1], vecs[:, 0]])
-        # The points are the Rayleigh quotients x^H T x of the rows x of X.
-        points = ((X.conj() @ self.matrix) * X).sum(axis=1)
-        return np.concatenate([vals[:, 1], -vals[:, 0]]), points
+    def _solver(self):
+        """solve(t) for _bisect: h and the attaining points at the angles t,
+        then at t + pi, in units of s (_unit), from one _end_eigenpairs call
+        on T/s.  Its copies of Re T, Im T and T divided by s live as long as
+        solve does, one polygon's refinement, and are not kept."""
+        s = self._unit
+        re, im, A = (_in_units(M, s) for M in (self.parts.re_part, self.parts.im_part, self.matrix))
+
+        def solve(t):
+            vals, vecs = _end_eigenpairs(re, im, t)
+            X = np.concatenate([vecs[:, 1], vecs[:, 0]])
+            # The points are the Rayleigh quotients x^H (T/s) x of the rows x of X.
+            points = ((X.conj() @ A) * X).sum(axis=1)
+            return np.concatenate([vals[:, 1], -vals[:, 0]]), points
+
+        return solve
 
     def excess(self, points):
         """Signed distance of each point to the polygon's support lines.
@@ -212,11 +201,13 @@ class Operator:
         <= 0 up to rounding for p in the closure of W(T); a positive value
         lower-bounds the distance from W(T), so containment claims need no
         discretization allowance.  Memory is O(len(points)): the polygon
-        has at most 8 + 2 _RADIUS_SOLVES angles.
+        has at most 8 + 2 _RADIUS_SOLVES angles.  The points are measured in
+        units of s (_unit) and each distance multiplied by s.
         """
         theta, h, _ = self._polygon
-        pts = np.asarray(points, dtype=np.complex128).ravel()
-        return np.max(np.real(np.exp(-1j * theta) * pts[:, None]) - h, axis=1)
+        s = self._unit
+        pts = _in_units(np.asarray(points, dtype=np.complex128).ravel(), s)
+        return s * np.max(np.real(np.exp(-1j * theta) * pts[:, None]) - h, axis=1)
 
     @cached_property
     def radius_bracket(self):
@@ -233,23 +224,18 @@ class Operator:
         lies within _UNIT_CIRCLE_GAP of the unit circle (_level_set_distance),
         no H(theta) has eigenvalue r.  Since r exceeds the attained h at the
         polygon's angles, h < r everywhere by continuity, and w_hi = r.
-        A singular EP operator takes B's bracket and adds delta to its upper
-        end (RangeBlock): w(T) <= w(Q B Q*) + delta = w(B) + delta, while
-        W(B) = W(Q* T Q) lies inside W(T), so w_lo(B) <= w(T) as it stands.
+        Both ends are found in units of s (_unit), where they are finite,
+        and then multiplied by s.
         """
         if self.dim == 0:
             return 0.0, 0.0
-        rb = self.range_block
-        if rb is not None:
-            lo, hi = rb.block.radius_bracket
-            return lo, hi + rb.residual
+        s = self._unit
         lo, hi, unclosed = _radius_ends(*self._polygon)
-        r = lo * (1 + _RADIUS_RTOL)
-        # r is not finite where the points overflow, at the float range's edge.
-        if unclosed is not None and math.isfinite(r):
-            if _level_set_distance(self.matrix, r) > _UNIT_CIRCLE_GAP:
+        if unclosed is not None:
+            r = lo * (1 + _RADIUS_RTOL)
+            if _level_set_distance(_in_units(self.matrix, s), r) > _UNIT_CIRCLE_GAP:
                 hi = r
-        return lo, hi
+        return lo * s, hi * s
 
     def convex_bound(self, f):
         """An upper bound, up to rounding, of sup f(W(T)) for a quasiconvex f.
@@ -261,22 +247,22 @@ class Operator:
         vertex.  A copy of the cached polygon is bisected (_bisect) at the
         arc of the vertex of largest f until the sign of sup f is decided,
         the bound <= 0 or f > 0 at a point, or _BOUND_SOLVES solves are
-        spent; the cached polygon is left as it was.  The points, which lie
-        in W(T), give the caller a lower end.  On a singular EP operator the
-        cached support values are the range block's bounds max(h_B, 0) + delta
-        and the added ones T's own (_solve), so the bound holds there too.  A
-        0x0 operator has empty W(T): -inf.
+        spent; the cached polygon is left as it was.  f is evaluated at the
+        vertices and points in T's own units, s times the polygon's.  The
+        points, which lie in W(T), give the caller a lower end.  A 0x0
+        operator has empty W(T): -inf.
         """
         if self.dim == 0:
             return -math.inf
+        s = self._unit
 
         def undecided(theta, h, points):
-            values = f(_vertices(theta, h))
+            values = f(s * _vertices(theta, h))
             k = int(np.argmax(values))
-            return None if values[k] <= 0 or np.max(f(points)) > 0 else k
+            return None if values[k] <= 0 or np.max(f(s * points)) > 0 else k
 
-        theta, h, _ = _bisect(self._polygon, self._solve, undecided, _BOUND_SOLVES)
-        return float(np.max(f(_vertices(theta, h))))
+        theta, h, _ = _bisect(self._polygon, self._solver(), undecided, _BOUND_SOLVES)
+        return float(np.max(f(s * _vertices(theta, h))))
 
 
 def as_operator(T):
@@ -339,24 +325,6 @@ def operator_norm(T):
 
 
 @dataclass(frozen=True, eq=False)
-class RangeBlock:
-    """Operator.range_block: T = basis @ block.matrix @ basis* up to residual in norm.
-
-    The one seam of a singular EP operator T = Q B Q* + E, ||E|| = delta:
-    each quantity of T is B's, carried back once.  The W(T) polygon and the
-    w(T) bracket are B's, widened by delta where they bound W(T) from
-    outside; B = Q* T Q is a compression of T, so W(B) lies inside W(T) and
-    B's attained points and lower bounds hold for T as they are.  A function
-    f with f(0) = 0 (the root, the fractional powers) is Q f(B) Q*, so
-    kernel(f(T)) = kernel(T) exactly (pencil._on_range_block).
-    """
-
-    basis: np.ndarray
-    block: Operator
-    residual: float
-
-
-@dataclass(frozen=True, eq=False)
 class CartesianParts:
     """Hermitian pair with re_part + i*im_part = T."""
 
@@ -371,6 +339,15 @@ def cartesian_parts(T):
     """
     parts = as_operator(T).parts
     return CartesianParts(re_part=parts.re_part.copy(), im_part=parts.im_part.copy())
+
+
+def _in_units(A, s):
+    """A / s for a power of two s, exact: the real and imaginary parts are
+    divided as reals, since complex division multiplies by 1/s, which
+    overflows for a subnormal s."""
+    out = np.empty_like(A)
+    out.real, out.imag = A.real / s, A.imag / s
+    return out
 
 
 def _vertices(theta, h):
@@ -395,7 +372,8 @@ def _radius_ends(theta, h, points):
     None once (w_hi - w_lo) / w_hi is at most _RADIUS_RTOL."""
     modulus = np.abs(_vertices(theta, h))
     k = int(np.argmax(modulus))
-    lo = max(float(np.max(h)), float(np.max(np.abs(points))))
+    # |point| first: a tie with h = -0.0 keeps w_lo = +0.0.
+    lo = max(float(np.max(np.abs(points))), float(np.max(h)))
     hi = max(float(modulus[k]), lo)
     return lo, hi, None if hi - lo <= _RADIUS_RTOL * hi else k
 
@@ -438,13 +416,11 @@ def _level_set_distance(A, r):
     r is an eigenvalue of H(theta) = Re(e^{-i theta} A) (Mengi & Overton, IMA
     J. Numer. Anal. 25, 2005).  One QZ (scipy's eigvals of the pencil): an
     infinite eigenvalue is infinitely far, and a singular pencil gives NaN,
-    which no distance exceeds.  A and r are first divided by the largest
-    |entry| of A, so 2 r I cannot overflow: r is near w(A) <= n max |a_ij|.
+    which no distance exceeds.  A is T in units of s (Operator._unit), so
+    2 r I cannot overflow: r is near w(A) <= n max |a_ij| < 2 sqrt(2) n.
     """
     import scipy.linalg  # deferred: a first import takes ~0.3 s and ~28 MiB
 
-    scale = np.max(np.abs(A))
-    A, r = A / scale, r / scale
     eye, zero = np.eye(len(A)), np.zeros(A.shape)
     z = scipy.linalg.eigvals(
         np.block([[zero, eye], [-A, 2 * r * eye]]), np.block([[eye, zero], [zero, A.conj().T]])
@@ -455,7 +431,7 @@ def _level_set_distance(A, r):
 def _end_eigenpairs(re, im, theta):
     """Bottom and top eigenpairs of H(theta_j) = cos(theta_j) re + sin(theta_j) im.
 
-    The one solver of every W(T) support value (Operator._solve): the
+    The one solver of every W(T) support value (Operator._solver): the
     polygon's seed angles and each angle that a bisection adds.  The vectors
     are the boundary points' Rayleigh vectors, so no angle needs another
     kernel for its point.
@@ -525,9 +501,9 @@ def numerical_range_boundary(T):
     """Rayleigh points attaining the support function at each polygon angle.
 
     They lie in W(T), so their hull approximates W(T) from inside.  The
-    points are a copy, so writing to them leaves the cached polygon intact.
+    points are a new array, so writing to them leaves the cached polygon intact.
     """
-    return as_operator(T).points.copy()
+    return as_operator(T).points
 
 
 def support_excess(T, points):

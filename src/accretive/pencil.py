@@ -19,6 +19,7 @@ from .linops import (
     as_operator,
     checked_matrix,
     operator_norm,
+    rank_cutoff,
     sectorial_angle,
 )
 from .tolerances import active_table, deferred, tolerance
@@ -27,8 +28,8 @@ from .tolerances import active_table, deferred, tolerance
 # of the CLI's check up to n = 128, and of the quadrature's shifted systems, so
 # memory stays O(n^2) for any lambda or node count.
 _RESIDUAL_CHUNK = 2**19
-# Singular input whose kernel does not reduce it (Operator.range_block is None
-# below full rank): kernel-preserving roots and powers are undefined.
+# Singular input whose kernel does not reduce it (_on_range_block's residual
+# test fails): kernel-preserving roots and powers are undefined.
 _NOT_EP = (
     "singular input is not reduced by its range (not EP); "
     "kernel-preserving functional calculus undefined"
@@ -147,18 +148,23 @@ def _on_range_block(op, fn):
     """f(T) of the Operator op = T, for an f with f(0) = 0 that fn takes of invertible input.
 
     Rank 0 (the zero operator, or 0x0) gives zeros and full rank fn(op).
-    Singular EP input gives Q fn(B) Q* on its range block (RangeBlock), so
-    kernel(f(T)) = kernel(T) exactly; any other singular input has no
-    kernel-preserving f(T) and raises PreconditionError.
+    Singular input is reduced by its range when it is EP: Q, the rank(T)
+    leading left singular vectors of T's SVD, B = Q* T Q and the residual
+    ||Q B Q* - T||, which must be at most max(rank_cutoff, 1e-12 max(1, ||T||)).
+    Then f(T) = Q fn(B) Q*, so kernel(f(T)) = kernel(T) exactly; any other
+    singular input has no kernel-preserving f(T) and raises PreconditionError.
     """
-    if op.rank == 0:
-        return np.zeros_like(op.matrix)
-    if op.rank == op.dim:
+    A, n, rank = op.matrix, op.dim, op.rank
+    if rank == 0:
+        return np.zeros_like(A)
+    if rank == n:
         return fn(op)
-    rb = op.range_block
-    if rb is None:
+    Q = op.svd[0][:, :rank]
+    B = Q.conj().T @ A @ Q
+    residual = operator_norm(Q @ B @ Q.conj().T - A)
+    if residual > max(rank_cutoff(n, op.norm), 1e-12 * max(1.0, op.norm)):
         raise PreconditionError(_NOT_EP)
-    return rb.basis @ fn(rb.block) @ rb.basis.conj().T
+    return Q @ fn(Operator(B)) @ Q.conj().T
 
 
 # Balakrishnan quadrature: each truncated tail stays below _QUAD_TAIL * ||T||^alpha,

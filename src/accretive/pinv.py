@@ -331,7 +331,10 @@ def second_power_inequalities(T):
 def _kato_operator(form, norm):
     """The matrix M = form() as an unshared Operator, or ParameterError naming
     ||T|| = norm when norm^2 overflows or M lacks _with_headroom's factor-2
-    headroom: such an M can overflow in the outer polygon of W(M)."""
+    headroom.  Kato's forms grow like ||T||^2 and ||T||^4, so form() itself
+    can overflow, and the refusal keeps the one headroom rule that
+    pseudoinverse reads too.  The outer polygon of W(M) needs no headroom:
+    it is solved in units of a power of two, where nothing overflows."""
     M = _with_headroom(form)
     if M is None or not math.isfinite(norm * norm):
         raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")

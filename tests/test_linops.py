@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from accretive import linops, pencil, pinv
+from accretive import linops, pencil, pinv, selftest
 from accretive.bvp import BvpProblem, solve_bvp
 from accretive.errors import AccuracyError, DimensionError, PreconditionError
 from accretive.linops import (
@@ -225,7 +225,7 @@ def test_bisection_never_inserts_an_angle_twice():
     op = as_operator(random_operator(rng_for(SEED, "bisect-floor"), 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = linops._bisect(op._polygon, op._solve, lambda *polygon: 0, 200)[0]
+        theta = linops._bisect(op._polygon, op._solver(), lambda *polygon: 0, 200)[0]
         assert op.convex_bound(lambda z: np.full(z.shape, np.inf)) == math.inf
     m = len(theta) // 2
     assert len(op._polygon[0]) < len(theta) < len(op._polygon[0]) + 2 * 200
@@ -480,75 +480,61 @@ def _planted_ep(rng, n, rank, accretive):
     return Q @ M @ Q.conj().T
 
 
-@pytest.mark.parametrize("accretive", [True, False])
-@pytest.mark.parametrize("n", [4, 16, 64])
-def test_singular_ep_sweep_runs_on_the_range_block(stacked_solves, n, accretive):
-    # T = Q M Q* has its polygon solved and refined on its range block: 4
-    # seed tridiagonalizations of order rank(T), and at most _RADIUS_SOLVES
-    # more.  Against a stacked eigh of T itself, the support values are upper bounds
-    # of h(theta) that exceed it by at most the block's reconstruction
-    # residual delta, the points lie in W(T), and the bracket holds w(T).
-    # Both sides carry a rounding allowance of 10 n eps ||T||: the support
-    # sits a few eps ||T|| below the reference on some rank-1 and rank-2
-    # inputs, whose delta is itself ~eps ||T||.  Bit for bit, the
-    # polygon and the bracket are the block's: its angles, support max(h_B, 0) + delta,
-    # B's points where h_B >= 0 and 0 where the kernel attains the support,
-    # and B's bracket with delta added to its upper end.
-    rng = rng_for(SEED, f"planted-ep-{n}-{accretive}")
-    eps = np.finfo(float).eps
-    for rank in (n // 2, 1):
-        T = _planted_ep(rng, n, rank, accretive)
-        linops._shared_operator.cache_clear()
-        stacked_solves.update(eigh=0, eigvalsh=0, zhetrd=0, zhetrd_orders=Counter())
-        op = as_operator(T)
-        lo, hi = op.radius_bracket
-        assert op.rank == rank and op.range_block.block.dim == rank
-        angles = op._polygon[0]
-        _assert_polygons_only(stacked_solves, rank, angles)
-        ref = _stacked_support(T, angles)
-        slack = 10 * n * eps * op.norm
-        delta = op.range_block.residual
-        assert np.min(op.support - ref) >= -slack, rank
-        assert np.max(op.support - ref) <= delta + slack, rank
-        attained = np.real(np.exp(-1j * angles)[None, :] * op.points[:, None])
-        assert np.max(attained - ref[None, :]) <= slack, rank
-        assert np.max(ref) <= hi + slack and lo <= _vertex_max(angles, ref) + slack, rank
-        B = op.range_block.block
-        assert np.array_equal(angles, B._polygon[0]), rank
-        assert np.array_equal(op.support, np.maximum(B.support, 0) + delta), rank
-        assert np.array_equal(op.points, np.where(B.support >= 0, B.points, 0)), rank
-        b_lo, b_hi = B.radius_bracket
-        assert (lo, hi) == (b_lo, b_hi + delta), rank
+# Singular EP inputs Q M Q* of rank n/2 and 1, M strongly accretive or not.
+_PLANTED_EP = [
+    pytest.param(
+        _planted_ep(rng_for(SEED, f"planted-ep-{n}-{rank}-{accretive}"), n, rank, accretive),
+        id=f"ep-{n}-rank-{rank}-{'accretive' if accretive else 'gaussian'}",
+    )
+    for n in (4, 16, 64) for rank in (n // 2, 1) for accretive in (True, False)
+]
 
 
 @pytest.mark.parametrize("T", [
     np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=complex),  # singular, not EP
     ROT_WITNESS,
     np.diag([3.0, 1e-3, 1.0]).astype(complex),
+    *_PLANTED_EP,
 ])
 def test_full_rank_and_non_ep_input_sweep_at_full_order(stacked_solves, T):
+    # Every input, full rank, singular EP or not EP, has its polygon solved
+    # and refined at order n: 4 seed tridiagonalizations and at most
+    # _RADIUS_SOLVES more.  Against a stacked eigh of T, the support values
+    # agree within 1e-13 ||T||, the points lie in W(T) (no point passes a
+    # reference support line), and the bracket holds w(T), each up to a
+    # rounding allowance of 10 n eps ||T||.
     op = as_operator(T)
-    assert op.range_block is None
-    op.radius_bracket
+    lo, hi = op.radius_bracket
     angles = op._polygon[0]
     _assert_polygons_only(stacked_solves, len(T), angles)
-    assert np.max(np.abs(op.support - _stacked_support(T, angles))) <= 1e-13 * op.norm
+    ref = _stacked_support(T, angles)
+    slack = 10 * len(T) * np.finfo(float).eps * op.norm
+    assert np.max(np.abs(op.support - ref)) <= 1e-13 * op.norm
+    attained = np.real(np.exp(-1j * angles)[None, :] * op.points[:, None])
+    assert np.max(attained - ref[None, :]) <= slack
+    assert np.max(ref) <= hi + slack and lo <= _vertex_max(angles, ref) + slack
 
 
 def test_zero_operator_sweep(stacked_solves):
+    # The zero operator is solved like any other: its 4 seed solves close the
+    # bracket at once.  Both ends are positive zeros, which a report writes
+    # as 0.0, not -0.0; == cannot tell the two apart.
     op = as_operator(np.zeros((5, 5)))
     assert np.array_equal(op._polygon[0], np.linspace(0.0, 2 * np.pi, 8, endpoint=False))
     assert np.array_equal(op.support, np.zeros(8))
     assert np.array_equal(op.points, np.zeros(8, complex))
     assert op.radius_bracket == (0.0, 0.0)
-    assert stacked_solves["zhetrd"] == 0
+    assert stacked_solves["zhetrd"] == 4
+    for n in (5, 1):
+        bracket = as_operator(np.zeros((n, n))).radius_bracket
+        assert [math.copysign(1.0, w) for w in bracket] == [1.0, 1.0], n
 
 
 def test_range_block_across_the_rank_cutoff():
     # A normal EP T = Q diag(lam) Q* whose smallest nonzero |lam| sits 1%
-    # above or below the rank cutoff: above, it is swept at rank 8; below,
-    # at rank 7 with delta ~ that |lam|.  The two supports agree within two
-    # cutoffs.
+    # above or below the rank cutoff has rank 8 above it and rank 7 below.
+    # Both polygons are solved at order n, and the two supports agree within
+    # two cutoffs.
     n, rank = 16, 8
     rng = rng_for(SEED, "rank-cutoff-sweep")
     Q = random_unitary(rng, n)[:, :rank]
@@ -559,7 +545,7 @@ def test_range_block_across_the_rank_cutoff():
     for factor, kept in ((1.01, rank), (0.99, rank - 1)):
         lam[-1] = factor * cutoff * np.exp(0.3j)
         op = as_operator((Q * lam) @ Q.conj().T)
-        assert op.rank == kept and op.range_block.block.dim == kept
+        assert op.rank == kept
         supports.append(op.support)
     assert np.max(np.abs(supports[0] - supports[1])) <= 2 * cutoff
 
@@ -676,14 +662,12 @@ def test_dropped_operator_is_freed_without_the_cycle_collector():
     # The Operator caches its own polygon, and none of its cached fields points
     # back at it, so a dropped Operator's factorizations are freed at once,
     # not kept until the cyclic garbage collector happens to run.  The second
-    # input is singular EP, Q M Q* of rank n/2, whose polygon and bracket run
-    # on the range block's Operator.
+    # input is singular EP, Q M Q* of rank n/2.
     rng = rng_for(SEED, "no-cycle")
-    for T, reduced in ((random_operator(rng, 4), False), (_planted_ep(rng, 4, 2, True), True)):
+    for T in (random_operator(rng, 4), _planted_ep(rng, 4, 2, True)):
         op = as_operator(T)
         op.radius_bracket
         op.svd
-        assert (op.range_block is not None) == reduced
         ref = weakref.ref(op)
         gc.disable()
         try:
@@ -724,8 +708,9 @@ def test_sweep_memory_is_bounded():
     # every reflector of the chunk at once peaked at 16.3 MiB at n = 128.
     # Building the rotated matrices in two 1 MiB stacks peaked at 2.9 MiB at
     # n = 32; one n x n buffer, rebuilt per angle, peaked at 0.9 MiB over the
-    # old 720-angle grid, and peaks at 0.10 / 1.41 MiB at n = 32 / 128 over
-    # the polygon.  A 2x2 polygon first, so the peak leaves out the ~14 MiB
+    # old 720-angle grid, and peaks at 0.13 / 1.90 MiB at n = 32 / 128 over
+    # the polygon, whose refinement holds Re T, Im T and T divided by s.  A
+    # 2x2 polygon first, so the peak leaves out the ~14 MiB
     # that the first import of scipy.linalg allocates in a process that has
     # none yet.
     as_operator(np.eye(2)).points
@@ -786,14 +771,55 @@ def test_parts_halve_before_summing():
     assert rep.numerical_radius == 1.5e308 <= rep.numerical_radius_upper
 
 
-def test_overflowing_points_skip_the_level_set():
-    # At the float range's edge the Rayleigh quotients of this non-normal
-    # matrix overflow, so w_lo, and with it the level-set test's r, is not
-    # finite.  The report still comes back; the test is not run on it.
+def _analyzed_without_warnings(T):
+    """T's accretivity_report and analyze claims, with warnings as errors."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rep = accretivity_report(np.array([[1e308, 1e308], [0.0, -1e308]]))
-    assert rep.status == "not accretive"
+        warnings.simplefilter("error")
+        rep = accretivity_report(T)
+        claims = selftest.analyze_claims(T, rep)
+    assert [c["status"] for c in claims] == ["pass"] * 3, claims
+    return rep
+
+
+def test_float_range_edge_bracket_is_finite():
+    # At the float range's edge the Rayleigh quotients and the polygon's
+    # vertices of this non-normal matrix would overflow in T's own units.
+    # In units of a power of two they are finite: the bracket holds
+    # w(T) = (sqrt(5) / 2) 1e308 and closes to _RADIUS_RTOL, and the three
+    # analyze claims pass.
+    rep = _analyzed_without_warnings(np.array([[1e308, 1e308], [0.0, -1e308]]))
+    lo, hi = rep.numerical_radius, rep.numerical_radius_upper
+    w = math.sqrt(5) / 2 * 1e308
+    assert math.isfinite(hi) and hi - lo <= 2 * linops._RADIUS_RTOL * hi
+    assert lo <= w * (1 + 4 * np.finfo(float).eps) and w <= hi * (1 + 4 * np.finfo(float).eps)
+
+
+def test_subnormal_input_analyzes_without_warnings():
+    # Subnormal entries: 1/s overflows, so T/s is taken by real division of
+    # each part, exactly.  In T's own units a subnormal Jordan block's
+    # Rayleigh quotients would underflow to 0, and a complex division by its
+    # largest entry overflows.  In units of s the 32 x 32 block's bracket
+    # closes around w = cos(pi/33) 1e-310 to _RADIUS_RTOL plus the
+    # subnormal spacing.
+    rep = _analyzed_without_warnings(np.array([[1e-320, 3e-321], [0.0, 2e-320]]))
+    assert 0 < rep.numerical_radius <= rep.numerical_radius_upper < 1e-319
+    rep = _analyzed_without_warnings(1e-310 * np.eye(32, k=1))
+    lo, hi = rep.numerical_radius, rep.numerical_radius_upper
+    w, spacing = math.cos(math.pi / 33) * 1e-310, 5e-324
+    assert lo - spacing <= w <= hi + spacing and hi - lo <= 2 * linops._RADIUS_RTOL * hi + spacing
+
+
+@pytest.mark.parametrize("k", [-600, -20, 20, 600])
+def test_power_of_two_rescaling_is_exact(k):
+    # T and 2^k T have the same T/s, so the same polygon angles, and support
+    # values, points and bracket exactly 2^k times T's.
+    T = random_operator(rng_for(SEED, "rescale"), 6)
+    c = math.ldexp(1.0, k)
+    op, scaled = linops.Operator(T), linops.Operator(c * T)
+    assert np.array_equal(scaled._polygon[0], op._polygon[0])
+    assert np.array_equal(scaled.support, c * op.support)
+    assert np.array_equal(scaled.points, c * op.points)
+    assert scaled.radius_bracket == tuple(c * w for w in op.radius_bracket)
 
 
 def test_kato_representation_round_trip():

@@ -11,7 +11,13 @@ import scipy.linalg
 
 from accretive import pencil
 from accretive.errors import AccuracyError, ParameterError, PreconditionError
-from accretive.linops import accretivity_report, hermitian_sqrt, sectorial_angle
+from accretive.linops import (
+    accretivity_report,
+    as_operator,
+    hermitian_sqrt,
+    rank_cutoff,
+    sectorial_angle,
+)
 from accretive.pencil import (
     QuadraticPencil,
     accretive_sqrt,
@@ -113,9 +119,9 @@ def test_sqrt_kernel_structure_singular_ep():
 
 
 def test_non_ep_singular_input_is_rejected():
-    # A singular input that its kernel does not reduce has no range block
-    # (Operator.range_block is None below full rank), so neither the root nor
-    # a fractional power can preserve the kernel.  The second input is
+    # A singular input that its kernel does not reduce fails the range
+    # reduction's residual test (pencil._on_range_block), so neither the root
+    # nor a fractional power can preserve the kernel.  The second input is
     # accretive up to the accretivity tolerance (lambda_min(Re T) ~ -2.5e-13)
     # yet 1e-6 away from EP.
     for T in (np.array([[0, 1, 0], [0, 0, 0], [0, 0, 1]]), np.array([[1, 1e-6], [0, 0]])):
@@ -123,6 +129,25 @@ def test_non_ep_singular_input_is_rejected():
             accretive_sqrt(T)
     with pytest.raises(PreconditionError, match="not EP"):
         balakrishnan_power(np.array([[1, 1e-6], [0, 0]]), 0.5)
+
+
+def test_root_across_the_rank_cutoff():
+    # A normal accretive EP T = Q diag(lam) Q* whose smallest nonzero |lam|
+    # sits 1% above or below the rank cutoff: above, T is reduced at rank 8;
+    # below, at rank 7, its residual ~ that |lam| passing the EP test.  Either
+    # way the root has T's rank and squares back to T.
+    n, rank = 16, 8
+    rng = rng_for(SEED, "rank-cutoff-root")
+    Q = random_unitary(rng, n)[:, :rank]
+    lam = (0.5 + 1.5 * rng.random(rank)) * np.exp(1j * rng.uniform(-1.2, 1.2, rank))
+    lam[0] = 2.0
+    cutoff = rank_cutoff(n, 2.0)
+    for factor, kept in ((1.01, rank), (0.99, rank - 1)):
+        lam[-1] = factor * cutoff * np.exp(0.3j)
+        T = (Q * lam) @ Q.conj().T
+        W = accretive_sqrt(T)
+        assert as_operator(T).rank == as_operator(W).rank == kept
+        assert np.linalg.norm(W @ W - T, 2) <= 2 * cutoff
 
 
 def test_sqrt_sector_angle():
