@@ -139,12 +139,9 @@ class Operator:
 
     @cached_property
     def _unit(self):
-        """The power of two s in (m/2, m], m the largest real or imaginary part
-        of an entry in modulus (1/2 for the zero matrix), in whose units the
-        polygon and the level-set test are solved.  T/s is exact, its entries
-        below 2 * sqrt(2) in modulus, and T and 2^k T give the same T/s."""
-        m = float(np.max(np.abs((self.matrix.real, self.matrix.imag)), initial=0.0))
-        return math.ldexp(1.0, math.frexp(m)[1] - 1)
+        """The power of two s (_power_of_two_unit) in whose units the polygon
+        and the level-set test are solved."""
+        return _power_of_two_unit(self.matrix)
 
     @cached_property
     def _polygon(self):
@@ -309,7 +306,11 @@ def _shared_operator(shape, content):
 
 def rank_cutoff(n, sigma_max):
     """The one rank rule: of an n x n matrix with top singular value sigma_max,
-    a singular value at or below _RANK_FACTOR * n * eps * sigma_max is kernel."""
+    a singular value at or below _RANK_FACTOR * n * eps * sigma_max is kernel.
+
+    The same figure is the one allowance for rounding: rank_cutoff(k, 1) is
+    the relative error allowed a 2-norm or Frobenius norm computed over k
+    rows or entries (norm_at_most, pencil.factorization_residuals)."""
     return _RANK_FACTOR * n * _EPS * sigma_max
 
 
@@ -322,6 +323,34 @@ def accretivity_tol(norm):
 def operator_norm(T):
     """Spectral norm (largest singular value) of an array."""
     return float(np.linalg.norm(T, 2)) if T.size else 0.0
+
+
+def norm_at_most(X, b):
+    """The verdict operator_norm(X) <= b for a finite 2-D array X, decided by
+    the Frobenius norm where it can be.
+
+    With r = min(X.shape), ||X||_F / sqrt(r) <= ||X||_2 <= ||X||_F, so
+    ||X||_F <= b passes and ||X||_F / sqrt(r) > b fails, each only beyond
+    the relative allowance rank_cutoff(X.size, 1) for the rounding of the
+    sum of squares and of the SVD that operator_norm takes; only between
+    the two is operator_norm(X) taken, one SVD.  ||X||_F is summed in units
+    of the power of two s of X's largest entry (_power_of_two_unit) and
+    compared with b / s, so squares of entries near the ends of the float
+    range neither overflow nor underflow.  No value of ||X||_2 is returned:
+    a caller that reports it takes operator_norm.
+    """
+    X, b = np.asarray(X), float(b)
+    if X.size == 0:
+        return 0.0 <= b
+    A = X.astype(np.complex128, copy=False)
+    s = _power_of_two_unit(A)
+    fro = float(np.linalg.norm(_in_units(A, s)))
+    pad = rank_cutoff(X.size, 1.0)
+    if fro * (1 + pad) <= b / s:
+        return True
+    if fro * (1 - pad) > math.sqrt(min(X.shape)) * (b / s):
+        return False
+    return operator_norm(X) <= b
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,6 +368,14 @@ def cartesian_parts(T):
     """
     parts = as_operator(T).parts
     return CartesianParts(re_part=parts.re_part.copy(), im_part=parts.im_part.copy())
+
+
+def _power_of_two_unit(A):
+    """The power of two s in (m/2, m], m the largest real or imaginary part of
+    an entry of A in modulus (1/2 for a zero or empty A).  A/s is exact, its
+    entries below 2 * sqrt(2) in modulus, and A and 2^k A give the same A/s."""
+    m = float(np.max(np.abs((A.real, A.imag)), initial=0.0))
+    return math.ldexp(1.0, math.frexp(m)[1] - 1)
 
 
 def _in_units(A, s):

@@ -18,15 +18,15 @@ from .linops import (
     accretivity_tol,
     as_operator,
     checked_matrix,
+    norm_at_most,
     operator_norm,
     rank_cutoff,
     sectorial_angle,
 )
 from .tolerances import active_table, deferred, tolerance
 
-# Complex entries per stacked chunk (8 MiB) of pencil residuals, all 16 lambdas
-# of the CLI's check up to n = 128, and of the quadrature's shifted systems, so
-# memory stays O(n^2) for any lambda or node count.
+# Complex entries per stacked chunk (8 MiB) of the quadrature's shifted
+# systems, so memory stays O(n^2) for any node count.
 _RESIDUAL_CHUNK = 2**19
 # Singular input whose kernel does not reduce it (_on_range_block's residual
 # test fails): kernel-preserving roots and powers are undefined.
@@ -89,16 +89,19 @@ class QuadraticPencil:
 
     @cached_property
     def root(self):
-        """(R, ||R^2 - Upsilon||): R = Upsilon^{1/2} by accretive_sqrt, as an
-        Operator whose matrix is read-only, since every reader shares it.
+        """R = Upsilon^{1/2} by accretive_sqrt, as an Operator whose matrix is
+        read-only, since every reader shares it.
 
-        Upsilon is rooted as a transient unshared Operator, so its Schur form
-        and singular values are freed once R is taken, and it evicts no
-        caller's operator from as_operator's cache.
+        R has passed _sqrt_and_residual's residual test, which takes no SVD
+        of R^2 - Upsilon when its Frobenius norm decides it; the value
+        ||R^2 - Upsilon|| is taken when PencilFactorization.sqrt_residual is
+        first read.  Upsilon is rooted as a transient unshared Operator, so
+        its Schur form and singular values are freed once R is taken, and it
+        evicts no caller's operator from as_operator's cache.
         """
-        W, residual = _sqrt_and_residual(Operator(self.upsilon))
+        W = _sqrt_and_residual(Operator(self.upsilon))
         W.flags.writeable = False
-        return Operator(W), residual
+        return Operator(W)
 
 
 def accretive_sqrt(U):
@@ -112,16 +115,23 @@ def accretive_sqrt(U):
     exactly.  An eigenvalue on the closed negative real axis (impossible for
     accretive U outside zero) means no principal root exists.
     """
-    return _sqrt_and_residual(as_operator(U))[0]
+    return _sqrt_and_residual(as_operator(U))
 
 
 def _sqrt_and_residual(op):
-    """accretive_sqrt of the Operator op, with its residual ||W^2 - U||."""
+    """accretive_sqrt W of the Operator op = U, after its residual test.
+
+    W is refused with AccuracyError unless ||W^2 - U|| is at most
+    tolerance("sqrt-residual") * max(1, ||U||).  norm_at_most decides that
+    from the Frobenius norm where it can, so an accepted root usually takes
+    no SVD of W^2 - U; the exact norm is taken for the error message, and
+    by PencilFactorization.sqrt_residual, which reports it.
+    """
     W = _on_range_block(op, _schur_sqrt)
-    residual = operator_norm(W @ W - op.matrix)
-    if residual > tolerance("sqrt-residual") * max(1.0, op.norm):
-        raise AccuracyError(f"square-root residual {residual:.3e} above tolerance")
-    return W, residual
+    D = W @ W - op.matrix
+    if not norm_at_most(D, tolerance("sqrt-residual") * max(1.0, op.norm)):
+        raise AccuracyError(f"square-root residual {operator_norm(D):.3e} above tolerance")
+    return W
 
 
 def _schur_sqrt(op):
@@ -255,11 +265,12 @@ class PencilFactorization:
     """Factor data for Q(lambda) with residuals and spectral layout.
 
     z1, z2, commuting and the pencil's root are computed by factorize.  The
-    report fields spectra_z1, spectra_z2, separation, separation_regime,
-    z1_sector_angle and warnings are computed on first read, once, under the
-    tolerance table active when factorize ran (tolerance_table), so a field
-    nobody reads costs nothing and a field read after an overridden block
-    gives the verdict it would have given inside it.  pencil is the factored
+    report fields sqrt_residual, spectra_z1, spectra_z2, separation,
+    separation_regime, z1_sector_angle and warnings are computed on first
+    read, once, under the tolerance table active when factorize ran
+    (tolerance_table), so a field nobody reads costs nothing and a field
+    read after an overridden block gives the verdict it would have given
+    inside it.  pencil is the factored
     pencil, whose Operators, Upsilon and root the other fields read.
     """
 
@@ -275,12 +286,13 @@ class PencilFactorization:
         """The pencil's root Operator (QuadraticPencil.root), so vandermonde_check
         reads the rank of the root factorize took; its matrix, Upsilon^{1/2},
         is read-only."""
-        return self.pencil.root[0]
+        return self.pencil.root
 
-    @property
+    @deferred
     def sqrt_residual(self):
-        """||R^2 - Upsilon|| of the pencil's root R."""
-        return self.pencil.root[1]
+        """||R^2 - Upsilon|| of the pencil's root R, one SVD."""
+        W = self.root.matrix
+        return operator_norm(W @ W - self.pencil.upsilon)
 
     @deferred
     def spectra_z1(self):
@@ -334,23 +346,25 @@ def factorize(p):
 
     Upsilon and its root are the pencil's (QuadraticPencil.upsilon, .root).
     factorize takes the root, forms Z1 and Z2, refuses a TS - ST that
-    overflows and decides commuting, so each refusal is raised by factorize
-    itself.  The report fields are computed on first read
+    overflows and decides commuting, ||TS - ST|| at most
+    tolerance("commutation") * max(1, ||T|| ||S||), so each refusal is raised
+    by factorize itself.  That norm is never reported, so norm_at_most
+    decides the verdict, from the Frobenius norm where it can, with no SVD
+    of TS - ST.  The report fields are computed on first read
     (PencilFactorization): hypothesis shortfalls are recorded as warnings
     rather than raised, and the sector angle of Z1 is sectorial_angle's, so
     no W(Z1) sweep runs.
     """
     T, S = p.T.matrix, p.S.matrix
     # The root first: an Upsilon that overflows is refused before TS - ST is formed.
-    W = p.root[0].matrix
+    W = p.root.matrix
     z1 = checked_matrix(T + W)
     z2 = T - W
     with np.errstate(over="ignore", invalid="ignore"):
         C = T @ S - S @ T
     if not np.all(np.isfinite(C)):
         raise ParameterError(f"TS - ST overflows: ||T|| = {p.T.norm:.3e}, ||S|| = {p.S.norm:.3e}")
-    comm = operator_norm(C)
-    commuting = bool(comm <= tolerance("commutation") * max(1.0, p.T.norm * p.S.norm))
+    commuting = norm_at_most(C, tolerance("commutation") * max(1.0, p.T.norm * p.S.norm))
     return PencilFactorization(z1=z1, z2=z2, commuting=commuting, pencil=p)
 
 
@@ -368,15 +382,28 @@ def factorization_residuals(f, p, lambdas):
     is an algebraic identity, commuting or not; the one-sided value compares
     against the single ordering and is only meaningful when f.commuting.
     Each residual is normalized by (1 + |lambda|^2) so a tolerance can be
-    stated uniformly over sweeps.
+    stated uniformly over sweeps.  A non-finite lambda raises ParameterError
+    before any kernel runs.
 
     Q(lambda) - (lambda - Z1)(lambda - Z2) = lambda E1 - E0 with
     E1 = Z1 + Z2 - 2T and E0 = S + Z1 Z2 (S + the half-sum of both products
-    for the symmetric form), so the coefficients are formed once and the
-    norms of all residuals are the first values of one stacked SVD per
-    chunk of at most _RESIDUAL_CHUNK complex entries.
+    for the symmetric form).  Only the worst value is wanted, and by Weyl's
+    inequality for singular values (Horn & Johnson, Topics in Matrix
+    Analysis, 1991, 3.3) ||lambda E1 - E0|| <= s0 + |lambda| s1, s0 and s1
+    the norms of E0 and E1, one SVD of E1 and one stacked SVD of the two E0.
+    Each form visits the lambdas in descending order of the padded bound
+    (s0 + |lambda| s1)(1 + c n eps) / (1 + |lambda|^2), c = 100, the rank
+    rule's rank_cutoff(n, 1), which covers forming lambda E1 - E0 and the
+    rounding of the SVDs.  It takes the exact norm of lambda E1 - E0, one
+    SVD per lambda, and stops once the next bound is below the worst value
+    found; a bound that is not finite is never passed over.  The result is
+    bit for bit the largest exact normalized norm over all the lambdas.  E1
+    is at rounding level for factors of the pencil, so one exact SVD per
+    form usually decides it.  Memory is O(n^2) for any number of lambdas.
     """
     lams = np.asarray(lambdas, dtype=complex).ravel()
+    if not np.all(np.isfinite(lams)):
+        raise ParameterError(f"lambdas must be finite, got {lams[~np.isfinite(lams)][0]}")
     n = p.dim
     if n == 0 or lams.size == 0:
         return 0.0, 0.0
@@ -384,13 +411,23 @@ def factorization_residuals(f, p, lambdas):
     e1 = f.z1 + f.z2 - 2 * T
     z12 = f.z1 @ f.z2
     e0 = np.stack([S + 0.5 * (z12 + f.z2 @ f.z1), S + z12])
-    norms = np.empty((lams.size, 2))
-    step = max(1, _RESIDUAL_CHUNK // (2 * n * n))
-    for lo in range(0, lams.size, step):
-        lam = lams[lo:lo + step, None, None, None]
-        norms[lo:lo + step] = np.linalg.svd(lam * e1 - e0, compute_uv=False)[..., 0]
-    worst = np.max(norms / (1.0 + np.abs(lams[:, None]) ** 2), axis=0)
-    return float(worst[0]), float(worst[1])
+    s1 = np.linalg.svd(e1, compute_uv=False)[0]
+    s0 = np.linalg.svd(e0, compute_uv=False)[:, 0]
+    size = np.abs(lams)
+    norm = 1.0 + size ** 2
+    worst = []
+    for form in range(2):
+        bound = (s0[form] + size * s1) * (1 + rank_cutoff(n, 1.0)) / norm
+        # A NaN or infinite bound sorts first, so no break passes it over.
+        order = np.argsort(np.where(np.isfinite(bound), -bound, -np.inf), kind="stable")
+        top = -np.inf
+        for j in order:
+            if bound[j] < top:
+                break
+            exact = np.linalg.svd(lams[j] * e1 - e0[form], compute_uv=False)[0]
+            top = np.maximum(top, exact / norm[j])
+        worst.append(float(top))
+    return worst[0], worst[1]
 
 
 def pencil_spectrum(p):

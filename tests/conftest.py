@@ -77,15 +77,16 @@ _KERNEL_FAMILIES = {"svd": "svd", "eigh": "eigh", "eigvalsh": "eigh", "eigvals":
 
 @pytest.fixture
 def kernel_args(monkeypatch):
-    """(family, argument) for every 2-D argument of a counted kernel."""
+    """(family, matrix) for every matrix a counted kernel is given: one entry
+    for a 2-D argument, and one per matrix of a stacked argument."""
     import scipy.linalg
 
     calls = []
 
     def counting(fn, family):
         def wrapped(a, *args, **kwargs):
-            if np.ndim(a) == 2:
-                calls.append((family, np.array(a)))
+            if np.ndim(a) >= 2:
+                calls.extend((family, M) for M in np.array(a).reshape(-1, *np.shape(a)[-2:]))
             return fn(a, *args, **kwargs)
         return wrapped
 

@@ -120,7 +120,7 @@ def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
     p = BvpProblem(T, S, u0, u1)
     sol = solve_bvp(p)
     assert len(expm_calls) == 3
-    R = p.root[0].matrix
+    R = p.root.matrix
     z1, z2 = T + R, T - R
     dense = np.stack([
         expm(-(1 - t) * z1) @ sol.x0 + expm(t * z2) @ sol.x1 for t in sol.grid
@@ -131,15 +131,19 @@ def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
 
 def test_solve_bvp_takes_each_norm_once(svd_calls):
     # ||T|| and ||S|| feed both the commutation tolerance and the residual
-    # scale; the third SVD is sigma_min of I - e^{-2R}.  The root and the
-    # commutation residual are the problem's, read here before counting.
+    # scale; the third SVD is sigma_min of I - e^{-2R}.  The commutation test
+    # is decided from the Frobenius norm of TR - RT, with no SVD; reading the
+    # reported commutation_residual afterwards takes one.  The root is the
+    # problem's, read here before counting.
     rng = rng_for(SEED, "three-svd")
     T, S = commuting_pencil_pair(rng, 8)
     p = BvpProblem(T, S, np.ones(8), np.zeros(8))
-    p.commutation_residual
+    p.root
     svd_calls.clear()
     solve_bvp(p)
     assert len(svd_calls) == 3
+    p.commutation_residual
+    assert len(svd_calls) == 4
 
 
 def test_chebyshev_grid_default():
@@ -216,7 +220,7 @@ def test_analytic_derivative_matches_finite_differences():
         u1 = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         p = BvpProblem(T, S, u0, u1)
         sol = solve_bvp(p)
-        R = p.root[0].matrix
+        R = p.root.matrix
         z1, z2 = T + R, T - R
         X, Y = _factor_actions(z1, z2, sol.x0, sol.x1, np.concatenate([ts + h, ts - h, ts]))
         U = X + Y
@@ -254,7 +258,7 @@ def test_exponential_consistency():
         dim = int(rng.integers(2, 6))
         T, S = commuting_pencil_pair(rng, dim)
         p = BvpProblem(T, S, np.zeros(dim), np.zeros(dim))
-        R = p.root[0].matrix
+        R = p.root.matrix
         lhs = expm(-2 * R)
         rhs = expm(-(T + R)) @ expm(T - R)
         assert np.linalg.norm(lhs - rhs, 2) <= 1e-9
@@ -309,7 +313,7 @@ def test_factorize_and_solve_share_the_problems_root(root_kernels):
     f = factorize(problem)
     solve_bvp(problem)
     assert (root_kernels["schur"], root_kernels["sqrtm"]) == (1, 1)
-    assert f.root is problem.root[0]
+    assert f.root is problem.root
     with pytest.raises(TypeError):
         BvpProblem(T, S, np.ones(4), np.zeros(4), commutation_residual=0.0)
 

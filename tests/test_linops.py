@@ -934,3 +934,29 @@ def test_operator_norm_once_per_input(monkeypatch):
         call()
     assert [svds_of(M) for M in (T, S, C, D)] == [2, 1, 1, 1]
     assert [svds_of(T, full=True), svds_of(T, full=False)] == [1, 1]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_norm_at_most_gives_the_exact_verdict(scale, kernel_args):
+    # X has singular values 4, 2, 1, 1 (times scale): ||X||_F / 2 = 2.35,
+    # ||X||_2 = 4 and ||X||_F = 4.69.  A b below the first or above the last
+    # is decided by the Frobenius norm alone; between them the exact norm is
+    # taken, one SVD.  The verdict is always operator_norm(X) <= b, also
+    # where the squares of the entries overflow (1e300) or underflow (1e-300).
+    rng = rng_for(SEED, "norm-screen")
+    U, V = random_unitary(rng, 4), random_unitary(rng, 4)
+    X = scale * (U * np.array([4.0, 2.0, 1.0, 1.0])) @ V.conj().T
+    exact = linops.operator_norm(X)
+    for b, svds in ((2.0, 0), (3.0, 1), (4.3, 1), (5.0, 0)):
+        kernel_args.clear()
+        assert linops.norm_at_most(X, b * scale) is (exact <= b * scale), b
+        assert sum(family == "svd" for family, _ in kernel_args) == svds, b
+    # A real X, and its verdict at its own norm.
+    assert linops.norm_at_most(X.real, linops.operator_norm(X.real))
+
+
+def test_norm_at_most_on_empty_and_zero_matrices():
+    assert linops.norm_at_most(np.zeros((0, 0), complex), 0.0)
+    assert not linops.norm_at_most(np.zeros((0, 0), complex), -1.0)
+    assert linops.norm_at_most(np.zeros((3, 3), complex), 0.0)
+    assert not linops.norm_at_most(np.zeros((3, 3), complex), -1e-300)

@@ -15,6 +15,7 @@ from accretive.linops import (
     accretivity_report,
     as_operator,
     hermitian_sqrt,
+    operator_norm,
     rank_cutoff,
     sectorial_angle,
 )
@@ -33,6 +34,7 @@ from accretive.pinv import pseudoinverse
 from accretive.sampling import (
     accretive_operator,
     commuting_pencil_pair,
+    complex_gaussian,
     pencil_pair,
     positive_definite,
     random_unitary,
@@ -479,14 +481,14 @@ def _residuals_per_lambda(f, p, lambdas):
     return worst_sym, worst_one
 
 
-@pytest.mark.parametrize("chunk", [pencil._RESIDUAL_CHUNK, 1])
-def test_factorization_residuals_match_per_lambda_reference(chunk, monkeypatch):
+@pytest.mark.parametrize("scale", [1, 2**19])
+def test_factorization_residuals_match_per_lambda_reference(scale):
     # Factors that do not split the pencil give residuals of order one, so the
-    # E1/E0 coefficient form is compared at full relative precision; a chunk of
-    # one entry solves one lambda per stacked SVD.
-    monkeypatch.setattr(pencil, "_RESIDUAL_CHUNK", chunk)
+    # E1/E0 coefficient form is compared at full relative precision. The
+    # lambdas are scaled by a power of two (exact); at 2**19 the |lambda|*|E1|
+    # term leads every bound of the pruned search.
     rng = rng_for(SEED, "residual-reference")
-    lambdas = np.concatenate([2.0 * np.exp(2j * math.pi * np.arange(13) / 13), [0.0, -3.0]])
+    lambdas = scale * np.concatenate([2.0 * np.exp(2j * math.pi * np.arange(13) / 13), [0.0, -3.0]])
     for dim in (1, 2, 7):
         T, S = pencil_pair(rng, dim)
         p = QuadraticPencil(T, S)
@@ -498,6 +500,103 @@ def test_factorization_residuals_match_per_lambda_reference(chunk, monkeypatch):
             scale = 1.0 + np.linalg.norm(factors.z1, 2) * np.linalg.norm(factors.z2, 2)
             assert np.allclose(got, ref, rtol=1e-12, atol=64 * dim * np.finfo(float).eps * scale)
     assert factorization_residuals(f, p, []) == (0.0, 0.0)
+
+
+def _stacked_residuals(f, p, lambdas):
+    """Reference: the exact normalized norm at every lambda from one stacked
+    SVD of every lambda E1 - E0, the formula the pruned search replaced."""
+    lams = np.asarray(lambdas, dtype=complex).ravel()
+    if p.dim == 0 or lams.size == 0:
+        return 0.0, 0.0
+    T, S = p.T.matrix, p.S.matrix
+    e1 = f.z1 + f.z2 - 2 * T
+    z12 = f.z1 @ f.z2
+    e0 = np.stack([S + 0.5 * (z12 + f.z2 @ f.z1), S + z12])
+    norms = np.linalg.svd(lams[:, None, None, None] * e1 - e0, compute_uv=False)[..., 0]
+    worst = np.max(norms / (1.0 + np.abs(lams[:, None]) ** 2), axis=0)
+    return float(worst[0]), float(worst[1])
+
+
+def _cli_lambdas(seed):
+    """The 16 lambdas of the CLI factorize check (cli._cmd_factorize)."""
+    rng = rng_for(seed, "factorize-lambdas")
+    return np.concatenate([complex_gaussian(rng, 12, 2.0), rng.standard_normal(4) * 3.0])
+
+
+def test_factorization_residuals_equal_the_stacked_formula():
+    # The bound-ordered search returns the stacked formula's bits: commuting
+    # and non-commuting pairs, and factors whose E1 is of order one; lambda
+    # sets with tied |lambda| (conjugate pairs, +-lambda), lambda = 0,
+    # |lambda| = 1e8, and none.
+    rng = rng_for(SEED, "residual-bits")
+    base = complex_gaussian(rng, 5, 2.0)
+    lambda_sets = [
+        np.concatenate([base, base.conj()]),
+        np.concatenate([base, -base, [0.0]]),
+        [0.0],
+        [1e8, 1e8j, -1e8, 0.5],
+        _cli_lambdas(42),
+        [],
+    ]
+    for dim in (1, 2, 7, 32):
+        for T, S in (commuting_pencil_pair(rng, dim), pencil_pair(rng, dim)):
+            p = QuadraticPencil(T, S)
+            f = factorize(p)
+            wrong = SimpleNamespace(z1=f.z1 + random_unitary(rng, dim), z2=f.z2)
+            for factors in (f, wrong):
+                for lams in lambda_sets:
+                    got = factorization_residuals(factors, p, lams)
+                    assert got == _stacked_residuals(factors, p, lams), (dim, lams)
+
+
+def test_factorization_residuals_take_few_svds(kernel_args):
+    # One SVD of E1, one of each E0 form, and an exact one per form that the
+    # bounds cannot rule out: a commuting pair at the CLI's 16 lambdas takes
+    # at most 5 SVD matrices, where the stacked formula took 32.
+    rng = rng_for(SEED, "residual-svds")
+    for dim in (4, 32):
+        p = QuadraticPencil(*commuting_pencil_pair(rng, dim))
+        f = factorize(p)
+        assert f.commuting
+        kernel_args.clear()
+        factorization_residuals(f, p, _cli_lambdas(dim))
+        assert sum(family == "svd" for family, _ in kernel_args) <= 5
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf), complex(np.nan, 0)])
+def test_factorization_residuals_refuse_non_finite_lambda(bad, kernel_args):
+    # Refused before any kernel runs, with no RuntimeWarning on the way.
+    p = QuadraticPencil(*commuting_pencil_pair(rng_for(SEED, "bad-lambda"), 3))
+    f = factorize(p)
+    kernel_args.clear()
+    with pytest.raises(ParameterError, match="finite"):
+        factorization_residuals(f, p, [1.0, bad])
+    assert kernel_args == []
+
+
+def test_factorize_screens_commutation_and_root_residual(kernel_args):
+    # factorize and a read of commuting take no SVD of TS - ST or of
+    # W^2 - Upsilon: norm_at_most decides both from their Frobenius norms.
+    # Reading sqrt_residual takes exactly one SVD of W^2 - Upsilon, whose
+    # value it reports.
+    rng = rng_for(SEED, "screened-norms")
+    for (T, S), commuting in ((commuting_pencil_pair(rng, 8), True), (pencil_pair(rng, 8), False)):
+        kernel_args.clear()
+        p = QuadraticPencil(T, S)
+        f = factorize(p)
+        assert f.commuting is commuting
+        A, B, U, W = p.T.matrix, p.S.matrix, p.upsilon, f.root.matrix
+        C, D = A @ B - B @ A, W @ W - U
+
+        def svds_of(M):
+            return sum(family == "svd" and np.array_equal(a, M) for family, a in kernel_args)
+
+        assert (svds_of(C), svds_of(D)) == (0, 0)
+        residual = f.sqrt_residual
+        assert f.sqrt_residual == residual
+        assert (svds_of(C), svds_of(D)) == (0, 1)
+        assert residual == operator_norm(D)
 
 
 def test_pencil_spectrum_frozen():
