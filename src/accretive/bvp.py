@@ -11,12 +11,21 @@ orientation (decaying for accretive Z1 and the suite's Z2), so the formula is
 evaluable without rescaling.
 
 u(t) is evaluated through the actions x(t) = exp(-(1-t) Z1) x0 and
-y(t) = exp(t Z2) x1 on all requested times at once: a truncated Taylor
-recurrence on an n x K block (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-2011), never forming an n x n exponential per time.  Stiff factors, whose
-Taylor work would reach that of a dense scaling-and-squaring exponential,
-take the dense expm(t Z) @ v per time instead.  The boundary system still
-needs three dense exponentials: exp(-2R), exp(Z2) and exp(-Z1).
+y(t) = exp(t Z2) x1 on all requested times at once, by the truncated Taylor
+method (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), never forming an
+n x n exponential per time.  The time span is cut into q steps; each step
+takes the m Taylor powers of its one base vector, and every time in the step
+reads them, so an action costs at most m*q matrix-vector products plus one
+small product per step, not m*q products with an n x K block.  Stiff
+factors, whose per-time Taylor work would reach that of a dense
+scaling-and-squaring exponential, take the dense expm(t Z) @ v per time
+instead.  The boundary system still needs three dense exponentials:
+exp(-2R), exp(Z2) and exp(-Z1); x0 and x1 come from one factorization of
+I - exp(-2R).
+
+The reported ODE residual checks the hypotheses, not the written values: its
+defect is [R, T](x(t) - y(t)) + (R^2 - Upsilon) u(t), which vanishes for a
+commuting pair and an exact root whatever x(t) and y(t) hold.
 """
 
 from dataclasses import dataclass
@@ -63,15 +72,19 @@ _UNIT_ROUNDOFF = 2.0**-53
 def _expm_actions(A, v, ts):
     """exp(t_k A) v for every t_k in ts, as the columns of an n x len(ts) array.
 
-    Truncated Taylor recurrence on the shifted B = A - mu I, mu = trace(A)/n,
-    run on all times at once: column k takes q steps of length t_k/q, and the
+    Truncated Taylor method on the shifted B = A - mu I, mu = trace(A)/n: the
     degree m and step count q minimise m*q subject to
-    ||B||_1 max|t_k| / q <= theta_m.  When that Taylor work, m*q*n^2 per time,
-    reaches the ~(8 + s)*n^3 of a dense scaling-and-squaring exponential,
+    ||B||_1 max|t_k| / q <= theta_m.  [0, max|t_k|] is split into q steps of
+    h = max|t_k|/q, and each time reads the one power sequence of the step it
+    falls in (_taylor_walk), so the work is at most m*q matrix-vector
+    products, plus one small product per step, whatever the number of times.
+    The route rule still weighs per-time work: when m*q*n^2 per time reaches
+    the ~(8 + s)*n^3 of a dense scaling-and-squaring exponential,
     s = ceil(log2(||t A||_1 / 5.4)), each column is scipy's expm(t_k A) @ v
     instead, without the input and output checks of expm: the one finiteness
-    check of F covers every time.  t_k = 0 gives v exactly, with no call.
-    Non-finite results raise AccuracyError.
+    check of F covers every time.  Times come in any order and with either
+    sign; t_k = 0 gives v exactly, with no call.  Non-finite results raise
+    AccuracyError.
     """
     ts = np.asarray(ts, dtype=float)
     n = A.shape[0]
@@ -79,7 +92,8 @@ def _expm_actions(A, v, ts):
         return np.zeros((n, ts.size), dtype=complex)
     t_max = float(np.max(np.abs(ts)))
     mu = np.trace(A) / n
-    B = A - mu * np.eye(n)
+    B = np.array(A, dtype=complex)
+    B.flat[:: n + 1] -= mu
     reach = float(np.linalg.norm(B, 1)) * t_max
     m, q = 0, 1
     if reach > 0:
@@ -89,28 +103,21 @@ def _expm_actions(A, v, ts):
         )
     dense_reach = float(np.linalg.norm(A, 1)) * t_max
     squarings = max(0, math.ceil(math.log2(dense_reach / 5.4))) if dense_reach > 0 else 0
+    v = np.asarray(v, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if m * q >= (8 + squarings) * n:
             import scipy.linalg  # deferred, as in expm
 
-            v = np.asarray(v, dtype=complex)
             F = np.stack([scipy.linalg.expm(t * A) @ v if t else v for t in ts], axis=1)
         else:
-            steps = ts / q
-            growth = np.exp(mu * steps)
-            F = np.repeat(np.asarray(v, dtype=complex)[:, None], ts.size, axis=1)
-            for _ in range(q):
-                term = F
-                prev = np.linalg.norm(term, np.inf, axis=0)
-                for k in range(1, m + 1):
-                    term = B @ term
-                    term *= steps / k
-                    size = np.linalg.norm(term, np.inf, axis=0)
-                    F += term
-                    if np.all(prev + size <= _UNIT_ROUNDOFF * np.linalg.norm(F, np.inf, axis=0)):
-                        break
-                    prev = size
-                F *= growth
+            F = np.empty((n, ts.size), dtype=complex)
+            F[:, ts == 0] = v[:, None]
+            for sign in (1.0, -1.0):
+                cols = np.flatnonzero(sign * ts > 0)
+                if cols.size:
+                    F[:, cols] = _taylor_walk(
+                        B if sign > 0 else -B, sign * mu, v, sign * ts[cols], m, q, t_max / q
+                    )
     if not np.all(np.isfinite(F)):
         raise AccuracyError(
             f"matrix exponential action overflowed (input norm {t_max * operator_norm(A):.3e})"
@@ -118,12 +125,62 @@ def _expm_actions(A, v, ts):
     return F
 
 
+def _taylor_walk(B, mu, v, ts, m, q, h):
+    """exp(t_k (B + mu I)) v for times ts in (0, q h], m Taylor terms per step h.
+
+    Step j starts from w_j = exp(j h (B + mu I)) v and takes the powers
+    p_i = B^i w_j, one matrix-vector product each.  A time t_k in that step,
+    at r_k = t_k - j h in [0, h], is e^{mu r_k} sum_i (r_k^i / i!) p_i: one
+    (n x (i+1)) @ ((i+1) x K_j) product for the K_j times of the step, and
+    w_{j+1} is its column at r = h.  Each column's sum may stop at the first
+    i where its last two terms, (r_k^i / i!) ||p_i||_inf and the one before,
+    add up to at most u ||F_k||_inf, and the step stops when every column
+    may.  The partial sums are formed only once the upper bound
+    ||F_k||_inf <= sum_i (r_k^i / i!) ||p_i||_inf allows that stop.
+    """
+    steps = np.minimum(ts // h, q - 1).astype(int)
+    last = int(steps.max())
+    F = np.empty((v.size, ts.size), dtype=complex)
+    P = np.empty((m + 1, v.size), dtype=complex)
+    sizes = np.empty(m + 1)
+    w = v
+    for j in range(last + 1):
+        here = np.flatnonzero(steps == j)
+        r = ts[here] - j * h
+        if j < last:
+            r = np.append(r, h)
+        P[0] = w
+        sizes[0] = np.abs(w).max()
+        coef = np.ones((m + 1, r.size))
+        np.cumprod(r / np.arange(1, m + 1)[:, None], axis=0, out=coef[1:])
+        for i in range(1, m + 1):
+            P[i] = B @ P[i - 1]
+            sizes[i] = np.abs(P[i]).max()
+            tail = coef[i - 1] * sizes[i - 1] + coef[i] * sizes[i]
+            if np.all(tail <= _UNIT_ROUNDOFF * (sizes[: i + 1] @ coef[: i + 1])):
+                S = P[: i + 1].T @ coef[: i + 1]
+                if np.all(tail <= _UNIT_ROUNDOFF * np.linalg.norm(S, np.inf, axis=0)):
+                    break
+        else:
+            S = P.T @ coef
+        S *= np.exp(mu * r)
+        F[:, here] = S[:, : here.size]
+        w = S[:, -1]
+    return F
+
+
 def chebyshev_grid(n=65):
-    """n Chebyshev-spaced points on [0, 1], endpoints included."""
-    if n < 2:
-        raise ParameterError(f"grid needs at least 2 points, got {n}")
-    k = np.arange(n)
-    return (1 - np.cos(math.pi * k / (n - 1))) / 2
+    """n Chebyshev-spaced points on [0, 1], endpoints included; n is integral."""
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"grid size must be an integer: {n!r}") from exc
+    if count != n:
+        raise ParameterError(f"grid size must be an integer: {n!r}")
+    if count < 2:
+        raise ParameterError(f"grid needs at least 2 points, got {count}")
+    k = np.arange(count)
+    return (1 - np.cos(math.pi * k / (count - 1))) / 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,8 +282,10 @@ def solve_bvp(p, grid=None):
         )
     e_z2 = expm(z2)
     e_mz1 = expm(-z1)
-    x0 = np.linalg.solve(M, -e_z2 @ p.u0 + p.u1)
-    x1 = np.linalg.solve(M, p.u0 - e_mz1 @ p.u1)
+    # One factorization of M for both coefficients: their right-hand sides
+    # are the two columns of one solve.
+    rhs = np.stack([-e_z2 @ p.u0 + p.u1, p.u0 - e_mz1 @ p.u1], axis=1)
+    x0, x1 = np.linalg.solve(M, rhs).T
     # Independent route: the raw boundary system, no inverse-of-M shortcut.
     block = np.zeros((2 * n, 2 * n), dtype=complex)
     block[:n, :n] = e_mz1
@@ -259,8 +318,9 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
 
     X and Y hold x(t) = e^{-(1-t)Z1} x0 and y(t) = e^{tZ2} x1 as columns, one
     per check point.  The derivatives are u' = Z1 x + Z2 y and
-    u'' = Z1^2 x + Z2^2 y, so the defect reduces to the commutator [T, R]
-    applied to x - y and vanishes in the commuting case.
+    u'' = Z1^2 x + Z2^2 y, so the defect is [R, T](x - y) + (R^2 - Upsilon)(x + y)
+    and vanishes in the commuting case.  It checks the hypotheses, not the
+    values: a wrong X or Y leaves it as small.
     """
     if X.shape[1] == 0:
         return 0.0

@@ -39,8 +39,10 @@ class LaplacianModel:
     def __post_init__(self):
         try:
             n = int(self.n_modes)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParameterError(f"n_modes must be an integer: {self.n_modes!r}") from exc
+        if n != self.n_modes:
+            raise ParameterError(f"n_modes must be an integer: {self.n_modes!r}")
         if n < 1:
             raise ParameterError(f"n_modes must be positive, got {n}")
         for name in ("eta", "eta1"):

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from accretive.bvp import (
     BvpProblem,
+    _TAYLOR_THETA,
     _expm_actions,
     _factor_actions,
     chebyshev_grid,
@@ -100,6 +101,28 @@ def test_expm_actions_match_dense_per_time(expm_calls, scale, route):
     assert np.max(rel) <= 1e-13
 
 
+def test_expm_actions_share_steps_across_unsorted_signed_times(expm_calls):
+    # n = 64, nonnormal, with ||B||_1 max|t| beyond the largest theta_m, so
+    # the Taylor route walks q >= 2 steps.  Times come unsorted, repeated,
+    # negative and zero; each is checked against its own dense exponential.
+    rng = rng_for(SEED, "taylor-steps")
+    n = 64
+    A = (complex_gaussian(rng, (n, n)) / math.sqrt(n) + np.diag(np.ones(n - 1), 1)
+         - 0.5 * np.eye(n))
+    v = complex_gaussian(rng, n)
+    ts = np.array([0.7, -2.5, 0.0, 3.0, 0.7, -0.2, 1.9, 0.0, 2.99, 1.5, -3.0])
+    B = A - np.trace(A) / n * np.eye(n)
+    assert np.linalg.norm(B, 1) * np.max(np.abs(ts)) > max(_TAYLOR_THETA.values())
+    reference = np.stack([scipy.linalg.expm(t * A) @ v for t in ts], axis=1)
+    expm_calls.clear()
+    got = _expm_actions(A, v, ts)
+    assert len(expm_calls) == 0
+    assert np.array_equal(got[:, 2], v) and np.array_equal(got[:, 7], v)
+    assert np.array_equal(got[:, 0], got[:, 4])
+    rel = np.linalg.norm(got - reference, axis=0) / np.linalg.norm(reference, axis=0)
+    assert np.max(rel) <= 1e-13
+
+
 @pytest.mark.parametrize("A, route", [
     (800.0 * np.eye(2), "taylor"),  # zero norm once shifted by trace/n
     (np.diag([800.0, -800.0]), "dense"),
@@ -151,6 +174,14 @@ def test_chebyshev_grid_default():
     assert len(g) == 65
     assert g[0] == 0.0 and g[-1] == pytest.approx(1.0)
     assert np.all(np.diff(g) > 0)
+
+
+def test_chebyshev_grid_refuses_a_non_integral_size():
+    # int(2.5) would give a grid of 2 points; 2.5 itself a repeated point.
+    for bad in (2.5, math.nan, math.inf, "65"):
+        with pytest.raises(ParameterError):
+            chebyshev_grid(bad)
+    assert np.array_equal(chebyshev_grid(5.0), chebyshev_grid(np.int64(5)))
 
 
 def test_problem_validation():

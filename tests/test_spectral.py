@@ -45,6 +45,14 @@ def test_model_validation():
         LaplacianModel(math.nan, 0.0, 0.1, 4)
 
 
+def test_model_refuses_a_non_integral_mode_count():
+    # int() would truncate 2.5 to 2 modes and overflow on inf.
+    for bad in (2.5, math.inf):
+        with pytest.raises(ParameterError):
+            LaplacianModel(1.0, 0.0, 0.1, bad)
+    assert LaplacianModel(1.0, 0.0, 0.1, 4.0).n_modes == 4
+
+
 def test_eigenvalues_and_operators_frozen():
     m = LaplacianModel(1.0, 0.0, 0.1, 2)
     assert np.allclose(m.eigenvalues, [math.pi**2, 4 * math.pi**2], rtol=0, atol=0)
