@@ -10,18 +10,25 @@ where x0 and x1 solve the boundary system.  Both exponents have the stable
 orientation (decaying for accretive Z1 and the suite's Z2), so the formula is
 evaluable without rescaling.
 
+The inputs are checked by one rule per kind: T and S by the matrix rule,
+u0 and u1 by the vector rule (linops.checked_vector: finite, length n),
+counts by the count rule (linops.checked_count) and the time grid by
+checked_grid (at least 2 strictly increasing times within [0, 1],
+Chebyshev by default).
+
 u(t) is evaluated through the actions x(t) = exp(-(1-t) Z1) x0 and
 y(t) = exp(t Z2) x1 on all requested times at once, by the truncated Taylor
 method (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), never forming an
 n x n exponential per time.  The time span is cut into q steps; each step
 takes the m Taylor powers of its one base vector, and every time in the step
 reads them, so an action costs at most m*q matrix-vector products plus one
-small product per step, not m*q products with an n x K block.  Stiff
-factors, whose per-time Taylor work would reach that of a dense
-scaling-and-squaring exponential, take the dense expm(t Z) @ v per time
-instead.  The boundary system still needs three dense exponentials:
-exp(-2R), exp(Z2) and exp(-Z1); x0 and x1 come from one factorization of
-I - exp(-2R).
+small product per step, not m*q products with an n x K block.  The grid
+rule keeps both action times, 1 - t and t, at or above 0, so each action is
+one forward walk from its base vector.  Stiff factors, whose per-time
+Taylor work would reach that of a dense scaling-and-squaring exponential,
+take the dense expm(t Z) @ v per time instead.  The boundary system still
+needs three dense exponentials: exp(-2R), exp(Z2) and exp(-Z1); x0 and x1
+come from one factorization of I - exp(-2R).
 
 The reported ODE residual checks the hypotheses, not the written values: its
 defect is [R, T](x(t) - y(t)) + (R^2 - Upsilon) u(t), which vanishes for a
@@ -35,7 +42,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
-from .linops import checked_matrix, norm_at_most, operator_norm
+from .linops import checked_count, checked_matrix, checked_vector, norm_at_most, operator_norm
 from .pencil import QuadraticPencil
 from .tolerances import tolerance
 
@@ -74,23 +81,26 @@ def _expm_actions(A, v, ts):
 
     Truncated Taylor method on the shifted B = A - mu I, mu = trace(A)/n: the
     degree m and step count q minimise m*q subject to
-    ||B||_1 max|t_k| / q <= theta_m.  [0, max|t_k|] is split into q steps of
-    h = max|t_k|/q, and each time reads the one power sequence of the step it
+    ||B||_1 max t_k / q <= theta_m.  [0, max t_k] is split into q steps of
+    h = max t_k / q, and each time reads the one power sequence of the step it
     falls in (_taylor_walk), so the work is at most m*q matrix-vector
     products, plus one small product per step, whatever the number of times.
     The route rule still weighs per-time work: when m*q*n^2 per time reaches
     the ~(8 + s)*n^3 of a dense scaling-and-squaring exponential,
     s = ceil(log2(||t A||_1 / 5.4)), each column is scipy's expm(t_k A) @ v
     instead, without the input and output checks of expm: the one finiteness
-    check of F covers every time.  Times come in any order and with either
-    sign; t_k = 0 gives v exactly, with no call.  Non-finite results raise
-    AccuracyError.
+    check of F covers every time.  Times come in any order, each t_k >= 0
+    (the grid rule, checked_grid, keeps both of solve_bvp's factor actions
+    there); a negative or NaN time raises ParameterError.  t_k = 0 gives v
+    exactly, with no call.  Non-finite results raise AccuracyError.
     """
     ts = np.asarray(ts, dtype=float)
+    if not np.all(ts >= 0):
+        raise ParameterError("exponential action times must be >= 0")
     n = A.shape[0]
     if n == 0 or ts.size == 0:
         return np.zeros((n, ts.size), dtype=complex)
-    t_max = float(np.max(np.abs(ts)))
+    t_max = float(np.max(ts))
     mu = np.trace(A) / n
     B = np.array(A, dtype=complex)
     B.flat[:: n + 1] -= mu
@@ -112,12 +122,9 @@ def _expm_actions(A, v, ts):
         else:
             F = np.empty((n, ts.size), dtype=complex)
             F[:, ts == 0] = v[:, None]
-            for sign in (1.0, -1.0):
-                cols = np.flatnonzero(sign * ts > 0)
-                if cols.size:
-                    F[:, cols] = _taylor_walk(
-                        B if sign > 0 else -B, sign * mu, v, sign * ts[cols], m, q, t_max / q
-                    )
+            cols = np.flatnonzero(ts > 0)
+            if cols.size:
+                F[:, cols] = _taylor_walk(B, mu, v, ts[cols], m, q, t_max / q)
     if not np.all(np.isfinite(F)):
         raise AccuracyError(
             f"matrix exponential action overflowed (input norm {t_max * operator_norm(A):.3e})"
@@ -126,9 +133,10 @@ def _expm_actions(A, v, ts):
 
 
 def _taylor_walk(B, mu, v, ts, m, q, h):
-    """exp(t_k (B + mu I)) v for times ts in (0, q h], m Taylor terms per step h.
+    """exp(t_k (B + mu I)) v for positive times ts in (0, q h], m terms per step h.
 
-    Step j starts from w_j = exp(j h (B + mu I)) v and takes the powers
+    One forward walk from v, whatever the order of the times: step j starts
+    from w_j = exp(j h (B + mu I)) v and takes the powers
     p_i = B^i w_j, one matrix-vector product each.  A time t_k in that step,
     at r_k = t_k - j h in [0, h], is e^{mu r_k} sum_i (r_k^i / i!) p_i: one
     (n x (i+1)) @ ((i+1) x K_j) product for the K_j times of the step, and
@@ -170,27 +178,43 @@ def _taylor_walk(B, mu, v, ts, m, q, h):
 
 
 def chebyshev_grid(n=65):
-    """n Chebyshev-spaced points on [0, 1], endpoints included; n is integral."""
-    try:
-        count = int(n)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParameterError(f"grid size must be an integer: {n!r}") from exc
-    if count != n:
-        raise ParameterError(f"grid size must be an integer: {n!r}")
-    if count < 2:
-        raise ParameterError(f"grid needs at least 2 points, got {count}")
+    """n Chebyshev-spaced points on [0, 1], endpoints included.
+
+    n follows the count rule (linops.checked_count) with at least 2 points:
+    65.0 gives 65 points, and 2.5, nan, inf or '65' raise ParameterError.
+    """
+    count = checked_count(n, "grid size", 2)
     k = np.arange(count)
     return (1 - np.cos(math.pi * k / (count - 1))) / 2
+
+
+def checked_grid(grid):
+    """The one grid rule: grid as a float array of at least 2 strictly
+    increasing times within [0, 1], else ParameterError; None gives
+    chebyshev_grid().  solve_bvp and spectral.per_mode_oracle read it, so
+    every time their exponentials see is finite and t, 1 - t >= 0.
+    """
+    if grid is None:
+        return chebyshev_grid()
+    ts = np.asarray(grid, dtype=float)
+    # Written as positive tests so that NaN, which fails every comparison, is refused.
+    if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
+            and ts[0] >= 0 and ts[-1] <= 1):
+        raise ParameterError("grid must be 1-D, >= 2 points, strictly increasing within [0, 1]")
+    return ts
 
 
 @dataclass(frozen=True, eq=False)
 class BvpProblem(QuadraticPencil):
     """The pencil of u'' - 2Tu' - Su = 0 with boundary values u0 and u1.
 
-    Construction only validates the data.  The root R = (T^2 + S)^{1/2} is the
-    pencil's (QuadraticPencil.root), taken on first read, so factorize and
-    solve_bvp given one problem root Upsilon once.  ||T R - R T|| must be
-    small to solve, since the closed formulas rely on Z1 Z2 = Z2 Z1.
+    Construction only validates the data: T and S by the matrix rule, u0 and
+    u1 by the vector rule (linops.checked_vector), so boundary data that is
+    not finite or not of length n raises ParameterError here.  The root
+    R = (T^2 + S)^{1/2} is the pencil's (QuadraticPencil.root), taken on
+    first read, so factorize and solve_bvp given one problem root Upsilon
+    once.  ||T R - R T|| must be small to solve, since the closed formulas
+    rely on Z1 Z2 = Z2 Z1.
     solve_bvp decides that test with norm_at_most, from the Frobenius norm
     where it can; commutation_residual, the exact ||T R - R T|| that the CLI
     solve-bvp report carries, is one SVD taken on first read.
@@ -201,16 +225,9 @@ class BvpProblem(QuadraticPencil):
 
     def __post_init__(self):
         super().__post_init__()
-        n = self.dim
-        u0 = np.asarray(self.u0, dtype=complex).ravel()
-        u1 = np.asarray(self.u1, dtype=complex).ravel()
-        if u0.shape != (n,) or u1.shape != (n,):
-            raise ParameterError(
-                f"boundary vectors must have length {n}, "
-                f"got {u0.shape[0]} and {u1.shape[0]}"
-            )
-        object.__setattr__(self, "u0", u0)
-        object.__setattr__(self, "u1", u1)
+        for name in ("u0", "u1"):
+            u = checked_vector(getattr(self, name), self.dim, f"boundary vectors: {name}")
+            object.__setattr__(self, name, u)
 
     @cached_property
     def commutation_residual(self):
@@ -255,13 +272,10 @@ def solve_bvp(p, grid=None):
     agree (AccuracyError otherwise), which pins the sign conventions
     independently of either derivation.  Near-singular I - e^{-2R} is a
     resonance (non-uniqueness of the two-point problem) and raises
-    ResonanceError.
+    ResonanceError.  grid follows the grid rule (checked_grid); None gives
+    the 65-point Chebyshev grid.
     """
-    # Written as positive tests so that NaN, which fails every comparison, is refused.
-    ts = chebyshev_grid() if grid is None else np.asarray(grid, dtype=float)
-    if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
-            and ts[0] >= 0 and ts[-1] <= 1):
-        raise ParameterError("grid must be strictly increasing within [0, 1]")
+    ts = checked_grid(grid)
     tol = tolerance("bvp-commutation") * p.scale
     if not norm_at_most(p._commutator(), tol):
         raise HypothesisError(
@@ -320,10 +334,9 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
     per check point.  The derivatives are u' = Z1 x + Z2 y and
     u'' = Z1^2 x + Z2^2 y, so the defect is [R, T](x - y) + (R^2 - Upsilon)(x + y)
     and vanishes in the commuting case.  It checks the hypotheses, not the
-    values: a wrong X or Y leaves it as small.
+    values: a wrong X or Y leaves it as small.  The grid rule gives at least
+    one check point: both ends of a 2-point grid, else the interior ones.
     """
-    if X.shape[1] == 0:
-        return 0.0
     du = z1 @ X + z2 @ Y
     ddu = z1 @ (z1 @ X) + z2 @ (z2 @ Y)
     defect = ddu - 2 * (p.T.matrix @ du) - p.S.matrix @ (X + Y)
@@ -333,6 +346,7 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
 def fd_oracle(p, n_points):
     """Second-order central-difference discretization, solved as one system.
 
+    n_points follows the count rule (linops.checked_count), at least 16.
     Interior nodes t_i = i h with h = 1/n_points; row i couples
     (I/h^2 + T/h) u_{i-1} + (-2I/h^2 - S) u_i + (I/h^2 - T/h) u_{i+1} = 0
     with boundary values moved to the right-hand side.  The block-tridiagonal
@@ -343,8 +357,7 @@ def fd_oracle(p, n_points):
     the problem's cached root.  A 0x0 problem has no unknowns: its solution
     is the trivial one solve_bvp returns, at gap 0.
     """
-    if n_points < 16:
-        raise ParameterError(f"n_points must be >= 16, got {n_points}")
+    n_points = checked_count(n_points, "n_points", 16)
     n = p.dim
     grid = np.linspace(0.0, 1.0, n_points + 1)
     if n == 0:

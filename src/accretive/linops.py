@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, DimensionError, PreconditionError
+from .errors import AccuracyError, DimensionError, ParameterError, PreconditionError
 from .tolerances import tolerance
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -296,6 +296,36 @@ def checked_matrix(T):
     if not np.all(np.isfinite(A)):
         raise DimensionError("matrix entries must be finite")
     return A
+
+
+def checked_count(n, what, least):
+    """The one count rule: n as an int when it is integral and at least least.
+
+    An integral value passes, 65.0 and np.int64(65) as 65; 2.5, nan, inf, a
+    string such as '65' and a value below least raise ParameterError naming
+    what.  int() alone would truncate 2.5 to 2 and accept '65'.
+    """
+    try:
+        count = int(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{what} must be an integer: {n!r}") from exc
+    if count != n:
+        raise ParameterError(f"{what} must be an integer: {n!r}")
+    if count < least:
+        raise ParameterError(f"{what} must be at least {least}, got {count}")
+    return count
+
+
+def checked_vector(v, n, what):
+    """The one vector rule: v as a 1-D complex128 array of length n with finite
+    entries, or ParameterError naming what.  A 2-D array is refused, not
+    flattened."""
+    x = np.asarray(v, dtype=np.complex128)
+    if x.shape != (n,):
+        raise ParameterError(f"{what} must have length {n}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ParameterError(f"{what} entries must be finite")
+    return x
 
 
 @lru_cache(maxsize=_SHARED_OPERATORS)

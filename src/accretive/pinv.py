@@ -17,6 +17,7 @@ from .errors import AccuracyError, HypothesisError, ParameterError, Precondition
 from .linops import (
     Operator,
     as_operator,
+    checked_count,
     checked_matrix,
     operator_norm,
     rank_cutoff,
@@ -239,12 +240,12 @@ def neumann_identity_check(T, S, k):
 
     Returns ||(I + T_pinv S)^{-1} T_pinv - sum_{n<=k} (-T_pinv S)^n T_pinv||,
     which the geometric tail bounds by c^{k+1} ||T_pinv|| / (1 - c) with
-    c = ||T_pinv S||.
+    c = ||T_pinv S||.  k follows the count rule (linops.checked_count), at
+    least 0, so 2.5 raises ParameterError rather than running order 2.
     """
     A = as_operator(T).matrix
     B = as_operator(S).matrix
-    if k < 0:
-        raise ParameterError(f"k must be >= 0, got {k}")
+    k = checked_count(k, "k", 0)
     P = pseudoinverse(A).pinv
     C = P @ B
     c = operator_norm(C)
@@ -253,7 +254,7 @@ def neumann_identity_check(T, S, k):
     eye = np.eye(A.shape[0])
     exact = np.linalg.solve(eye + C, P)
     partial = P.copy()
-    for _ in range(int(k)):
+    for _ in range(k):
         partial = P - C @ partial
     return float(operator_norm(exact - partial))
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bvp import BvpProblem, BvpSolution, chebyshev_grid, solve_bvp
+from .bvp import BvpProblem, BvpSolution, checked_grid, solve_bvp
 from .errors import AccretiveError, ModelError, ParameterError, PreconditionError, ResonanceError
+from .linops import checked_count, checked_vector
 from .pencil import factorize
 from .pinv import perturbation_certificate
 from .tolerances import tolerance
@@ -28,7 +29,8 @@ class LaplacianModel:
     eta and Re(xi) must be nonnegative for the first- and zero-order
     coefficients to be accretive; violations are reported by
     screen_failures() rather than raised, so infeasible parameter sets can
-    still be inspected.
+    still be inspected.  n_modes follows the count rule
+    (linops.checked_count), at least 1.
     """
 
     eta: float
@@ -37,14 +39,7 @@ class LaplacianModel:
     n_modes: int
 
     def __post_init__(self):
-        try:
-            n = int(self.n_modes)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParameterError(f"n_modes must be an integer: {self.n_modes!r}") from exc
-        if n != self.n_modes:
-            raise ParameterError(f"n_modes must be an integer: {self.n_modes!r}")
-        if n < 1:
-            raise ParameterError(f"n_modes must be positive, got {n}")
+        n = checked_count(self.n_modes, "n_modes", 1)
         for name in ("eta", "eta1"):
             val = getattr(self, name)
             if isinstance(val, complex) or not math.isfinite(float(val)):
@@ -147,15 +142,15 @@ def per_mode_oracle(m, u0, u1, grid=None):
     Independent of the matrix solver: each mode fits a*e^{z1(t-1)} + b*e^{z2 t}
     with z = t_j +/- sqrt(t_j^2 + xi) through a direct 2x2 boundary solve.
     The scaled basis keeps every exponent nonpositive for accretive modes, so
-    large |t_j| underflows instead of overflowing.
+    large |t_j| underflows instead of overflowing.  u0 and u1 follow the
+    vector rule (linops.checked_vector: finite, n_modes entries) and grid the
+    grid rule (bvp.checked_grid; None gives the Chebyshev grid), the rules
+    BvpProblem and solve_bvp read, so malformed data raises ParameterError
+    rather than giving NaN values or a mis-shaped array.
     """
-    u0 = np.asarray(u0, dtype=complex).reshape(-1)
-    u1 = np.asarray(u1, dtype=complex).reshape(-1)
-    if u0.shape != (m.n_modes,) or u1.shape != (m.n_modes,):
-        raise ParameterError(
-            f"boundary data must have {m.n_modes} entries, got {u0.shape} and {u1.shape}"
-        )
-    ts = chebyshev_grid() if grid is None else np.asarray(grid, dtype=float)
+    u0 = checked_vector(u0, m.n_modes, "boundary vectors: u0")
+    u1 = checked_vector(u1, m.n_modes, "boundary vectors: u1")
+    ts = checked_grid(grid)
     t = m.mode_coefficients()
     r = np.sqrt(t**2 + m.xi)
     z1, z2 = t + r, t - r
@@ -217,11 +212,12 @@ def demo(m, u0, u1, grid=None, x_samples=33):
     certificate stages read every field the report takes from them, so a
     field computed on first read fails under its own stage's label too.
     Returns a report dict including the synthesized field
-    u(t, x) = sum_j u_j(t) * sqrt(2) sin(j pi x) on a uniform x grid.
+    u(t, x) = sum_j u_j(t) * sqrt(2) sin(j pi x) on a uniform x grid of
+    x_samples points.  x_samples follows the count rule
+    (linops.checked_count), at least 2, and is checked before any stage:
+    2.5 or '33' raises ParameterError.
     """
-    x_samples = int(x_samples)
-    if x_samples < 2:
-        raise ParameterError(f"x_samples must be at least 2, got {x_samples}")
+    x_samples = checked_count(x_samples, "x_samples", 2)
 
     def condition():
         ok, total = condition_check(m)

@@ -103,24 +103,28 @@ def test_expm_actions_match_dense_per_time(expm_calls, scale, route):
 
 def test_expm_actions_share_steps_across_unsorted_signed_times(expm_calls):
     # n = 64, nonnormal, with ||B||_1 max|t| beyond the largest theta_m, so
-    # the Taylor route walks q >= 2 steps.  Times come unsorted, repeated,
-    # negative and zero; each is checked against its own dense exponential.
+    # the Taylor route walks q >= 2 steps.  Times come unsorted, repeated and
+    # zero; each is checked against its own dense exponential.  The grid rule
+    # keeps every action time at or above 0, so a negative one is refused,
+    # not walked.
     rng = rng_for(SEED, "taylor-steps")
     n = 64
     A = (complex_gaussian(rng, (n, n)) / math.sqrt(n) + np.diag(np.ones(n - 1), 1)
          - 0.5 * np.eye(n))
     v = complex_gaussian(rng, n)
-    ts = np.array([0.7, -2.5, 0.0, 3.0, 0.7, -0.2, 1.9, 0.0, 2.99, 1.5, -3.0])
+    ts = np.array([0.7, 0.0, 3.0, 0.7, 1.9, 0.0, 2.99, 1.5])
     B = A - np.trace(A) / n * np.eye(n)
-    assert np.linalg.norm(B, 1) * np.max(np.abs(ts)) > max(_TAYLOR_THETA.values())
+    assert np.linalg.norm(B, 1) * np.max(ts) > max(_TAYLOR_THETA.values())
     reference = np.stack([scipy.linalg.expm(t * A) @ v for t in ts], axis=1)
     expm_calls.clear()
     got = _expm_actions(A, v, ts)
     assert len(expm_calls) == 0
-    assert np.array_equal(got[:, 2], v) and np.array_equal(got[:, 7], v)
-    assert np.array_equal(got[:, 0], got[:, 4])
+    assert np.array_equal(got[:, 1], v) and np.array_equal(got[:, 5], v)
+    assert np.array_equal(got[:, 0], got[:, 3])
     rel = np.linalg.norm(got - reference, axis=0) / np.linalg.norm(reference, axis=0)
     assert np.max(rel) <= 1e-13
+    with pytest.raises(ParameterError):
+        _expm_actions(A, v, np.array([0.7, -0.2, 1.5]))
 
 
 @pytest.mark.parametrize("A, route", [
