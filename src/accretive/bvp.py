@@ -26,9 +26,12 @@ small product per step, not m*q products with an n x K block.  The grid
 rule keeps both action times, 1 - t and t, at or above 0, so each action is
 one forward walk from its base vector.  Stiff factors, whose per-time
 Taylor work would reach that of a dense scaling-and-squaring exponential,
-take the dense expm(t Z) @ v per time instead.  The boundary system still
-needs three dense exponentials: exp(-2R), exp(Z2) and exp(-Z1); x0 and x1
-come from one factorization of I - exp(-2R).
+take the dense expm(t Z) @ v per time instead.  The boundary system needs
+one dense exponential, exp(-2R): x0 and x1 come from one factorization of
+I - exp(-2R), with the right-hand sides exp(Z2) u0 and exp(-Z1) u1 taken as
+actions at t = 1.  The boundary residual reads the written values: it is
+max(||u(0) - u0||, ||u(1) - u1||) with u(0) and u(1) from the same actions
+that give u on the grid, an end the grid lacks being one more action time.
 
 The reported ODE residual checks the hypotheses, not the written values: its
 defect is [R, T](x(t) - y(t)) + (R^2 - Upsilon) u(t), which vanishes for a
@@ -165,9 +168,9 @@ def _taylor_walk(B, mu, v, ts, m, q, h):
             P[i] = B @ P[i - 1]
             sizes[i] = np.abs(P[i]).max()
             tail = coef[i - 1] * sizes[i - 1] + coef[i] * sizes[i]
-            if np.all(tail <= _UNIT_ROUNDOFF * (sizes[: i + 1] @ coef[: i + 1])):
+            if (tail <= _UNIT_ROUNDOFF * (sizes[: i + 1] @ coef[: i + 1])).all():
                 S = P[: i + 1].T @ coef[: i + 1]
-                if np.all(tail <= _UNIT_ROUNDOFF * np.linalg.norm(S, np.inf, axis=0)):
+                if (tail <= _UNIT_ROUNDOFF * np.linalg.norm(S, np.inf, axis=0)).all():
                     break
         else:
             S = P.T @ coef
@@ -190,13 +193,18 @@ def chebyshev_grid(n=65):
 
 def checked_grid(grid):
     """The one grid rule: grid as a float array of at least 2 strictly
-    increasing times within [0, 1], else ParameterError; None gives
+    increasing real times within [0, 1], else ParameterError; None gives
     chebyshev_grid().  solve_bvp and spectral.per_mode_oracle read it, so
     every time their exponentials see is finite and t, 1 - t >= 0.
     """
     if grid is None:
         return chebyshev_grid()
-    ts = np.asarray(grid, dtype=float)
+    ts = np.asarray(grid)
+    # The kind test comes before the cast, which would drop an imaginary part
+    # with a ComplexWarning and hand a string to numpy's parser.
+    if ts.dtype.kind not in "biuf":
+        raise ParameterError(f"grid must hold real numbers, got dtype {ts.dtype}")
+    ts = ts.astype(float, copy=False)
     # Written as positive tests so that NaN, which fails every comparison, is refused.
     if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
             and ts[0] >= 0 and ts[-1] <= 1):
@@ -267,13 +275,14 @@ def _residual_scale(p, x0, x1):
 def solve_bvp(p, grid=None):
     """Boundary-fitted exponential solution of u'' - 2Tu' - Su = 0.
 
-    x0 and x1 are taken from the closed formulas through (I - e^{-2R})^{-1}
-    and re-derived from the 2x2 block boundary system; the two routes must
-    agree (AccuracyError otherwise), which pins the sign conventions
-    independently of either derivation.  Near-singular I - e^{-2R} is a
-    resonance (non-uniqueness of the two-point problem) and raises
-    ResonanceError.  grid follows the grid rule (checked_grid); None gives
-    the 65-point Chebyshev grid.
+    x0 and x1 are taken from the closed formulas through (I - e^{-2R})^{-1},
+    whose right-hand sides read e^{Z2} u0 and e^{-Z1} u1 as exponential
+    actions.  boundary_residual is max(||u(0) - u0||, ||u(1) - u1||) on the
+    values the solve writes, so a wrong sign, a swapped coefficient or a
+    wrong action shows there.  Near-singular I - e^{-2R} is a resonance
+    (non-uniqueness of the two-point problem) and raises ResonanceError.
+    grid follows the grid rule (checked_grid); None gives the 65-point
+    Chebyshev grid.
     """
     ts = checked_grid(grid)
     tol = tolerance("bvp-commutation") * p.scale
@@ -286,39 +295,32 @@ def solve_bvp(p, grid=None):
     z1 = p.T.matrix + R
     z2 = p.T.matrix - R
     n = p.dim
-    eye = np.eye(n)
-    M = eye - expm(-2 * R)
+    M = np.eye(n) - expm(-2 * R)
     smin = np.linalg.svd(M, compute_uv=False)[-1] if n else 1.0
     if smin <= tolerance("resonance") * max(1, n):
         raise ResonanceError(
             f"I - exp(-2 R) is singular to working precision "
             f"(sigma_min = {smin:.3e}); the two-point problem is resonant"
         )
-    e_z2 = expm(z2)
-    e_mz1 = expm(-z1)
-    # One factorization of M for both coefficients: their right-hand sides
-    # are the two columns of one solve.
-    rhs = np.stack([-e_z2 @ p.u0 + p.u1, p.u0 - e_mz1 @ p.u1], axis=1)
+    # One factorization of M for both coefficients: their right-hand sides,
+    # u1 - e^{Z2} u0 and u0 - e^{-Z1} u1, are the two columns of one solve.
+    rhs = np.stack([
+        p.u1 - _expm_actions(z2, p.u0, [1.0])[:, 0],
+        p.u0 - _expm_actions(-z1, p.u1, [1.0])[:, 0],
+    ], axis=1)
     x0, x1 = np.linalg.solve(M, rhs).T
-    # Independent route: the raw boundary system, no inverse-of-M shortcut.
-    block = np.zeros((2 * n, 2 * n), dtype=complex)
-    block[:n, :n] = e_mz1
-    block[:n, n:] = eye
-    block[n:, :n] = eye
-    block[n:, n:] = e_z2
-    stacked = np.linalg.solve(block, np.concatenate([p.u0, p.u1]))
-    route_gap = float(np.linalg.norm(np.concatenate([x0, x1]) - stacked))
-    if route_gap > tolerance("dual-route") * (1 + np.linalg.norm(stacked)):
-        raise AccuracyError(
-            f"boundary-coefficient routes disagree by {route_gap:.3e}; "
-            "sign conventions violated"
-        )
-    X, Y = _factor_actions(z1, z2, x0, x1, ts)
-    b0 = e_mz1 @ x0 + x1 - p.u0
-    b1 = x0 + e_z2 @ x1 - p.u1
-    boundary_residual = max(float(np.linalg.norm(b0)), float(np.linalg.norm(b1)))
-    # The ODE check points are grid points, so their x(t), y(t) are already here.
-    check = np.flatnonzero((ts > 0) & (ts < 1))[:16] if len(ts) > 2 else slice(None)
+    # The boundary residual reads u(0) and u(1) from the actions that write
+    # the values; an end the grid lacks is one more action time.
+    times = np.union1d(ts, (0.0, 1.0))
+    X, Y = _factor_actions(z1, z2, x0, x1, times)
+    boundary_residual = max(float(np.linalg.norm(X[:, 0] + Y[:, 0] - p.u0)),
+                            float(np.linalg.norm(X[:, -1] + Y[:, -1] - p.u1)))
+    at = np.searchsorted(times, ts)
+    X, Y = X[:, at], Y[:, at]
+    # The ODE check points are grid points, so their x(t), y(t) are already
+    # here: at most 16 interior ones, spread over (0, 1) by index.
+    inner = np.flatnonzero((ts > 0) & (ts < 1)) if len(ts) > 2 else np.arange(2)
+    check = inner[np.linspace(0, inner.size - 1, min(16, inner.size)).astype(int)]
     scale = _residual_scale(p, x0, x1)
     resid = _ode_residual_analytic(z1, z2, X[:, check], Y[:, check], p, scale)
     return BvpSolution(
@@ -335,7 +337,8 @@ def _ode_residual_analytic(z1, z2, X, Y, p, scale):
     u'' = Z1^2 x + Z2^2 y, so the defect is [R, T](x - y) + (R^2 - Upsilon)(x + y)
     and vanishes in the commuting case.  It checks the hypotheses, not the
     values: a wrong X or Y leaves it as small.  The grid rule gives at least
-    one check point: both ends of a 2-point grid, else the interior ones.
+    one check point: both points of a 2-point grid, else up to 16 interior
+    ones spread over the grid by index.
     """
     du = z1 @ X + z2 @ Y
     ddu = z1 @ (z1 @ X) + z2 @ (z2 @ Y)

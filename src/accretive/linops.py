@@ -316,11 +316,27 @@ def checked_count(n, what, least):
     return count
 
 
+def checked_scalar(x, what, real=True):
+    """The one scalar rule: x as a finite float, or as a finite complex when
+    real is False, else ParameterError naming what.  The dtype kind is tested
+    before any cast: 2, 0.5 and np.float64(0.5) pass, while a string such as
+    '1.0', a complex value where a real one is asked, nan and inf raise.
+    float() alone would accept '1.0'."""
+    a = np.asarray(x)
+    if a.shape != () or a.dtype.kind not in ("biuf" if real else "biufc") or not np.isfinite(a):
+        raise ParameterError(f"{what} must be a finite {'real' if real else 'complex'} number, got {x!r}")
+    return float(a) if real else complex(a)
+
+
 def checked_vector(v, n, what):
     """The one vector rule: v as a 1-D complex128 array of length n with finite
-    entries, or ParameterError naming what.  A 2-D array is refused, not
-    flattened."""
-    x = np.asarray(v, dtype=np.complex128)
+    entries, or ParameterError naming what.  The dtype kind is tested before
+    the cast, so strings are refused, not passed to numpy's parser; a 2-D
+    array is refused, not flattened."""
+    x = np.asarray(v)
+    if x.dtype.kind not in "biufc":
+        raise ParameterError(f"{what} must hold numbers, got dtype {x.dtype}")
+    x = x.astype(np.complex128, copy=False)
     if x.shape != (n,):
         raise ParameterError(f"{what} must have length {n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bvp import BvpProblem, BvpSolution, checked_grid, solve_bvp
-from .errors import AccretiveError, ModelError, ParameterError, PreconditionError, ResonanceError
-from .linops import checked_count, checked_vector
+from .errors import AccretiveError, ModelError, PreconditionError, ResonanceError
+from .linops import checked_count, checked_scalar, checked_vector
 from .pencil import factorize
 from .pinv import perturbation_certificate
 from .tolerances import tolerance
@@ -30,7 +30,9 @@ class LaplacianModel:
     coefficients to be accretive; violations are reported by
     screen_failures() rather than raised, so infeasible parameter sets can
     still be inspected.  n_modes follows the count rule
-    (linops.checked_count), at least 1.
+    (linops.checked_count), at least 1, and eta, eta1 and xi the scalar rule
+    (linops.checked_scalar): eta and eta1 finite reals, xi a finite complex,
+    so a string such as '1.0' raises ParameterError.
     """
 
     eta: float
@@ -39,18 +41,10 @@ class LaplacianModel:
     n_modes: int
 
     def __post_init__(self):
-        n = checked_count(self.n_modes, "n_modes", 1)
-        for name in ("eta", "eta1"):
-            val = getattr(self, name)
-            if isinstance(val, complex) or not math.isfinite(float(val)):
-                raise ParameterError(f"{name} must be a finite real, got {val!r}")
-        xi = complex(self.xi)
-        if not (math.isfinite(xi.real) and math.isfinite(xi.imag)):
-            raise ParameterError(f"xi must be finite, got {self.xi!r}")
-        object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "eta1", float(self.eta1))
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "n_modes", n)
+        object.__setattr__(self, "n_modes", checked_count(self.n_modes, "n_modes", 1))
+        object.__setattr__(self, "eta", checked_scalar(self.eta, "eta"))
+        object.__setattr__(self, "eta1", checked_scalar(self.eta1, "eta1"))
+        object.__setattr__(self, "xi", checked_scalar(self.xi, "xi", real=False))
 
     @property
     def eigenvalues(self):

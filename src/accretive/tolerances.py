@@ -56,7 +56,6 @@ DEFAULTS = {
     "resonance": 1e-12,            # scaled by dim
     "boundary-residual": 1e-9,     # scaled by 1 + ||u0|| + ||u1||
     "ode-residual": 1e-8,
-    "dual-route": 1e-8,
     "superposition": 1e-10,
     "fd-gap": 1e-4,
     # spectral

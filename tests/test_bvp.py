@@ -1,6 +1,7 @@
 """Two-point BVP: exponential formula, residuals, finite-difference oracle."""
 
 import gc
+import inspect
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from accretive import bvp, selftest
 from accretive.bvp import (
     BvpProblem,
     _TAYLOR_THETA,
@@ -137,16 +139,17 @@ def test_expm_actions_overflow_raises(expm_calls, A, route):
     assert (len(expm_calls) > 0) == (route == "dense")
 
 
-def test_solve_bvp_makes_three_dense_exponentials(expm_calls):
-    # Only the boundary system's I - e^{-2R}, e^{Z2} and e^{-Z1} are dense;
-    # u(t) on the grid and the ODE check points come from exponential actions.
+def test_solve_bvp_makes_one_dense_exponential(expm_calls):
+    # Only the boundary system's I - e^{-2R} is dense; its right-hand sides
+    # e^{Z2} u0 and e^{-Z1} u1, u(t) on the grid and the ODE check points
+    # come from exponential actions.
     rng = rng_for(SEED, "three-expm")
     T, S = commuting_pencil_pair(rng, 32)
     u0 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     u1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     p = BvpProblem(T, S, u0, u1)
     sol = solve_bvp(p)
-    assert len(expm_calls) == 3
+    assert len(expm_calls) == 1
     R = p.root.matrix
     z1, z2 = T + R, T - R
     dense = np.stack([
@@ -224,6 +227,71 @@ def test_diagonal_example_matches_mode_oracle():
     for j in range(2):
         expected = scalar_mode_oracle(T[j, j], S[j, j], 1.0, 0.0, sol.grid)
         assert np.max(np.abs(sol.values[:, j] - expected)) <= 1e-10, f"mode {j}"
+
+
+def test_grid_without_its_ends():
+    # u(0) and u(1) are extra action times when the grid lacks them: the
+    # values are written on the grid alone, and the boundary residual still
+    # reads the ends.
+    T = np.diag([1.0, 2.0])
+    S = np.diag([3.0, 5.0])
+    u0, u1 = np.array([1.0, -0.5j]), np.array([0.3, 2.0])
+    grid = [0.25, 0.5, 0.75]
+    sol = solve_bvp(BvpProblem(T, S, u0, u1), grid)
+    assert np.array_equal(sol.grid, grid) and sol.values.shape == (3, 2)
+    scale = 1 + np.linalg.norm(u0) + np.linalg.norm(u1)
+    assert sol.boundary_residual <= 1e-14 * scale
+    for j in range(2):
+        expected = scalar_mode_oracle(T[j, j], S[j, j], u0[j], u1[j], grid)
+        assert np.max(np.abs(sol.values[:, j] - expected)) <= 1e-12, f"mode {j}"
+
+
+def test_boundary_residual_reads_the_written_ends():
+    rng = rng_for(SEED, "written-ends")
+    T, S = commuting_pencil_pair(rng, 6)
+    p = BvpProblem(T, S, complex_gaussian(rng, 6), complex_gaussian(rng, 6))
+    sol = solve_bvp(p)
+    assert sol.boundary_residual == max(np.linalg.norm(sol.values[0] - p.u0),
+                                        np.linalg.norm(sol.values[-1] - p.u1))
+
+
+def _source_mutant(old, new):
+    """solve_bvp with the one occurrence of old in its source replaced by new."""
+    def make(monkeypatch):
+        source = inspect.getsource(bvp.solve_bvp)
+        assert source.count(old) == 1
+        namespace = dict(vars(bvp))
+        exec(compile(source.replace(old, new), bvp.__file__, "exec"), namespace)
+        return namespace["solve_bvp"]
+    return make
+
+
+def _scaled_actions(monkeypatch):
+    """solve_bvp with every exponential action scaled by 1.01."""
+    actions = bvp._expm_actions
+    monkeypatch.setattr(bvp, "_expm_actions", lambda A, v, ts: 1.01 * actions(A, v, ts))
+    return bvp.solve_bvp
+
+
+# Faults in the boundary route that the ODE residual cannot see, since its
+# defect vanishes for a commuting pair whatever x0, x1 and the actions hold.
+BOUNDARY_MUTANTS = {
+    "swapped-coefficients": _source_mutant("x0, x1 = np.linalg.solve", "x1, x0 = np.linalg.solve"),
+    "plus-z1-right-hand-side": _source_mutant("_expm_actions(-z1, p.u1", "_expm_actions(z1, p.u1"),
+    "actions-times-1.01": _scaled_actions,
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(BOUNDARY_MUTANTS))
+def test_boundary_mutants_fail_the_boundary_residual_claim(monkeypatch, mutant):
+    rng = rng_for(SEED, "boundary-mutants")
+    T, S = commuting_pencil_pair(rng, 8)
+    p = BvpProblem(T, S, complex_gaussian(rng, 8), complex_gaussian(rng, 8))
+    status = {c["claim"]: c["status"] for c in selftest.bvp_claims(solve_bvp(p), p.u0, p.u1)}
+    assert status == {"boundary-residual": "pass", "ode-residual": "pass"}
+    solve = BOUNDARY_MUTANTS[mutant](monkeypatch)
+    status = {c["claim"]: c["status"] for c in selftest.bvp_claims(solve(p), p.u0, p.u1)}
+    assert status == {"boundary-residual": "fail", "ode-residual": "pass"}
 
 
 def test_random_commuting_suite():

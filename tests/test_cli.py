@@ -221,7 +221,7 @@ def test_tol_override_validation(files):
         assert run(["analyze", "--input", files["witness"], "--out", files["out"],
                     "--tol-override", f"penrose={value}"]) == 2
     # A key that no check reads is unknown, not silently accepted.
-    for key in ("sqrt-sector", "truncation"):
+    for key in ("sqrt-sector", "truncation", "dual-route"):
         assert run(["analyze", "--input", files["witness"], "--out", files["out"],
                     "--tol-override", f"{key}=1"]) == 2
 
@@ -255,14 +255,9 @@ def _singular_resolvent(a, x, calls):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-# solve_bvp checks its closed formulas against the 2n x 2n block system (n = 2
-# here); perturbed_pinv checks its range route against its kernel route, the
-# second solve, and fails when a resolvent is singular.
+# perturbed_pinv checks its range route against its kernel route, the second
+# solve, and fails when a resolvent is singular.
 _ROUTE_FAULTS = {
-    "bvp-route-gap": (
-        ["solve-bvp", "--input", "diag-t", "--input2", "diag-s", "--u0", "u0", "--u1", "u1"],
-        lambda a, x, calls: x + 1.0 if np.shape(a) == (4, 4) else x,
-    ),
     "pinv-singular-resolvent": (
         ["perturb", "--input", "diag-t", "--input2", "zero"], _singular_resolvent,
     ),
@@ -288,6 +283,29 @@ def test_route_disagreement_is_an_accuracy_failure(files, capsys, monkeypatch, f
     err = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("accuracy failure: "), err
+
+
+def test_a_faulty_boundary_solve_fails_the_boundary_residual_claim(files, capsys, monkeypatch):
+    # solve_bvp's one solve is the n x n system of I - e^{-2R} (n = 2 here).
+    # A fault there moves x0 and x1, so the values the run writes miss u0 and
+    # u1 at the ends: the boundary-residual claim, which reads them, fails,
+    # and the report is still written.
+    solve = np.linalg.solve
+    shapes = []
+
+    def faulty(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b) + 1.0
+
+    monkeypatch.setattr(np.linalg, "solve", faulty)
+    rc = run(["solve-bvp", "--input", files["diag-t"], "--input2", files["diag-s"],
+              "--u0", files["u0"], "--u1", files["u1"], "--out", files["out"]])
+    assert shapes == [(2, 2)]
+    assert rc == 1
+    assert capsys.readouterr().err == "failed claim: boundary-residual\n"
+    report = json.loads(_text(files["out"] + "/solve-bvp-report.json"))
+    status = {c["claim"]: c["status"] for c in report["claims"]}
+    assert status == {"boundary-residual": "fail", "ode-residual": "pass"}
 
 
 def test_update_route_gap_is_a_tolerance_key(tmp_path, capsys):

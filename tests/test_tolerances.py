@@ -49,7 +49,6 @@ CASES = {
     "resonance": (1e3, lambda: solve_bvp(_problem()).grid.size, ResonanceError),
     "resonance/oracle": (1e3, lambda: per_mode_oracle(
         LaplacianModel(1.0, 0.0, 0.1, 4), np.ones(4), np.ones(4)).values.shape, ResonanceError),
-    "dual-route": (1e-300, lambda: solve_bvp(_problem()).grid.size, AccuracyError),
 }
 
 
