@@ -45,6 +45,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
+from .linops import _numeric_array
 from .linops import checked_count, checked_matrix, checked_vector, norm_at_most, operator_norm
 from .pencil import QuadraticPencil
 from .tolerances import tolerance
@@ -193,19 +194,14 @@ def chebyshev_grid(n=65):
 
 def checked_grid(grid):
     """The one grid rule: grid as a float array of at least 2 strictly
-    increasing real times within [0, 1], else ParameterError; None gives
+    increasing real times within [0, 1], else ParameterError, a ragged,
+    complex or non-numeric grid included (linops._numeric_array); None gives
     chebyshev_grid().  solve_bvp and spectral.per_mode_oracle read it, so
     every time their exponentials see is finite and t, 1 - t >= 0.
     """
     if grid is None:
         return chebyshev_grid()
-    ts = np.asarray(grid)
-    # The kind test comes before the cast, which would drop an imaginary part
-    # with a ComplexWarning and hand a string to numpy's parser.
-    if ts.dtype.kind not in "biuf":
-        raise ParameterError(f"grid must hold real numbers, got dtype {ts.dtype}")
-    ts = ts.astype(float, copy=False)
-    # Written as positive tests so that NaN, which fails every comparison, is refused.
+    ts = _numeric_array(grid, True, ParameterError, "grid")
     if not (ts.ndim == 1 and len(ts) >= 2 and np.all(np.diff(ts) > 0)
             and ts[0] >= 0 and ts[-1] <= 1):
         raise ParameterError("grid must be 1-D, >= 2 points, strictly increasing within [0, 1]")

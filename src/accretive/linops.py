@@ -29,7 +29,8 @@ _SEED_ANGLES = np.arange(4) * (np.pi / 4)
 # and 14 / 25 for accretive_operator.  The cap binds where the boundary of
 # W(T) runs close to the circle |z| = w(T) near its farthest point (a disk,
 # which 64 solves leave 3e-4 wide), and the level-set test then decides: one
-# QZ costs as much as 68 solves at n = 32 and 235 at n = 128.
+# QZ costs as much as 68 solves at n = 32 and 235 at n = 128.  Kato's pencil
+# test (pinv._pencil_ends) takes the same width and the same cap on its rounds.
 _RADIUS_RTOL = 1e-10
 _RADIUS_SOLVES = 64
 # A pencil eigenvalue this close to the unit circle counts as unimodular
@@ -38,12 +39,9 @@ _RADIUS_SOLVES = 64
 # of the circle, and at r = w_lo(1 + 1e-10) the nearest eigenvalue sat at
 # least 1.2e-5 off it.  The gap sits nearer the latter: a refusal only leaves
 # the polygon's wider bracket, while a missed unimodular eigenvalue would
-# certify a false upper end.
+# certify a false upper end.  pinv._pencil_ends counts a root mu of Kato's
+# pencil as real when |Im mu| is at most this gap times |mu|, for that reason.
 _UNIT_CIRCLE_GAP = 1e-6
-# convex_bound stops refining its copy of the polygon after this many solves.
-# The 60 second-power draws of selftest at seeds 42 and 1-5 took 0-4 (median
-# 0); it binds only where the sign of sup f stays undecided.
-_BOUND_SOLVES = 64
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
 _SHARED_OPERATORS = 4
@@ -66,8 +64,7 @@ class Operator:
     two (_unit), so nothing in it overflows.  support and points read it,
     excess measures points against its support lines, and radius_bracket
     reads the numerical radius w(T) off it, with a level-set test where the
-    bisection stalls.  convex_bound refines a copy of it to bound the
-    maximum of a quasiconvex functional over W(T).
+    bisection stalls.
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -153,16 +150,18 @@ class Operator:
         gives the support value h(theta) = max Re(e^{-i*theta} z) over W(T)
         and the boundary Rayleigh point attaining it (Johnson, SIAM J. Numer.
         Anal. 15, 1978).  Since H(theta + pi) = -H(theta), one solve at t
-        also gives h(t + pi) and its point from the bottom eigenpair
-        (_solver), so the angles are a first half-turn and the same angles
-        plus pi.  The support lines of adjacent angles cut out an outer
-        polygon of W(T) (_vertices).  The 8 seed angles _SEED_ANGLES
-        take 4 solves; the arc of the largest vertex is then bisected
-        (_bisect) until the w(T) bracket is _RADIUS_RTOL wide relative, or
-        _RADIUS_SOLVES more solves are spent.  Every T is solved this way at
-        order n, whatever its rank.  It is one cached computation: every
-        reader gets the same bits, whichever reads first.  Memory is O(n^2)
-        plus one point per angle.  In units of s every support value,
+        also gives h(t + pi) and its point from the bottom eigenpair, so the
+        angles are a first half-turn and the same angles plus pi.  The
+        support lines of adjacent angles cut out an outer polygon of W(T)
+        (_vertices).  The 8 seed angles _SEED_ANGLES take 4 solves; the arc
+        of the largest vertex is then bisected (_bisect) until the w(T)
+        bracket is _RADIUS_RTOL wide relative, or _RADIUS_SOLVES more solves
+        are spent.  Every T is solved this way at order n, whatever its
+        rank.  It is one cached computation: every reader gets the same
+        bits, whichever reads first.  Each solve is one _end_eigenpairs call
+        on copies of Re T, Im T and T divided by s, which live only as long
+        as this refinement and are not kept.  Memory is O(n^2) plus one
+        point per angle.  In units of s every support value,
         point and vertex is at most a small multiple of n, so none
         overflows, and T and 2^k T give the same bits.  A 0x0 operator has
         empty W(T): support values -inf at the seed angles, no points,
@@ -171,18 +170,10 @@ class Operator:
         theta = np.concatenate([_SEED_ANGLES, _SEED_ANGLES + np.pi])
         if self.dim == 0:
             return theta, np.full(len(theta), -np.inf), np.zeros(0, complex)
-        solve = self._solver()
-        seed = (theta, *solve(_SEED_ANGLES))
-        return _bisect(seed, solve, lambda *p: _radius_ends(*p)[2], _RADIUS_SOLVES)
-
-    def _solver(self):
-        """solve(t) for _bisect: h and the attaining points at the angles t,
-        then at t + pi, in units of s (_unit), from one _end_eigenpairs call
-        on T/s.  Its copies of Re T, Im T and T divided by s live as long as
-        solve does, one polygon's refinement, and are not kept."""
         s = self._unit
         re, im, A = (_in_units(M, s) for M in (self.parts.re_part, self.parts.im_part, self.matrix))
 
+        # h and the attaining points at the angles t, then at t + pi.
         def solve(t):
             vals, vecs = _end_eigenpairs(re, im, t)
             X = np.concatenate([vecs[:, 1], vecs[:, 0]])
@@ -190,7 +181,7 @@ class Operator:
             points = ((X.conj() @ A) * X).sum(axis=1)
             return np.concatenate([vals[:, 1], -vals[:, 0]]), points
 
-        return solve
+        return _bisect((theta, *solve(_SEED_ANGLES)), solve)
 
     def excess(self, points):
         """Signed distance of each point to the polygon's support lines.
@@ -234,33 +225,6 @@ class Operator:
                 hi = r
         return lo * s, hi * s
 
-    def convex_bound(self, f):
-        """An upper bound, up to rounding, of sup f(W(T)) for a quasiconvex f.
-
-        f maps an array of complex numbers to reals, +inf allowed, and has
-        convex sublevel sets, as a convex f has.  The bound is the largest f
-        at the vertices of an outer polygon (_vertices): the polygon
-        contains W(T), and such an f takes its maximum over a polygon at a
-        vertex.  A copy of the cached polygon is bisected (_bisect) at the
-        arc of the vertex of largest f until the sign of sup f is decided,
-        the bound <= 0 or f > 0 at a point, or _BOUND_SOLVES solves are
-        spent; the cached polygon is left as it was.  f is evaluated at the
-        vertices and points in T's own units, s times the polygon's.  The
-        points, which lie in W(T), give the caller a lower end.  A 0x0
-        operator has empty W(T): -inf.
-        """
-        if self.dim == 0:
-            return -math.inf
-        s = self._unit
-
-        def undecided(theta, h, points):
-            values = f(s * _vertices(theta, h))
-            k = int(np.argmax(values))
-            return None if values[k] <= 0 or np.max(f(s * points)) > 0 else k
-
-        theta, h, _ = _bisect(self._polygon, self._solver(), undecided, _BOUND_SOLVES)
-        return float(np.max(f(s * _vertices(theta, h))))
-
 
 def as_operator(T):
     """Validate T and return it as an Operator; an Operator is returned unchanged.
@@ -286,15 +250,14 @@ def checked_matrix(T):
     """T as a square complex128 ndarray with finite entries, not kept or copied.
 
     For callers that need the validated array but no factorization of it; an
-    Operator gives its matrix.  Raises DimensionError like as_operator.
+    Operator gives its matrix.  Raises DimensionError like as_operator, a
+    ragged or non-numeric T included (_numeric_array).
     """
     if isinstance(T, Operator):
         return T.matrix
-    A = np.asarray(T, dtype=np.complex128)
+    A = _numeric_array(T, False, DimensionError, "matrix")
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise DimensionError("matrix entries must be finite")
     return A
 
 
@@ -319,29 +282,43 @@ def checked_count(n, what, least):
 def checked_scalar(x, what, real=True):
     """The one scalar rule: x as a finite float, or as a finite complex when
     real is False, else ParameterError naming what.  The dtype kind is tested
-    before any cast: 2, 0.5 and np.float64(0.5) pass, while a string such as
-    '1.0', a complex value where a real one is asked, nan and inf raise.
-    float() alone would accept '1.0'."""
-    a = np.asarray(x)
-    if a.shape != () or a.dtype.kind not in ("biuf" if real else "biufc") or not np.isfinite(a):
+    before any cast (_numeric_array): 2, 0.5 and np.float64(0.5) pass, while
+    a string such as '1.0', a complex value where a real one is asked, nan
+    and inf raise.  float() alone would accept '1.0'."""
+    a = _numeric_array(x, real, ParameterError, what)
+    if a.shape != ():
         raise ParameterError(f"{what} must be a finite {'real' if real else 'complex'} number, got {x!r}")
     return float(a) if real else complex(a)
 
 
 def checked_vector(v, n, what):
     """The one vector rule: v as a 1-D complex128 array of length n with finite
-    entries, or ParameterError naming what.  The dtype kind is tested before
-    the cast, so strings are refused, not passed to numpy's parser; a 2-D
-    array is refused, not flattened."""
-    x = np.asarray(v)
-    if x.dtype.kind not in "biufc":
-        raise ParameterError(f"{what} must hold numbers, got dtype {x.dtype}")
-    x = x.astype(np.complex128, copy=False)
+    entries, or ParameterError naming what.  A ragged or non-numeric v is
+    refused (_numeric_array), and so is a 2-D array, not flattened."""
+    x = _numeric_array(v, False, ParameterError, what)
     if x.shape != (n,):
         raise ParameterError(f"{what} must have length {n}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError(f"{what} entries must be finite")
     return x
+
+
+def _numeric_array(x, real, error, what):
+    """The one intake of the matrix, vector, grid and scalar rules: x as an
+    ndarray of finite floats when real, else of finite complex128, or error
+    naming what.  A ragged nesting, which numpy's array constructor refuses
+    with a bare ValueError, is refused here, and the dtype kind is tested
+    before the cast: a string is refused, not handed to numpy's parser, and
+    a complex value where a real one is asked is refused, not cast with a
+    ComplexWarning."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:
+        raise error(f"{what} must be a rectangular array, not a ragged one") from exc
+    if a.dtype.kind not in ("biuf" if real else "biufc"):
+        raise error(f"{what} must hold {'real ' if real else ''}numbers, got dtype {a.dtype}")
+    a = a.astype(float if real else np.complex128, copy=False)
+    if not np.all(np.isfinite(a)):
+        raise error(f"{what} must be finite")
+    return a
 
 
 @lru_cache(maxsize=_SHARED_OPERATORS)
@@ -461,20 +438,19 @@ def _radius_ends(theta, h, points):
     return lo, hi, None if hi - lo <= _RADIUS_RTOL * hi else k
 
 
-def _bisect(polygon, solve, pick, cap):
-    """Refine a copy of polygon = (theta, h, points), at most cap solves.
+def _bisect(polygon, solve):
+    """Refine polygon = (theta, h, points) for w(T), at most _RADIUS_SOLVES solves.
 
-    While pick(theta, h, points) names an arc k, the one from theta[k] to
-    the next angle, its midpoint t is solved by solve, which gives t + pi
-    too, and both are inserted; the angles stay a first half-turn and the
-    same angles plus pi.  It stops early when the midpoint of that arc, or
-    of the opposite one, would equal an end of it in floating point, so two
-    angles never coincide.  Operator._polygon and convex_bound's copy of it
-    are both refined here.
+    While _radius_ends names an arc k, the one from theta[k] to the next
+    angle, its midpoint t is solved by solve, which gives t + pi too, and
+    both are inserted; the angles stay a first half-turn and the same angles
+    plus pi.  It stops early when the midpoint of that arc, or of the
+    opposite one, would equal an end of it in floating point, so two angles
+    never coincide.
     """
     theta, h, points = polygon
-    for _ in range(cap):
-        k = pick(theta, h, points)
+    for _ in range(_RADIUS_SOLVES):
+        k = _radius_ends(theta, h, points)[2]
         if k is None:
             break
         m = len(theta) // 2
@@ -514,7 +490,7 @@ def _level_set_distance(A, r):
 def _end_eigenpairs(re, im, theta):
     """Bottom and top eigenpairs of H(theta_j) = cos(theta_j) re + sin(theta_j) im.
 
-    The one solver of every W(T) support value (Operator._solver): the
+    The one solver of every W(T) support value (Operator._polygon): the
     polygon's seed angles and each angle that a bisection adds.  The vectors
     are the boundary points' Rayleigh vectors, so no angle needs another
     kernel for its point.

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
     Operator,
+    _numeric_array,
     accretivity_tol,
     as_operator,
     checked_matrix,
@@ -382,8 +383,9 @@ def factorization_residuals(f, p, lambdas):
     is an algebraic identity, commuting or not; the one-sided value compares
     against the single ordering and is only meaningful when f.commuting.
     Each residual is normalized by (1 + |lambda|^2) so a tolerance can be
-    stated uniformly over sweeps.  A non-finite lambda raises ParameterError
-    before any kernel runs.
+    stated uniformly over sweeps.  A non-finite, non-numeric or ragged
+    lambdas raises ParameterError before any kernel runs (the intake of the
+    input rules, linops._numeric_array).
 
     Q(lambda) - (lambda - Z1)(lambda - Z2) = lambda E1 - E0 with
     E1 = Z1 + Z2 - 2T and E0 = S + Z1 Z2 (S + the half-sum of both products
@@ -401,9 +403,7 @@ def factorization_residuals(f, p, lambdas):
     is at rounding level for factors of the pencil, so one exact SVD per
     form usually decides it.  Memory is O(n^2) for any number of lambdas.
     """
-    lams = np.asarray(lambdas, dtype=complex).ravel()
-    if not np.all(np.isfinite(lams)):
-        raise ParameterError(f"lambdas must be finite, got {lams[~np.isfinite(lams)][0]}")
+    lams = _numeric_array(lambdas, False, ParameterError, "lambdas").ravel()
     n = p.dim
     if n == 0 or lams.size == 0:
         return 0.0, 0.0

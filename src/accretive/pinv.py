@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, PreconditionError
+from .linops import _RADIUS_RTOL, _RADIUS_SOLVES, _UNIT_CIRCLE_GAP, _in_units, _power_of_two_unit
 from .linops import (
     Operator,
     as_operator,
@@ -58,9 +59,8 @@ def pseudoinverse(T):
     keep = s > rank_cutoff(n, float(s[0]))
     rank = int(np.count_nonzero(keep))
     gamma = float(s[keep][-1]) if rank else math.inf
-    P = _with_headroom(lambda: (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T)
-    if P is None or not math.isfinite(1 / gamma):
-        raise ParameterError(f"the pseudoinverse overflows: gamma = {gamma:.3e}")
+    P = _with_headroom(lambda: (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T,
+                       f"the pseudoinverse overflows: gamma = {gamma:.3e}", 1 / gamma)
     return PinvResult(pinv=P, rank=rank, singular_values=[float(v) for v in s], gamma=gamma)
 
 
@@ -267,39 +267,39 @@ def second_power_inequalities(T):
     gamma(T^2) >= gamma(T)^2 / 2 follows.  Returns two keys:
     vector_violation, a bracket (lo, hi) of sup (||Tx||^2 - 2 ||T^2 x||) over
     unit x, relative to max(1, ||T||^2): hi <= 0 certifies the vector bound
-    for every x and lo > 0 a violation, since lo is attained up to rounding;
-    and gamma_bound_slack = gamma(T^2) - gamma(T)^2 / 2, exact, negative when
-    violated (inf for T = 0).
+    for every x, lo > 0 is a violation, since lo is attained up to rounding,
+    and hi = +inf leaves it undecided; and gamma_bound_slack =
+    gamma(T^2) - gamma(T)^2 / 2, exact, negative when violated (inf for T = 0).
 
     If rank(T^2) < rank(T) (the rule of pseudoinverse), T moves some unit x
     of kernel(T^2), and the excess is taken at the one it stretches most.
     Above 0, it is a violation with bracket (that excess, ||T||^2).  At or
     below 0, every unit x of kernel(T^2) has excess at most
     2 rank_cutoff(n, ||T^2||), which the rank rule reads as 0, and
-    kernel(T^2) is read as kernel(T).  With Q an orthonormal basis of its
-    complement, A = (TQ)*(TQ) and B = (T^2 Q)*(T^2 Q), the numerical range
-    W(B + iA) = {||T^2 x||^2 + i ||Tx||^2 : x = Qy, ||y|| = 1} is convex
-    (Toeplitz-Hausdorff) and f(b + ia) = a - 2 sqrt(b), +inf for b < 0, is
-    convex, so Operator.convex_bound of f on B + iA bounds the sup over unit
-    x in that complement, and f at W's points, which lie in it, is attained.
-    Near b = 0 the square root turns a rounding of b into a far larger one
-    of f, so each b is read within e = rank_cutoff(m, ||B + iA||), the size
-    of B + iA that the rank rule reads as 0: the upper end takes f at b - e,
-    +inf (undecided) where the polygon reaches b < e, and the lower end at
-    max(b, 0) + e.  Adding z in kernel(T) to such x changes neither Tx nor
-    T^2 x and only lengthens x, so vectors in kernel(T^2) add 0: over all
-    unit x the sup is max(0, .) of the bracket when T^2 is singular.
+    kernel(T^2) is read as kernel(T).  On the complement, with Q an
+    orthonormal basis of it, the bracket is the level-set test of Kato's
+    quadratic pencil (_pencil_ends) on F = TQ / s and G = T^2 Q / s^2, s the
+    power of two of T (linops._power_of_two_unit), whose ends are then
+    multiplied by s^2: the excess has degree 2, so this is exact, and B =
+    G* G neither overflows nor underflows.  The bracket is at most
+    _RADIUS_RTOL max(1, ||T||^2) wide when it closes, up to rounding.
+    Adding z in kernel(T)
+    to such x changes neither Tx nor T^2 x and only lengthens x, so vectors
+    in kernel(T^2) add 0: over all unit x the sup is max(0, .) of the
+    bracket when T^2 is singular.
 
-    Raises ParameterError naming ||T|| when ||T||^2, T^2 or B + iA, or M + M*
-    or M - M* for either M, overflow (from ||T|| ~ 1e77 on, as B's
-    entries reach ||T||^4), with no RuntimeWarning.  T^2 and B + iA are this
-    call's own matrices: as unshared Operators they evict no caller's
-    operator from as_operator's cache.
+    Raises ParameterError naming ||T|| when ||T||^2, T^2 or B + iA in T's
+    units (A = (TQ)*(TQ), B = (T^2 Q)*(T^2 Q)), or M + M* or M - M* for
+    either M, overflow (from ||T|| ~ 1e77 on, as B's entries reach
+    ||T||^4), by the headroom rule of pseudoinverse (_with_headroom), with
+    no RuntimeWarning.  T^2 is this call's own Operator: as an unshared
+    Operator it evicts no caller's operator from as_operator's cache.
     """
     op = as_operator(T)
     A = op.matrix
     res = pseudoinverse(op)
-    sq = _kato_operator(lambda: A @ A, op.norm)
+    refusal = f"Kato's second-power forms overflow: ||T|| = {op.norm:.3e}"
+    sq = Operator(_with_headroom(lambda: A @ A, refusal, op.norm * op.norm))
     res_sq = pseudoinverse(sq)
     V = sq.svd[2].conj().T
     lo = -math.inf
@@ -311,13 +311,11 @@ def second_power_inequalities(T):
         hi = op.norm ** 2
     else:
         TQ, SQ = A @ V[:, :res_sq.rank], sq.matrix @ V[:, :res_sq.rank]
-        W = _kato_operator(lambda: SQ.conj().T @ SQ + 1j * (TQ.conj().T @ TQ), op.norm)
-        e = rank_cutoff(W.dim, W.norm)
-        b, a = W.points.real, W.points.imag
-        lo = float(np.max(a - 2 * np.sqrt(np.maximum(b, 0) + e), initial=-math.inf))
-        hi = W.convex_bound(
-            lambda z: np.where(z.real >= e, z.imag - 2 * np.sqrt(np.abs(z.real - e)), np.inf)
-        )
+        # B + iA in T's units, formed for its refusal only: the pencil is
+        # solved in units of s.
+        _with_headroom(lambda: SQ.conj().T @ SQ + 1j * (TQ.conj().T @ TQ), refusal)
+        s = _power_of_two_unit(A)
+        lo, hi = (end * s * s for end in _pencil_ends(_in_units(A, s), V[:, :res_sq.rank]))
     scale = max(1.0, op.norm ** 2)
     gamma_bound_slack = (
         res_sq.gamma - res.gamma ** 2 / 2
@@ -329,24 +327,71 @@ def second_power_inequalities(T):
     }
 
 
-def _kato_operator(form, norm):
-    """The matrix M = form() as an unshared Operator, or ParameterError naming
-    ||T|| = norm when norm^2 overflows or M lacks _with_headroom's factor-2
-    headroom.  Kato's forms grow like ||T||^2 and ||T||^4, so form() itself
-    can overflow, and the refusal keeps the one headroom rule that
-    pseudoinverse reads too.  The outer polygon of W(M) needs no headroom:
-    it is solved in units of a power of two, where nothing overflows."""
-    M = _with_headroom(form)
-    if M is None or not math.isfinite(norm * norm):
-        raise ParameterError(f"Kato's second-power forms overflow: ||T|| = {norm:.3e}")
-    return Operator(M)
+def _pencil_ends(T, Q):
+    """(lo, hi) with lo <= sup (||Fy||^2 - 2 ||Gy||) over unit y <= hi, up to
+    rounding, for F = TQ and G = TF, Q with orthonormal columns.
+
+    With A = F* F and B = G* G, Kato's quadratic pencil
+    Q_c(mu) = mu^2 I - mu (A - cI) + B has y* Q_c(mu) y >= 0 for every
+    mu >= 0 exactly when ||Fy||^2 - 2 ||Gy|| <= c (the minimum over mu is at
+    mu = (||Fy||^2 - c) / 2), for unit y: the sup is at most c exactly when
+    Q_c(mu) is positive semidefinite for every mu >= 0 (Higham, Tisseur &
+    Van Dooren, LAA 351-352, 2002).  Q_c(0) = B is positive definite on
+    the complement of the kernel, so lambda_min(Q_c(mu)) changes sign only
+    at a real root mu > 0 of det Q_c, an eigenvalue of the companion matrix
+    [[0, I], [-B, A - cI]]; a root counts as real when
+    |Im mu| <= _UNIT_CIRCLE_GAP |mu|.  Q_c(mu) and Q_0(mu) differ by mu c I,
+    so they share the bottom eigenvector y of each probe mu, whose excess,
+    measured directly, is attained; where lambda_min(Q_c(mu)) < 0 it exceeds
+    c.  lo starts as the largest excess at mu = |root| over the roots of
+    Q_0 with Re mu > 0.  Each round then sets c = lo + _RADIUS_RTOL
+    max(1, ||F||^2), capped at 0 when lo <= 0: if Q_c has no real root,
+    hi = c; otherwise the real roots and their geometric midpoints are
+    probed and lo raised, as in the level-set iteration of Boyd &
+    Balakrishnan (Systems & Control Letters 15, 1990).  The rounds stop
+    when lo stops rising, or after _RADIUS_SOLVES of them; unclosed, hi is
+    0 when lo <= 0 and Q_0 has no real root, else +inf.  An empty Q, over
+    which the sup is -inf, gives (-inf, -inf).
+    """
+    F = T @ Q
+    G = T @ F
+    A, B, eye = F.conj().T @ F, G.conj().T @ G, np.eye(Q.shape[1])
+    width = _RADIUS_RTOL * max(1.0, operator_norm(F) ** 2)
+
+    def roots(c):
+        """The roots with Re mu > 0, and the real ones among them, ascending."""
+        mu = np.linalg.eigvals(np.block([[0 * eye, eye], [-B, A - c * eye]]))
+        mu = mu[mu.real > 0]
+        return mu, np.sort(mu[np.abs(mu.imag) <= _UNIT_CIRCLE_GAP * np.abs(mu)].real)
+
+    def probe(mus):
+        """The largest excess at the bottom eigenvectors of Q_0(mu), mu in mus."""
+        ys = (np.linalg.eigh(t * t * eye - t * A + B)[1][:, 0] for t in mus)
+        excess = (np.linalg.norm(F @ y) ** 2 - 2 * np.linalg.norm(G @ y) for y in ys)
+        return float(max(excess, default=-math.inf))
+
+    lo = probe(np.abs(roots(0.0)[0]))
+    for _ in range(_RADIUS_SOLVES):
+        c = lo + width if lo > 0 else min(lo + width, 0.0)
+        mu = roots(c)[1]
+        if not mu.size:
+            return lo, c
+        raised = probe(np.concatenate([mu, np.sqrt(mu[:-1] * mu[1:])]))
+        if raised <= lo:
+            break
+        lo = raised
+    return lo, 0.0 if lo <= 0 and not roots(0.0)[1].size else math.inf
 
 
-def _with_headroom(form):
-    """M = form(), or None unless M + M* and M - M* are finite, the factor-2
-    headroom that Cartesian parts and sums of M with M* need.  form() and the
-    check run with no RuntimeWarning."""
+def _with_headroom(form, refusal, scalar=0.0):
+    """M = form(), or ParameterError(refusal) unless the scalar, M + M* and
+    M - M* are finite: the factor-2 headroom that Cartesian parts and sums
+    of M with M* need.  The one headroom rule: pseudoinverse passes 1/gamma
+    as the scalar, and Kato's forms, which grow like ||T||^2 and ||T||^4,
+    ||T||^2.  form() and the check run with no RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
         M = form()
-        finite = np.isfinite([M + M.conj().T, M - M.conj().T]).all()
-    return M if finite else None
+        finite = math.isfinite(scalar) and np.isfinite([M + M.conj().T, M - M.conj().T]).all()
+    if not finite:
+        raise ParameterError(refusal)
+    return M

@@ -1,5 +1,7 @@
-"""One rule per input kind: every count, scalar, boundary vector and time grid
-that a public entry point takes is refused by the shared rule it reads."""
+"""One rule per input kind: every count, scalar, matrix, boundary vector, time
+grid and lambda list that a public entry point takes is refused by the shared
+rule it reads.  The array and scalar rules share one intake, which refuses a
+ragged or non-numeric input with the rule's own typed error."""
 
 import math
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 from accretive.bvp import BvpProblem, chebyshev_grid, fd_oracle, solve_bvp
-from accretive.errors import ParameterError
-from accretive.linops import checked_count, checked_scalar, checked_vector
+from accretive.errors import DimensionError, ParameterError
+from accretive.linops import as_operator, checked_count, checked_matrix, checked_scalar, checked_vector
+from accretive.pencil import QuadraticPencil, factorization_residuals, factorize
 from accretive.pinv import neumann_identity_check
 from accretive.spectral import LaplacianModel, demo, per_mode_oracle
 
@@ -38,6 +41,8 @@ BAD_VECTORS = {
     # The kind is tested before the cast, which would hand strings to numpy's
     # parser and raise its bare ValueError.
     "str": np.array(["1", "2", "x"]),
+    # numpy's array constructor refuses a ragged nesting with a bare ValueError.
+    "ragged": [1.0, [2.0, 3.0], 4.0],
 }
 # Each scalar site, whether it takes a real, and a call passing one value.
 SCALAR_SITES = {
@@ -58,7 +63,19 @@ BAD_GRIDS = {
     # The cast would drop the imaginary part with a ComplexWarning.
     "complex": [0.0, 0.5 + 1e-3j, 1.0],
     "str": ["0", "0.5", "1"],
+    "ragged": [0.0, [0.5, 0.6], 1.0],
 }
+# Each matrix site, and matrices the matrix rule refuses with DimensionError.
+MATRIX_SITES = {"checked_matrix": checked_matrix, "as_operator": as_operator}
+BAD_MATRICES = {
+    "str": [["a", "b"], ["c", "d"]],
+    "ragged": [[1.0, 2.0], [3.0]],
+    "object": np.array([[1.0, None], [0.0, 1.0]], dtype=object),
+    "nan": [[1.0, math.nan], [0.0, 1.0]],
+    "non_square": np.zeros((2, 3)),
+}
+PENCIL = QuadraticPencil(np.eye(2), np.eye(2))
+BAD_LAMBDAS = {"str": ["1", "x"], "ragged": [1.0, [2.0, 3.0]], "nan": [1.0, math.nan]}
 
 
 def _cases():
@@ -70,7 +87,8 @@ def _cases():
             yield pytest.param(call, bad, id=f"count-{site}-{label}")
     for site, (real, call) in SCALAR_SITES.items():
         # float() and complex() take '1.0'; the scalar rule does not.
-        bad = {"str": "1.0", "nan": math.nan, "inf": math.inf, "vector": [1.0]}
+        bad = {"str": "1.0", "nan": math.nan, "inf": math.inf, "vector": [1.0],
+               "ragged": [1.0, [2.0]]}
         if real:
             bad["complex"] = 1.0 + 1j
         for label, value in bad.items():
@@ -81,6 +99,9 @@ def _cases():
     for site, call in GRID_SITES.items():
         for label, bad in BAD_GRIDS.items():
             yield pytest.param(call, bad, id=f"grid-{site}-{label}")
+    for label, bad in BAD_LAMBDAS.items():
+        yield pytest.param(lambda lams: factorization_residuals(factorize(PENCIL), PENCIL, lams),
+                           bad, id=f"lambdas-{label}")
 
 
 @pytest.mark.parametrize("call, bad", _cases())
@@ -89,10 +110,19 @@ def test_every_site_refuses_a_malformed_input(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("site", MATRIX_SITES)
+@pytest.mark.parametrize("label", BAD_MATRICES)
+def test_matrix_rule_refuses_a_malformed_matrix(site, label):
+    with pytest.raises(DimensionError):
+        MATRIX_SITES[site](BAD_MATRICES[label])
+
+
 def test_rules_pass_well_formed_input_unchanged():
     assert checked_count(65.0, "n", 2) == 65 and type(checked_count(np.int64(5), "n", 2)) is int
     v = checked_vector([1, 2j, 3], 3, "v")
     assert v.dtype == np.complex128 and np.array_equal(v, [1, 2j, 3])
+    A = checked_matrix([[1, 2], [3, 4]])
+    assert A.dtype == np.complex128 and np.array_equal(A, [[1, 2], [3, 4]])
     assert checked_scalar(np.float64(0.5), "x") == 0.5 and type(checked_scalar(2, "x")) is float
     assert checked_scalar(2, "x", real=False) == 2 and type(checked_scalar(2, "x", real=False)) is complex
     for site, (least, call) in COUNT_SITES.items():

@@ -216,19 +216,20 @@ def test_level_set_certificate_can_refuse(monkeypatch):
         assert seed_lo < lo * (1 - 1e-6) and seed_hi >= lo, k
 
 
-def test_bisection_never_inserts_an_angle_twice():
-    # A pick that always names the first arc halves it until its midpoint,
-    # or that of the opposite arc, rounds to an end of it; the bisection then
-    # stops, with every angle distinct, where a repeated angle would divide
-    # by sin(0) in _vertices.  convex_bound of an f that is +inf at
-    # every vertex picks the first arc so, and gives +inf with no warning.
-    op = as_operator(random_operator(rng_for(SEED, "bisect-floor"), 3))
+def test_bisection_never_inserts_an_angle_twice(monkeypatch):
+    # With _radius_ends always naming the first arc, the bisection halves it
+    # until its midpoint, or that of the opposite arc, rounds to an end of
+    # it; it then stops, with every angle distinct, where a repeated angle
+    # would divide by sin(0) in _vertices.
+    monkeypatch.setattr(linops, "_radius_ends", lambda *polygon: (0.0, 0.0, 0))
+    monkeypatch.setattr(linops, "_RADIUS_SOLVES", 200)
+    op = linops.Operator(random_operator(rng_for(SEED, "bisect-floor"), 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = linops._bisect(op._polygon, op._solver(), lambda *polygon: 0, 200)[0]
-        assert op.convex_bound(lambda z: np.full(z.shape, np.inf)) == math.inf
+        theta = op._polygon[0]
     m = len(theta) // 2
-    assert len(op._polygon[0]) < len(theta) < len(op._polygon[0]) + 2 * 200
+    seed = 2 * len(linops._SEED_ANGLES)
+    assert seed < len(theta) < seed + 2 * 200
     assert np.all(np.diff(theta) > 0) and np.array_equal(theta[m:], theta[:m] + np.pi)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from accretive import linops, pinv, selftest
 from accretive.errors import ParameterError
-from accretive.linops import as_operator, rank_cutoff
+from accretive.linops import as_operator
 from accretive.pencil import QuadraticPencil, factorize
 from accretive.pinv import (
     penrose_residuals,
@@ -131,8 +131,10 @@ def test_second_power_frozen_cases():
     assert lo <= hi < 0 and hi == pytest.approx(-0.25, rel=1e-6)
     assert rep["gamma_bound_slack"] == pytest.approx(0.125)
 
+    # The bracket closes at its stated width, _RADIUS_RTOL max(1, ||T||^2).
     rep_eye = second_power_inequalities(np.eye(4))
-    assert rep_eye["vector_violation"] == pytest.approx((-1.0, -1.0), rel=1e-12)
+    lo, hi = rep_eye["vector_violation"]
+    assert lo == pytest.approx(-1.0, rel=1e-12) and lo <= hi <= lo + linops._RADIUS_RTOL
     assert rep_eye["gamma_bound_slack"] == pytest.approx(0.5)
 
     # T = 0: kernel(T^2) is everything, its complement is empty, and so is
@@ -190,18 +192,24 @@ def _excess(T, X):
 def test_second_power_bracket_holds_the_sampled_vectors(kind, monkeypatch):
     # The sampler the certificate replaced, kept as an oracle at 10^4 random
     # unit vectors, projected on the complement of kernel(T^2) as it did:
-    # none exceeds the upper end.  The lower end is attained: it is at most
-    # the largest excess at the top eigenvectors of cos(t) B + sin(t) A at
-    # the angles t of the polygon of W(B + iA), B = (T^2)* T^2 and A = T* T,
-    # found here by a stacked eigh, and equals it with each b = ||T^2 x||^2
-    # read as b + e, the rounding allowance e = rank_cutoff(m, ||B + iA||).
-    formed = []
+    # none exceeds the upper end.  The lower end is attained: it is the
+    # excess, recomputed here from T, at the probe vector x = Qy of largest
+    # excess, y a bottom eigenvector of a probed Q_0(mu).  The bracket is
+    # closed at its stated width, up to the rounding of lo + width, at most
+    # 2 eps |lo| <= 1e-5 of it.
+    probes = []
 
-    def recording(*args, _form=pinv._kato_operator):
-        formed.append(_form(*args))
-        return formed[-1]
+    def recording(T, Q, _ends=pinv._pencil_ends, _eigh=np.linalg.eigh):
+        def eigh(M):
+            vals, vecs = _eigh(M)
+            probes.append(Q @ vecs[:, 0])
+            return vals, vecs
 
-    monkeypatch.setattr(pinv, "_kato_operator", recording)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", eigh)
+            return _ends(T, Q)
+
+    monkeypatch.setattr(pinv, "_pencil_ends", recording)
     rng = rng_for(SEED, f"second-power-oracle-{kind}")
     for dim in (2, 5, 9):
         if kind == "gaussian":
@@ -210,6 +218,7 @@ def test_second_power_bracket_holds_the_sampled_vectors(kind, monkeypatch):
             T = accretive_operator(rng, dim)
         else:
             T = singular_accretive_operator(rng, dim, dim - 1)
+        probes.clear()
         lo, hi = second_power_inequalities(T)["vector_violation"]
         sq = T @ T
         _, s, Vh = np.linalg.svd(sq)
@@ -218,18 +227,8 @@ def test_second_power_bracket_holds_the_sampled_vectors(kind, monkeypatch):
         X = X @ (Q @ Q.conj().T).T
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         assert np.max(_excess(T, X)) <= hi, (kind, dim)
-        TQ, SQ = T @ Q, sq @ Q
-        A, B = TQ.conj().T @ TQ, SQ.conj().T @ SQ
-        # The last Operator formed is B + iA; T^2 comes before it.
-        theta = formed[-1]._polygon[0][:, None, None]
-        tops = np.linalg.eigh(np.cos(theta) * B + np.sin(theta) * A)[1][:, :, -1]
-        X = tops @ Q.T
-        assert lo <= np.max(_excess(T, X)) + 1e-15, (kind, dim)
-        e = rank_cutoff(len(B), np.linalg.norm(B + 1j * A, 2))
-        b = np.linalg.norm(X @ sq.T, axis=1) ** 2
-        tx = np.linalg.norm(X @ T.T, axis=1) ** 2
-        allowed = np.max(tx - 2 * np.sqrt(b + e)) / max(1.0, np.linalg.norm(T, 2) ** 2)
-        assert lo == pytest.approx(allowed, rel=1e-12, abs=1e-15), (kind, dim)
+        assert lo == pytest.approx(np.max(_excess(T, np.array(probes))), abs=1e-14), (kind, dim)
+        assert hi - lo <= linops._RADIUS_RTOL * (1 + 1e-5), (kind, dim)
 
 
 def test_second_power_ill_conditioned_accretive_is_never_a_violation():
@@ -239,14 +238,41 @@ def test_second_power_ill_conditioned_accretive_is_never_a_violation():
     # rest of the space gives 1 - 2.
     lo, hi = second_power_inequalities(np.diag([1.0, 1e-10]))["vector_violation"]
     assert lo <= hi <= 0 and hi == pytest.approx(-1.0)
-    # Positive definite with ||T^2 x||^2 down to 1e-20 or below: b sits under
-    # the rounding of B + iA, where the square root cannot be read; the
-    # bound is then left undecided (hi = +inf), never called violated.
+    # Positive definite with ||T^2 x||^2 down to 1e-20 or below: every bound
+    # is certified, hi <= 0.  Where the level-set rounds stall on tiny roots,
+    # Q_0 has no real root, and the unclosed bracket still ends at 0.
     rng = rng_for(SEED, "second-power-ill-conditioned")
-    for d in ([1.0, 1e-5], np.logspace(0, -9, 4), np.logspace(0, -9, 8)):
+    spectra = [[1.0, 1e-5], np.logspace(0, -9, 4), np.logspace(0, -9, 8)]
+    spectra += [np.logspace(0, -k, n) for k in (4, 6, 8) for n in (2, 8, 32)]
+    for d in spectra:
         U = random_unitary(rng, len(d))
         lo, hi = second_power_inequalities((U * d) @ U.conj().T)["vector_violation"]
-        assert lo <= 0 and (hi <= 0 or hi == math.inf), (d, lo, hi)
+        assert lo <= hi <= 0, (d, lo, hi)
+
+
+# Jordan-like blocks that break Kato's bound: the excess at e_2 is about c^2.
+VIOLATORS = [np.array([[1e-3, c], [0.0, 1e-3]]) for c in (0.5, 2.0)]
+
+
+def test_second_power_violation_and_rescaling_keep_their_sign():
+    # Each violator gives an attained lo > 0 in a closed bracket.  Rescaled
+    # by 1e-100 or 1e-150, every input keeps its sign: the pencil is solved
+    # in units of a power of two of T, where (T^2)*T^2 does not underflow.
+    for T in VIOLATORS:
+        lo, hi = second_power_inequalities(T)["vector_violation"]
+        assert 0 < lo <= hi <= lo + linops._RADIUS_RTOL * (1 + 1e-5), (T, lo, hi)
+    for f in (1e-100, 1e-150):
+        lo, hi = second_power_inequalities(f * np.diag([1.0, 0.5]))["vector_violation"]
+        assert lo <= hi < 0, (f, lo, hi)
+        for T in VIOLATORS:
+            if f == 1e-150:
+                # gamma(T^2) is near 1e-309, whose inverse overflows: the
+                # pseudoinverse of T^2 refuses it before any bracket.
+                with pytest.raises(ParameterError, match="gamma"):
+                    second_power_inequalities(f * T)
+                continue
+            lo, hi = second_power_inequalities(f * T)["vector_violation"]
+            assert 0 < lo <= hi, (f, T, lo, hi)
 
 
 def test_planted_rank_is_one_decision():
@@ -306,8 +332,7 @@ def test_second_power_overflow_is_a_parameter_error():
     # ~1e154 on: either is one ParameterError naming ||T||, with no
     # RuntimeWarning, not a NaN bracket or an error about a T^2 the caller
     # never passed.  A nilpotent T has T^2 = 0 but an overflowing ||T||^2.
-    # The dense T has a finite B whose B + B* overflows, and with it the
-    # outer polygon of W(B + iA).
+    # The dense T has a finite B whose B + B* overflows.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for T in (
@@ -318,15 +343,14 @@ def test_second_power_overflow_is_a_parameter_error():
         ):
             with pytest.raises(ParameterError, match=re.escape(f"||T|| = {np.linalg.norm(T, 2):.3e}")):
                 second_power_inequalities(T)
-        # Below that range a bracket comes back as before.  B's entries reach
-        # 1e240 and sigma_min(T^2) = 1e-120 sigma_max(T^2), so the upper end
-        # is set by rounding and left unchecked here.
+        # Below that range a bracket comes back, decided: B's entries reach
+        # 1e240 in T's units, but the pencil is solved in units of s.
         linops._shared_operator.cache_clear()
         rep = second_power_inequalities(np.diag([1e60, 1.0]))
     lo, hi = rep["vector_violation"]
-    assert lo == pytest.approx(-1.0) and lo <= hi
+    assert lo == pytest.approx(-1.0) and lo <= hi < 0
     assert rep["gamma_bound_slack"] == pytest.approx(5e119)
-    # T^2 and B + iA are the call's own Operators: only T is shared.
+    # T^2 is the call's own Operator: only T is shared.
     assert linops._shared_operator.cache_info().currsize == 1
 
 

@@ -1,8 +1,8 @@
 """Static guards over the source: every tolerance key is read, every import is used,
 every rank decision reads the one rank rule and every accretivity decision the
 one accretivity threshold, only the samplers draw random numbers, every public
-library name and dataclass field has a reader, and every option is used at its
-default and set."""
+library name, private module-level name and dataclass field has a reader, and
+every option is used at its default and set."""
 
 import ast
 import pathlib
@@ -145,6 +145,35 @@ def test_every_public_library_name_has_a_reader():
               and not node.name.startswith("_")}
     assert sorted(public - reads - set(UNREAD_ALLOWED)) == [], "public names nothing reads"
     assert sorted(set(UNREAD_ALLOWED) - (public - reads)) == [], "allowed names that now have a reader"
+
+
+def test_every_private_library_name_is_read():
+    # A module-level private function, class or constant that no library
+    # module reads is what a deleted route leaves behind, such as a solve
+    # cap whose only reader is gone.  Readers are names and attributes
+    # anywhere in src/accretive, the defining module included.
+    trees = {path.name: _tree(path) for path in PACKAGE.glob("*.py")}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    private = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                lhs = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in lhs if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            private |= {(name, t) for t in targets if t.startswith("_") and not t.startswith("__")}
+    assert private, "no private names found"
+    unread = sorted(f"{module}:{name}" for module, name in private if name not in reads)
+    assert not unread, f"private names nothing in the library reads: {unread}"
 
 
 # Dataclass fields that are neither read in the library or a demo nor reported
