@@ -38,7 +38,7 @@ print(f"|S| / gamma(T)        {cert.norm_over_gamma:.6f}")
 upd = perturbed_pinv(T, S, cert)
 direct = np.linalg.pinv(T + S)
 # The paper's bound ||S|| ||T+||^2 / (1 - ||T+ S||).
-bound = perturbation_bound(S, cert)
+bound = perturbation_bound(cert)
 print(f"update vs direct      {np.linalg.norm(upd - direct, 2):.2e}")
 print(f"|(T+S)+ - T+|         = {np.linalg.norm(direct - res.pinv, 2):.2e}  bound {bound:.2e}")
 

@@ -127,7 +127,7 @@ def _cmd_perturb(args, out_dir):
         print(json.dumps(cert.as_dict(), indent=2, sort_keys=True), file=sys.stderr)
         return EXIT_HYPOTHESIS
     updated = perturbed_pinv(T, S, cert)
-    claims = selftest.perturb_claims(S, cert, updated, pseudoinverse(T.matrix + S.matrix))
+    claims = selftest.perturb_claims(cert, updated, pseudoinverse(T.matrix + S.matrix))
     out_path = os.path.join(out_dir, "perturbed-pinv.json")
     write_matrix(out_path, updated)
     print(f"certificate mode: {cert.mode}")
@@ -136,7 +136,7 @@ def _cmd_perturb(args, out_dir):
         "input": args.input,
         "input2": args.input2,
         "certificate": cert.as_dict(),
-        "error_bound": perturbation_bound(S, cert),
+        "error_bound": perturbation_bound(cert),
     }
     return _emit("perturb", body, claims, out_dir)
 

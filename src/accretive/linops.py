@@ -261,6 +261,16 @@ def checked_matrix(T):
     return A
 
 
+def _same_shape(T, S):
+    """The one pair rule: the matrices of T and S (checked_matrix), or
+    ParameterError "dimension mismatch" when their shapes differ, not
+    numpy's bare ValueError from a product of the two."""
+    A, B = checked_matrix(T), checked_matrix(S)
+    if A.shape != B.shape:
+        raise ParameterError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    return A, B
+
+
 def checked_count(n, what, least):
     """The one count rule: n as an int when it is integral and at least least.
 

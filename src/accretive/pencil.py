@@ -16,6 +16,7 @@ from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
     Operator,
     _numeric_array,
+    _same_shape,
     accretivity_tol,
     as_operator,
     checked_matrix,
@@ -53,10 +54,8 @@ class QuadraticPencil:
     S: Operator
 
     def __post_init__(self):
-        T = as_operator(self.T)
-        S = as_operator(self.S)
-        if T.dim != S.dim:
-            raise ParameterError(f"dimension mismatch: {T.matrix.shape} vs {S.matrix.shape}")
+        T, S = as_operator(self.T), as_operator(self.S)
+        _same_shape(T, S)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "S", S)
 

@@ -14,12 +14,11 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, PreconditionError
-from .linops import _RADIUS_RTOL, _RADIUS_SOLVES, _UNIT_CIRCLE_GAP, _in_units, _power_of_two_unit
+from .linops import _RADIUS_RTOL, _RADIUS_SOLVES, _UNIT_CIRCLE_GAP, _in_units, _same_shape
 from .linops import (
     Operator,
     as_operator,
     checked_count,
-    checked_matrix,
     operator_norm,
     rank_cutoff,
     sectorial_angle,
@@ -46,10 +45,10 @@ def pseudoinverse(T):
     reduced minimum modulus 1/||pinv|| (infinite for the zero matrix).
 
     Raises ParameterError naming gamma when 1/gamma, P + P* or P - P* is not
-    finite (_with_headroom), with no RuntimeWarning: rank_cutoff scales with
-    ||T||, so a T near the bottom of the float range can keep a singular
-    value whose inverse overflows, and the pinv-accretive claim and the
-    Cartesian parts of T^+ need the factor-2 headroom.
+    finite, with no RuntimeWarning: rank_cutoff scales with ||T||, so a T
+    near the bottom of the float range can keep a singular value whose
+    inverse overflows, and the pinv-accretive claim and the Cartesian parts
+    of T^+ need this factor-2 headroom.
     """
     op = as_operator(T)
     n = op.dim
@@ -59,15 +58,18 @@ def pseudoinverse(T):
     keep = s > rank_cutoff(n, float(s[0]))
     rank = int(np.count_nonzero(keep))
     gamma = float(s[keep][-1]) if rank else math.inf
-    P = _with_headroom(lambda: (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T,
-                       f"the pseudoinverse overflows: gamma = {gamma:.3e}", 1 / gamma)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (Vh[keep].conj().T / s[keep]) @ U[:, keep].conj().T
+        finite = math.isfinite(1 / gamma) and np.isfinite([P + P.conj().T, P - P.conj().T]).all()
+    if not finite:
+        raise ParameterError(f"the pseudoinverse overflows: gamma = {gamma:.3e}")
     return PinvResult(pinv=P, rank=rank, singular_values=[float(v) for v in s], gamma=gamma)
 
 
 def penrose_residuals(T, P):
-    """The four Penrose identity residuals for a claimed pseudoinverse P."""
-    A = checked_matrix(T)
-    B = checked_matrix(P)
+    """The four Penrose identity residuals for a claimed pseudoinverse P;
+    ParameterError when P's shape is not T's (_same_shape)."""
+    A, B = _same_shape(T, P)
     TP, PT = A @ B, B @ A
     return {
         "TPT": operator_norm(TP @ A - A),
@@ -153,9 +155,7 @@ def perturbation_certificate(T, S, tol=None):
     S, and ||S T_pinv|| are computed when first read (PerturbationCertificate).
     """
     T, S = as_operator(T), as_operator(S)
-    A, B = T.matrix, S.matrix
-    if A.shape != B.shape:
-        raise ParameterError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    A, B = _same_shape(T, S)
     s_norm = S.norm
     if tol is None:
         tol = tolerance("inclusion-residual") * max(1.0, s_norm)
@@ -178,17 +178,17 @@ def perturbation_certificate(T, S, tol=None):
     )
 
 
-def perturbation_bound(S, cert):
+def perturbation_bound(cert):
     """The bound ||(T + S)^+ - T^+|| <= ||S|| ||T^+||^2 / (1 - ||T^+ S||).
 
-    cert is the certificate of (T, S).  ||T^+|| is read through the shared
-    Operator of its pseudoinverse, so every reader shares one SVD of T^+.
+    cert is the certificate of (T, S): S is its perturbation, and ||T^+||
+    is 1/gamma of its pseudoinverse of T, which the SVD of T already gives.
     A bound beyond the float range raises AccuracyError: an infinite bound
     would pass any claim against it.
     """
-    pn = as_operator(cert.pinv_result.pinv).norm
+    pn = 1 / cert.pinv_result.gamma
     try:
-        bound = as_operator(S).norm * pn**2 / (1 - cert.contraction_TdS)
+        bound = cert.perturbation.norm * pn**2 / (1 - cert.contraction_TdS)
     except OverflowError:
         bound = math.inf
     if not math.isfinite(bound):
@@ -241,10 +241,10 @@ def neumann_identity_check(T, S, k):
     Returns ||(I + T_pinv S)^{-1} T_pinv - sum_{n<=k} (-T_pinv S)^n T_pinv||,
     which the geometric tail bounds by c^{k+1} ||T_pinv|| / (1 - c) with
     c = ||T_pinv S||.  k follows the count rule (linops.checked_count), at
-    least 0, so 2.5 raises ParameterError rather than running order 2.
+    least 0, so 2.5 raises ParameterError rather than running order 2, and
+    S of another shape than T raises ParameterError (_same_shape).
     """
-    A = as_operator(T).matrix
-    B = as_operator(S).matrix
+    A, B = _same_shape(T, S)
     k = checked_count(k, "k", 0)
     P = pseudoinverse(A).pinv
     C = P @ B
@@ -269,62 +269,59 @@ def second_power_inequalities(T):
     unit x, relative to max(1, ||T||^2): hi <= 0 certifies the vector bound
     for every x, lo > 0 is a violation, since lo is attained up to rounding,
     and hi = +inf leaves it undecided; and gamma_bound_slack =
-    gamma(T^2) - gamma(T)^2 / 2, exact, negative when violated (inf for T = 0).
+    gamma(T^2) - gamma(T)^2 / 2, negative when violated (inf for T = 0).
 
-    If rank(T^2) < rank(T) (the rule of pseudoinverse), T moves some unit x
-    of kernel(T^2), and the excess is taken at the one it stretches most.
-    Above 0, it is a violation with bracket (that excess, ||T||^2).  At or
-    below 0, every unit x of kernel(T^2) has excess at most
-    2 rank_cutoff(n, ||T^2||), which the rank rule reads as 0, and
-    kernel(T^2) is read as kernel(T).  On the complement, with Q an
-    orthonormal basis of it, the bracket is the level-set test of Kato's
-    quadratic pencil (_pencil_ends) on F = TQ / s and G = T^2 Q / s^2, s the
-    power of two of T (linops._power_of_two_unit), whose ends are then
-    multiplied by s^2: the excess has degree 2, so this is exact, and B =
-    G* G neither overflows nor underflows.  The bracket is at most
-    _RADIUS_RTOL max(1, ||T||^2) wide when it closes, up to rounding.
-    Adding z in kernel(T)
-    to such x changes neither Tx nor T^2 x and only lengthens x, so vectors
-    in kernel(T^2) add 0: over all unit x the sup is max(0, .) of the
-    bracket when T^2 is singular.
+    Everything is solved on A = T / s, s the power of two of T that its
+    W(T) polygon is solved in (Operator._unit): both figures have degree 2,
+    so they are found in units of s and multiplied by s^2, and A^2 and the
+    pencil's B = G* G neither overflow nor underflow.  rank(T) and gamma(T)
+    are read off T's singular values (Operator.rank), and rank(T^2),
+    gamma(T^2) and the right singular vectors V off the one full SVD of
+    A^2, by the same rank rule; no pseudoinverse is formed.
 
-    Raises ParameterError naming ||T|| when ||T||^2, T^2 or B + iA in T's
-    units (A = (TQ)*(TQ), B = (T^2 Q)*(T^2 Q)), or M + M* or M - M* for
-    either M, overflow (from ||T|| ~ 1e77 on, as B's entries reach
-    ||T||^4), by the headroom rule of pseudoinverse (_with_headroom), with
-    no RuntimeWarning.  T^2 is this call's own Operator: as an unshared
-    Operator it evicts no caller's operator from as_operator's cache.
+    If rank(T^2) < rank(T), T moves some unit x of kernel(T^2), and the
+    excess is taken at the one it stretches most.  Above 0, it is a
+    violation with bracket (that excess, ||T||^2).  At or below 0, every
+    unit x of kernel(T^2) has excess at most 2 rank_cutoff(n, ||T^2||),
+    which the rank rule reads as 0, and kernel(T^2) is read as kernel(T).
+    On the complement, spanned by the leading columns Q of V, the bracket
+    is the level-set test of Kato's quadratic pencil (_pencil_ends) on
+    F = AQ and G = A^2 Q.  It is at most _RADIUS_RTOL max(1, ||T||^2) wide
+    when it closes, up to rounding.  Adding z in kernel(T) to such x
+    changes neither Tx nor T^2 x and only lengthens x, so vectors in
+    kernel(T^2) add 0: over all unit x the sup is max(0, .) of the bracket
+    when T^2 is singular.
+
+    The domain is T = 0 and every T whose ||T||^2 is a normal float
+    (||T|| from about 1.5e-154 to 1.3e154); elsewhere the figures relative
+    to max(1, ||T||^2) are not representable (1e-160 T would read 0 for a
+    violation), and ParameterError naming ||T|| is raised, with no
+    RuntimeWarning.  Inside it, no violation reads hi <= 0 at n <= 32: its
+    upper end is at least _RADIUS_RTOL in units of s, and s^2 is at least
+    2^-1022 / (8 n^2).
     """
     op = as_operator(T)
-    A = op.matrix
-    res = pseudoinverse(op)
-    refusal = f"Kato's second-power forms overflow: ||T|| = {op.norm:.3e}"
-    sq = Operator(_with_headroom(lambda: A @ A, refusal, op.norm * op.norm))
-    res_sq = pseudoinverse(sq)
-    V = sq.svd[2].conj().T
+    norm_sq = op.norm * op.norm
+    # 2^-1022 is the least normal float.
+    if op.norm and not math.ldexp(1.0, -1022) <= norm_sq < math.inf:
+        raise ParameterError(f"Kato's second power needs a normal ||T||^2: ||T|| = {op.norm:.3e}")
+    s = op._unit
+    A = _in_units(op.matrix, s)
+    sq = A @ A
+    _, sv, Vh = np.linalg.svd(sq)
+    rank = int(np.count_nonzero(sv > rank_cutoff(op.dim, sv.max(initial=0.0))))
+    V = Vh.conj().T
     lo = -math.inf
-    if res_sq.rank < res.rank:
+    if rank < op.rank:
         # The unit x of kernel(T^2) that T stretches most.
-        x = V[:, res_sq.rank:] @ np.linalg.svd(A @ V[:, res_sq.rank:])[2][0].conj()
-        lo = float(np.linalg.norm(A @ x) ** 2 - 2 * np.linalg.norm(sq.matrix @ x))
-    if lo > 0:
-        hi = op.norm ** 2
-    else:
-        TQ, SQ = A @ V[:, :res_sq.rank], sq.matrix @ V[:, :res_sq.rank]
-        # B + iA in T's units, formed for its refusal only: the pencil is
-        # solved in units of s.
-        _with_headroom(lambda: SQ.conj().T @ SQ + 1j * (TQ.conj().T @ TQ), refusal)
-        s = _power_of_two_unit(A)
-        lo, hi = (end * s * s for end in _pencil_ends(_in_units(A, s), V[:, :res_sq.rank]))
-    scale = max(1.0, op.norm ** 2)
-    gamma_bound_slack = (
-        res_sq.gamma - res.gamma ** 2 / 2
-        if math.isfinite(res.gamma) else math.inf
-    )
-    return {
-        "vector_violation": (lo / scale, hi / scale),
-        "gamma_bound_slack": float(gamma_bound_slack),
-    }
+        x = V[:, rank:] @ np.linalg.svd(A @ V[:, rank:])[2][0].conj()
+        lo = float(np.linalg.norm(A @ x) ** 2 - 2 * np.linalg.norm(sq @ x))
+    ends = (lo, norm_sq / s / s) if lo > 0 else _pencil_ends(A, V[:, :rank])
+    lo, hi = (end * s * s / max(1.0, norm_sq) for end in ends)
+    gamma = op.singular_values[op.rank - 1] / s if op.rank else math.inf
+    gamma_sq = sv[rank - 1] if rank else math.inf
+    slack = (gamma_sq - gamma * gamma / 2) * s * s if op.rank else math.inf
+    return {"vector_violation": (lo, hi), "gamma_bound_slack": float(slack)}
 
 
 def _pencil_ends(T, Q):
@@ -381,17 +378,3 @@ def _pencil_ends(T, Q):
             break
         lo = raised
     return lo, 0.0 if lo <= 0 and not roots(0.0)[1].size else math.inf
-
-
-def _with_headroom(form, refusal, scalar=0.0):
-    """M = form(), or ParameterError(refusal) unless the scalar, M + M* and
-    M - M* are finite: the factor-2 headroom that Cartesian parts and sums
-    of M with M* need.  The one headroom rule: pseudoinverse passes 1/gamma
-    as the scalar, and Kato's forms, which grow like ||T||^2 and ||T||^4,
-    ||T||^2.  form() and the check run with no RuntimeWarning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        M = form()
-        finite = math.isfinite(scalar) and np.isfinite([M + M.conj().T, M - M.conj().T]).all()
-    if not finite:
-        raise ParameterError(refusal)
-    return M

@@ -106,9 +106,9 @@ def pinv_claims(T, res):
     """The Penrose identities of res = pseudoinverse(T) and, when T is
     accretive, the accretivity of its pseudoinverse."""
     T = as_operator(T)
-    # ||T|| from the pseudoinverse's SVD: one SVD of T.
+    # ||T|| and ||T^+|| = 1/gamma from the pseudoinverse's SVD: one SVD of T.
     nrm = res.singular_values[0] if T.dim else 0.0
-    scale = max(1.0, nrm, operator_norm(res.pinv))
+    scale = max(1.0, nrm, 1 / res.gamma)
     worst = max(penrose_residuals(T, res.pinv).values()) / scale
     rows = [claim("penrose-identities", worst, tolerance("penrose"))]
     if T.dim and T.delta >= -accretivity_tol(nrm):
@@ -117,12 +117,12 @@ def pinv_claims(T, res):
     return rows
 
 
-def perturb_claims(S, cert, updated, direct):
+def perturb_claims(cert, updated, direct):
     """The update formula against direct = pseudoinverse(T + S), and the
     paper's error bound; cert is the certificate of (T, S)."""
     pinv = cert.pinv_result.pinv
-    bound = perturbation_bound(S, cert)
-    formula = operator_norm(updated - direct.pinv) / max(as_operator(pinv).norm, 1e-300)
+    bound = perturbation_bound(cert)
+    formula = operator_norm(updated - direct.pinv) / max(1 / cert.pinv_result.gamma, 1e-300)
     excess = (operator_norm(direct.pinv - pinv) - bound) / max(1.0, bound)
     return [
         claim("update-formula", formula, tolerance("perturb-formula-rel")),
@@ -258,7 +258,7 @@ def _suite_perturbation(rng):
         cert = perturbation_certificate(T, S)
         res = cert.pinv_result
         direct = pseudoinverse(T + S)
-        rows += perturb_claims(S, cert, perturbed_pinv(T, S, cert), direct)
+        rows += perturb_claims(cert, perturbed_pinv(T, S, cert), direct)
         if direct.rank != res.rank:
             worst_geom = max(worst_geom, 1.0)
         # The range projectors T T^+ and row-space projectors T^+ T of T and T + S.
@@ -268,7 +268,7 @@ def _suite_perturbation(rng):
             operator_norm(res.pinv @ T - direct.pinv @ (T + S)),
         )
         if cert.s_accretive and cert.theta is not None and cert.theta < math.pi / 2:
-            pn = as_operator(res.pinv).norm
+            pn = 1 / res.gamma
             norm_bound = 2 * pn + (1 + math.tan(cert.theta)) ** 2 * pn**2
             worst_theta = max(
                 worst_theta, (operator_norm(direct.pinv) - norm_bound) / max(1.0, norm_bound)
@@ -282,7 +282,7 @@ def _suite_perturbation(rng):
         updated = perturbed_pinv(T, S)
         worst_scaling = max(
             worst_scaling,
-            operator_norm(updated - res.pinv / 1.25) / max(1.0, operator_norm(res.pinv)),
+            operator_norm(updated - res.pinv / 1.25) / max(1.0, 1 / res.gamma),
         )
     return [
         ("perturb-formula", *_worst(rows, "update-formula")),
@@ -305,10 +305,10 @@ def _suite_second_power(rng):
         dim = int(rng.integers(1, 11))
         rank = int(rng.integers(1, dim + 1))
         T = singular_accretive_operator(rng, dim, rank)
-        P = pseudoinverse(T).pinv
+        res = pseudoinverse(T)
         P2 = pseudoinverse(T @ T).pinv
         worst_sq = max(
-            worst_sq, operator_norm(P2 - P @ P) / max(1.0, operator_norm(P) ** 2)
+            worst_sq, operator_norm(P2 - res.pinv @ res.pinv) / max(1.0, (1 / res.gamma) ** 2)
         )
     worst_vec = 0.0
     worst_gamma = 0.0

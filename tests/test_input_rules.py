@@ -4,6 +4,7 @@ rule it reads.  The array and scalar rules share one intake, which refuses a
 ragged or non-numeric input with the rule's own typed error."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from accretive.bvp import BvpProblem, chebyshev_grid, fd_oracle, solve_bvp
 from accretive.errors import DimensionError, ParameterError
 from accretive.linops import as_operator, checked_count, checked_matrix, checked_scalar, checked_vector
 from accretive.pencil import QuadraticPencil, factorization_residuals, factorize
-from accretive.pinv import neumann_identity_check
+from accretive.pinv import neumann_identity_check, penrose_residuals, perturbation_certificate
 from accretive.spectral import LaplacianModel, demo, per_mode_oracle
 
 MODEL = LaplacianModel(1.0, 0.0, 0.1, 3)
@@ -74,6 +75,14 @@ BAD_MATRICES = {
     "nan": [[1.0, math.nan], [0.0, 1.0]],
     "non_square": np.zeros((2, 3)),
 }
+# Each site that pairs T with a second matrix of T's shape, as a call passing
+# a 3x3 T and the second matrix.
+PAIR_SITES = {
+    "penrose_residuals": lambda M: penrose_residuals(np.eye(3), M),
+    "neumann_identity_check": lambda M: neumann_identity_check(np.eye(3), M, 2),
+    "perturbation_certificate": lambda M: perturbation_certificate(np.eye(3), M),
+    "QuadraticPencil": lambda M: QuadraticPencil(np.eye(3), M),
+}
 PENCIL = QuadraticPencil(np.eye(2), np.eye(2))
 BAD_LAMBDAS = {"str": ["1", "x"], "ragged": [1.0, [2.0, 3.0]], "nan": [1.0, math.nan]}
 
@@ -115,6 +124,14 @@ def test_every_site_refuses_a_malformed_input(call, bad):
 def test_matrix_rule_refuses_a_malformed_matrix(site, label):
     with pytest.raises(DimensionError):
         MATRIX_SITES[site](BAD_MATRICES[label])
+
+
+@pytest.mark.parametrize("site", PAIR_SITES)
+@pytest.mark.parametrize("size", [2, 4])
+def test_pair_sites_refuse_a_size_mismatch(site, size):
+    # A ParameterError naming both shapes, not numpy's bare matmul ValueError.
+    with pytest.raises(ParameterError, match=re.escape(f"dimension mismatch: (3, 3) vs ({size}, {size})")):
+        PAIR_SITES[site](0.1 * np.eye(size))
 
 
 def test_rules_pass_well_formed_input_unchanged():

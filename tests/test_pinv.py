@@ -256,23 +256,43 @@ VIOLATORS = [np.array([[1e-3, c], [0.0, 1e-3]]) for c in (0.5, 2.0)]
 
 def test_second_power_violation_and_rescaling_keep_their_sign():
     # Each violator gives an attained lo > 0 in a closed bracket.  Rescaled
-    # by 1e-100 or 1e-150, every input keeps its sign: the pencil is solved
-    # in units of a power of two of T, where (T^2)*T^2 does not underflow.
-    for T in VIOLATORS:
-        lo, hi = second_power_inequalities(T)["vector_violation"]
-        assert 0 < lo <= hi <= lo + linops._RADIUS_RTOL * (1 + 1e-5), (T, lo, hi)
-    for f in (1e-100, 1e-150):
-        lo, hi = second_power_inequalities(f * np.diag([1.0, 0.5]))["vector_violation"]
-        assert lo <= hi < 0, (f, lo, hi)
-        for T in VIOLATORS:
-            if f == 1e-150:
-                # gamma(T^2) is near 1e-309, whose inverse overflows: the
-                # pseudoinverse of T^2 refuses it before any bracket.
-                with pytest.raises(ParameterError, match="gamma"):
-                    second_power_inequalities(f * T)
-                continue
-            lo, hi = second_power_inequalities(f * T)["vector_violation"]
-            assert 0 < lo <= hi, (f, T, lo, hi)
+    # by 1e-150 up to 1e150, every input keeps its sign, with no
+    # RuntimeWarning: the call works on T / s, s a power of two of T, where
+    # (T^2)*T^2 neither overflows nor underflows, and forms no (T^2)^+,
+    # whose 1/gamma would overflow at 1e-150.  A closed bracket is at most
+    # _RADIUS_RTOL max(1, ||T||^2) wide in T's units: relative to
+    # max(1, ||T||^2), that is _RADIUS_RTOL min(1, ||T||^2).
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f in (1.0, 1e-150, 1e-100, 1e100, 1e150):
+            lo, hi = second_power_inequalities(f * np.diag([1.0, 0.5]))["vector_violation"]
+            assert lo <= hi < 0, (f, lo, hi)
+            for T in VIOLATORS:
+                lo, hi = second_power_inequalities(f * T)["vector_violation"]
+                width = linops._RADIUS_RTOL * min(1.0, np.linalg.norm(f * T, 2) ** 2)
+                assert 0 < lo <= hi <= lo + width * (1 + 1e-5), (f, T, lo, hi)
+
+
+def test_second_power_forms_no_pseudoinverse(monkeypatch):
+    # rank and gamma of T and T^2 are read off the SVDs the call takes: on
+    # the draws of the selftest suite, it returns the same figures with
+    # pseudoinverse unavailable.
+    draws = []
+
+    def recording(T):
+        draws.append((T, second_power_inequalities(T)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(selftest, "second_power_inequalities", recording)
+    selftest._suite_second_power(rng_for(SEED, "second-power"))
+    assert len(draws) == 10
+
+    def refused(T):
+        raise AssertionError("second_power_inequalities formed a pseudoinverse")
+
+    monkeypatch.setattr(pinv, "pseudoinverse", refused)
+    for T, rep in draws:
+        assert second_power_inequalities(T) == rep
 
 
 def test_planted_rank_is_one_decision():
@@ -328,29 +348,33 @@ def test_pseudoinverse_beyond_the_float_range_is_a_parameter_error():
 
 
 def test_second_power_overflow_is_a_parameter_error():
-    # B = (T^2)*(T^2) overflows from ||T|| ~ 1e77 on, and T^2 itself from
-    # ~1e154 on: either is one ParameterError naming ||T||, with no
-    # RuntimeWarning, not a NaN bracket or an error about a T^2 the caller
-    # never passed.  A nilpotent T has T^2 = 0 but an overflowing ||T||^2.
-    # The dense T has a finite B whose B + B* overflows.
+    # The domain is T = 0 and every T whose ||T||^2 is a normal float.
+    # Outside it the figures relative to max(1, ||T||^2) cannot be
+    # represented: 1e-160 times a violator would read lo = hi = 0, a false
+    # certificate.  Each is one ParameterError naming ||T||, with no
+    # RuntimeWarning.  A nilpotent T has T^2 = 0 but an overflowing ||T||^2.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for T in (
-            np.diag([1e100, 1.0]),
             np.diag([1e200, 1.0]),
             np.array([[0.0, 1e160], [0.0, 0.0]]),
-            np.array([[8e76, 2.4e76], [1.6e76, 8e76]]),
+            1e-160 * VIOLATORS[1],
+            np.diag([1e-155, 1e-156]),
         ):
             with pytest.raises(ParameterError, match=re.escape(f"||T|| = {np.linalg.norm(T, 2):.3e}")):
                 second_power_inequalities(T)
-        # Below that range a bracket comes back, decided: B's entries reach
-        # 1e240 in T's units, but the pencil is solved in units of s.
+        # Inside it a bracket comes back, decided, where forms in T's units
+        # overflow: (T^2)*T^2 reaches 1e400 for diag(1e100, 1), and its
+        # entries 1e308 for the dense accretive T.
+        reps = [second_power_inequalities(T) for T in (
+            np.diag([1e100, 1.0]), np.array([[8e76, 2.4e76], [1.6e76, 8e76]]))]
         linops._shared_operator.cache_clear()
         rep = second_power_inequalities(np.diag([1e60, 1.0]))
+    assert all(r["vector_violation"][1] < 0 for r in reps), reps
     lo, hi = rep["vector_violation"]
     assert lo == pytest.approx(-1.0) and lo <= hi < 0
     assert rep["gamma_bound_slack"] == pytest.approx(5e119)
-    # T^2 is the call's own Operator: only T is shared.
+    # Only T is shared: the call adds no Operator to as_operator's cache.
     assert linops._shared_operator.cache_info().currsize == 1
 
 
