@@ -296,9 +296,13 @@ def second_power_inequalities(T):
     (||T|| from about 1.5e-154 to 1.3e154); elsewhere the figures relative
     to max(1, ||T||^2) are not representable (1e-160 T would read 0 for a
     violation), and ParameterError naming ||T|| is raised, with no
-    RuntimeWarning.  Inside it, no violation reads hi <= 0 at n <= 32: its
-    upper end is at least _RADIUS_RTOL in units of s, and s^2 is at least
-    2^-1022 / (8 n^2).
+    RuntimeWarning.  Inside it, no violation reads hi <= 0, at any n: its
+    upper end is at least _RADIUS_RTOL max(1, ||F||^2) in units of s, so
+    hi s^2 >= _RADIUS_RTOL max(s^2, ||TQ||^2) before the division by
+    max(1, ||T||^2).  ||TQ|| is ||T|| up to the rank rule, since Q spans
+    the complement of kernel(T^2), read as kernel(T), so that is at least
+    about _RADIUS_RTOL 2^-1022, a nonzero subnormal; the kernel step's
+    upper end is ||T||^2 itself.
     """
     op = as_operator(T)
     norm_sq = op.norm * op.norm

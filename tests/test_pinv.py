@@ -271,6 +271,17 @@ def test_second_power_violation_and_rescaling_keep_their_sign():
                 lo, hi = second_power_inequalities(f * T)["vector_violation"]
                 width = linops._RADIUS_RTOL * min(1.0, np.linalg.norm(f * T, 2) ** 2)
                 assert 0 < lo <= hi <= lo + width * (1 + 1e-5), (f, T, lo, hi)
+        # A dense violator of order 40, a unitary similarity of 20 copies of
+        # each, keeps its sign at ||T|| = 2e-154, near the bottom of the
+        # domain: the bound on hi s^2 does not depend on n.
+        for k, T in enumerate(VIOLATORS):
+            U = random_unitary(np.random.default_rng(k), 40)
+            D = U @ np.kron(np.eye(20), T) @ U.conj().T
+            for norm in (1.0, 2e-154):
+                X = D * (norm / np.linalg.norm(D, 2))
+                lo, hi = second_power_inequalities(X)["vector_violation"]
+                width = linops._RADIUS_RTOL * min(1.0, np.linalg.norm(X, 2) ** 2)
+                assert 0 < lo <= hi <= lo + width * (1 + 1e-5), (k, norm, lo, hi)
 
 
 def test_second_power_forms_no_pseudoinverse(monkeypatch):
