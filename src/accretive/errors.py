@@ -11,7 +11,11 @@ class AccretiveError(Exception):
 
 
 class DimensionError(AccretiveError, ValueError):
-    """Input is not a finite square matrix / sizes do not match."""
+    """Input is not a square matrix, or not a finite one.
+
+    Shape and finiteness of one matrix only: two matrices whose shapes
+    differ raise ParameterError "dimension mismatch" (the pair rule,
+    linops._same_shape)."""
 
 
 class ParameterError(AccretiveError, ValueError):

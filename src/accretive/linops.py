@@ -22,15 +22,17 @@ _RANK_FACTOR = 100
 # The polygon's first half-turn of seed angles: with H(theta + pi) = -H(theta),
 # these 4 solves give 8 uniform angles.
 _SEED_ANGLES = np.arange(4) * (np.pi / 4)
-# The w(T) bisection stops at this relative width, or after this many solves
-# past the seed.  The 40 analyze benchmark inputs of seeds 1 and 3 took 10-29
-# of them; on 186 seeded inputs at n = 2-32 the median / largest count was
-# 24 / 49 for complex Gaussian, 30 / 64 for real Gaussian (6 reached the cap)
-# and 14 / 25 for accretive_operator.  The cap binds where the boundary of
-# W(T) runs close to the circle |z| = w(T) near its farthest point (a disk,
-# which 64 solves leave 3e-4 wide), and the level-set test then decides: one
-# QZ costs as much as 68 solves at n = 32 and 235 at n = 128.  Kato's pencil
-# test (pinv._pencil_ends) takes the same width and the same cap on its rounds.
+# The w(T) refinement stops at this relative width, or after this many solves
+# past the seed.  The 40 analyze benchmark inputs of seeds 1 and 3 took 3-25
+# of them; on 36 seeded inputs each at n = 2-32 (6 draws at each of
+# n = 2, 3, 5, 8, 16, 32) the median / largest count was 12 / 33 for complex
+# Gaussian, 22 / 64 for real Gaussian (3 reached the cap) and 6 / 10 for
+# accretive_operator.  The cap binds where the boundary of W(T) runs close to
+# the circle |z| = w(T) near its farthest point (a disk, whose farthest vertex
+# lies at its arc's midpoint, so 64 solves leave it 3e-4 wide), and the
+# level-set test then decides: one QZ costs as much as 68 solves at n = 32 and
+# 235 at n = 128.  Kato's pencil test (pinv._pencil_ends) takes the same width
+# and the same cap on its rounds.
 _RADIUS_RTOL = 1e-10
 _RADIUS_SOLVES = 64
 # A pencil eigenvalue this close to the unit circle counts as unimodular
@@ -64,7 +66,7 @@ class Operator:
     two (_unit), so nothing in it overflows.  support and points read it,
     excess measures points against its support lines, and radius_bracket
     reads the numerical radius w(T) off it, with a level-set test where the
-    bisection stalls.
+    refinement stalls.
 
     Build one with as_operator.  Equal matrix content then gives the same
     Operator across calls, for the _SHARED_OPERATORS most recently used
@@ -142,8 +144,8 @@ class Operator:
 
     @cached_property
     def _polygon(self):
-        """(theta, h, points): one outer polygon of W(T), refined for w(T),
-        with h and points in units of s (_unit).
+        """(theta, h, points, ends): one outer polygon of W(T), refined for
+        w(T), with h, points and ends in units of s (_unit).
 
         At an angle theta the top eigenpair of
         H(theta) = Re(e^{-i*theta} T) = cos(theta) Re T + sin(theta) Im T
@@ -153,23 +155,24 @@ class Operator:
         also gives h(t + pi) and its point from the bottom eigenpair, so the
         angles are a first half-turn and the same angles plus pi.  The
         support lines of adjacent angles cut out an outer polygon of W(T)
-        (_vertices).  The 8 seed angles _SEED_ANGLES take 4 solves; the arc
-        of the largest vertex is then bisected (_bisect) until the w(T)
-        bracket is _RADIUS_RTOL wide relative, or _RADIUS_SOLVES more solves
-        are spent.  Every T is solved this way at order n, whatever its
-        rank.  It is one cached computation: every reader gets the same
-        bits, whichever reads first.  Each solve is one _end_eigenpairs call
-        on copies of Re T, Im T and T divided by s, which live only as long
-        as this refinement and are not kept.  Memory is O(n^2) plus one
-        point per angle.  In units of s every support value,
-        point and vertex is at most a small multiple of n, so none
-        overflows, and T and 2^k T give the same bits.  A 0x0 operator has
-        empty W(T): support values -inf at the seed angles, no points,
-        w(T) = 0.
+        (_arc_vertex).  The 8 seed angles _SEED_ANGLES take 4 solves; the
+        arc of the largest vertex v is then cut at the direction arg v
+        (_refine) until the w(T) bracket is _RADIUS_RTOL wide relative, or
+        _RADIUS_SOLVES more solves are spent; ends is its last
+        (w_lo, w_hi, closed), which radius_bracket reads.  Every T is solved
+        this way at order n, whatever its rank.  It is one cached
+        computation: every reader gets the same bits, whichever reads first.
+        Each solve is one _end_eigenpairs call on copies of Re T, Im T and T
+        divided by s, which live only as long as this refinement and are not
+        kept.  Memory is O(n^2) plus one point per angle.  In units of s
+        every support value, point and vertex is at most a small multiple
+        of n, so none overflows, and T and 2^k T give the same bits.  A 0x0
+        operator has empty W(T): support values -inf at the seed angles, no
+        points, w(T) = 0.
         """
         theta = np.concatenate([_SEED_ANGLES, _SEED_ANGLES + np.pi])
         if self.dim == 0:
-            return theta, np.full(len(theta), -np.inf), np.zeros(0, complex)
+            return theta, np.full(len(theta), -np.inf), np.zeros(0, complex), (0.0, 0.0, True)
         s = self._unit
         re, im, A = (_in_units(M, s) for M in (self.parts.re_part, self.parts.im_part, self.matrix))
 
@@ -181,7 +184,8 @@ class Operator:
             points = ((X.conj() @ A) * X).sum(axis=1)
             return np.concatenate([vals[:, 1], -vals[:, 0]]), points
 
-        return _bisect((theta, *solve(_SEED_ANGLES)), solve)
+        polygon, ends = _refine((theta, *solve(_SEED_ANGLES)), solve)
+        return (*polygon, ends)
 
     def excess(self, points):
         """Signed distance of each point to the polygon's support lines.
@@ -192,7 +196,7 @@ class Operator:
         has at most 8 + 2 _RADIUS_SOLVES angles.  The points are measured in
         units of s (_unit) and each distance multiplied by s.
         """
-        theta, h, _ = self._polygon
+        theta, h = self._polygon[:2]
         s = self._unit
         pts = _in_units(np.asarray(points, dtype=np.complex128).ravel(), s)
         return s * np.max(np.real(np.exp(-1j * theta) * pts[:, None]) - h, axis=1)
@@ -202,11 +206,12 @@ class Operator:
         """(w_lo, w_hi) with w_lo <= w(T) <= w_hi up to rounding, computed on first read.
 
         w(T) = max over theta of h(theta), and h <= |v| on the arc of each
-        vertex v of the outer polygon (_vertices), so w_hi = max |v|.
-        w_lo = max(h, |boundary point|) is attained in W(T).  The polygon's
-        bisection closes the bracket to _RADIUS_RTOL relative width unless
-        W(T) runs close to the circle |z| = w(T) near its farthest point, as
-        a disk does: no bisection lowers its vertices fast.  Then the
+        vertex v of the outer polygon (_arc_vertex), so w_hi = max |v|.
+        w_lo = max(h, |boundary point|) is attained in W(T).  Both are read
+        off the polygon's refinement (_refine), as is its one decision that
+        the bracket closed, at _RADIUS_RTOL relative width.  It stays open
+        where W(T) runs close to the circle |z| = w(T) near its farthest
+        point, as a disk does: no cut lowers its vertices fast.  Then the
         level-set test (Mengi & Overton, IMA J. Numer. Anal. 25, 2005) runs
         once at r = w_lo (1 + _RADIUS_RTOL): when no eigenvalue of its pencil
         lies within _UNIT_CIRCLE_GAP of the unit circle (_level_set_distance),
@@ -215,11 +220,9 @@ class Operator:
         Both ends are found in units of s (_unit), where they are finite,
         and then multiplied by s.
         """
-        if self.dim == 0:
-            return 0.0, 0.0
         s = self._unit
-        lo, hi, unclosed = _radius_ends(*self._polygon)
-        if unclosed is not None:
+        lo, hi, closed = self._polygon[3]
+        if not closed:
             r = lo * (1 + _RADIUS_RTOL)
             if _level_set_distance(_in_units(self.matrix, s), r) > _UNIT_CIRCLE_GAP:
                 hi = r
@@ -420,61 +423,70 @@ def _in_units(A, s):
     return out
 
 
-def _vertices(theta, h):
-    """The vertices of the outer polygon of the support lines at theta.
+def _arc_vertex(theta, h, i):
+    """(|v|, arg v - theta[i]) for the vertex v of arc i of the outer polygon.
 
-    theta ascends in [0, 2 pi) from theta[0] = 0.  The support lines
-    Re(e^{-i alpha} z) = h(alpha) and Re(e^{-i beta} z) = h(beta) of adjacent
-    angles alpha < beta (beta = 2 pi after the last angle) meet at the vertex
-    v = e^{i alpha} (h(alpha) + i height), height being its offset along
-    the first line from the foot e^{i alpha} h(alpha):
+    theta ascends in [0, 2 pi) from theta[0] = 0, and arc i runs from
+    alpha = theta[i] to the next angle beta (2 pi after the last).  The
+    support lines Re(e^{-i alpha} z) = h(alpha) and Re(e^{-i beta} z) = h(beta)
+    meet at v = e^{i alpha} (h(alpha) + i height), height being its offset
+    along the first line from the foot e^{i alpha} h(alpha):
     height = (h(beta) - h(alpha) cos(beta - alpha)) / sin(beta - alpha).
-    The polygon contains W(T), and h <= |v| on [alpha, beta].
+    The polygon contains W(T), and h <= |v| on [alpha, beta].  theta and h
+    are lists of floats, read at arc i alone, so a refinement recomputes
+    only the arcs it splits (_refine).
     """
-    step = np.diff(np.append(theta, 2 * np.pi))
-    height = (np.append(h[1:], h[0]) - h * np.cos(step)) / np.sin(step)
-    return np.exp(1j * theta) * (h + 1j * height)
+    step = (theta[i + 1] if i + 1 < len(theta) else 2 * math.pi) - theta[i]
+    height = (h[(i + 1) % len(h)] - h[i] * math.cos(step)) / math.sin(step)
+    return math.hypot(h[i], height), math.atan2(height, h[i])
 
 
-def _radius_ends(theta, h, points):
-    """(w_lo, w_hi, k) of the polygon: the attained max(h, |point|), the
-    largest vertex modulus (at least w_lo), and the arc k of that vertex,
-    None once (w_hi - w_lo) / w_hi is at most _RADIUS_RTOL."""
-    modulus = np.abs(_vertices(theta, h))
-    k = int(np.argmax(modulus))
-    # |point| first: a tie with h = -0.0 keeps w_lo = +0.0.
-    lo = max(float(np.max(np.abs(points))), float(np.max(h)))
-    hi = max(float(modulus[k]), lo)
-    return lo, hi, None if hi - lo <= _RADIUS_RTOL * hi else k
-
-
-def _bisect(polygon, solve):
+def _refine(polygon, solve):
     """Refine polygon = (theta, h, points) for w(T), at most _RADIUS_SOLVES solves.
 
-    While _radius_ends names an arc k, the one from theta[k] to the next
-    angle, its midpoint t is solved by solve, which gives t + pi too, and
-    both are inserted; the angles stay a first half-turn and the same angles
-    plus pi.  It stops early when the midpoint of that arc, or of the
-    opposite one, would equal an end of it in floating point, so two angles
-    never coincide.
+    Returns the refined (theta, h, points) and the ends (w_lo, w_hi, closed)
+    of its w(T) bracket: w_lo the attained max(h, |point|), w_hi the largest
+    vertex modulus (_arc_vertex), at least w_lo, and closed once
+    (w_hi - w_lo) / w_hi is at most _RADIUS_RTOL.  While it is open, the arc
+    of the largest vertex v is cut at the direction arg v (Uhlig, Numer.
+    Algorithms 52, 2009), clipped into the middle 90% of the arc, or at the
+    arc's midpoint when arg v lies outside it.  solve gives that angle t and
+    t + pi, both are inserted, and only the four vertices of the two split
+    arcs are recomputed; the angles stay a first half-turn and the same
+    angles plus pi.  It stops early when t + pi, and so t, would not lie
+    strictly inside its arc in floating point, so two angles never coincide.
     """
-    theta, h, points = polygon
-    for _ in range(_RADIUS_SOLVES):
-        k = _radius_ends(theta, h, points)[2]
-        if k is None:
+    theta, h, points = (a.tolist() for a in polygon)
+    moduli = [_arc_vertex(theta, h, i)[0] for i in range(len(theta))]
+    # |point| first: a tie with h = -0.0 keeps w_lo = +0.0.
+    lo = max(max(map(abs, points)), max(h))
+    for solves in range(_RADIUS_SOLVES + 1):
+        top = max(moduli)
+        hi = max(top, lo)
+        closed = hi - lo <= _RADIUS_RTOL * hi
+        if closed or solves == _RADIUS_SOLVES:
             break
+        k = moduli.index(top)
         m = len(theta) // 2
         j = k % m
-        ext = np.append(theta, 2 * np.pi)
-        t = (ext[j] + ext[j + 1]) / 2
+        step = theta[j + 1] - theta[j]
+        offset = _arc_vertex(theta, h, k)[1]
+        if not 0 <= offset <= step:
+            offset = step / 2
+        t = theta[j] + min(max(offset, step / 20), step - step / 20)
         # Rounding is monotone, so t + pi strictly inside the opposite arc
         # puts t strictly inside its own.
-        if not ext[m + j] < t + np.pi < ext[m + j + 1]:
+        if not theta[m + j] < t + math.pi < (theta[m + j + 1] if j + 1 < m else 2 * math.pi):
             break
-        at, (h_t, points_t) = [j + 1, m + j + 1], solve(np.array([t]))
-        theta = np.insert(theta, at, [t, t + np.pi])
-        h, points = np.insert(h, at, h_t), np.insert(points, at, points_t)
-    return theta, h, points
+        (h_t, h_u), (p_t, p_u) = (a.tolist() for a in solve(np.array([t])))
+        lo = max(lo, abs(p_t), abs(p_u), h_t, h_u)
+        for at, angle, value, point in ((j + 1, t, h_t, p_t), (m + j + 2, t + math.pi, h_u, p_u)):
+            theta.insert(at, angle)
+            h.insert(at, value)
+            points.insert(at, point)
+        for at in (j, m + j + 1):
+            moduli[at:at + 1] = [_arc_vertex(theta, h, i)[0] for i in (at, at + 1)]
+    return (np.array(theta), np.array(h), np.array(points, complex)), (lo, hi, closed)
 
 
 def _level_set_distance(A, r):
@@ -501,7 +513,7 @@ def _end_eigenpairs(re, im, theta):
     """Bottom and top eigenpairs of H(theta_j) = cos(theta_j) re + sin(theta_j) im.
 
     The one solver of every W(T) support value (Operator._polygon): the
-    polygon's seed angles and each angle that a bisection adds.  The vectors
+    polygon's seed angles and each angle that its refinement adds.  The vectors
     are the boundary points' Rayleigh vectors, so no angle needs another
     kernel for its point.
 

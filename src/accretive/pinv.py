@@ -269,12 +269,15 @@ def second_power_inequalities(T):
     unit x, relative to max(1, ||T||^2): hi <= 0 certifies the vector bound
     for every x, lo > 0 is a violation, since lo is attained up to rounding,
     and hi = +inf leaves it undecided; and gamma_bound_slack =
-    gamma(T^2) - gamma(T)^2 / 2, negative when violated (inf for T = 0).
+    (gamma(T^2) - gamma(T)^2 / 2) / ||T||^2, negative when violated (inf
+    for T = 0).  Both figures have degree 2; the slack's unit ||T||^2 makes
+    it one figure for T and cT, representable wherever ||T||^2 is.
 
     Everything is solved on A = T / s, s the power of two of T that its
-    W(T) polygon is solved in (Operator._unit): both figures have degree 2,
-    so they are found in units of s and multiplied by s^2, and A^2 and the
-    pencil's B = G* G neither overflow nor underflow.  rank(T) and gamma(T)
+    W(T) polygon is solved in (Operator._unit), where A^2 and the pencil's
+    B = G* G neither overflow nor underflow: the bracket is found in units
+    of s and multiplied by s^2, and the slack is read in A's own units, as
+    (gamma(A^2) - gamma(A)^2 / 2) / ||A||^2.  rank(T) and gamma(T)
     are read off T's singular values (Operator.rank), and rank(T^2),
     gamma(T^2) and the right singular vectors V off the one full SVD of
     A^2, by the same rank rule; no pseudoinverse is formed.
@@ -324,7 +327,7 @@ def second_power_inequalities(T):
     lo, hi = (end * s * s / max(1.0, norm_sq) for end in ends)
     gamma = op.singular_values[op.rank - 1] / s if op.rank else math.inf
     gamma_sq = sv[rank - 1] if rank else math.inf
-    slack = (gamma_sq - gamma * gamma / 2) * s * s if op.rank else math.inf
+    slack = (gamma_sq - gamma * gamma / 2) / (op.norm / s) ** 2 if op.rank else math.inf
     return {"vector_violation": (lo, hi), "gamma_bound_slack": float(slack)}
 
 

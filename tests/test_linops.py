@@ -191,7 +191,7 @@ def test_level_set_certificate_can_refuse(monkeypatch):
     # Just below w the level set {theta : H(theta) has eigenvalue r} is not
     # empty on a Gaussian input: its unimodular eigenvalues are found, so no
     # upper end is certified there, while just above w none lies near the
-    # circle.  With no bisection past the seed, w_lo of the complex inputs
+    # circle.  With no refinement past the seed, w_lo of the complex inputs
     # lies far below w (a real input can attain w at a seed angle, 0 or pi),
     # and radius_bracket keeps the seed polygon's upper end.  The Jordan disks
     # have no unimodular eigenvalue at any r off the spectrum of Re(J_n),
@@ -217,11 +217,18 @@ def test_level_set_certificate_can_refuse(monkeypatch):
 
 
 def test_bisection_never_inserts_an_angle_twice(monkeypatch):
-    # With _radius_ends always naming the first arc, the bisection halves it
-    # until its midpoint, or that of the opposite arc, rounds to an end of
-    # it; it then stops, with every angle distinct, where a repeated angle
-    # would divide by sin(0) in _vertices.
-    monkeypatch.setattr(linops, "_radius_ends", lambda *polygon: (0.0, 0.0, 0))
+    # With _arc_vertex giving the first arc the one far vertex, at a
+    # direction outside every arc, the loop halves that arc until its
+    # midpoint, or that of the opposite arc, rounds to an end of it; it then
+    # stops, with every angle distinct, where a repeated angle would divide
+    # by sin(0) in _arc_vertex.
+    calls = []
+
+    def first_arc(theta, h, i):
+        calls.append(i)
+        return (1e300 if i == 0 else 0.0), -1.0
+
+    monkeypatch.setattr(linops, "_arc_vertex", first_arc)
     monkeypatch.setattr(linops, "_RADIUS_SOLVES", 200)
     op = linops.Operator(random_operator(rng_for(SEED, "bisect-floor"), 3))
     with warnings.catch_warnings():
@@ -231,6 +238,63 @@ def test_bisection_never_inserts_an_angle_twice(monkeypatch):
     seed = 2 * len(linops._SEED_ANGLES)
     assert seed < len(theta) < seed + 2 * 200
     assert np.all(np.diff(theta) > 0) and np.array_equal(theta[m:], theta[:m] + np.pi)
+    assert calls and not op._polygon[3][2]
+
+
+def _full_radius_ends(theta, h, points):
+    """(w_lo, w_hi, closed) of a polygon recomputed from every arc and point
+    at once, with the loop's own vertex and modulus arithmetic."""
+    theta, h = theta.tolist(), h.tolist()
+    top = max(linops._arc_vertex(theta, h, i)[0] for i in range(len(theta)))
+    lo = max(max(map(abs, points.tolist())), max(h))
+    hi = max(top, lo)
+    return lo, hi, hi - lo <= linops._RADIUS_RTOL * hi
+
+
+def test_refinement_ends_match_a_full_recomputation():
+    # The loop recomputes only the four vertices of the arcs each solve
+    # splits and raises w_lo by the new values alone; its last (lo, hi,
+    # closed) must be bit-identical to a recomputation over the whole
+    # returned polygon, and 2^100 T must give the same angles and ends in
+    # units of s.
+    rng = rng_for(SEED, "incremental-ends")
+    draws = [T for n in (2, 8, 32) for T in (
+        random_operator(rng, n), accretive_operator(rng, n), singular_accretive_operator(rng, n, n // 2),
+    )]
+    for k, T in enumerate(draws):
+        op, big = linops.Operator(T), linops.Operator(2.0**100 * T)
+        theta, h, points, ends = op._polygon
+        assert ends == _full_radius_ends(theta, h, points), k
+        assert np.array_equal(big._polygon[0], theta) and big._polygon[3] == ends, k
+
+
+def test_refinement_solve_counts(monkeypatch):
+    # Mean solves past the 4 seed solves on 20 draws each at n = 32.  The
+    # midpoint bisection that the farthest-vertex cut replaced took 15.5
+    # (accretive_operator), 14.35 (singular_accretive_operator, rank n/2)
+    # and 25.85 (random_operator); the cut takes 8.35, 7.05 and 21.6.  On
+    # neither did the level-set test run on any draw.
+    level_sets = []
+    distance = linops._level_set_distance
+    monkeypatch.setattr(linops, "_level_set_distance",
+                        lambda A, r: level_sets.append(r) or distance(A, r))
+    generators = {
+        "accretive_operator": accretive_operator,
+        "singular_accretive_operator": lambda rng, n: singular_accretive_operator(rng, n, n // 2),
+        "random_operator": random_operator,
+    }
+    means = {}
+    for name, gen in generators.items():
+        rng = rng_for(7, f"solves/{name}")
+        solves = []
+        for _ in range(20):
+            op = linops.Operator(gen(rng, 32))
+            lo, hi = op.radius_bracket
+            assert hi - lo <= linops._RADIUS_RTOL * hi, name
+            solves.append(len(op._polygon[0]) // 2 - len(linops._SEED_ANGLES))
+        means[name] = sum(solves) / len(solves)
+    assert means["accretive_operator"] <= 10 and means["singular_accretive_operator"] <= 10, means
+    assert not level_sets, means
 
 
 def test_norm_chain():
@@ -384,7 +448,7 @@ def test_sweep_raises_on_lapack_failure(routine, refined, monkeypatch):
     # A nonzero LAPACK status names the routine and the angle it was solving:
     # here the third seed angle, whose zhetrd and zunmqr calls are the third
     # and whose first dstemr call is the fifth, or the first angle that the
-    # w(T) bisection adds, whose zhetrd call follows the 4 seed solves.
+    # w(T) refinement adds, whose zhetrd call follows the 4 seed solves.
     from scipy.linalg import lapack
 
     T = random_operator(rng_for(SEED, "lapack-info"), 4)

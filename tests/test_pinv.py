@@ -284,6 +284,26 @@ def test_second_power_violation_and_rescaling_keep_their_sign():
                 assert 0 < lo <= hi <= lo + width * (1 + 1e-5), (k, norm, lo, hi)
 
 
+def test_second_power_gamma_slack_is_relative_to_the_squared_norm():
+    # gamma_bound_slack is (gamma(T^2) - gamma(T)^2 / 2) / ||T||^2, so cT
+    # reads the slack of T.  In T's own units the violator's slack at
+    # c = 1e-154 would be a subnormal, 2.5e-318.  The violator's figure is
+    # its closed form from the 2 x 2 singular values, taken to 60 digits.
+    # 1e-154 diag(1, 0.5) has ||T||^2 = 1e-308, below the least normal
+    # float, so it is refused.
+    cases = [(VIOLATORS[1], 6.2468714875021945e-11), (np.diag([1.0, 0.5]), 0.125)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T, slack in cases:
+            for c in (1.0, 1e-150, 1e-154, 1e100):
+                if c == 1e-154 and T is cases[1][0]:
+                    with pytest.raises(ParameterError):
+                        second_power_inequalities(c * T)
+                    continue
+                got = second_power_inequalities(c * T)["gamma_bound_slack"]
+                assert got == pytest.approx(slack, rel=1e-12), (c, got)
+
+
 def test_second_power_forms_no_pseudoinverse(monkeypatch):
     # rank and gamma of T and T^2 are read off the SVDs the call takes: on
     # the draws of the selftest suite, it returns the same figures with
@@ -384,7 +404,9 @@ def test_second_power_overflow_is_a_parameter_error():
     assert all(r["vector_violation"][1] < 0 for r in reps), reps
     lo, hi = rep["vector_violation"]
     assert lo == pytest.approx(-1.0) and lo <= hi < 0
-    assert rep["gamma_bound_slack"] == pytest.approx(5e119)
+    # The rank rule at ||T|| = 1e60 reads 1 as kernel: gamma(T) = 1e60,
+    # gamma(T^2) = 1e120, and the slack is 1/2 in units of ||T||^2.
+    assert rep["gamma_bound_slack"] == pytest.approx(0.5)
     # Only T is shared: the call adds no Operator to as_operator's cache.
     assert linops._shared_operator.cache_info().currsize == 1
 
