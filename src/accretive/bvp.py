@@ -26,12 +26,23 @@ small product per step, not m*q products with an n x K block.  The grid
 rule keeps both action times, 1 - t and t, at or above 0, so each action is
 one forward walk from its base vector.  Stiff factors, whose per-time
 Taylor work would reach that of a dense scaling-and-squaring exponential,
-take the dense expm(t Z) @ v per time instead.  The boundary system needs
-one dense exponential, exp(-2R): x0 and x1 come from one factorization of
-I - exp(-2R), with the right-hand sides exp(Z2) u0 and exp(-Z1) u1 taken as
-actions at t = 1.  The boundary residual reads the written values: it is
-max(||u(0) - u0||, ||u(1) - u1||) with u(0) and u(1) from the same actions
-that give u on the grid, an end the grid lacks being one more action time.
+take the dense expm(t Z) @ v instead, the times stacked into one call per
+chunk.  The boundary system needs one dense exponential, exp(-2R): x0 and x1
+come from one factorization of I - exp(-2R), with the right-hand sides
+exp(Z2) u0 and exp(-Z1) u1 taken as actions at t = 1.  The boundary residual
+reads the written values: it is max(||u(0) - u0||, ||u(1) - u1||) with u(0)
+and u(1) from the same actions that give u on the grid, an end the grid
+lacks being one more action time.
+
+In the paper's setting Upsilon = T^2 + S is m-accretive, so its principal
+root R is accretive too (Kato, Perturbation Theory for Linear Operators,
+V 3.11), and by Lumer-Phillips ||exp(-2R)|| <= exp(-2 lambda_min(Re R)),
+below 1 for strictly accretive Upsilon: then neither Upsilon nor R is
+singular and the problem cannot be resonant.  One Cholesky factorization of
+Re Upsilon certifies the root's rank and negative-axis test
+(pencil._sqrt_and_residual), and one of Re R excludes resonance
+(_resonance_excluded), so neither takes an SVD; an input they cannot
+certify takes the exact SVD tests, with the same values and verdicts.
 
 The reported ODE residual checks the hypotheses, not the written values: its
 defect is [R, T](x(t) - y(t)) + (R^2 - Upsilon) u(t), which vanishes for a
@@ -45,9 +56,9 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
-from .linops import _numeric_array
+from .linops import _in_units, _numeric_array, _power_of_two_unit, rank_cutoff
 from .linops import checked_count, checked_matrix, checked_vector, norm_at_most, operator_norm
-from .pencil import QuadraticPencil
+from .pencil import QuadraticPencil, _re_part_exceeds
 from .tolerances import tolerance
 
 
@@ -78,6 +89,11 @@ _TAYLOR_THETA = {
     35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 _UNIT_ROUNDOFF = 2.0**-53
+# _taylor_walk takes each step's Taylor powers in blocks of this many.
+_POWER_BLOCK = 8
+# Complex entries per stacked chunk (8 MiB) of the dense route's exponentials
+# (_expm_actions), so memory stays O(n^2) for any number of times.
+_EXPM_CHUNK = 2**19
 
 
 def _expm_actions(A, v, ts):
@@ -93,7 +109,10 @@ def _expm_actions(A, v, ts):
     the ~(8 + s)*n^3 of a dense scaling-and-squaring exponential,
     s = ceil(log2(||t A||_1 / 5.4)), each column is scipy's expm(t_k A) @ v
     instead, without the input and output checks of expm: the one finiteness
-    check of F covers every time.  Times come in any order, each t_k >= 0
+    check of F covers every time.  That route stacks the times, in chunks of
+    at most _EXPM_CHUNK entries so memory stays O(n^2), one
+    scipy.linalg.expm(t[:, None, None] A) @ v call per chunk, bit for bit the
+    per-time products.  Times come in any order, each t_k >= 0
     (the grid rule, checked_grid, keeps both of solve_bvp's factor actions
     there); a negative or NaN time raises ParameterError.  t_k = 0 gives v
     exactly, with no call.  Non-finite results raise AccuracyError.
@@ -118,17 +137,18 @@ def _expm_actions(A, v, ts):
     dense_reach = float(np.linalg.norm(A, 1)) * t_max
     squarings = max(0, math.ceil(math.log2(dense_reach / 5.4))) if dense_reach > 0 else 0
     v = np.asarray(v, dtype=complex)
+    F = np.empty((n, ts.size), dtype=complex)
+    F[:, ts == 0] = v[:, None]
+    cols = np.flatnonzero(ts > 0)
     with np.errstate(over="ignore", invalid="ignore"):
         if m * q >= (8 + squarings) * n:
             import scipy.linalg  # deferred, as in expm
 
-            F = np.stack([scipy.linalg.expm(t * A) @ v if t else v for t in ts], axis=1)
-        else:
-            F = np.empty((n, ts.size), dtype=complex)
-            F[:, ts == 0] = v[:, None]
-            cols = np.flatnonzero(ts > 0)
-            if cols.size:
-                F[:, cols] = _taylor_walk(B, mu, v, ts[cols], m, q, t_max / q)
+            chunk = max(1, _EXPM_CHUNK // (n * n))
+            for at in (cols[lo:lo + chunk] for lo in range(0, cols.size, chunk)):
+                F[:, at] = (scipy.linalg.expm(ts[at][:, None, None] * A) @ v).T
+        elif cols.size:
+            F[:, cols] = _taylor_walk(B, mu, v, ts[cols], m, q, t_max / q)
     if not np.all(np.isfinite(F)):
         raise AccuracyError(
             f"matrix exponential action overflowed (input norm {t_max * operator_norm(A):.3e})"
@@ -147,8 +167,7 @@ def _taylor_walk(B, mu, v, ts, m, q, h):
     w_{j+1} is its column at r = h.  Each column's sum may stop at the first
     i where its last two terms, (r_k^i / i!) ||p_i||_inf and the one before,
     add up to at most u ||F_k||_inf, and the step stops when every column
-    may.  The partial sums are formed only once the upper bound
-    ||F_k||_inf <= sum_i (r_k^i / i!) ||p_i||_inf allows that stop.
+    may (_taylor_sum).
     """
     steps = np.minimum(ts // h, q - 1).astype(int)
     last = int(steps.max())
@@ -165,20 +184,49 @@ def _taylor_walk(B, mu, v, ts, m, q, h):
         sizes[0] = np.abs(w).max()
         coef = np.ones((m + 1, r.size))
         np.cumprod(r / np.arange(1, m + 1)[:, None], axis=0, out=coef[1:])
-        for i in range(1, m + 1):
-            P[i] = B @ P[i - 1]
-            sizes[i] = np.abs(P[i]).max()
-            tail = coef[i - 1] * sizes[i - 1] + coef[i] * sizes[i]
-            if (tail <= _UNIT_ROUNDOFF * (sizes[: i + 1] @ coef[: i + 1])).all():
-                S = P[: i + 1].T @ coef[: i + 1]
-                if (tail <= _UNIT_ROUNDOFF * np.linalg.norm(S, np.inf, axis=0)).all():
-                    break
-        else:
-            S = P.T @ coef
+        S = _taylor_sum(B, P, sizes, coef)
         S *= np.exp(mu * r)
         F[:, here] = S[:, : here.size]
         w = S[:, -1]
     return F
+
+
+def _taylor_sum(B, P, sizes, coef):
+    """sum_{i <= k} coef_i p_i over the powers p_i = B^i p_0 (rows of P), stopped at
+    the first k where the two-stage test passes for every column, else at m.
+
+    The test at i: the tail coef_{i-1} ||p_{i-1}||_inf + coef_i ||p_i||_inf is
+    at most u sum_{l <= i} coef_l ||p_l||_inf (sizes @ coef, an upper bound of
+    ||F_k||_inf), and then at most u ||F_k||_inf of the formed partial sum.
+    The powers are taken _POWER_BLOCK at a time, each B @ p_{i-1} as one
+    product, and their sizes in one call per block.  A running sum (cumsum)
+    then screens the block's first stages at once: the terms are
+    nonnegative, so any order of summing them, BLAS's or cumsum's, lies
+    within a relative rank_cutoff(m + 1, 1) of the true sum, and an index
+    the padded screen fails is one the exact first stage fails too.  The
+    exact test runs only at the indices the screen passes, so the stopping
+    index, and with it every value, is the one a term-by-term walk gives.
+    A block may take up to _POWER_BLOCK - 1 powers past the stop.
+    """
+    m = len(P) - 1
+    # Once they underflow, u * sum and the screen's product each round by up
+    # to half the smallest subnormal: tiny, two of them, covers both.
+    screen, tiny =_UNIT_ROUNDOFF * (1 + 2 * rank_cutoff(m + 1, 1.0)), 2.0**-1073
+    for lo in range(1, m + 1, _POWER_BLOCK):
+        hi = min(lo + _POWER_BLOCK, m + 1)
+        for i in range(lo, hi):
+            P[i] = B @ P[i - 1]
+        sizes[lo:hi] = np.abs(P[lo:hi]).max(axis=1)
+        terms = sizes[:hi, None] * coef[:hi]
+        tails = terms[lo - 1:hi - 1] + terms[lo:hi]
+        passes = (tails <= screen * np.cumsum(terms, axis=0)[lo:hi] + tiny).all(axis=1)
+        for i in lo + np.flatnonzero(passes):
+            tail = tails[i - lo]
+            if (tail <= _UNIT_ROUNDOFF * (sizes[: i + 1] @ coef[: i + 1])).all():
+                S = P[: i + 1].T @ coef[: i + 1]
+                if (tail <= _UNIT_ROUNDOFF * np.linalg.norm(S, np.inf, axis=0)).all():
+                    return S
+    return P.T @ coef
 
 
 def chebyshev_grid(n=65):
@@ -276,9 +324,15 @@ def solve_bvp(p, grid=None):
     actions.  boundary_residual is max(||u(0) - u0||, ||u(1) - u1||) on the
     values the solve writes, so a wrong sign, a swapped coefficient or a
     wrong action shows there.  Near-singular I - e^{-2R} is a resonance
-    (non-uniqueness of the two-point problem) and raises ResonanceError.
-    grid follows the grid rule (checked_grid); None gives the 65-point
-    Chebyshev grid.
+    (non-uniqueness of the two-point problem) and raises ResonanceError:
+    sigma_min(I - e^{-2R}) at most tolerance("resonance") * max(1, n).
+    That SVD is taken only when _resonance_excluded cannot certify, from one
+    Cholesky factorization of Re R, that sigma_min exceeds the threshold,
+    which it can for any R with lambda_min(Re R) above about half the
+    threshold (Lumer-Phillips).  Only ||T|| and ||S|| are then taken by SVD,
+    for the commutation tolerance and the ODE residual's scale.  grid
+    follows the grid rule (checked_grid); None gives the 65-point Chebyshev
+    grid.
     """
     ts = checked_grid(grid)
     tol = tolerance("bvp-commutation") * p.scale
@@ -292,12 +346,14 @@ def solve_bvp(p, grid=None):
     z2 = p.T.matrix - R
     n = p.dim
     M = np.eye(n) - expm(-2 * R)
-    smin = np.linalg.svd(M, compute_uv=False)[-1] if n else 1.0
-    if smin <= tolerance("resonance") * max(1, n):
-        raise ResonanceError(
-            f"I - exp(-2 R) is singular to working precision "
-            f"(sigma_min = {smin:.3e}); the two-point problem is resonant"
-        )
+    threshold = tolerance("resonance") * max(1, n)
+    if not _resonance_excluded(R, threshold):
+        smin = np.linalg.svd(M, compute_uv=False)[-1] if n else 1.0
+        if smin <= threshold:
+            raise ResonanceError(
+                f"I - exp(-2 R) is singular to working precision "
+                f"(sigma_min = {smin:.3e}); the two-point problem is resonant"
+            )
     # One factorization of M for both coefficients: their right-hand sides,
     # u1 - e^{Z2} u0 and u0 - e^{-Z1} u1, are the two columns of one solve.
     rhs = np.stack([
@@ -323,6 +379,38 @@ def solve_bvp(p, grid=None):
         grid=ts, values=(X + Y).T, x0=x0, x1=x1,
         boundary_residual=boundary_residual, ode_residual=resid,
     )
+
+
+def _resonance_excluded(R, threshold):
+    """Whether one Cholesky factorization certifies that the computed
+    sigma_min(I - e^{-2R}) exceeds threshold, with no SVD.
+
+    For any R, ||e^{-2R}|| <= e^{-2 lambda_min(Re R)} (Lumer-Phillips; Pazy,
+    Semigroups of Linear Operators, 1983), so lambda_min(Re R) >= c' gives
+    sigma_min(I - e^{-2R}) >= 1 - e^{-2c'}.  c' = -log1p(-(threshold + a)) / 2
+    puts that at threshold + a, the allowance a = rank_cutoff(n, 2 + 2 ||R||_F)
+    covering the rounding of the computed M = I - e^{-2R} and of its SVD at
+    the scale ||M|| <= 2, and that of the computed exponential at the scale
+    of the exponent 2R: e^{-2tR} is then a contraction, so the exponential's
+    Frechet derivative at -2R has norm at most 1, and the backward error of
+    scaling and squaring, a multiple of u ||2R||, reaches e^{-2R} no larger.
+    _re_part_exceeds tests Re(R/s) - (c'/s + rank_cutoff(n, ||R/s||_F)) I in
+    the power-of-two unit s of R, the second term covering the Cholesky
+    backward error.  When threshold + a >= 1 no c' exists (as under
+    --tol-override resonance=1e3), and neither does a certificate at n = 0:
+    the caller takes the SVD.
+    """
+    n = len(R)
+    if n == 0:
+        return False
+    s = _power_of_two_unit(R)
+    X = _in_units(R, s)
+    fro = float(np.linalg.norm(X))
+    allowance = threshold + rank_cutoff(n, 2 + 2 * s * fro)
+    if not allowance < 1:
+        return False
+    c = -0.5 * math.log1p(-allowance)
+    return _re_part_exceeds(X, c / s + rank_cutoff(n, fro))
 
 
 def _ode_residual_analytic(z1, z2, X, Y, p, scale):

@@ -36,7 +36,7 @@ _SEED_ANGLES = np.arange(4) * (np.pi / 4)
 _RADIUS_RTOL = 1e-10
 _RADIUS_SOLVES = 64
 # A pencil eigenvalue this close to the unit circle counts as unimodular
-# (_level_set_distance).  On 179 of those inputs whose bracket closed, the
+# (_level_set).  On 179 of those inputs whose bracket closed, the
 # unimodular eigenvalues at r = w_lo(1 - 1e-10) were computed within 2.7e-10
 # of the circle, and at r = w_lo(1 + 1e-10) the nearest eigenvalue sat at
 # least 1.2e-5 off it.  The gap sits nearer the latter: a refusal only leaves
@@ -44,6 +44,10 @@ _RADIUS_SOLVES = 64
 # certify a false upper end.  pinv._pencil_ends counts a root mu of Kato's
 # pencil as real when |Im mu| is at most this gap times |mu|, for that reason.
 _UNIT_CIRCLE_GAP = 1e-6
+# Level-set tests radius_bracket runs at most, each round after the first
+# raising w_lo at the midpoints of the level-set arcs the one before found.
+# Mengi & Overton's iteration converges quadratically from w_lo near w(T).
+_LEVEL_SET_ROUNDS = 4
 # Distinct matrix contents whose Operators as_operator keeps: enough for the
 # operators one command works on, few enough that retained memory is O(n^2).
 _SHARED_OPERATORS = 4
@@ -213,19 +217,34 @@ class Operator:
         where W(T) runs close to the circle |z| = w(T) near its farthest
         point, as a disk does: no cut lowers its vertices fast.  Then the
         level-set test (Mengi & Overton, IMA J. Numer. Anal. 25, 2005) runs
-        once at r = w_lo (1 + _RADIUS_RTOL): when no eigenvalue of its pencil
-        lies within _UNIT_CIRCLE_GAP of the unit circle (_level_set_distance),
-        no H(theta) has eigenvalue r.  Since r exceeds the attained h at the
+        at r = w_lo (1 + _RADIUS_RTOL): when no eigenvalue of its pencil
+        lies within _UNIT_CIRCLE_GAP of the unit circle (_level_set), no
+        H(theta) has eigenvalue r.  Since r exceeds the attained h at the
         polygon's angles, h < r everywhere by continuity, and w_hi = r.
-        Both ends are found in units of s (_unit), where they are finite,
-        and then multiplied by s.
+        When some lie near it, their angles bound the arcs where h may reach
+        r, as in Mengi and Overton's iteration: h at each arc's midpoint, and
+        at the midpoint plus pi, raises w_lo (one _end_eigenpairs solve per
+        midpoint), and the test runs again, at most _LEVEL_SET_ROUNDS times
+        in all.  The midpoints serve this bracket alone: the polygon, its
+        support values and points are not changed.  Both ends are found in
+        units of s (_unit), where they are finite, and then multiplied by s.
         """
         s = self._unit
         lo, hi, closed = self._polygon[3]
         if not closed:
-            r = lo * (1 + _RADIUS_RTOL)
-            if _level_set_distance(_in_units(self.matrix, s), r) > _UNIT_CIRCLE_GAP:
-                hi = r
+            parts = self.parts
+            A, re, im = (_in_units(M, s) for M in (self.matrix, parts.re_part, parts.im_part))
+            for rounds in range(1, _LEVEL_SET_ROUNDS + 1):
+                r = lo * (1 + _RADIUS_RTOL)
+                distance, angles = _level_set(A, r)
+                if distance > _UNIT_CIRCLE_GAP:
+                    hi = r
+                    break
+                if rounds == _LEVEL_SET_ROUNDS or not angles.size:
+                    break
+                mids = (angles + np.append(angles[1:], angles[0] + 2 * np.pi)) / 2
+                vals = _end_eigenpairs(re, im, mids)[0]
+                lo = max(lo, float(vals[:, 1].max()), float(-vals[:, 0].min()))
         return lo * s, hi * s
 
 
@@ -489,8 +508,10 @@ def _refine(polygon, solve):
     return (np.array(theta), np.array(h), np.array(points, complex)), (lo, hi, closed)
 
 
-def _level_set_distance(A, r):
-    """Distance from the unit circle of the nearest eigenvalue z of A' - z B'.
+def _level_set(A, r):
+    """(distance, angles): the distance from the unit circle of the nearest
+    eigenvalue z of A' - z B', and the ascending angles in [0, 2 pi) of those
+    within _UNIT_CIRCLE_GAP of it.
 
     A' = [[0, I], [-A, 2 r I]] and B' = [[I, 0], [0, A*]] linearize
     A - 2 r z I + z^2 A*, and z = e^{i theta} is an eigenvalue exactly when
@@ -506,7 +527,9 @@ def _level_set_distance(A, r):
     z = scipy.linalg.eigvals(
         np.block([[zero, eye], [-A, 2 * r * eye]]), np.block([[eye, zero], [zero, A.conj().T]])
     )
-    return float(np.min(np.abs(np.abs(z) - 1)))
+    gaps = np.abs(np.abs(z) - 1)
+    near = z[gaps <= _UNIT_CIRCLE_GAP]
+    return float(np.min(gaps)), np.sort(np.angle(near) % (2 * np.pi))
 
 
 def _end_eigenpairs(re, im, theta):

@@ -15,7 +15,9 @@ import numpy as np
 from .errors import AccuracyError, ParameterError, PreconditionError
 from .linops import (
     Operator,
+    _in_units,
     _numeric_array,
+    _power_of_two_unit,
     _same_shape,
     accretivity_tol,
     as_operator,
@@ -95,9 +97,13 @@ class QuadraticPencil:
         R has passed _sqrt_and_residual's residual test, which takes no SVD
         of R^2 - Upsilon when its Frobenius norm decides it; the value
         ||R^2 - Upsilon|| is taken when PencilFactorization.sqrt_residual is
-        first read.  Upsilon is rooted as a transient unshared Operator, so
-        its Schur form and singular values are freed once R is taken, and it
-        evicts no caller's operator from as_operator's cache.
+        first read.  In the paper's setting Upsilon is strictly accretive,
+        and one Cholesky factorization of its real part certifies that
+        (_sqrt_and_residual): Upsilon then has full rank and no eigenvalue
+        on the negative axis, so it takes one Schur form and no SVD.
+        Upsilon is rooted as a transient unshared Operator, so its Schur
+        form is freed once R is taken, and it evicts no caller's operator
+        from as_operator's cache.
         """
         W = _sqrt_and_residual(Operator(self.upsilon))
         W.flags.writeable = False
@@ -126,12 +132,58 @@ def _sqrt_and_residual(op):
     from the Frobenius norm where it can, so an accepted root usually takes
     no SVD of W^2 - U; the exact norm is taken for the error message, and
     by PencilFactorization.sqrt_residual, which reports it.
+
+    Strictly accretive U, the paper's m-accretive Upsilon, takes no SVD of
+    U either.  In the power-of-two unit s of U (_power_of_two_unit) the
+    real part is tested by _re_part_exceeds at c = 2 rank_cutoff(n, ||U/s||_F):
+    one rank_cutoff for the rank rule and one for the Cholesky backward
+    error.  When it passes, sigma_min(U) >= lambda_min(Re U) exceeds
+    rank_cutoff(n, ||U||), so U has full rank (Operator.rank would count n),
+    and W(U), with every eigenvalue, lies in Re z > 0, so the negative-axis
+    test passes without ||U|| (_schur_sqrt).  The residual is then first
+    tested against tolerance("sqrt-residual") * max(1, ||U||_F / sqrt(n)),
+    at most the exact bound since ||U||_F / sqrt(n) <= ||U||; only when that
+    fails is ||U|| taken, for the exact test.  Any other U (not strictly
+    accretive, or singular) takes the exact route: its rank and norm from
+    its singular values, and _on_range_block.  Either route gives the same
+    root and verdict.
     """
-    W = _on_range_block(op, _schur_sqrt)
-    D = W @ W - op.matrix
-    if not norm_at_most(D, tolerance("sqrt-residual") * max(1.0, op.norm)):
+    A, n = op.matrix, op.dim
+    s = _power_of_two_unit(A)
+    X = _in_units(A, s)
+    fro = float(np.linalg.norm(X))
+    strict = n > 0 and _re_part_exceeds(X, 2 * rank_cutoff(n, fro))
+    W = _schur_sqrt(op) if strict else _on_range_block(op, _schur_sqrt)
+    D = W @ W - A
+    tol = tolerance("sqrt-residual")
+    if not (strict and norm_at_most(D, tol * max(1.0, s * (fro / math.sqrt(n))))
+            or norm_at_most(D, tol * max(1.0, op.norm))):
         raise AccuracyError(f"square-root residual {operator_norm(D):.3e} above tolerance")
     return W
+
+
+def _re_part_exceeds(X, c):
+    """Whether one Cholesky factorization (LAPACK zpotrf) of X + X* - 2c I,
+    twice Re X - c I, succeeds.
+
+    Success certifies lambda_min(Re X) > c - rank_cutoff(n, ||X||_F), with no
+    SVD or eigensolve: the computed factor is that of Re X - c I + E, up to
+    the exact factor 2, with ||E|| <= gamma_{n+1} trace(Re X - c I)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    Thm 10.7), and the trace is at most sqrt(n) ||X||_F, so ||E|| stays
+    below rank_cutoff(n, ||X||_F) for any n below about 40000, the rounding
+    of forming the matrix included.  Since sigma_min(X) >= lambda_min(Re X)
+    and W(X) lies in Re z >= lambda_min(Re X), the certificate bounds X's
+    rank and spectrum as well.  X is in units where its entries are small
+    (_in_units), so X + X* cannot overflow.
+    """
+    from scipy.linalg import lapack  # deferred: a first import takes ~0.3 s and ~28 MiB
+
+    # X* is taken Fortran-ordered, so H is too, and zpotrf factors it in place.
+    H = X.T.conj()
+    H += X
+    H.flat[:: len(X) + 1] -= 2 * c
+    return lapack.zpotrf(H, lower=1, overwrite_a=1, clean=0)[1] == 0
 
 
 def _schur_sqrt(op):
@@ -139,16 +191,20 @@ def _schur_sqrt(op):
 
     Its one complex Schur form (Operator.schur) serves both the
     negative-axis test, on its diagonal, and the root, taken of its
-    triangular factor, so op is factored once.
+    triangular factor, so op is factored once.  The test's tolerance
+    accretivity_tol(||op||) is read, one SVD, only when some eigenvalue has
+    Re < 0: a strictly accretive op (_sqrt_and_residual) takes none.
     """
     theta, V = op.schur
     eigs = np.diag(theta)
-    tol = accretivity_tol(op.norm)
-    bad = (eigs.real < 0) & (np.abs(eigs.imag) / np.maximum(1.0, np.abs(eigs.real)) <= tol)
-    if np.any(bad):
-        raise PreconditionError(
-            f"no principal square root: eigenvalue {eigs[bad][0]:.6g} on the negative real axis"
-        )
+    left = eigs.real < 0
+    if np.any(left):
+        tol = accretivity_tol(op.norm)
+        bad = left & (np.abs(eigs.imag) / np.maximum(1.0, np.abs(eigs.real)) <= tol)
+        if np.any(bad):
+            raise PreconditionError(
+                f"no principal square root: eigenvalue {eigs[bad][0]:.6g} on the negative real axis"
+            )
     import scipy.linalg  # deferred: a first import takes ~0.3 s and ~28 MiB
 
     return V @ np.asarray(scipy.linalg.sqrtm(theta), dtype=np.complex128) @ V.conj().T

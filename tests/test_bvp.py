@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from accretive import bvp, selftest
+from accretive import bvp, pencil, selftest
 from accretive.bvp import (
     BvpProblem,
     _TAYLOR_THETA,
@@ -20,10 +20,16 @@ from accretive.bvp import (
     fd_oracle,
     solve_bvp,
 )
-from accretive.errors import AccuracyError, HypothesisError, ParameterError, ResonanceError
+from accretive.errors import (
+    AccuracyError,
+    HypothesisError,
+    ParameterError,
+    PreconditionError,
+    ResonanceError,
+)
 from accretive.linops import as_operator
-from accretive.pencil import factorize
-from accretive.sampling import commuting_pencil_pair, complex_gaussian, rng_for
+from accretive.pencil import accretive_sqrt, factorize
+from accretive.sampling import commuting_pencil_pair, complex_gaussian, random_unitary, rng_for
 
 SEED = 78112
 N_TRIALS = 15
@@ -96,9 +102,11 @@ def test_expm_actions_match_dense_per_time(expm_calls, scale, route):
     reference = np.stack([scipy.linalg.expm(t * A) @ v for t in ts], axis=1)
     expm_calls.clear()
     got = _expm_actions(A, v, ts)
-    # exp(0) v is v exactly; the dense route skips the zero time.
+    # exp(0) v is v exactly; the dense route skips the zero time and takes
+    # the others in one stacked call, bit for bit the per-time products.
     assert np.array_equal(got[:, 0], v)
-    assert len(expm_calls) == (0 if route == "taylor" else len(ts) - 1)
+    assert len(expm_calls) == (0 if route == "taylor" else 1)
+    assert route == "taylor" or np.array_equal(got, reference)
     rel = np.linalg.norm(got - reference, axis=0) / np.linalg.norm(reference, axis=0)
     assert np.max(rel) <= 1e-13
 
@@ -161,19 +169,115 @@ def test_solve_bvp_makes_one_dense_exponential(expm_calls):
 
 def test_solve_bvp_takes_each_norm_once(svd_calls):
     # ||T|| and ||S|| feed both the commutation tolerance and the residual
-    # scale; the third SVD is sigma_min of I - e^{-2R}.  The commutation test
-    # is decided from the Frobenius norm of TR - RT, with no SVD; reading the
-    # reported commutation_residual afterwards takes one.  The root is the
-    # problem's, read here before counting.
+    # scale, the only two SVDs.  The root of the strictly accretive Upsilon
+    # takes none: one Cholesky factorization certifies its rank and the
+    # negative-axis test, and another excludes resonance, so sigma_min of
+    # I - e^{-2R} is not taken.  The commutation test is decided from the
+    # Frobenius norm of TR - RT, with no SVD; reading the reported
+    # commutation_residual afterwards takes one.
     rng = rng_for(SEED, "three-svd")
     T, S = commuting_pencil_pair(rng, 8)
     p = BvpProblem(T, S, np.ones(8), np.zeros(8))
-    p.root
     svd_calls.clear()
+    p.root
+    assert svd_calls == []
     solve_bvp(p)
-    assert len(svd_calls) == 3
+    assert len(svd_calls) == 2
     p.commutation_residual
-    assert len(svd_calls) == 4
+    assert len(svd_calls) == 3
+
+
+def _outcome(fn):
+    """fn's result, or its error's class and message."""
+    try:
+        return fn()
+    except (PreconditionError, ResonanceError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(a, b):
+    if isinstance(a, bvp.BvpSolution):
+        return all(_same(getattr(a, f), getattr(b, f))
+                   for f in ("grid", "values", "x0", "x1", "boundary_residual", "ode_residual"))
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.tobytes() == b.tobytes()
+    return a == b
+
+
+def _certificates(monkeypatch, verdict=None):
+    """Record each Cholesky certificate's verdict; with verdict given, force it."""
+    seen = []
+    exceeds = pencil._re_part_exceeds
+
+    def spy(X, c):
+        seen.append(exceeds(X, c) if verdict is None else verdict)
+        return seen[-1]
+
+    for mod in (pencil, bvp):
+        monkeypatch.setattr(mod, "_re_part_exceeds", spy)
+    return seen
+
+
+def test_certificates_change_no_bit(monkeypatch):
+    # The root's certificate (rank, norm and negative-axis test of Upsilon)
+    # and the resonance certificate only skip SVDs: forced to fail, every
+    # test takes its exact route and every root and solution is bit for bit
+    # the same.  On sampled problems at n = 2, 8, 32, on the roots of 2^100
+    # Upsilon, and on the planted-rank inputs of
+    # test_pinv.py::test_planted_rank_is_one_decision, positive semidefinite
+    # with the last singular value at rel * sigma_1.
+    rng = rng_for(SEED, "certificates")
+    problems = [(*commuting_pencil_pair(rng, n), complex_gaussian(rng, n), complex_gaussian(rng, n))
+                for n in (2, 8, 32)]
+    roots = [T @ T + S for T, S, _, _ in problems]
+    roots += [2.0**100 * U for U in roots]
+    for n in (2, 4, 8, 16, 64):
+        for rel in (1e-16, 1e-15, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8):
+            d = rng.uniform(0.5, 1.5, n)
+            d[-1] = rel * d.max()
+            U = random_unitary(rng, n)
+            roots.append((U * d) @ U.conj().T)
+
+    def run():
+        return ([_outcome(lambda: accretive_sqrt(U.copy())) for U in roots]
+                + [solve_bvp(BvpProblem(*data)) for data in problems])
+
+    seen = _certificates(monkeypatch)
+    fast = run()
+    # The roots of Upsilon and 2^100 Upsilon come first: each is certified.
+    assert all(seen[:2 * len(problems)]) and not all(seen)
+    _certificates(monkeypatch, False)
+    exact = run()
+    assert all(_same(a, b) for a, b in zip(fast, exact))
+
+
+def test_exact_routes_keep_their_verdicts(monkeypatch, svd_calls):
+    # Upsilon with an indefinite real part, singular EP Upsilon, Upsilon with
+    # an eigenvalue on the negative axis and a resonant problem: no
+    # certificate holds, so each takes the exact route, an SVD of Upsilon or
+    # of I - e^{-2R}, and gives what it gives with the certificates forced
+    # to fail: a root, or the same refusal.
+    rng = rng_for(SEED, "negative-axis-exact")
+    V = np.linalg.qr(complex_gaussian(rng, (4, 4)))[0]
+    theta = np.array([[2, 1, 0, 3], [0, -0.5, 1, 0], [0, 0, 1j + 1, 2], [0, 0, 0, 4]])
+    negative = V @ theta @ V.conj().T
+    resonant = (np.diag([1.0, 0.0]), np.zeros((2, 2)), np.array([1.0, 1.0]), np.zeros(2))
+    cases = [
+        (lambda: accretive_sqrt(np.array([[1.0, 10.0], [0.0, 1.0]])), np.ndarray),
+        (lambda: accretive_sqrt(np.diag([1.0, 2.0, 0.0])), np.ndarray),
+        (lambda: accretive_sqrt(np.diag([-1.0, 1.0])), PreconditionError),
+        (lambda: accretive_sqrt(negative), PreconditionError),
+        (lambda: solve_bvp(BvpProblem(*resonant)), ResonanceError),
+    ]
+    for k, (case, kind) in enumerate(cases):
+        seen = _certificates(monkeypatch)
+        svd_calls.clear()
+        got = _outcome(case)
+        assert seen and not seen[-1] and svd_calls, k
+        assert isinstance(got, kind) or got[0] is kind, k
+        _certificates(monkeypatch, False)
+        assert _same(got, _outcome(case)), k
+    assert np.allclose(_outcome(cases[1][0]), np.diag([1.0, math.sqrt(2.0), 0.0]), rtol=0, atol=1e-14)
 
 
 def test_chebyshev_grid_default():

@@ -3,6 +3,7 @@
 from collections import Counter
 import gc
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -193,27 +194,54 @@ def test_level_set_certificate_can_refuse(monkeypatch):
     # upper end is certified there, while just above w none lies near the
     # circle.  With no refinement past the seed, w_lo of the complex inputs
     # lies far below w (a real input can attain w at a seed angle, 0 or pi),
-    # and radius_bracket keeps the seed polygon's upper end.  The Jordan disks
-    # have no unimodular eigenvalue at any r off the spectrum of Re(J_n),
-    # since their H(theta) all share one spectrum: their certificate rests
-    # on r exceeding the attained support values as well.
+    # and one level-set test keeps the seed polygon's upper end.  Iterated,
+    # the test raises w_lo at the midpoints of the level-set arcs it finds,
+    # and closes the seed polygon's bracket within its rounds.  The Jordan
+    # disks have no unimodular eigenvalue at any r off the spectrum of
+    # Re(J_n), since their H(theta) all share one spectrum: their
+    # certificate rests on r exceeding the attained support values as well.
     rng = rng_for(SEED, "level-set")
     gap = linops._UNIT_CIRCLE_GAP
     inputs = [random_operator(rng, n) for n in (2, 5, 32)]
     inputs += [rng.standard_normal((n, n)) + 0j for n in (2, 5, 32)]
-    lower = []
+    brackets = []
     for k, T in enumerate(inputs):
-        lo = as_operator(T).radius_bracket[0]
-        lower.append(lo)
-        assert linops._level_set_distance(T, lo * (1 - 1e-10)) <= gap, k
-        assert linops._level_set_distance(T, lo * (1 + 1e-10)) > gap, k
+        lo, hi = as_operator(T).radius_bracket
+        brackets.append((lo, hi))
+        assert linops._level_set(T, lo * (1 - 1e-10))[0] <= gap, k
+        assert linops._level_set(T, lo * (1 + 1e-10))[0] > gap, k
     for n in (2, 5, 32):
         J = np.eye(n, k=1).astype(complex)
-        assert linops._level_set_distance(J, math.cos(math.pi / (n + 1)) * (1 + 1e-10)) > gap, n
+        assert linops._level_set(J, math.cos(math.pi / (n + 1)) * (1 + 1e-10))[0] > gap, n
     monkeypatch.setattr(linops, "_RADIUS_SOLVES", 0)
-    for k, (T, lo) in enumerate(zip(inputs[:3], lower)):
+    for k, (T, (lo, hi)) in enumerate(zip(inputs, brackets)):
+        seed_lo, seed_hi = linops.Operator(T).radius_bracket
+        assert seed_lo <= hi and lo <= seed_hi, k
+        assert seed_hi - seed_lo <= linops._RADIUS_RTOL * seed_hi * (1 + 1e-6), k
+    monkeypatch.setattr(linops, "_LEVEL_SET_ROUNDS", 1)
+    for k, (T, (lo, _)) in enumerate(zip(inputs[:3], brackets)):
         seed_lo, seed_hi = linops.Operator(T).radius_bracket
         assert seed_lo < lo * (1 - 1e-6) and seed_hi >= lo, k
+
+
+def test_level_set_iteration_closes_a_flat_real_bracket(monkeypatch):
+    # A real 2x2 Gaussian whose W(T) boundary runs near the circle |z| = w(T)
+    # on both sides of the real axis: the polygon spends all its solves and
+    # stays 9.2e-9 wide, and one level-set test at w_lo (1 + 1e-10) finds
+    # unimodular eigenvalues.  Solving at the midpoints of the level-set arcs
+    # they bound raises w_lo, and the second test certifies the upper end.
+    T = np.array([[-0.2193284040415566, -0.28135739120693926],
+                  [0.5533489476856183, -0.6339906002528877]])
+    rounds = []
+    level_set = linops._level_set
+    monkeypatch.setattr(linops, "_level_set", lambda A, r: rounds.append(r) or level_set(A, r))
+    op = linops.Operator(T.astype(complex))
+    s, (polygon_lo, polygon_hi, closed) = op._unit, op._polygon[3]
+    lo, hi = op.radius_bracket
+    assert not closed and polygon_hi - polygon_lo > 1e-9 * polygon_hi
+    assert len(rounds) == 2 and polygon_lo * s < lo and hi < polygon_hi * s
+    assert hi - lo <= linops._RADIUS_RTOL * hi and hi == rounds[-1] * s
+    assert rayleigh_radius_oracle(T, rng_for(SEED, "flat-real")) <= hi * (1 + 1e-12)
 
 
 def test_bisection_never_inserts_an_angle_twice(monkeypatch):
@@ -275,9 +303,8 @@ def test_refinement_solve_counts(monkeypatch):
     # and 25.85 (random_operator); the cut takes 8.35, 7.05 and 21.6.  On
     # neither did the level-set test run on any draw.
     level_sets = []
-    distance = linops._level_set_distance
-    monkeypatch.setattr(linops, "_level_set_distance",
-                        lambda A, r: level_sets.append(r) or distance(A, r))
+    level_set = linops._level_set
+    monkeypatch.setattr(linops, "_level_set", lambda A, r: level_sets.append(r) or level_set(A, r))
     generators = {
         "accretive_operator": accretive_operator,
         "singular_accretive_operator": lambda rng, n: singular_accretive_operator(rng, n, n // 2),
@@ -295,6 +322,16 @@ def test_refinement_solve_counts(monkeypatch):
         means[name] = sum(solves) / len(solves)
     assert means["accretive_operator"] <= 10 and means["singular_accretive_operator"] <= 10, means
     assert not level_sets, means
+    # Nor does any of the 100 analyze benchmark inputs of seeds 1-5.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+    import workloads
+
+    for seed in range(1, 6):
+        for k, item in enumerate(workloads.analyze_items(seed)):
+            lo, hi = linops.Operator(item["T"]).radius_bracket
+            assert hi - lo <= linops._RADIUS_RTOL * hi, (seed, k)
+    assert not level_sets, level_sets
 
 
 def test_norm_chain():
